@@ -6,8 +6,8 @@ output carries 17 significant digits so identical runs produce byte
 identical files.
 
 Exit codes: 0 success, 2 configuration error, 3 data-consistency failure,
-4 solver failure (including a failed residual gate or a failed verify
-suite).
+4 solver failure (including a failed residual gate, a failed verify suite,
+and a dense or coupled solve refused above the dense limit).
 """
 
 from __future__ import annotations

@@ -15,18 +15,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy import sparse
-from scipy.sparse.linalg import spsolve
 
 from .fields import Field1D, Field2D, Piece2D, piecewise2d, samples1d, samples2d
 from .grids import Domain, Grid2D, GridFn1D, GridFn2D, build_grid
 from .problem import Coefficients, NonclassicalData, PdeProblem, nonclassical_to_classical
 from .reduction import apply_pde_operator
 from .solver import ReducedUnknowns, SolutionBundle, assemble_solution, solve_problem
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 #: sup errors below this are reported as exact-at-nodes in convergence tables
 EXACT_TOL = 1e-11
@@ -260,6 +261,9 @@ def difference_matrices(nodes: np.ndarray) -> tuple[sparse.csr_matrix, sparse.cs
     Boundary rows are zero; the oracle replaces them with identity rows
     carrying the Dirichlet values, so one-sided stencils are never needed.
     """
+    # scipy is imported here, not at module level, so the solve path never loads it
+    from scipy import sparse
+
     n = len(nodes)
     hm = nodes[1:-1] - nodes[:-2]
     hp = nodes[2:] - nodes[1:-1]
@@ -282,6 +286,9 @@ def fd_oracle(problem: PdeProblem, grid: Grid2D) -> GridFn2D:
     discretized by central differences on the tensor grid, and boundary
     nodes carry identity rows with the edge values.
     """
+    from scipy import sparse
+    from scipy.sparse.linalg import spsolve
+
     cd = nonclassical_to_classical(problem.data, problem.domain, grid)
     n1, n2 = grid.shape
     d1x, d2x = difference_matrices(grid.x)

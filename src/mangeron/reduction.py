@@ -25,6 +25,17 @@ from .problem import Coefficients, NonclassicalData, PdeProblem, SampledData, sa
 DENSE_NODE_LIMIT = 70 * 70
 
 
+class DenseLimitError(ValueError):
+    """A dense assembly refused because the grid exceeds DENSE_NODE_LIMIT."""
+
+
+def _check_dense_limit(n_nodes: int):
+    """Refuse a dense assembly over more than DENSE_NODE_LIMIT grid nodes."""
+    if n_nodes > DENSE_NODE_LIMIT:
+        raise DenseLimitError(f"dense assembly limited to {DENSE_NODE_LIMIT} nodes; "
+                              "use the matrix-free matvec")
+
+
 class BaseBundle:
     """The data-determined base part of the solution and its derivatives.
 
@@ -232,9 +243,7 @@ class DiscreteOperator:
         if self._dense is not None:
             return self._dense
         n1, n2 = self.grid.shape
-        if n1 * n2 > DENSE_NODE_LIMIT:
-            raise ValueError(f"dense assembly limited to {DENSE_NODE_LIMIT} nodes; "
-                             "use the matrix-free matvec")
+        _check_dense_limit(n1 * n2)
         k = self.kernels
         c = k.c
         c0x, c1x = self.grid.ax.cum0, self.grid.ax.cum1
@@ -283,6 +292,7 @@ class CoupledSystem:
         self.problem = problem
         n1, n2 = grid.shape
         n_core = n1 * n2
+        _check_dense_limit(n_core)
         size = 1 + n1 + n2 + n_core
         self.size = size
         self.i_corner = 0

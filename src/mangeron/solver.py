@@ -24,15 +24,17 @@ from .grids import Domain, Grid2D, GridFn1D, GridFn2D
 from .norms import NormSpec, data_norm, lp_norm, sobolev_norm
 from .problem import (Coefficients, ConstraintError, NonclassicalData, PdeProblem,
                       check_data_constraints, sample_data)
-from .reduction import (DiscreteOperator, _moment_average_weights, apply_pde_operator,
-                        assemble_base, assemble_coupled, assemble_eliminated)
+from .reduction import (DenseLimitError, DiscreteOperator, _moment_average_weights,
+                        apply_pde_operator, assemble_base, assemble_coupled,
+                        assemble_eliminated)
 
 #: consecutive growing updates before the iteration is declared divergent
 DIVERGENCE_PATIENCE = 5
 
 
 class SolverError(RuntimeError):
-    """Direct solve failed (numerically singular system)."""
+    """A solve failed: singular system, dense limit or memory exceeded, or a
+    residual-gate calibration that did not converge."""
 
 
 @dataclass(frozen=True)
@@ -136,11 +138,17 @@ def solve_neumann(op: DiscreteOperator, tol: float = 1e-10,
 
 
 def solve_dense(op: DiscreteOperator) -> tuple[GridFn2D, float]:
-    """Direct LU solve of (I + K) b = g; returns the core and a condition estimate."""
-    k = op.dense()
-    n = k.shape[0]
-    a = np.eye(n) + k
-    cond = float(np.linalg.cond(a, 1))
+    """Direct LU solve of (I + K) b = g; returns the core and a condition estimate.
+
+    A grid over the dense limit, or one whose matrices do not fit in memory,
+    is a SolverError.
+    """
+    try:
+        k = op.dense()
+        a = np.eye(k.shape[0]) + k
+        cond = float(np.linalg.cond(a, 1))
+    except (DenseLimitError, MemoryError) as exc:
+        raise SolverError(f"dense solve refused: {exc}") from exc
     if not math.isfinite(cond) or cond > 1e15:
         raise SolverError(f"second-kind system numerically singular (cond ~ {cond:.3e})")
     try:
@@ -298,13 +306,25 @@ _THRESHOLD_CACHE: dict[tuple, float] = {}
 
 
 def calibrate_residual_threshold(grid: Grid2D, spec: NormSpec = NormSpec()) -> float:
-    """Ten times the worst residual of smooth reference solves on this grid."""
+    """Ten times the worst residual of smooth reference solves on this grid.
+
+    The reference problems have zero coefficients, so K is identically zero
+    and the second-kind system is the identity: the first Neumann update is
+    exactly 0 and the solved core is g bit for bit, as an LU solve of the
+    identity would give.  The matrix-free route therefore reproduces the
+    dense-route threshold exactly, at any grid size and without any dense
+    assembly.  A reference solve that does not converge is a solver failure;
+    no threshold is ever built from a partial iterate.
+    """
     key = (grid.x.tobytes(), grid.y.tobytes(), spec.p)
     if key not in _THRESHOLD_CACHE:
         worst = 0.0
         for prob in _reference_problems(grid.domain):
-            result = solve_problem(prob, grid, method="dense", p=spec.p,
+            result = solve_problem(prob, grid, method="neumann", p=spec.p,
                                    residual_gate=False, force=True)
+            if not result.report.converged:
+                raise SolverError("residual-gate calibration did not converge "
+                                  f"after {result.report.iterations} iterations")
             worst = max(worst, result.report.residual_pde,
                         max(result.report.residual_bc.values()))
         _THRESHOLD_CACHE[key] = 10.0 * max(worst, 1e-12)
@@ -399,9 +419,10 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
     update_ratio = None
 
     if method == "coupled":
-        system = assemble_coupled(problem, grid)
         try:
-            _, _, _, core_arr, cond = system.solve()
+            _, _, _, core_arr, cond = assemble_coupled(problem, grid).solve()
+        except (DenseLimitError, MemoryError) as exc:
+            raise SolverError(f"coupled solve refused: {exc}") from exc
         except np.linalg.LinAlgError as exc:
             raise SolverError(str(exc)) from exc
         core = GridFn2D(grid, core_arr)
@@ -421,7 +442,12 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
             method_used = "neumann"
             if info.diverged:
                 if method == "auto":
-                    core, cond = solve_dense(op)
+                    try:
+                        core, cond = solve_dense(op)
+                    except SolverError as exc:
+                        raise SolverError("successive approximations diverged after "
+                                          f"{info.iterations} iterations and the dense "
+                                          f"fallback failed: {exc}") from exc
                     method_used = "dense"
                     converged = True
                     warning = ("successive approximations diverged "

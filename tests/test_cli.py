@@ -1,5 +1,8 @@
 import filecmp
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -224,3 +227,34 @@ u = sin(x) * sin(y)
     assert run(["solve", "--config", cfg, "--out", tmp_path]) == 0
     report = read_report(tmp_path)
     assert report["sup_error_vs_reference"] <= 5e-3
+
+
+def test_solve_gate_on_above_dense_limit(tmp_path):
+    assert run(["solve", "--config", CONFIGS / "trig.cfg", "--out", tmp_path,
+                "--grid", "129x129"]) == 0
+    report = read_report(tmp_path)
+    assert report["method"] == "neumann"
+    assert report["residual_pass"] is True
+
+
+@pytest.mark.parametrize("config,extra", [
+    ("trig.cfg", ["--grid", "101x101", "--method", "dense"]),
+    ("stiff.cfg", ["--grid", "101x101"]),
+    ("trig.cfg", ["--grid", "71x71", "--method", "coupled"]),
+], ids=["dense", "auto-fallback", "coupled"])
+def test_dense_limit_refusal_exits_four(tmp_path, capsys, config, extra):
+    assert run(["solve", "--config", CONFIGS / config, "--out", tmp_path, *extra]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: ")
+    assert "dense assembly limited" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, mangeron.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from mangeron import (Coefficients, Domain, Field2D, KernelSet, NonclassicalData
                       assemble_eliminated, assemble_solution, build_grid, const1d,
                       const2d, random_coefficients, random_forward_problem,
                       reconstruct_lower, reduced_rhs)
+from mangeron.reduction import DenseLimitError
 from mangeron.mms import (biquadratic_solution, exact_bundle, make_mms, sep_poly,
                           SeparableSolution)
 
@@ -323,3 +326,15 @@ def test_coupled_and_eliminated_agree_on_core():
         core_elim, _ = solve_dense(op)
         scale = max(1e-30, float(np.max(np.abs(core_elim.values))))
         assert np.max(np.abs(core_coupled - core_elim.values)) / scale <= 1e-8
+
+
+def test_coupled_size_guard_refuses_before_allocating():
+    grid = build_grid(DOM, 71, 71)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DenseLimitError, match="dense assembly limited to 4900 nodes"):
+            assemble_coupled(PdeProblem(DOM, Coefficients()), grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6

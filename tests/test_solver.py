@@ -8,7 +8,9 @@ from mangeron import (Coefficients, ConstraintError, Domain, Field2D, GridFn2D,
                       assemble_solution, build_grid, const1d, const2d,
                       estimate_stability_ratio, random_coefficients,
                       random_forward_problem, reconstruct_lower, residual_report,
-                      solve_dense, solve_neumann, solve_problem)
+                      SolverError, calibrate_residual_threshold, solve_dense,
+                      solve_neumann, solve_problem)
+from mangeron import solver as solver_mod
 from mangeron.mms import (bilinear_solution, biquadratic_solution, make_mms,
                           trig_solution)
 
@@ -361,3 +363,36 @@ def test_grid_and_data_arrays_are_frozen():
     result = solve_problem(case.problem, grid)
     with pytest.raises(ValueError):
         result.bundle.u.values[0, 0] = 7.0
+
+
+# ------------------------------------------------------ residual-gate calibration
+
+def dense_route_threshold(grid, p):
+    """The calibration rule evaluated through dense LU solves (the oracle)."""
+    worst = 0.0
+    for prob in solver_mod._reference_problems(grid.domain):
+        rep = solve_problem(prob, grid, method="dense", p=p,
+                            residual_gate=False, force=True).report
+        worst = max(worst, rep.residual_pde, max(rep.residual_bc.values()))
+    return 10.0 * max(worst, 1e-12)
+
+
+@pytest.mark.parametrize("grid", [
+    build_grid(DOM, 17, 17),
+    build_grid(DOM, 33, 33),
+    build_grid(Domain(2.0, 0.5), 22, 12, x_breakpoints=[0.3, 1.37], y_breakpoints=[0.11]),
+], ids=["17x17", "33x33", "nonuniform"])
+def test_calibrated_threshold_equals_dense_route(grid, monkeypatch):
+    monkeypatch.setattr(solver_mod, "_THRESHOLD_CACHE", {})
+    for p in (1.0, 2.0, math.inf):
+        assert calibrate_residual_threshold(grid, NormSpec(p)) == dense_route_threshold(grid, p)
+
+
+def test_calibration_refuses_unconverged_reference(monkeypatch):
+    grid = build_grid(DOM, 9, 9)
+    divergent = make_mms(trig_solution(), const_coeffs(c_xy=50.0), DOM).problem
+    monkeypatch.setattr(solver_mod, "_THRESHOLD_CACHE", {})
+    monkeypatch.setattr(solver_mod, "_reference_problems", lambda domain: [divergent])
+    with pytest.raises(SolverError, match="calibration did not converge"):
+        calibrate_residual_threshold(grid)
+    assert solver_mod._THRESHOLD_CACHE == {}
