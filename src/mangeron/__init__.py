@@ -18,10 +18,9 @@ from .problem import (BoundaryTrace, CheckReport, ClassicalData, Coefficients,
                       ConstraintError, CornerMismatchError, DataConsistencyError,
                       NonclassicalData, PdeProblem, check_data_constraints,
                       check_matching, classical_to_nonclassical, constraint_tolerance,
-                      nonclassical_to_classical, sample_data)
-from .reduction import (BaseBundle, CoupledSystem, DiscreteOperator, KernelSet,
-                        apply_pde_operator, assemble_base, assemble_coupled,
-                        assemble_eliminated, reduced_rhs)
+                      nonclassical_to_classical, sample_data, sample_problem)
+from .reduction import (CoupledSystem, DiscreteOperator, apply_pde_operator, assemble_base,
+                        assemble_coupled, assemble_eliminated, reduced_rhs)
 from .solver import (ReducedUnknowns, ResidualReport, SolutionBundle, SolveReport,
                      SolveResult, SolverError, StabilityEstimate, assemble_solution,
                      calibrate_residual_threshold, estimate_stability_ratio,

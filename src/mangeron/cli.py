@@ -21,7 +21,8 @@ import sys
 import numpy as np
 
 from . import exprlang
-from .config import ConfigError, RunConfig, build_grid_from, build_problem, load_config
+from .config import (ConfigError, RunConfig, build_grid_from, build_problem, load_config,
+                     norm_exponent)
 from .mms import convergence_study, named_cases
 from .problem import (DataConsistencyError, check_data_constraints, check_matching,
                       classical_to_nonclassical, nonclassical_to_classical, sample_data)
@@ -107,7 +108,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
             raise ConfigError(f"unknown method {args.method!r}")
         cfg.solver.method = args.method
     if args.p:
-        cfg.solver.p = math.inf if args.p.lower() == "inf" else float(args.p)
+        cfg.solver.p = norm_exponent(args.p)
     return cfg
 
 
@@ -218,7 +219,7 @@ def cmd_check(args) -> int:
         data = build_nonclassical(cfg)
         cd = nonclassical_to_classical(data, cfg.domain, grid)
         matching = check_matching(cd, cfg.domain)
-    constraints = check_data_constraints(data, cfg.domain, grid)
+    constraints = check_data_constraints(sample_data(data, grid), grid)
     payload["matching"] = {"residuals": matching.as_dict(),
                            "tolerance": matching.tolerance,
                            "passed": matching.passed}
@@ -294,7 +295,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", default=None, help="override grid as N1xN2")
         p.add_argument("--method", default=None,
                        help="override solver method (auto|neumann|dense|coupled)")
-        p.add_argument("--p", default=None, help="norm exponent (number or 'inf')")
+        p.add_argument("--p", default=None, help="norm exponent (a number >= 1 or 'inf')")
 
     p = sub.add_parser("solve", help="solve the configured problem")
     common(p)

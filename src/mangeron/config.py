@@ -13,7 +13,6 @@ known solution.  All function values use the expression mini-language.
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +20,7 @@ import numpy as np
 from . import exprlang
 from .fields import ANALYTIC, PIECEWISE, Field1D, Field2D, LINF_X_LP_Y, LP, LP_X_LINF_Y
 from .grids import Domain, Grid2D, build_grid
+from .norms import NormSpec
 from .problem import (BoundaryTrace, ClassicalData, Coefficients, NonclassicalData,
                       PdeProblem)
 
@@ -77,6 +77,14 @@ def _scalar(text: str, where: str) -> float:
         return float(exprlang.evaluate(node, {}))
     except Exception as exc:
         raise ConfigError(f"{where}: not a constant expression") from exc
+
+
+def norm_exponent(text) -> float:
+    """Norm exponent p from config or command-line text: a number >= 1, or inf."""
+    try:
+        return NormSpec(float(str(text).strip())).p
+    except ValueError as exc:
+        raise ConfigError(f"bad norm exponent p = {text!r}: {exc}") from exc
 
 
 def _breakpoints(text: str) -> tuple[float, ...]:
@@ -163,10 +171,9 @@ def load_config(path: str) -> RunConfig:
         try:
             solver.tol = float(sec.get("tol", solver.tol))
             solver.max_iter = int(sec.get("max_iter", solver.max_iter))
-            p_text = str(sec.get("p", solver.p)).strip().lower()
-            solver.p = math.inf if p_text == "inf" else float(p_text)
         except ValueError as exc:
             raise ConfigError(f"bad [solver] values: {exc}") from exc
+        solver.p = norm_exponent(sec.get("p", solver.p))
 
     reference_expr = None
     if cp.has_section("reference") and "u" in cp["reference"]:

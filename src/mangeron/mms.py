@@ -22,7 +22,8 @@ from numpy.polynomial import polynomial as npoly
 
 from .fields import Field1D, Field2D, Piece2D, piecewise2d, samples1d, samples2d
 from .grids import Domain, Grid2D, GridFn1D, GridFn2D, build_grid
-from .problem import Coefficients, NonclassicalData, PdeProblem, nonclassical_to_classical
+from .problem import (Coefficients, NonclassicalData, PdeProblem, nonclassical_to_classical,
+                      sample_data)
 from .reduction import apply_pde_operator
 from .solver import ReducedUnknowns, SolutionBundle, assemble_solution, solve_problem
 
@@ -229,8 +230,8 @@ def forward_problem(domain: Domain, grid: Grid2D, coeffs: Coefficients,
         uxyy_left=GridFn1D(ay, edge_y),
         uxxyy=GridFn2D(grid, core),
         uxy00_alt=corner)
-    bundle = assemble_solution(data, unknowns, grid)
-    forcing = samples2d(grid, apply_pde_operator(coeffs, bundle).values)
+    bundle = assemble_solution(sample_data(data, grid), unknowns, grid)
+    forcing = samples2d(grid, apply_pde_operator(coeffs.sample_all(grid), bundle).values)
     return PdeProblem(domain, coeffs, forcing, data), bundle, unknowns
 
 

@@ -60,17 +60,17 @@ def sobolev_norm(bundle, spec: NormSpec = NormSpec()) -> float:
     return total
 
 
-def data_norm(data, grid: Grid2D, spec: NormSpec = NormSpec()) -> float:
-    """Norm of an 11-component boundary data element.
+def data_norm(sd, grid: Grid2D, spec: NormSpec = NormSpec()) -> float:
+    """Norm of an 11-component boundary data element, sampled as `sd`.
 
     Eight scalar components enter by absolute value, the three edge traces
     by their quadrature L_p norm on the matching axis.
     """
-    total = (abs(data.u00) + abs(data.ux00) + abs(data.uy00)
-             + abs(data.u10) + abs(data.uy10)
-             + abs(data.u01) + abs(data.ux01))
-    total += lp_norm(GridFn1D(grid.ax, data.uxx_bottom.sample(grid.ax)), spec)
-    total += lp_norm(GridFn1D(grid.ay, data.uyy_left.sample(grid.ay)), spec)
-    total += lp_norm(GridFn1D(grid.ay, data.uyy_right.sample(grid.ay)), spec)
-    total += lp_norm(GridFn1D(grid.ax, data.uxx_top.sample(grid.ax)), spec)
+    total = (abs(sd.u00) + abs(sd.ux00) + abs(sd.uy00)
+             + abs(sd.u10) + abs(sd.uy10)
+             + abs(sd.u01) + abs(sd.ux01))
+    total += lp_norm(GridFn1D(grid.ax, sd.uxx_bottom), spec)
+    total += lp_norm(GridFn1D(grid.ay, sd.uyy_left), spec)
+    total += lp_norm(GridFn1D(grid.ay, sd.uyy_right), spec)
+    total += lp_norm(GridFn1D(grid.ax, sd.uxx_top), spec)
     return float(total)

@@ -7,7 +7,8 @@ first derivatives at the origin corner, values and one first derivative at
 the corners (h1, 0) and (0, h2), and second-derivative traces along four
 edges.  The nonclassical components are free of matching conditions except
 for two scalar relations that tie the corner values together; those are
-surfaced by `check_data_constraints` and gated before a solve.
+surfaced by `check_data_constraints` and gated before a solve.  A solve
+samples its problem on the grid once (`sample_problem`).
 
 Naming: scalar components carry corner coordinates in units of the side
 lengths (`u10` is u(h1, 0), `ux01` is u_x(0, h2)); edge traces are named by
@@ -292,13 +293,12 @@ def check_matching(cd: ClassicalData, domain: Domain,
     return CheckReport(res, tol)
 
 
-def constraint_tolerance(data: NonclassicalData, grid: Grid2D) -> float:
+def constraint_tolerance(sd: SampledData, grid: Grid2D) -> float:
     """Grid-aware tolerance for the two scalar data constraints.
 
     Ten times the composite-trapezoid error bound of the two moment
     integrals involved, plus a small floor proportional to the data scale.
     """
-    sd = sample_data(data, grid)
     ax, ay = grid.ax, grid.ay
     h1, h2 = grid.domain.h1, grid.domain.h2
     b1 = trapezoid_error_bound(ax.nodes, (h1 - ax.nodes) * sd.uxx_bottom)
@@ -309,7 +309,7 @@ def constraint_tolerance(data: NonclassicalData, grid: Grid2D) -> float:
     return 10.0 * max(b1, b2) + 1e-9 * scale
 
 
-def check_data_constraints(data: NonclassicalData, domain: Domain, grid: Grid2D,
+def check_data_constraints(sd: SampledData, grid: Grid2D,
                            tol: float | None = None) -> CheckReport:
     """The two unknown-free relations nonclassical data must satisfy.
 
@@ -318,13 +318,12 @@ def check_data_constraints(data: NonclassicalData, domain: Domain, grid: Grid2D,
     are necessary conditions on admissible data and are checked before any
     solve (a force flag can bypass the gate, never the report).
     """
-    sd = sample_data(data, grid)
     ax, ay = grid.ax, grid.ay
-    h1, h2 = domain.h1, domain.h2
+    h1, h2 = grid.domain.h1, grid.domain.h2
     r1 = float(abs(sd.u00 + h1 * sd.ux00 + float(ax.cum1[-1] @ sd.uxx_bottom) - sd.u10))
     r2 = float(abs(sd.u00 + h2 * sd.uy00 + float(ay.cum1[-1] @ sd.uyy_left) - sd.u01))
     if tol is None:
-        tol = constraint_tolerance(data, grid)
+        tol = constraint_tolerance(sd, grid)
     return CheckReport((("bottom-edge route to u(h1,0)", r1),
                         ("left-edge route to u(0,h2)", r2)), tol)
 
@@ -337,3 +336,20 @@ class PdeProblem:
     coeffs: Coefficients
     forcing: Field2D = ZERO_2D
     data: NonclassicalData = field(default_factory=NonclassicalData)
+
+
+@dataclass(frozen=True)
+class SampledProblem:
+    """A problem sampled on one grid, once: coefficient grids by key, the
+    forcing grid and the boundary data, read by every stage of a solve."""
+
+    grid: Grid2D
+    coeffs: dict[str, np.ndarray]
+    forcing: np.ndarray
+    data: SampledData
+
+
+def sample_problem(problem: PdeProblem, grid: Grid2D) -> SampledProblem:
+    """Sample the coefficients, the forcing and the boundary data on `grid`."""
+    return SampledProblem(grid, problem.coeffs.sample_all(grid),
+                          problem.forcing.sample(grid), sample_data(problem.data, grid))

@@ -10,19 +10,26 @@ either a coupled square system in the full quadruple or, after eliminating
 the three lower unknowns through the far-edge conditions, a single
 second-kind system (I + K) core = g in the core unknown alone.
 
-Both assemblies use identical quadrature, so their core solutions agree to
+K is written once, as 15 terms coef(i,j) * (A core B^T)(i,j) (`kernel_terms`);
+the matrix-free product, the dense matrix and both blocks of the coupled
+system are derived from that table, so the two assemblies agree to
 linear-solver roundoff; this is exercised as a cross-check downstream.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .grids import Grid2D, GridFn2D
-from .problem import Coefficients, NonclassicalData, PdeProblem, SampledData, sample_data
+from .problem import SampledData, SampledProblem
 
 #: largest node count for which the dense kernel matrix may be materialized
 DENSE_NODE_LIMIT = 70 * 70
+
+# operator kinds of a kernel term, on either axis
+CUM0, CUM1, IDENT, MOM = "cum0", "cum1", "I", "mom"
 
 
 class DenseLimitError(ValueError):
@@ -66,20 +73,20 @@ class BaseBundle:
         self.uyy = GridFn2D(grid, uyy)
 
 
-def assemble_base(data: NonclassicalData, grid: Grid2D) -> BaseBundle:
+def assemble_base(sd: SampledData, grid: Grid2D) -> BaseBundle:
     """Base part of the solution from the origin corner and near-edge data."""
-    return BaseBundle(grid, sample_data(data, grid))
+    return BaseBundle(grid, sd)
 
 
-def apply_pde_operator(coeffs: Coefficients, bundle) -> GridFn2D:
+def apply_pde_operator(c: dict[str, np.ndarray], bundle) -> GridFn2D:
     """Pointwise application of the full fourth-order operator to a bundle.
 
-    The bundle must expose all nine derivative grids (u .. uxxyy); the result
-    is uxxyy + c_xxy uxxy + c_xyy uxyy + c_xx uxx + c_yy uyy + c_xy uxy
-    + c_x ux + c_y uy + c_u u at every node.
+    `c` holds the coefficient grids on the bundle's grid (as sampled by
+    `Coefficients.sample_all`).  The bundle must expose all nine derivative
+    grids (u .. uxxyy); the result is uxxyy + c_xxy uxxy + c_xyy uxyy
+    + c_xx uxx + c_yy uyy + c_xy uxy + c_x ux + c_y uy + c_u u at every node.
     """
     grid = bundle.u.grid
-    c = coeffs.sample_all(grid)
     for key in ("u", "ux", "uy", "uxx", "uyy", "uxy", "uxxy", "uxyy", "uxxyy"):
         if getattr(bundle, key, None) is None:
             raise ValueError(f"bundle is missing derivative grid {key!r}")
@@ -95,72 +102,20 @@ def apply_pde_operator(coeffs: Coefficients, bundle) -> GridFn2D:
     return GridFn2D(grid, v)
 
 
-def reduced_rhs(problem: PdeProblem, base: BaseBundle) -> GridFn2D:
+def reduced_rhs(sp: SampledProblem, base: BaseBundle) -> GridFn2D:
     """Forcing minus the operator applied to the base part.
 
     Every mixed derivative of the base vanishes identically, so only the
     five non-mixed terms survive.
     """
-    grid = base.grid
-    c = problem.coeffs.sample_all(grid)
-    v = problem.forcing.sample(grid) - (
+    c = sp.coeffs
+    v = sp.forcing - (
         c["c_xx"] * base.uxx.values
         + c["c_yy"] * base.uyy.values
         + c["c_x"] * base.ux.values
         + c["c_y"] * base.uy.values
         + c["c_u"] * base.u.values)
-    return GridFn2D(grid, v)
-
-
-class KernelSet:
-    """Grouped kernels of the collocated integral equation on one grid.
-
-    All kernels are algebraic combinations of the coefficient fields with
-    first-moment factors; they are stored both as grid arrays (for
-    assembly) and as pointwise evaluators (for probing).
-    """
-
-    def __init__(self, coeffs: Coefficients, grid: Grid2D):
-        self.grid = grid
-        self.coeffs = coeffs
-        c = coeffs.sample_all(grid)
-        self.c = c
-        x = grid.x[:, None]
-        y = grid.y[None, :]
-        # factors of the kernel acting on the bottom-edge unknown (dx integral)
-        self.fx1 = y * c["c_u"] + c["c_y"]
-        self.fx0 = y * c["c_x"] + c["c_xy"]
-        # factors of the kernel acting on the left-edge unknown (dy integral)
-        self.fy1 = x * c["c_u"] + c["c_x"]
-        self.fy0 = x * c["c_y"] + c["c_xy"]
-        # pointwise multipliers of the three lower unknowns
-        self.corner_factor = x * y * c["c_u"] + y * c["c_x"] + x * c["c_y"] + c["c_xy"]
-        self.edge_x_factor = y * c["c_xx"] + c["c_xxy"]
-        self.edge_y_factor = x * c["c_yy"] + c["c_xyy"]
-
-    # pointwise evaluators (x, y = collocation point; s, t = integration vars)
-    def k_edge_x(self, x, y, s):
-        cf = self.coeffs
-        return ((x - s) * (y * cf.c_u.eval(x, y) + cf.c_y.eval(x, y))
-                + y * cf.c_x.eval(x, y) + cf.c_xy.eval(x, y))
-
-    def k_core_x(self, x, y, s):
-        cf = self.coeffs
-        return (x - s) * cf.c_yy.eval(x, y) + cf.c_xyy.eval(x, y)
-
-    def k_edge_y(self, x, y, t):
-        cf = self.coeffs
-        return ((y - t) * (x * cf.c_u.eval(x, y) + cf.c_x.eval(x, y))
-                + x * cf.c_y.eval(x, y) + cf.c_xy.eval(x, y))
-
-    def k_core_y(self, x, y, t):
-        cf = self.coeffs
-        return (y - t) * cf.c_xx.eval(x, y) + cf.c_xxy.eval(x, y)
-
-    def k_core_xy(self, x, y, s, t):
-        cf = self.coeffs
-        return ((x - s) * (y - t) * cf.c_u.eval(x, y) + (y - t) * cf.c_x.eval(x, y)
-                + (x - s) * cf.c_y.eval(x, y) + cf.c_xy.eval(x, y))
+    return GridFn2D(base.grid, v)
 
 
 def _moment_average_weights(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
@@ -168,6 +123,54 @@ def _moment_average_weights(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
     m1x = grid.wx * (grid.domain.h1 - grid.x) / grid.domain.h1
     m2y = grid.wy * (grid.domain.h2 - grid.y) / grid.domain.h2
     return m1x, m2y
+
+
+@dataclass(frozen=True)
+class Term:
+    """One term coef(i,j) * (A core B^T)(i,j) of K; `x` names A, `y` names B."""
+
+    name: str
+    coef: np.ndarray
+    x: str
+    y: str
+
+
+def kernel_terms(c: dict[str, np.ndarray], grid: Grid2D) -> list[Term]:
+    """The 15 terms of K, signs included.  A and B are each a cumulative
+    integral table (cum0, cum1), the identity, or the rank-one moment average
+    (mom) left behind by substituting a lower unknown: the bottom edge (fx1,
+    fx0, edge_x_factor) averages along y, the left edge (fy1, fy0,
+    edge_y_factor) along x, and the corner (corner_factor) along both.
+    """
+    x = grid.x[:, None]
+    y = grid.y[None, :]
+    return [
+        Term("c_u", c["c_u"], CUM1, CUM1),
+        Term("c_x", c["c_x"], CUM0, CUM1),
+        Term("c_y", c["c_y"], CUM1, CUM0),
+        Term("c_xy", c["c_xy"], CUM0, CUM0),
+        Term("c_yy", c["c_yy"], CUM1, IDENT),
+        Term("c_xyy", c["c_xyy"], CUM0, IDENT),
+        Term("c_xx", c["c_xx"], IDENT, CUM1),
+        Term("c_xxy", c["c_xxy"], IDENT, CUM0),
+        Term("fx1", -(y * c["c_u"] + c["c_y"]), CUM1, MOM),
+        Term("fx0", -(y * c["c_x"] + c["c_xy"]), CUM0, MOM),
+        Term("fy1", -(x * c["c_u"] + c["c_x"]), MOM, CUM1),
+        Term("fy0", -(x * c["c_y"] + c["c_xy"]), MOM, CUM0),
+        Term("edge_x_factor", -(y * c["c_xx"] + c["c_xxy"]), IDENT, MOM),
+        Term("edge_y_factor", -(x * c["c_yy"] + c["c_xyy"]), MOM, IDENT),
+        Term("corner_factor", x * y * c["c_u"] + y * c["c_x"] + x * c["c_y"] + c["c_xy"],
+             MOM, MOM),
+    ]
+
+
+def _matrix(ops: dict, kind: str, n: int) -> np.ndarray:
+    """The (n, n) matrix of an operator kind on one axis."""
+    if kind == IDENT:
+        return np.eye(n)
+    if kind == MOM:
+        return np.broadcast_to(ops[MOM], (n, n))
+    return ops[kind]
 
 
 class DiscreteOperator:
@@ -181,98 +184,94 @@ class DiscreteOperator:
     core-dependent term after substitution; g collects the reduced forcing
     minus all known-data terms.
 
-    `matvec` applies K matrix-free; `dense` materializes K (allowed up to
-    DENSE_NODE_LIMIT nodes).  Both paths share the weight tables, and agree
-    to roundoff.
+    K is held as its term table; `matvec` applies it matrix-free and `dense`
+    materializes it (allowed up to DENSE_NODE_LIMIT nodes).
     """
 
-    def __init__(self, problem: PdeProblem, grid: Grid2D):
+    def __init__(self, sp: SampledProblem):
+        grid, sd = sp.grid, sp.data
         self.grid = grid
-        self.problem = problem
-        self.kernels = KernelSet(problem.coeffs, grid)
-        self.sd = sample_data(problem.data, grid)
-        self.m1x, self.m2y = _moment_average_weights(grid)
+        self.terms = kernel_terms(sp.coeffs, grid)
+        m1x, m2y = _moment_average_weights(grid)
+        self._x = {CUM0: grid.ax.cum0, CUM1: grid.ax.cum1, MOM: m1x}
+        self._y = {CUM0: grid.ay.cum0, CUM1: grid.ay.cum1, MOM: m2y}
         self._dense = None
-
-        k = self.kernels
-        ax, ay = grid.ax, grid.ay
-        sd = self.sd
         # data part of the corner unknown (bottom-edge route)
-        corner_data = sd.d_uy - float(self.m1x @ sd.d_uxx)
-        data_terms = (k.fx1 * (ax.cum1 @ sd.d_uxx)[:, None]
-                      + k.fx0 * (ax.cum0 @ sd.d_uxx)[:, None]
-                      + k.fy1 * (ay.cum1 @ sd.d_uyy)[None, :]
-                      + k.fy0 * (ay.cum0 @ sd.d_uyy)[None, :]
-                      + k.corner_factor * corner_data
-                      + k.edge_x_factor * sd.d_uxx[:, None]
-                      + k.edge_y_factor * sd.d_uyy[None, :])
-        self.corner_data = corner_data
-        rr = reduced_rhs(problem, assemble_base(problem.data, grid))
-        self.g = GridFn2D(grid, rr.values - data_terms)
+        corner_data = sd.d_uy - float(m1x @ sd.d_uxx)
+        rr = reduced_rhs(sp, assemble_base(sd, grid))
+        self.g = GridFn2D(grid, rr.values - self.lower(corner_data, sd.d_uxx, sd.d_uyy))
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        n = self.grid.shape[0] * self.grid.shape[1]
-        return (n, n)
+    def _along_x(self, kind: str, v: np.ndarray) -> np.ndarray:
+        """A v for the x-side operator `kind`; v is indexed by x first."""
+        if kind == IDENT:
+            return v
+        if kind == MOM:
+            return (self._x[MOM] @ v)[None]
+        return self._x[kind] @ v
+
+    def _along_y(self, kind: str, v: np.ndarray) -> np.ndarray:
+        """v B^T for the y-side operator `kind`; v is indexed by y last."""
+        if kind == IDENT:
+            return v
+        if kind == MOM:
+            return (v @ self._y[MOM])[:, None]
+        return v @ self._y[kind].T
 
     def matvec(self, core: np.ndarray) -> np.ndarray:
-        """Apply K to a core-unknown array of shape (n1, n2)."""
-        grid, k = self.grid, self.kernels
-        c = k.c
-        c0x, c1x = grid.ax.cum0, grid.ax.cum1
-        c0y, c1y = grid.ay.cum0, grid.ay.cum1
-        avg_y = core @ self.m2y            # (n1,) moment average along y
-        avg_x = self.m1x @ core            # (n2,) moment average along x
-        avg_xy = float(self.m1x @ core @ self.m2y)
-
-        out = -(k.fx1 * (c1x @ avg_y)[:, None] + k.fx0 * (c0x @ avg_y)[:, None])
-        out -= k.fy1 * (c1y @ avg_x)[None, :] + k.fy0 * (c0y @ avg_x)[None, :]
-        bx1 = c1x @ core
-        bx0 = c0x @ core
-        out += c["c_yy"] * bx1 + c["c_xyy"] * bx0
-        out += c["c_xx"] * (core @ c1y.T) + c["c_xxy"] * (core @ c0y.T)
-        out += (c["c_u"] * (bx1 @ c1y.T) + c["c_x"] * (bx0 @ c1y.T)
-                + c["c_y"] * (bx1 @ c0y.T) + c["c_xy"] * (bx0 @ c0y.T))
-        out += k.corner_factor * avg_xy
-        out -= k.edge_x_factor * avg_y[:, None]
-        out -= k.edge_y_factor * avg_x[None, :]
+        """Apply K to a core array of shape (n1, n2): the x-side partials
+        once, then every term's y side."""
+        parts = {kind: self._along_x(kind, core) for kind in (IDENT, CUM0, CUM1, MOM)}
+        out = np.zeros(self.grid.shape)
+        for t in self.terms:
+            out += t.coef * self._along_y(t.y, parts[t.x])
         return out
+
+    def lower(self, corner: float, edge_x: np.ndarray, edge_y: np.ndarray) -> np.ndarray:
+        """The collocated terms of given lower unknowns, at every node: the
+        moment-average terms before the substitutions edge_x = d_uxx - core m2y,
+        edge_y = d_uyy - m1x core and corner = d_uy - m1x edge_x."""
+        out = np.zeros(self.grid.shape)
+        for t in self.terms:
+            if t.x == MOM and t.y == MOM:
+                out += t.coef * corner
+            elif t.y == MOM:
+                out -= t.coef * self._along_x(t.x, edge_x[:, None])
+            elif t.x == MOM:
+                out -= t.coef * self._along_y(t.y, edge_y[None, :])
+        return out
+
+    def assemble(self, terms: list[Term]) -> np.ndarray:
+        """Dense (n1 n2) x (n1 n2) matrix of the sum of `terms`, row-major nodes.
+
+        Terms are grouped by their x-side operator A: each group forms
+        C[i,j,l] = sum of coef(i,j) B(j,l) and adds A(i,k) C[i,j,l] at
+        [i,j,k,l]; for A = I that is an update of the k = i diagonal.
+        """
+        n1, n2 = self.grid.shape
+        _check_dense_limit(n1 * n2)
+        k4 = np.zeros((n1, n2, n1, n2))
+        diag = np.arange(n1)
+        for kind in (IDENT, CUM0, CUM1, MOM):
+            group = [t for t in terms if t.x == kind]
+            if not group:
+                continue
+            c = sum(t.coef[:, :, None] * _matrix(self._y, t.y, n2)[None] for t in group)
+            if kind == IDENT:
+                k4[diag, :, diag, :] += c
+            else:
+                k4 += np.einsum("ik,ijl->ijkl", _matrix(self._x, kind, n1), c)
+        return k4.reshape(n1 * n2, n1 * n2)
 
     def dense(self) -> np.ndarray:
         """Materialize K as an (n1 n2) x (n1 n2) matrix, row-major nodes."""
-        if self._dense is not None:
-            return self._dense
-        n1, n2 = self.grid.shape
-        _check_dense_limit(n1 * n2)
-        k = self.kernels
-        c = k.c
-        c0x, c1x = self.grid.ax.cum0, self.grid.ax.cum1
-        c0y, c1y = self.grid.ay.cum0, self.grid.ay.cum1
-        m1x, m2y = self.m1x, self.m2y
-
-        k4 = np.einsum("ij,ik,jl->ijkl", c["c_u"], c1x, c1y, optimize=True)
-        k4 += np.einsum("ij,ik,jl->ijkl", c["c_x"], c0x, c1y, optimize=True)
-        k4 += np.einsum("ij,ik,jl->ijkl", c["c_y"], c1x, c0y, optimize=True)
-        k4 += np.einsum("ij,ik,jl->ijkl", c["c_xy"], c0x, c0y, optimize=True)
-        k4 -= np.einsum("ij,ik,l->ijkl", k.fx1, c1x, m2y, optimize=True)
-        k4 -= np.einsum("ij,ik,l->ijkl", k.fx0, c0x, m2y, optimize=True)
-        k4 -= np.einsum("ij,jl,k->ijkl", k.fy1, c1y, m1x, optimize=True)
-        k4 -= np.einsum("ij,jl,k->ijkl", k.fy0, c0y, m1x, optimize=True)
-        k4 += np.einsum("ij,k,l->ijkl", k.corner_factor, m1x, m2y, optimize=True)
-        for j in range(n2):  # same-row core terms (k varies, l = j)
-            k4[:, j, :, j] += c["c_yy"][:, j][:, None] * c1x + c["c_xyy"][:, j][:, None] * c0x
-            k4[:, j, :, j] -= k.edge_y_factor[:, j][:, None] * m1x[None, :]
-        for i in range(n1):  # same-column core terms (l varies, k = i)
-            k4[i, :, i, :] += c["c_xx"][i][:, None] * c1y + c["c_xxy"][i][:, None] * c0y
-            k4[i, :, i, :] -= k.edge_x_factor[i][:, None] * m2y[None, :]
-        n = n1 * n2
-        self._dense = k4.reshape(n, n)
+        if self._dense is None:
+            self._dense = self.assemble(self.terms)
         return self._dense
 
 
-def assemble_eliminated(problem: PdeProblem, grid: Grid2D) -> DiscreteOperator:
+def assemble_eliminated(sp: SampledProblem) -> DiscreteOperator:
     """Assemble the single second-kind system in the core unknown."""
-    return DiscreteOperator(problem, grid)
+    return DiscreteOperator(sp)
 
 
 class CoupledSystem:
@@ -285,11 +284,16 @@ class CoupledSystem:
     integral equation at every node.  The left-edge route for the corner
     unknown is algebraically redundant on admissible data and is kept as a
     post-solve diagnostic instead of a row.
+
+    The collocation rows come from the eliminated operator's term table:
+    the core block is I plus the terms without a moment-average side, and
+    the lower-unknown columns are `DiscreteOperator.lower` applied to unit
+    vectors.
     """
 
-    def __init__(self, problem: PdeProblem, grid: Grid2D):
+    def __init__(self, sp: SampledProblem):
+        grid, sd = sp.grid, sp.data
         self.grid = grid
-        self.problem = problem
         n1, n2 = grid.shape
         n_core = n1 * n2
         _check_dense_limit(n_core)
@@ -300,15 +304,10 @@ class CoupledSystem:
         self.s_edge_y = slice(1 + n1, 1 + n1 + n2)
         self.s_core = slice(1 + n1 + n2, size)
 
-        k = KernelSet(problem.coeffs, grid)
-        sd = sample_data(problem.data, grid)
-        self.sd = sd
-        c = k.c
+        op = DiscreteOperator(sp)
         h1, h2 = grid.domain.h1, grid.domain.h2
         mom1x = grid.wx * (h1 - grid.x)     # full first-moment weights in x
         mom2y = grid.wy * (h2 - grid.y)
-        c0x, c1x = grid.ax.cum0, grid.ax.cum1
-        c0y, c1y = grid.ay.cum0, grid.ay.cum1
 
         a = np.zeros((size, size))
         b = np.zeros(size)
@@ -335,28 +334,16 @@ class CoupledSystem:
         b[self.s_edge_x] = sd.uxx_top - sd.uxx_bottom
 
         # collocation rows at every node
-        a[self.s_core, 0] = k.corner_factor.ravel()
-        blk = np.einsum("ij,ik->ijk", k.fx1, c1x) + np.einsum("ij,ik->ijk", k.fx0, c0x)
-        for i in range(n1):
-            blk[i, :, i] += k.edge_x_factor[i]
-        a[self.s_core, self.s_edge_x] = blk.reshape(n_core, n1)
-        blk = np.einsum("ij,jl->ijl", k.fy1, c1y) + np.einsum("ij,jl->ijl", k.fy0, c0y)
-        for j in range(n2):
-            blk[:, j, j] += k.edge_y_factor[:, j]
-        a[self.s_core, self.s_edge_y] = blk.reshape(n_core, n2)
-
-        k4 = np.einsum("ij,ik,jl->ijkl", c["c_u"], c1x, c1y, optimize=True)
-        k4 += np.einsum("ij,ik,jl->ijkl", c["c_x"], c0x, c1y, optimize=True)
-        k4 += np.einsum("ij,ik,jl->ijkl", c["c_y"], c1x, c0y, optimize=True)
-        k4 += np.einsum("ij,ik,jl->ijkl", c["c_xy"], c0x, c0y, optimize=True)
-        for j in range(n2):
-            k4[:, j, :, j] += c["c_yy"][:, j][:, None] * c1x + c["c_xyy"][:, j][:, None] * c0x
-        for i in range(n1):
-            k4[i, :, i, :] += c["c_xx"][i][:, None] * c1y + c["c_xxy"][i][:, None] * c0y
-        k4 = k4.reshape(n_core, n_core)
-        k4[np.arange(n_core), np.arange(n_core)] += 1.0
-        a[self.s_core, self.s_core] = k4
-        b[self.s_core] = reduced_rhs(problem, assemble_base(problem.data, grid)).values.ravel()
+        zx, zy = np.zeros(n1), np.zeros(n2)
+        a[self.s_core, 0] = op.lower(1.0, zx, zy).ravel()
+        a[self.s_core, self.s_edge_x] = np.stack(
+            [op.lower(0.0, e, zy).ravel() for e in np.eye(n1)], axis=1)
+        a[self.s_core, self.s_edge_y] = np.stack(
+            [op.lower(0.0, zx, e).ravel() for e in np.eye(n2)], axis=1)
+        core = op.assemble([t for t in op.terms if MOM not in (t.x, t.y)])
+        core[np.arange(n_core), np.arange(n_core)] += 1.0
+        a[self.s_core, self.s_core] = core
+        b[self.s_core] = reduced_rhs(sp, assemble_base(sd, grid)).values.ravel()
 
         self.matrix = a
         self.rhs = b
@@ -377,6 +364,6 @@ class CoupledSystem:
         return corner, edge_x, edge_y, core, cond
 
 
-def assemble_coupled(problem: PdeProblem, grid: Grid2D) -> CoupledSystem:
+def assemble_coupled(sp: SampledProblem) -> CoupledSystem:
     """Assemble the coupled square system over the full unknown quadruple."""
-    return CoupledSystem(problem, grid)
+    return CoupledSystem(sp)

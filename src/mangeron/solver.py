@@ -15,7 +15,7 @@ BLAS thread count; identical inputs produce identical reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .fields import Field1D, Field2D
 from .grids import Domain, Grid2D, GridFn1D, GridFn2D
 from .norms import NormSpec, data_norm, lp_norm, sobolev_norm
 from .problem import (Coefficients, ConstraintError, NonclassicalData, PdeProblem,
-                      check_data_constraints, sample_data)
+                      SampledData, SampledProblem, check_data_constraints, sample_problem)
 from .reduction import (DenseLimitError, DiscreteOperator, _moment_average_weights,
                         apply_pde_operator, assemble_base, assemble_coupled,
                         assemble_eliminated)
@@ -158,7 +158,7 @@ def solve_dense(op: DiscreteOperator) -> tuple[GridFn2D, float]:
     return GridFn2D(op.grid, sol.reshape(op.grid.shape)), cond
 
 
-def reconstruct_lower(data: NonclassicalData, core: GridFn2D,
+def reconstruct_lower(sd: SampledData, core: GridFn2D,
                       grid: Grid2D) -> ReducedUnknowns:
     """Recover the edge and corner unknowns from the solved core.
 
@@ -167,7 +167,6 @@ def reconstruct_lower(data: NonclassicalData, core: GridFn2D,
     from the bottom-edge route; the alternative left-edge route is computed
     as well and retained for the route-gap diagnostic.
     """
-    sd = sample_data(data, grid)
     m1x, m2y = _moment_average_weights(grid)
     b = core.values
     edge_x = sd.d_uxx - b @ m2y
@@ -182,7 +181,7 @@ def reconstruct_lower(data: NonclassicalData, core: GridFn2D,
         uxy00_alt=corner_alt)
 
 
-def assemble_solution(data: NonclassicalData, unknowns: ReducedUnknowns,
+def assemble_solution(sd: SampledData, unknowns: ReducedUnknowns,
                       grid: Grid2D) -> SolutionBundle:
     """Rebuild all nine derivative grids from the representation formulas.
 
@@ -198,7 +197,7 @@ def assemble_solution(data: NonclassicalData, unknowns: ReducedUnknowns,
     ey = unknowns.uxyy_left.values
     b = unknowns.uxxyy.values
 
-    base = assemble_base(data, grid)
+    base = assemble_base(sd, grid)
     i_ex1 = ax.cum1 @ ex      # integral of (x - s) u_xxy(s, 0)
     i_ex0 = ax.cum0 @ ex
     i_ey1 = ay.cum1 @ ey
@@ -211,7 +210,6 @@ def assemble_solution(data: NonclassicalData, unknowns: ReducedUnknowns,
     dbl00 = bx0 @ ay.cum0.T   # plain double integral
     ry1 = b @ ay.cum1.T       # y-partial integrals along each grid row
     ry0 = b @ ay.cum0.T
-    sd = sample_data(data, grid)
 
     u = base.u.values + x * y * corner + y * i_ex1[:, None] + x * i_ey1[None, :] + dbl11
     ux = base.ux.values + y * corner + y * i_ex0[:, None] + i_ey1[None, :] + dbl01
@@ -239,7 +237,7 @@ class ResidualReport:
         return max(self.bc.values())
 
 
-def residual_report(problem: PdeProblem, bundle: SolutionBundle,
+def residual_report(sp: SampledProblem, bundle: SolutionBundle,
                     spec: NormSpec = NormSpec()) -> ResidualReport:
     """Residual of the equation and of all 11 boundary conditions.
 
@@ -248,9 +246,9 @@ def residual_report(problem: PdeProblem, bundle: SolutionBundle,
     edge.
     """
     grid = bundle.grid
-    v = apply_pde_operator(problem.coeffs, bundle)
-    pde = lp_norm(GridFn2D(grid, v.values - problem.forcing.sample(grid)), spec)
-    sd = sample_data(problem.data, grid)
+    v = apply_pde_operator(sp.coeffs, bundle)
+    pde = lp_norm(GridFn2D(grid, v.values - sp.forcing), spec)
+    sd = sp.data
     u, ux, uy = bundle.u.values, bundle.ux.values, bundle.uy.values
     uxx, uyy = bundle.uxx.values, bundle.uyy.values
     bc = {
@@ -305,7 +303,7 @@ def _reference_problems(domain: Domain) -> list[PdeProblem]:
 _THRESHOLD_CACHE: dict[tuple, float] = {}
 
 
-def calibrate_residual_threshold(grid: Grid2D, spec: NormSpec = NormSpec()) -> float:
+def calibrate_residual_threshold(grid: Grid2D) -> float:
     """Ten times the worst residual of smooth reference solves on this grid.
 
     The reference problems have zero coefficients, so K is identically zero
@@ -313,14 +311,16 @@ def calibrate_residual_threshold(grid: Grid2D, spec: NormSpec = NormSpec()) -> f
     exactly 0 and the solved core is g bit for bit, as an LU solve of the
     identity would give.  The matrix-free route therefore reproduces the
     dense-route threshold exactly, at any grid size and without any dense
-    assembly.  A reference solve that does not converge is a solver failure;
-    no threshold is ever built from a partial iterate.
+    assembly.  The equation residual is then exactly 0 in every L_p norm and
+    the boundary residuals are node maxima, so one threshold per grid serves
+    every norm exponent.  A reference solve that does not converge is a
+    solver failure; no threshold is ever built from a partial iterate.
     """
-    key = (grid.x.tobytes(), grid.y.tobytes(), spec.p)
+    key = (grid.x.tobytes(), grid.y.tobytes())
     if key not in _THRESHOLD_CACHE:
         worst = 0.0
         for prob in _reference_problems(grid.domain):
-            result = solve_problem(prob, grid, method="neumann", p=spec.p,
+            result = solve_problem(prob, grid, method="neumann",
                                    residual_gate=False, force=True)
             if not result.report.converged:
                 raise SolverError("residual-gate calibration did not converge "
@@ -357,28 +357,7 @@ class SolveReport:
     forcing_norm: float
 
     def as_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "iterations": self.iterations,
-            "final_update_norm": self.final_update_norm,
-            "converged": self.converged,
-            "neumann_diverged": self.neumann_diverged,
-            "residual_pde": self.residual_pde,
-            "residual_bc": dict(self.residual_bc),
-            "residual_threshold": self.residual_threshold,
-            "residual_pass": self.residual_pass,
-            "uxy00_route_gap": self.uxy00_route_gap,
-            "stability_ratio": self.stability_ratio,
-            "condition_estimate": self.condition_estimate,
-            "constraint_residuals": dict(self.constraint_residuals),
-            "constraint_pass": self.constraint_pass,
-            "update_ratio": self.update_ratio,
-            "warning": self.warning,
-            "p": self.p,
-            "solution_norm": self.solution_norm,
-            "data_norm_value": self.data_norm_value,
-            "forcing_norm": self.forcing_norm,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -399,11 +378,12 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
     method: "auto" tries successive approximations and falls back to the
     dense solve on divergence; "neumann", "dense" and "coupled" select one
     route explicitly.  Data failing the two scalar constraints is refused
-    unless `force` is set; the residuals are reported either way.
+    unless `force` is set; the residuals are reported either way.  The
+    problem is sampled on the grid once, and every stage reads that sample.
     """
     spec = NormSpec(p)
-    constraints = check_data_constraints(problem.data, problem.domain, grid,
-                                         constraint_tol)
+    sp = sample_problem(problem, grid)
+    constraints = check_data_constraints(sp.data, grid, constraint_tol)
     if not constraints.passed and not force:
         raise ConstraintError(
             "data violates the corner constraints "
@@ -420,7 +400,7 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
 
     if method == "coupled":
         try:
-            _, _, _, core_arr, cond = assemble_coupled(problem, grid).solve()
+            _, _, _, core_arr, cond = assemble_coupled(sp).solve()
         except (DenseLimitError, MemoryError) as exc:
             raise SolverError(f"coupled solve refused: {exc}") from exc
         except np.linalg.LinAlgError as exc:
@@ -428,7 +408,7 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
         core = GridFn2D(grid, core_arr)
         method_used = "coupled-dense"
     elif method in ("auto", "neumann", "dense"):
-        op = assemble_eliminated(problem, grid)
+        op = assemble_eliminated(sp)
         if method == "dense":
             core, cond = solve_dense(op)
             method_used = "dense"
@@ -459,13 +439,13 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    unknowns = reconstruct_lower(problem.data, core, grid)
-    bundle = assemble_solution(problem.data, unknowns, grid)
-    resid = residual_report(problem, bundle, spec)
+    unknowns = reconstruct_lower(sp.data, core, grid)
+    bundle = assemble_solution(sp.data, unknowns, grid)
+    resid = residual_report(sp, bundle, spec)
 
     solution_norm = sobolev_norm(bundle, spec)
-    dnorm = data_norm(problem.data, grid, spec)
-    fnorm = lp_norm(GridFn2D(grid, problem.forcing.sample(grid)), spec)
+    dnorm = data_norm(sp.data, grid, spec)
+    fnorm = lp_norm(GridFn2D(grid, sp.forcing), spec)
     denom = dnorm + fnorm
     if denom > 0.0:
         ratio = solution_norm / denom
@@ -474,7 +454,7 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
 
     if residual_gate:
         scale = max(1.0, denom)
-        threshold = calibrate_residual_threshold(grid, spec) * scale
+        threshold = calibrate_residual_threshold(grid) * scale
     else:
         threshold = math.inf
     residual_pass = bool(converged

@@ -17,7 +17,7 @@ from mangeron import (Coefficients, ConstraintError, Domain, Field2D, GridFn2D,
                       convergence_study, estimate_stability_ratio, fd_oracle,
                       named_cases, nonclassical_to_classical, random_coefficients,
                       random_forward_problem, residual_report, sample_data,
-                      solve_dense, solve_neumann, solve_problem,
+                      sample_problem, solve_dense, solve_neumann, solve_problem,
                       trapezoid_error_bound)
 from mangeron.mms import (SeparableSolution, bilinear_solution, make_mms,
                           random_solution, sep_exp, sep_sin, trig_solution)
@@ -59,8 +59,8 @@ def test_criterion_02_coupled_vs_eliminated_equivalence():
     for _ in range(10):
         coeffs = random_coefficients(rng, magnitude=0.5)
         prob, _, _ = random_forward_problem(rng, DOM, grid, coeffs)
-        _, _, _, core_coupled, _ = assemble_coupled(prob, grid).solve()
-        core_elim, _ = solve_dense(assemble_eliminated(prob, grid))
+        _, _, _, core_coupled, _ = assemble_coupled(sample_problem(prob, grid)).solve()
+        core_elim, _ = solve_dense(assemble_eliminated(sample_problem(prob, grid)))
         scale = float(np.max(np.abs(core_elim.values)))
         rel = float(np.max(np.abs(core_coupled - core_elim.values))) / scale
         worst = max(worst, rel)
@@ -84,7 +84,7 @@ def test_criterion_03_successive_approximations_vs_direct():
     ]
     worst = 0.0
     for prob in convergent:
-        op = assemble_eliminated(prob, grid)
+        op = assemble_eliminated(sample_problem(prob, grid))
         core_n, info = solve_neumann(op, tol=1e-12)
         assert info.converged, "expected convergence for a small-coefficient case"
         core_d, _ = solve_dense(op)
@@ -93,7 +93,7 @@ def test_criterion_03_successive_approximations_vs_direct():
         assert gap <= 1e-9
 
     big = make_mms(trig_solution(), const_coeffs(c_xy=50.0), DOM)
-    op = assemble_eliminated(big.problem, grid)
+    op = assemble_eliminated(sample_problem(big.problem, grid))
     _, info = solve_neumann(op)
     assert info.diverged
     # independent confirmation: power iteration shows spectral radius > 1
@@ -229,7 +229,7 @@ def test_criterion_07_corner_route_consistency():
             prob = random_forward_problem(rng, DOM, grid, Coefficients())[0]
         else:
             prob = make_mms(random_solution(rng), Coefficients(), DOM).problem
-        assert check_data_constraints(prob.data, DOM, grid).passed
+        assert check_data_constraints(sample_data(prob.data, grid), grid).passed
         result = solve_problem(prob, grid)
         sd = sample_data(prob.data, grid)
         h1, h2 = DOM.h1, DOM.h2
@@ -248,7 +248,7 @@ def test_criterion_07_corner_route_consistency():
         u10=base.data.u10, uy10=base.data.uy10, uyy_right=base.data.uyy_right,
         u01=base.data.u01, ux01=base.data.ux01, uxx_top=base.data.uxx_top)
     bad = PdeProblem(DOM, base.coeffs, base.forcing, bad_data)
-    assert not check_data_constraints(bad.data, DOM, grid).passed
+    assert not check_data_constraints(sample_data(bad.data, grid), grid).passed
     with pytest.raises(ConstraintError):
         solve_problem(bad, grid)
     forced = solve_problem(bad, grid, force=True)
@@ -326,7 +326,7 @@ def test_criterion_09_residual_gate():
         u=GridFn2D(grid, values), ux=result.bundle.ux, uy=result.bundle.uy,
         uxx=result.bundle.uxx, uyy=result.bundle.uyy, uxy=result.bundle.uxy,
         uxxy=result.bundle.uxxy, uxyy=result.bundle.uxyy, uxxyy=result.bundle.uxxyy)
-    bad = residual_report(case.problem, corrupted, NormSpec(math.inf))
+    bad = residual_report(sample_problem(case.problem, grid), corrupted, NormSpec(math.inf))
     assert bad.pde > rep.residual_threshold
     assert bad.pde > 100.0 * rep.residual_pde
     print(f"\nACCEPTANCE 9 PASS: clean residuals under thresholds (p=2: "

@@ -98,6 +98,22 @@ def test_malformed_config_exit_two(tmp_path):
     assert run(["solve", "--config", cfg, "--out", tmp_path]) == 2
 
 
+@pytest.mark.parametrize("p", ["0.5", "nan", "abc"])
+def test_invalid_norm_exponent_exits_two(tmp_path, capsys, p):
+    # on the command line
+    assert run(["solve", "--config", CONFIGS / "zero.cfg", "--out", tmp_path / "a",
+                "--p", p]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    # and under [solver] in the config
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text((CONFIGS / "zero.cfg").read_text() + f"p = {p}\n")
+    assert run(["solve", "--config", cfg, "--out", tmp_path / "b"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
 def test_convert_plane_classical_to_nonclassical(tmp_path):
     assert run(["convert", "--config", CONFIGS / "plane_classical.cfg",
                 "--direction", "to-nonclassical", "--out", tmp_path]) == 0

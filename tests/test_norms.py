@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mangeron import (Domain, GridFn1D, GridFn2D, NonclassicalData, NormSpec,
-                      build_grid, const1d, data_norm, lp_norm, sobolev_norm)
+                      build_grid, const1d, data_norm, lp_norm, sample_data,
+                      sobolev_norm)
 from mangeron.mms import bilinear_solution, exact_bundle
 
 
@@ -61,10 +62,11 @@ def test_sobolev_norm_missing_grid_rejected(grid):
 
 
 def test_data_norm_cases(grid):
-    assert data_norm(NonclassicalData(), grid) == 0.0
-    assert data_norm(NonclassicalData(u00=2.0), grid) == 2.0
+    assert data_norm(sample_data(NonclassicalData(), grid), grid) == 0.0
+    assert data_norm(sample_data(NonclassicalData(u00=2.0), grid), grid) == 2.0
     z = NonclassicalData(uxx_bottom=const1d(1.0))
-    assert data_norm(z, grid, NormSpec(1.0)) == pytest.approx(1.0, rel=1e-12)
+    assert data_norm(sample_data(z, grid), grid, NormSpec(1.0)) \
+        == pytest.approx(1.0, rel=1e-12)
 
 
 def test_lp_triangle_inequality_and_homogeneity(grid):

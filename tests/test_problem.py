@@ -136,13 +136,13 @@ def test_data_constraints_plane_and_violations():
     grid = build_grid(dom, 9, 9)
     plane = NonclassicalData(ux00=1.0, uy00=1.0, u10=1.0, uy10=1.0,
                              u01=1.0, ux01=1.0)
-    rep = check_data_constraints(plane, dom, grid)
+    rep = check_data_constraints(sample_data(plane, grid), grid)
     assert rep.passed and rep.max_residual <= 1e-14
 
-    assert check_data_constraints(NonclassicalData(), dom, grid).passed
+    assert check_data_constraints(sample_data(NonclassicalData(), grid), grid).passed
 
     bad = NonclassicalData(u10=1.0)
-    rep = check_data_constraints(bad, dom, grid)
+    rep = check_data_constraints(sample_data(bad, grid), grid)
     assert not rep.passed
     assert rep.as_dict()["bottom-edge route to u(h1,0)"] == pytest.approx(1.0)
 
@@ -153,7 +153,7 @@ def test_constraints_pass_for_forward_constructed_data():
     grid = build_grid(dom, 9, 9)
     for _ in range(5):
         prob, _, _ = random_forward_problem(rng, dom, grid, Coefficients())
-        assert check_data_constraints(prob.data, dom, grid).passed
+        assert check_data_constraints(sample_data(prob.data, grid), grid).passed
 
 
 def _data_sup_distance(a, b, grid):

@@ -3,11 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mangeron import (Coefficients, Domain, Field2D, KernelSet, NonclassicalData,
-                      PdeProblem, apply_pde_operator, assemble_base, assemble_coupled,
+from mangeron import (Coefficients, Domain, Field2D, NonclassicalData, PdeProblem,
+                      apply_pde_operator, assemble_base, assemble_coupled,
                       assemble_eliminated, assemble_solution, build_grid, const1d,
                       const2d, random_coefficients, random_forward_problem,
-                      reconstruct_lower, reduced_rhs)
+                      reconstruct_lower, reduced_rhs, sample_data, sample_problem)
 from mangeron.reduction import DenseLimitError
 from mangeron.mms import (biquadratic_solution, exact_bundle, make_mms, sep_poly,
                           SeparableSolution)
@@ -23,14 +23,14 @@ def const_coeffs(**kv):
 
 def test_base_zero_data():
     grid = build_grid(DOM, 9, 9)
-    base = assemble_base(NonclassicalData(), grid)
+    base = assemble_base(sample_data(NonclassicalData(), grid), grid)
     for g in (base.u, base.ux, base.uy, base.uxx, base.uyy):
         np.testing.assert_allclose(g.values, 0.0, atol=1e-15)
 
 
 def test_base_affine_data():
     grid = build_grid(DOM, 9, 9)
-    base = assemble_base(NonclassicalData(u00=1.0, ux00=2.0), grid)
+    base = assemble_base(sample_data(NonclassicalData(u00=1.0, ux00=2.0), grid), grid)
     xx, _ = grid.meshgrid()
     np.testing.assert_allclose(base.u.values, 1.0 + 2.0 * xx, atol=1e-14)
     np.testing.assert_allclose(base.ux.values, 2.0, atol=1e-14)
@@ -40,7 +40,7 @@ def test_base_affine_data():
 def test_base_constant_curvature():
     # uxx trace == 2 integrates to u = x^2 exactly (linear moment integrand)
     grid = build_grid(DOM, 21, 21)
-    base = assemble_base(NonclassicalData(uxx_bottom=const1d(2.0)), grid)
+    base = assemble_base(sample_data(NonclassicalData(uxx_bottom=const1d(2.0)), grid), grid)
     xx, _ = grid.meshgrid()
     np.testing.assert_allclose(base.u.values, xx**2, atol=1e-12)
     np.testing.assert_allclose(base.uxx.values, 2.0, atol=1e-15)
@@ -53,16 +53,16 @@ def test_base_constant_curvature():
 def test_apply_operator_bilinear_with_cxy():
     grid = build_grid(DOM, 9, 9)
     bundle = exact_bundle(SeparableSolution(((sep_poly(0, 1), sep_poly(0, 1)),)), grid)
-    out = apply_pde_operator(const_coeffs(c_xy=1.0), bundle)
+    out = apply_pde_operator(const_coeffs(c_xy=1.0).sample_all(grid), bundle)
     np.testing.assert_allclose(out.values, 1.0, atol=1e-14)
 
 
 def test_apply_operator_biquadratic():
     grid = build_grid(DOM, 9, 9)
     bundle = exact_bundle(biquadratic_solution(), grid)
-    out = apply_pde_operator(Coefficients(), bundle)
+    out = apply_pde_operator(Coefficients().sample_all(grid), bundle)
     np.testing.assert_allclose(out.values, 4.0, atol=1e-13)
-    out = apply_pde_operator(const_coeffs(c_u=1.0), bundle)
+    out = apply_pde_operator(const_coeffs(c_u=1.0).sample_all(grid), bundle)
     xx, yy = grid.meshgrid()
     np.testing.assert_allclose(out.values, 4.0 + xx**2 * yy**2, atol=1e-13)
 
@@ -71,9 +71,9 @@ def test_apply_operator_rejects_partial_bundle():
     grid = build_grid(DOM, 5, 5)
 
     class Partial:
-        u = assemble_base(NonclassicalData(), grid).u
+        u = assemble_base(sample_data(NonclassicalData(), grid), grid).u
     with pytest.raises(ValueError):
-        apply_pde_operator(Coefficients(), Partial())
+        apply_pde_operator(Coefficients().sample_all(grid), Partial())
 
 
 # ------------------------------------------------------------- reduced rhs
@@ -81,15 +81,16 @@ def test_apply_operator_rejects_partial_bundle():
 def test_reduced_rhs_zero_coefficients_equals_forcing():
     grid = build_grid(DOM, 9, 9)
     forcing = Field2D(lambda x, y: 1.0 + x * y)
-    prob = PdeProblem(DOM, Coefficients(), forcing, NonclassicalData(uy10=1.0))
-    rr = reduced_rhs(prob, assemble_base(prob.data, grid))
+    sp = sample_problem(PdeProblem(DOM, Coefficients(), forcing, NonclassicalData(uy10=1.0)),
+                        grid)
+    rr = reduced_rhs(sp, assemble_base(sp.data, grid))
     np.testing.assert_allclose(rr.values, forcing.sample(grid), atol=1e-15)
 
 
 def test_reduced_rhs_all_zero():
     grid = build_grid(DOM, 9, 9)
-    prob = PdeProblem(DOM, const_coeffs(c_u=1.0, c_x=0.5))
-    rr = reduced_rhs(prob, assemble_base(prob.data, grid))
+    sp = sample_problem(PdeProblem(DOM, const_coeffs(c_u=1.0, c_x=0.5)), grid)
+    rr = reduced_rhs(sp, assemble_base(sp.data, grid))
     np.testing.assert_allclose(rr.values, 0.0, atol=1e-15)
 
 
@@ -101,7 +102,8 @@ def test_reduced_rhs_matches_analytic_derivation():
     shift = sep_poly(1.0, 2.0, 1.0)  # (1+t)^2
     u = SeparableSolution(((shift, shift),))
     case = make_mms(u, const_coeffs(c_u=1.0), DOM)
-    rr = reduced_rhs(case.problem, assemble_base(case.problem.data, grid))
+    sp = sample_problem(case.problem, grid)
+    rr = reduced_rhs(sp, assemble_base(sp.data, grid))
     xx, yy = grid.meshgrid()
     expect = (4.0 + (1 + xx) ** 2 * (1 + yy) ** 2
               - (1.0 + 2 * xx + 2 * yy + xx**2 + yy**2))
@@ -115,36 +117,90 @@ def test_reduced_rhs_agrees_with_full_operator_on_base():
     grid = build_grid(DOM, 9, 9)
     coeffs = random_coefficients(rng)
     prob, _, _ = random_forward_problem(rng, DOM, grid, coeffs)
-    base = assemble_base(prob.data, grid)
+    sp = sample_problem(prob, grid)
+    base = assemble_base(sp.data, grid)
 
     class BaseAsBundle:
         u, ux, uy, uxx, uyy = base.u, base.ux, base.uy, base.uxx, base.uyy
         from mangeron import GridFn2D as _G
         uxy = uxxy = uxyy = uxxyy = _G(grid, np.zeros(grid.shape))
 
-    direct = prob.forcing.sample(grid) - apply_pde_operator(coeffs, BaseAsBundle()).values
-    rr = reduced_rhs(prob, base)
+    direct = prob.forcing.sample(grid) - apply_pde_operator(sp.coeffs, BaseAsBundle()).values
+    rr = reduced_rhs(sp, base)
     np.testing.assert_allclose(rr.values, direct, rtol=1e-12, atol=1e-12)
 
 
-# ------------------------------------------------------------- kernel set
+# ------------------------------------------------- pointwise kernels (oracle)
+# The kernels of the collocated equation and the multipliers of the three
+# lower unknowns, evaluated pointwise from the coefficient fields (x, y =
+# collocation point; s, t = integration variables).  They are written from
+# the representation formulas and share no code with the assembly.
 
-def test_kernel_probes_match_algebraic_definitions():
-    rng = np.random.default_rng(11)
-    grid = build_grid(DOM, 7, 7)
-    coeffs = random_coefficients(rng)
-    k = KernelSet(coeffs, grid)
-    for _ in range(20):
-        x, y, s, t = rng.uniform(0, 1, 4)
-        cu, cx, cy, cxy = (coeffs.c_u.eval(x, y), coeffs.c_x.eval(x, y),
-                           coeffs.c_y.eval(x, y), coeffs.c_xy.eval(x, y))
-        expect = (x - s) * (y * cu + cy) + y * cx + cxy
-        assert k.k_edge_x(x, y, s) == pytest.approx(float(expect), rel=1e-12, abs=1e-12)
-        expect = (x - s) * (y - t) * cu + (y - t) * cx + (x - s) * cy + cxy
-        assert k.k_core_xy(x, y, s, t) == pytest.approx(float(expect), rel=1e-12, abs=1e-12)
-        # collapsing the integration variable onto the collocation point
-        assert k.k_core_xy(x, y, x, y) == pytest.approx(float(cxy), rel=1e-12, abs=1e-12)
-        assert k.k_edge_x(x, y, x) == pytest.approx(float(y * cx + cxy), rel=1e-12, abs=1e-12)
+def k_edge_x(cf, x, y, s):
+    return ((x - s) * (y * cf.c_u.eval(x, y) + cf.c_y.eval(x, y))
+            + y * cf.c_x.eval(x, y) + cf.c_xy.eval(x, y))
+
+
+def k_core_x(cf, x, y, s):
+    return (x - s) * cf.c_yy.eval(x, y) + cf.c_xyy.eval(x, y)
+
+
+def k_edge_y(cf, x, y, t):
+    return ((y - t) * (x * cf.c_u.eval(x, y) + cf.c_x.eval(x, y))
+            + x * cf.c_y.eval(x, y) + cf.c_xy.eval(x, y))
+
+
+def k_core_y(cf, x, y, t):
+    return (y - t) * cf.c_xx.eval(x, y) + cf.c_xxy.eval(x, y)
+
+
+def k_core_xy(cf, x, y, s, t):
+    return ((x - s) * (y - t) * cf.c_u.eval(x, y) + (y - t) * cf.c_x.eval(x, y)
+            + (x - s) * cf.c_y.eval(x, y) + cf.c_xy.eval(x, y))
+
+
+def corner_factor(cf, x, y):
+    return (x * y * cf.c_u.eval(x, y) + y * cf.c_x.eval(x, y)
+            + x * cf.c_y.eval(x, y) + cf.c_xy.eval(x, y))
+
+
+def edge_x_factor(cf, x, y):
+    return y * cf.c_xx.eval(x, y) + cf.c_xxy.eval(x, y)
+
+
+def edge_y_factor(cf, x, y):
+    return x * cf.c_yy.eval(x, y) + cf.c_xyy.eval(x, y)
+
+
+def brute_collocation_rows(problem, grid):
+    """Entrywise loop assembly of the coupled system's collocation rows
+    (columns: corner, bottom-edge nodes, left-edge nodes, core nodes), from
+    the pointwise kernels and the shared weight tables."""
+    n1, n2 = grid.shape
+    x, y = grid.x, grid.y
+    c0x, c0y = grid.ax.cum0, grid.ay.cum0
+    cf = problem.coeffs
+    out = np.zeros((n1 * n2, 1 + n1 + n2 + n1 * n2))
+    for i in range(n1):
+        for j in range(n2):
+            row = i * n2 + j
+            out[row, 0] = corner_factor(cf, x[i], y[j])
+            for kk in range(n1):
+                out[row, 1 + kk] = (c0x[i, kk] * k_edge_x(cf, x[i], y[j], x[kk])
+                                    + (kk == i) * edge_x_factor(cf, x[i], y[j]))
+            for ll in range(n2):
+                out[row, 1 + n1 + ll] = (c0y[j, ll] * k_edge_y(cf, x[i], y[j], y[ll])
+                                         + (ll == j) * edge_y_factor(cf, x[i], y[j]))
+            for kk in range(n1):
+                for ll in range(n2):
+                    v = float(kk == i and ll == j)
+                    if ll == j:
+                        v += c0x[i, kk] * k_core_x(cf, x[i], y[j], x[kk])
+                    if kk == i:
+                        v += c0y[j, ll] * k_core_y(cf, x[i], y[j], y[ll])
+                    v += c0x[i, kk] * c0y[j, ll] * k_core_xy(cf, x[i], y[j], x[kk], y[ll])
+                    out[row, 1 + n1 + n2 + kk * n2 + ll] = v
+    return out
 
 
 # ------------------------------------------------- eliminated operator
@@ -153,7 +209,6 @@ def brute_dense_eliminated(problem, grid):
     """Entrywise loop assembly of the eliminated kernel, straight from the
     pointwise kernel definitions and the shared weight tables."""
     n1, n2 = grid.shape
-    ks = KernelSet(problem.coeffs, grid)
     x, y = grid.x, grid.y
     c0x, c0y = grid.ax.cum0, grid.ay.cum0
     h1, h2 = grid.domain.h1, grid.domain.h2
@@ -164,23 +219,23 @@ def brute_dense_eliminated(problem, grid):
     for i in range(n1):
         for j in range(n2):
             row = i * n2 + j
-            pf = float(ks.corner_factor[i, j])
-            qf = float(ks.edge_x_factor[i, j])
-            sf = float(ks.edge_y_factor[i, j])
+            pf = float(corner_factor(cf, x[i], y[j]))
+            qf = float(edge_x_factor(cf, x[i], y[j]))
+            sf = float(edge_y_factor(cf, x[i], y[j]))
             for kk in range(n1):
                 for ll in range(n2):
                     col = kk * n2 + ll
                     v = 0.0
                     if ll == j:
-                        v += c0x[i, kk] * float(ks.k_core_x(x[i], y[j], x[kk]))
+                        v += c0x[i, kk] * float(k_core_x(cf, x[i], y[j], x[kk]))
                         v -= sf * m1x[kk]
                     if kk == i:
-                        v += c0y[j, ll] * float(ks.k_core_y(x[i], y[j], y[ll]))
+                        v += c0y[j, ll] * float(k_core_y(cf, x[i], y[j], y[ll]))
                         v -= qf * m2y[ll]
                     v += c0x[i, kk] * c0y[j, ll] * float(
-                        ks.k_core_xy(x[i], y[j], x[kk], y[ll]))
-                    v -= c0x[i, kk] * float(ks.k_edge_x(x[i], y[j], x[kk])) * m2y[ll]
-                    v -= c0y[j, ll] * float(ks.k_edge_y(x[i], y[j], y[ll])) * m1x[kk]
+                        k_core_xy(cf, x[i], y[j], x[kk], y[ll]))
+                    v -= c0x[i, kk] * float(k_edge_x(cf, x[i], y[j], x[kk])) * m2y[ll]
+                    v -= c0y[j, ll] * float(k_edge_y(cf, x[i], y[j], y[ll])) * m1x[kk]
                     v += pf * m1x[kk] * m2y[ll]
                     out[row, col] += v
     return out
@@ -190,7 +245,7 @@ def test_zero_coefficients_give_identity_operator():
     grid = build_grid(DOM, 5, 6)
     prob = PdeProblem(DOM, Coefficients(), Field2D(lambda x, y: x + y),
                       NonclassicalData())
-    op = assemble_eliminated(prob, grid)
+    op = assemble_eliminated(sample_problem(prob, grid))
     np.testing.assert_allclose(op.dense(), 0.0, atol=1e-15)
     v = np.random.default_rng(0).standard_normal(grid.shape)
     np.testing.assert_allclose(op.matvec(v), 0.0, atol=1e-15)
@@ -203,7 +258,7 @@ def test_constant_cxy_dense_matches_hand_factorization():
     c = 0.7
     grid = build_grid(DOM, 3, 3)
     prob = PdeProblem(DOM, const_coeffs(c_xy=c))
-    op = assemble_eliminated(prob, grid)
+    op = assemble_eliminated(sample_problem(prob, grid))
     c0x, c0y = grid.ax.cum0, grid.ay.cum0
     m1x = grid.wx * (1.0 - grid.x)
     m2y = grid.wy * (1.0 - grid.y)
@@ -222,7 +277,7 @@ def test_dense_matches_brute_force_on_random_problem():
     grid = build_grid(DOM, 4, 5)   # nonsquare to catch index transposition
     coeffs = random_coefficients(rng)
     prob, _, _ = random_forward_problem(rng, DOM, grid, coeffs)
-    op = assemble_eliminated(prob, grid)
+    op = assemble_eliminated(sample_problem(prob, grid))
     np.testing.assert_allclose(op.dense(), brute_dense_eliminated(prob, grid),
                                atol=1e-12)
 
@@ -231,7 +286,7 @@ def test_dense_matches_matvec_columnwise():
     rng = np.random.default_rng(13)
     grid = build_grid(DOM, 5, 4)
     prob, _, _ = random_forward_problem(rng, DOM, grid, random_coefficients(rng))
-    op = assemble_eliminated(prob, grid)
+    op = assemble_eliminated(sample_problem(prob, grid))
     dense = op.dense()
     n = dense.shape[0]
     for col in range(n):
@@ -245,7 +300,7 @@ def test_matvec_linearity():
     rng = np.random.default_rng(14)
     grid = build_grid(DOM, 6, 5)
     prob, _, _ = random_forward_problem(rng, DOM, grid, random_coefficients(rng))
-    op = assemble_eliminated(prob, grid)
+    op = assemble_eliminated(sample_problem(prob, grid))
     u = rng.standard_normal(grid.shape)
     v = rng.standard_normal(grid.shape)
     a, b = 1.7, -0.4
@@ -261,20 +316,21 @@ def test_eliminated_equation_matches_bundle_route():
     grid = build_grid(DOM, 6, 7)
     coeffs = random_coefficients(rng)
     prob, _, _ = random_forward_problem(rng, DOM, grid, coeffs)
-    op = assemble_eliminated(prob, grid)
+    sp = sample_problem(prob, grid)
+    op = assemble_eliminated(sp)
     from mangeron import GridFn2D
     b = rng.standard_normal(grid.shape)
     lhs = b + op.matvec(b) - op.g.values
-    unknowns = reconstruct_lower(prob.data, GridFn2D(grid, b), grid)
-    bundle = assemble_solution(prob.data, unknowns, grid)
-    rhs = apply_pde_operator(coeffs, bundle).values - prob.forcing.sample(grid)
+    unknowns = reconstruct_lower(sp.data, GridFn2D(grid, b), grid)
+    bundle = assemble_solution(sp.data, unknowns, grid)
+    rhs = apply_pde_operator(sp.coeffs, bundle).values - sp.forcing
     np.testing.assert_allclose(lhs, rhs, rtol=1e-11, atol=1e-11)
 
 
 def test_dense_size_guard():
     grid = build_grid(Domain(1.0, 1.0), 71, 71)
     prob = PdeProblem(DOM, Coefficients())
-    op = assemble_eliminated(prob, grid)
+    op = assemble_eliminated(sample_problem(prob, grid))
     with pytest.raises(ValueError):
         op.dense()
 
@@ -283,7 +339,7 @@ def test_dense_size_guard():
 
 def test_coupled_zero_problem():
     grid = build_grid(DOM, 5, 5)
-    system = assemble_coupled(PdeProblem(DOM, Coefficients()), grid)
+    system = assemble_coupled(sample_problem(PdeProblem(DOM, Coefficients()), grid))
     corner, edge_x, edge_y, core, cond = system.solve()
     assert corner == 0.0
     np.testing.assert_allclose(edge_x, 0.0, atol=1e-15)
@@ -297,7 +353,7 @@ def test_coupled_corner_row_hand_case():
     # other unknown stays zero
     grid = build_grid(DOM, 5, 5)
     prob = PdeProblem(DOM, Coefficients(), data=NonclassicalData(uy10=1.0))
-    corner, edge_x, edge_y, core, _ = assemble_coupled(prob, grid).solve()
+    corner, edge_x, edge_y, core, _ = assemble_coupled(sample_problem(prob, grid)).solve()
     assert corner == pytest.approx(1.0, abs=1e-13)
     np.testing.assert_allclose(edge_x, 0.0, atol=1e-13)
     np.testing.assert_allclose(edge_y, 0.0, atol=1e-13)
@@ -310,7 +366,7 @@ def test_coupled_reproduces_constant_core_mms():
                            (sep_poly(0, 0, 1), sep_poly(0, 0, 1))))
     case = make_mms(u, const_coeffs(c_xy=1.0), DOM)
     grid = build_grid(DOM, 9, 9)
-    _, _, _, core, _ = assemble_coupled(case.problem, grid).solve()
+    _, _, _, core, _ = assemble_coupled(sample_problem(case.problem, grid)).solve()
     np.testing.assert_allclose(core, 4.0, atol=1e-10)
 
 
@@ -320,12 +376,23 @@ def test_coupled_and_eliminated_agree_on_core():
         grid = build_grid(DOM, 7, 6)
         coeffs = random_coefficients(rng)
         prob, _, _ = random_forward_problem(rng, DOM, grid, coeffs)
-        _, _, _, core_coupled, _ = assemble_coupled(prob, grid).solve()
-        op = assemble_eliminated(prob, grid)
+        _, _, _, core_coupled, _ = assemble_coupled(sample_problem(prob, grid)).solve()
+        op = assemble_eliminated(sample_problem(prob, grid))
         from mangeron import solve_dense
         core_elim, _ = solve_dense(op)
         scale = max(1e-30, float(np.max(np.abs(core_elim.values))))
         assert np.max(np.abs(core_coupled - core_elim.values)) / scale <= 1e-8
+
+
+def test_coupled_collocation_rows_match_brute_force():
+    rng = np.random.default_rng(17)
+    dom = Domain(1.0, 0.8)
+    grid = build_grid(dom, 5, 4, x_breakpoints=[0.37], y_breakpoints=[0.5])
+    assert grid.shape[0] != grid.shape[1]     # nonsquare to catch index transposition
+    prob = PdeProblem(dom, random_coefficients(rng))
+    system = assemble_coupled(sample_problem(prob, grid))
+    np.testing.assert_allclose(system.matrix[system.s_core],
+                               brute_collocation_rows(prob, grid), atol=1e-12)
 
 
 def test_coupled_size_guard_refuses_before_allocating():
@@ -333,7 +400,7 @@ def test_coupled_size_guard_refuses_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(DenseLimitError, match="dense assembly limited to 4900 nodes"):
-            assemble_coupled(PdeProblem(DOM, Coefficients()), grid)
+            assemble_coupled(sample_problem(PdeProblem(DOM, Coefficients()), grid))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

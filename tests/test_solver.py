@@ -8,8 +8,9 @@ from mangeron import (Coefficients, ConstraintError, Domain, Field2D, GridFn2D,
                       assemble_solution, build_grid, const1d, const2d,
                       estimate_stability_ratio, random_coefficients,
                       random_forward_problem, reconstruct_lower, residual_report,
-                      SolverError, calibrate_residual_threshold, solve_dense,
-                      solve_neumann, solve_problem)
+                      sample_data, sample_problem, SolverError,
+                      calibrate_residual_threshold, solve_dense, solve_neumann,
+                      solve_problem)
 from mangeron import solver as solver_mod
 from mangeron.mms import (bilinear_solution, biquadratic_solution, make_mms,
                           trig_solution)
@@ -39,7 +40,7 @@ def power_iteration_radius(op, grid, iters=80, seed=0):
 def test_neumann_identity_converges_in_one_step():
     grid = build_grid(DOM, 9, 9)
     prob = PdeProblem(DOM, Coefficients(), Field2D(lambda x, y: 1.0 + x * y))
-    op = assemble_eliminated(prob, grid)
+    op = assemble_eliminated(sample_problem(prob, grid))
     core, info = solve_neumann(op)
     assert info.converged and info.iterations == 1
     np.testing.assert_allclose(core.values, op.g.values, atol=1e-15)
@@ -48,7 +49,7 @@ def test_neumann_identity_converges_in_one_step():
 def test_neumann_matches_dense_for_small_coefficient():
     grid = build_grid(DOM, 13, 13)
     case = make_mms(trig_solution(), const_coeffs(c_xy=0.1), DOM)
-    op = assemble_eliminated(case.problem, grid)
+    op = assemble_eliminated(sample_problem(case.problem, grid))
     core_n, info = solve_neumann(op, tol=1e-13)
     assert info.converged
     core_d, _ = solve_dense(op)
@@ -58,7 +59,7 @@ def test_neumann_matches_dense_for_small_coefficient():
 def test_neumann_updates_decrease_geometrically():
     grid = build_grid(DOM, 9, 9)
     case = make_mms(trig_solution(), const_coeffs(c_xy=0.3), DOM)
-    op = assemble_eliminated(case.problem, grid)
+    op = assemble_eliminated(sample_problem(case.problem, grid))
     _, info = solve_neumann(op, tol=1e-13)
     assert info.converged
     updates = [u for u in info.update_norms if u > 0][:-1]
@@ -70,7 +71,7 @@ def test_neumann_updates_decrease_geometrically():
 def test_neumann_divergence_detected_for_large_coefficient():
     grid = build_grid(DOM, 9, 9)
     case = make_mms(trig_solution(), const_coeffs(c_xy=50.0), DOM)
-    op = assemble_eliminated(case.problem, grid)
+    op = assemble_eliminated(sample_problem(case.problem, grid))
     core, info = solve_neumann(op)
     assert info.diverged and not info.converged
     assert np.all(np.isfinite(core.values))     # partial iterate is returned
@@ -94,7 +95,7 @@ def test_auto_falls_back_to_dense_on_divergence():
 def test_dense_identity_returns_g():
     grid = build_grid(DOM, 7, 7)
     prob = PdeProblem(DOM, Coefficients(), Field2D(lambda x, y: np.cos(x) + y))
-    op = assemble_eliminated(prob, grid)
+    op = assemble_eliminated(sample_problem(prob, grid))
     core, cond = solve_dense(op)
     np.testing.assert_allclose(core.values, op.g.values, atol=1e-14)
     assert cond == pytest.approx(1.0, rel=1e-12)
@@ -104,7 +105,7 @@ def test_dense_three_node_case_matches_direct_elimination():
     c = 0.7
     grid = build_grid(DOM, 3, 3)
     case = make_mms(trig_solution(), const_coeffs(c_xy=c), DOM)
-    op = assemble_eliminated(case.problem, grid)
+    op = assemble_eliminated(sample_problem(case.problem, grid))
     core, _ = solve_dense(op)
     # independent route: assemble the same 9x9 system from the hand
     # factorization of the constant-coefficient kernel and solve it directly
@@ -127,21 +128,23 @@ def test_dense_three_node_case_matches_direct_elimination():
 def test_reconstruct_zero_core_with_equal_edge_traces():
     grid = build_grid(DOM, 9, 9)
     data = NonclassicalData(uxx_bottom=const1d(2.0), uxx_top=const1d(2.0))
-    unknowns = reconstruct_lower(data, GridFn2D(grid, np.zeros(grid.shape)), grid)
+    unknowns = reconstruct_lower(sample_data(data, grid),
+                                 GridFn2D(grid, np.zeros(grid.shape)), grid)
     np.testing.assert_allclose(unknowns.uxxy_bottom.values, 0.0, atol=1e-15)
 
 
 def test_reconstruct_corner_from_far_edge_value():
     grid = build_grid(DOM, 9, 9)
     data = NonclassicalData(uy10=1.0)
-    unknowns = reconstruct_lower(data, GridFn2D(grid, np.zeros(grid.shape)), grid)
+    unknowns = reconstruct_lower(sample_data(data, grid),
+                                 GridFn2D(grid, np.zeros(grid.shape)), grid)
     assert unknowns.uxy00 == pytest.approx(1.0, abs=1e-14)
 
 
 def test_reconstruct_bilinear_case_routes_agree():
     grid = build_grid(DOM, 9, 9)
     case = make_mms(bilinear_solution(), Coefficients(), DOM)
-    unknowns = reconstruct_lower(case.problem.data,
+    unknowns = reconstruct_lower(sample_data(case.problem.data, grid),
                                  GridFn2D(grid, np.zeros(grid.shape)), grid)
     assert unknowns.uxy00 == pytest.approx(1.0, abs=1e-12)
     assert unknowns.uxy00_alt == pytest.approx(1.0, abs=1e-12)
@@ -154,9 +157,9 @@ def test_reconstruct_bilinear_case_routes_agree():
 
 def test_assemble_solution_zero():
     grid = build_grid(DOM, 9, 9)
-    unknowns = reconstruct_lower(NonclassicalData(),
+    unknowns = reconstruct_lower(sample_data(NonclassicalData(), grid),
                                  GridFn2D(grid, np.zeros(grid.shape)), grid)
-    bundle = assemble_solution(NonclassicalData(), unknowns, grid)
+    bundle = assemble_solution(sample_data(NonclassicalData(), grid), unknowns, grid)
     for key in ("u", "ux", "uy", "uxx", "uyy", "uxy", "uxxy", "uxyy", "uxxyy"):
         np.testing.assert_allclose(getattr(bundle, key).values, 0.0, atol=1e-15)
 
@@ -170,7 +173,7 @@ def test_assemble_solution_pure_corner_term():
         uxyy_left=GridFn1D(grid.ay, np.zeros(grid.ay.n)),
         uxxyy=GridFn2D(grid, np.zeros(grid.shape)),
         uxy00_alt=1.0)
-    bundle = assemble_solution(NonclassicalData(), unknowns, grid)
+    bundle = assemble_solution(sample_data(NonclassicalData(), grid), unknowns, grid)
     xx, yy = grid.meshgrid()
     np.testing.assert_allclose(bundle.u.values, xx * yy, atol=1e-14)
     np.testing.assert_allclose(bundle.ux.values, yy, atol=1e-14)
@@ -182,8 +185,9 @@ def test_assemble_solution_constant_core_biquadratic():
     grid = build_grid(DOM, 21, 21)
     case = make_mms(biquadratic_solution(), Coefficients(), DOM)
     core = GridFn2D(grid, np.full(grid.shape, 4.0))
-    unknowns = reconstruct_lower(case.problem.data, core, grid)
-    bundle = assemble_solution(case.problem.data, unknowns, grid)
+    sd = sample_data(case.problem.data, grid)
+    unknowns = reconstruct_lower(sd, core, grid)
+    bundle = assemble_solution(sd, unknowns, grid)
     xx, yy = grid.meshgrid()
     np.testing.assert_allclose(bundle.u.values, xx**2 * yy**2, atol=1e-10)
     assert bundle.uxxyy.values is core.values   # the core grid is the unknown itself
@@ -203,7 +207,7 @@ def test_residuals_tiny_for_exact_polynomial_solve():
     grid = build_grid(DOM, 9, 9)
     case = make_mms(bilinear_solution(), Coefficients(), DOM)
     result = solve_problem(case.problem, grid)
-    rep = residual_report(case.problem, result.bundle, NormSpec(2.0))
+    rep = residual_report(sample_problem(case.problem, grid), result.bundle, NormSpec(2.0))
     assert rep.pde <= 1e-9
     assert rep.max_bc <= 1e-9
 
@@ -213,7 +217,7 @@ def test_residuals_bounded_for_forward_constructed_data():
     grid = build_grid(DOM, 9, 9)
     prob, _, _ = random_forward_problem(rng, DOM, grid, random_coefficients(rng))
     result = solve_problem(prob, grid, method="dense")
-    rep = residual_report(prob, result.bundle, NormSpec(2.0))
+    rep = residual_report(sample_problem(prob, grid), result.bundle, NormSpec(2.0))
     assert rep.pde <= 1e-10
     assert rep.max_bc <= 1e-10
 
@@ -222,7 +226,7 @@ def test_corrupted_solution_is_flagged():
     grid = build_grid(DOM, 21, 21)
     case = make_mms(biquadratic_solution(), const_coeffs(c_u=1.0), DOM)
     result = solve_problem(case.problem, grid)
-    clean = residual_report(case.problem, result.bundle, NormSpec(2.0))
+    clean = residual_report(sample_problem(case.problem, grid), result.bundle, NormSpec(2.0))
     values = result.bundle.u.values.copy()
     values[10, 10] += 1.0
     from mangeron import SolutionBundle
@@ -230,7 +234,7 @@ def test_corrupted_solution_is_flagged():
         u=GridFn2D(grid, values), ux=result.bundle.ux, uy=result.bundle.uy,
         uxx=result.bundle.uxx, uyy=result.bundle.uyy, uxy=result.bundle.uxy,
         uxxy=result.bundle.uxxy, uxyy=result.bundle.uxyy, uxxyy=result.bundle.uxxyy)
-    rep = residual_report(case.problem, corrupted, NormSpec(2.0))
+    rep = residual_report(sample_problem(case.problem, grid), corrupted, NormSpec(2.0))
     assert rep.pde > max(100.0 * clean.pde, 1e-3)
 
 
@@ -325,6 +329,32 @@ def test_solver_report_methods():
         solve_problem(case.problem, grid, method="bogus")
 
 
+def counting(f, counts, key):
+    """`f` as a Field2D that counts its samples in counts[key]."""
+    def fn(x, y):
+        counts[key] = counts.get(key, 0) + 1
+        return f.eval(x, y)
+    return Field2D(fn, f.kind, f.smoothness)
+
+
+@pytest.mark.parametrize("method, c, used", [
+    ("neumann", 0.1, "neumann"),
+    ("auto", 50.0, "dense"),          # stiff: the iteration diverges, dense LU runs
+    ("coupled", 0.1, "coupled-dense"),
+])
+def test_each_field_is_sampled_once_per_solve(method, c, used):
+    grid = build_grid(DOM, 9, 9)
+    case = make_mms(trig_solution(), const_coeffs(**dict.fromkeys(Coefficients.KEYS, c)), DOM)
+    counts = {}
+    coeffs = Coefficients(**{k: counting(getattr(case.problem.coeffs, k), counts, k)
+                             for k in Coefficients.KEYS})
+    prob = PdeProblem(DOM, coeffs, counting(case.problem.forcing, counts, "forcing"),
+                      case.problem.data)
+    result = solve_problem(prob, grid, method=method, residual_gate=False)
+    assert result.report.method == used
+    assert counts == dict.fromkeys((*Coefficients.KEYS, "forcing"), 1)
+
+
 def test_explicit_neumann_divergence_recommends_dense():
     grid = build_grid(DOM, 9, 9)
     case = make_mms(trig_solution(), const_coeffs(c_xy=50.0), DOM)
@@ -383,9 +413,11 @@ def dense_route_threshold(grid, p):
     build_grid(Domain(2.0, 0.5), 22, 12, x_breakpoints=[0.3, 1.37], y_breakpoints=[0.11]),
 ], ids=["17x17", "33x33", "nonuniform"])
 def test_calibrated_threshold_equals_dense_route(grid, monkeypatch):
+    # one threshold per grid: it equals the dense-route rule under every norm
     monkeypatch.setattr(solver_mod, "_THRESHOLD_CACHE", {})
+    threshold = calibrate_residual_threshold(grid)
     for p in (1.0, 2.0, math.inf):
-        assert calibrate_residual_threshold(grid, NormSpec(p)) == dense_route_threshold(grid, p)
+        assert threshold == dense_route_threshold(grid, p)
 
 
 def test_calibration_refuses_unconverged_reference(monkeypatch):
