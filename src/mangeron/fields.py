@@ -61,7 +61,15 @@ class Field1D:
 
 @dataclass(frozen=True)
 class Field2D:
-    """Scalar field on the closed rectangle."""
+    """Scalar field on the closed rectangle.
+
+    `fn(x, y)` must be elementwise: given x and y of any two broadcastable
+    shapes it returns the values at the broadcast points, as an array of the
+    broadcast shape or of any shape that broadcasts to it (a scalar for a
+    constant).  `sample` relies on this and passes the grid axes as a column
+    (n1, 1) and a row (1, n2), so a separable closure evaluates its
+    transcendental factors on n1 + n2 points instead of n1 * n2.
+    """
 
     fn: Callable
     kind: str = ANALYTIC
@@ -78,8 +86,8 @@ class Field2D:
         return np.broadcast_to(out, shape) if out.shape != shape else out
 
     def sample(self, grid: Grid2D) -> np.ndarray:
-        xx, yy = grid.meshgrid()
-        return np.array(self.eval(xx, yy))
+        """Values at the grid nodes: a new, writeable (n1, n2) array."""
+        return np.array(self.eval(grid.x[:, None], grid.y[None, :]))
 
 
 def const1d(c: float, smoothness: str = CONTINUOUS) -> Field1D:

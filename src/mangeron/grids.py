@@ -3,18 +3,22 @@
 The whole discretization is built on one rule: composite trapezoid weights
 on a (possibly nonuniform) node set that always contains both interval
 endpoints.  Partial integrals from 0 up to a node, and their first-moment
-variants with kernel (x - t), are realized as precomputed lower-triangular
-weight matrices so that every operator assembled downstream uses exactly
-the same quadrature.
+variants with kernel (x - t), are applied by `Axis.cumulative` as running
+sums in O(n) per line, so the matrix-free route never forms an n x n table.
+The same rule written as lower-triangular weight matrices (`Axis.cum0`,
+`Axis.cum1`) serves only the dense and coupled assemblies, which need the
+matrix entries; those tables are built on first use.
 
-All node and weight arrays are frozen after construction; grids and grid
-functions are safe to share across threads, and every operation here is a
-pure function of its inputs.
+All node and weight arrays are frozen; grids and grid functions are safe to
+share across threads (two threads that first touch a table at once build it
+twice, identically), and every operation here is a pure function of its
+inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,10 +77,12 @@ class Axis:
     ----------
     nodes : (n,) strictly increasing, nodes[0] == 0
     weights : (n,) full-interval trapezoid weights
+    moments : (n,) full-interval first-moment weights, ``moments @ f`` =
+        integral of (length - t) f(t); the last row of cum1
     cum0 : (n, n) partial-integral weights, ``cum0[i] @ f`` = integral of f
-        from 0 to nodes[i]
+        from 0 to nodes[i]; built on first use
     cum1 : (n, n) first-moment weights, ``cum1[i] @ f`` = integral of
-        (nodes[i] - t) f(t) from 0 to nodes[i]
+        (nodes[i] - t) f(t) from 0 to nodes[i]; built on first use
     """
 
     def __init__(self, nodes):
@@ -91,9 +97,52 @@ class Axis:
         self.n = len(nodes)
         self.length = float(nodes[-1])
         self.weights = _frozen(trapezoid_weights(nodes))
-        cum0 = cumulative_trapezoid_matrix(nodes)
-        self.cum0 = _frozen(cum0)
-        self.cum1 = _frozen(cum0 * (nodes[:, None] - nodes[None, :]))
+        self.moments = _frozen(self.weights * (self.length - nodes))
+        self._steps = _frozen(np.diff(nodes))
+
+    @cached_property
+    def cum0(self) -> np.ndarray:
+        return _frozen(cumulative_trapezoid_matrix(self.nodes))
+
+    @cached_property
+    def cum1(self) -> np.ndarray:
+        return _frozen(self.cum0 * (self.nodes[:, None] - self.nodes[None, :]))
+
+    def cumulative(self, f, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """``(cum0 f, cum1 f)`` along `axis` of f, in O(f.size) by running sums.
+
+        The same trapezoid rule as the tables: with panel widths d_i =
+        nodes[i] - nodes[i-1],
+
+            cum0 f[i] = cum0 f[i-1] + d_i (f[i-1] + f[i]) / 2,
+            cum1 f[i] = cum1 f[i-1] + d_i (cum0 f[i-1] + d_i f[i-1] / 2),
+
+        which is ``x cum0 f - cum0 (x f)`` summed panel by panel, free of the
+        cancellation between its two terms.  `f` is 1-D, or 2-D with its
+        `axis` running along this axis; the results agree with the table
+        products to roundoff.
+        """
+        f = np.asarray(f, dtype=float)
+        if not 0 <= axis < f.ndim or f.shape[axis] != self.n:
+            raise ValueError(f"axis {axis} of shape {f.shape} does not match axis ({self.n},)")
+        step = self._steps.reshape((-1,) + (1,) * (f.ndim - 1 - axis))
+        half = 0.5 * step
+        head = (slice(None),) * axis + (slice(0, 1),)
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        hi = (slice(None),) * axis + (slice(1, None),)
+        c0 = np.empty(f.shape)
+        c1 = np.empty(f.shape)
+        c0[head] = 0.0
+        c1[head] = 0.0
+        panel = c1[hi]          # work space until c1 is accumulated below
+        np.add(f[lo], f[hi], out=panel)
+        panel *= half
+        np.cumsum(panel, axis=axis, out=c0[hi])
+        inc = half * f[lo]
+        inc += c0[lo]
+        inc *= step
+        np.cumsum(inc, axis=axis, out=c1[hi])
+        return c0, c1
 
     def node_index(self, t: float) -> int:
         """Index of the node equal to t; raises if t is not a node."""
@@ -204,7 +253,7 @@ def quad_1d(f: GridFn1D) -> float:
 def moment_integral_1d(f: GridFn1D, x: float) -> float:
     """Integral of (x - t) f(t) from 0 to x, where x must be a grid node."""
     idx = f.axis.node_index(x)
-    return float(f.axis.cum1[idx] @ f.values)
+    return float(f.axis.cumulative(f.values)[1][idx])
 
 
 def fd_derivatives(nodes: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

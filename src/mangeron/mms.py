@@ -206,8 +206,8 @@ def forward_problem(domain: Domain, grid: Grid2D, coeffs: Coefficients,
     """
     ax, ay = grid.ax, grid.ay
     h1, h2 = domain.h1, domain.h2
-    mom_x = ax.cum1[-1]     # full first-moment weights on the x axis
-    mom_y = ay.cum1[-1]
+    mom_x = ax.moments      # full first-moment weights on the x axis
+    mom_y = ay.moments
 
     u10 = u00 + h1 * ux00 + float(mom_x @ uxx_bottom)
     u01 = u00 + h2 * uy00 + float(mom_y @ uyy_left)

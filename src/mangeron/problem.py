@@ -267,10 +267,10 @@ def nonclassical_to_classical(data: NonclassicalData, domain: Domain,
     ax, ay = grid.ax, grid.ay
     sd = sample_data(data, grid)
 
-    left_vals = sd.u00 + ay.nodes * sd.uy00 + ay.cum1 @ sd.uyy_left
-    right_vals = sd.u10 + ay.nodes * sd.uy10 + ay.cum1 @ sd.uyy_right
-    bottom_vals = sd.u00 + ax.nodes * sd.ux00 + ax.cum1 @ sd.uxx_bottom
-    top_vals = sd.u01 + ax.nodes * sd.ux01 + ax.cum1 @ sd.uxx_top
+    left_vals = sd.u00 + ay.nodes * sd.uy00 + ay.cumulative(sd.uyy_left)[1]
+    right_vals = sd.u10 + ay.nodes * sd.uy10 + ay.cumulative(sd.uyy_right)[1]
+    bottom_vals = sd.u00 + ax.nodes * sd.ux00 + ax.cumulative(sd.uxx_bottom)[1]
+    top_vals = sd.u01 + ax.nodes * sd.ux01 + ax.cumulative(sd.uxx_top)[1]
 
     return ClassicalData(
         left=BoundaryTrace(samples1d(ay.nodes, left_vals)),
@@ -320,8 +320,8 @@ def check_data_constraints(sd: SampledData, grid: Grid2D,
     """
     ax, ay = grid.ax, grid.ay
     h1, h2 = grid.domain.h1, grid.domain.h2
-    r1 = float(abs(sd.u00 + h1 * sd.ux00 + float(ax.cum1[-1] @ sd.uxx_bottom) - sd.u10))
-    r2 = float(abs(sd.u00 + h2 * sd.uy00 + float(ay.cum1[-1] @ sd.uyy_left) - sd.u01))
+    r1 = float(abs(sd.u00 + h1 * sd.ux00 + float(ax.moments @ sd.uxx_bottom) - sd.u10))
+    r2 = float(abs(sd.u00 + h2 * sd.uy00 + float(ay.moments @ sd.uyy_left) - sd.u01))
     if tol is None:
         tol = constraint_tolerance(sd, grid)
     return CheckReport((("bottom-edge route to u(h1,0)", r1),

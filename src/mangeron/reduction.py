@@ -5,7 +5,7 @@ is determined by the origin-corner data and the bottom/left edge traces,
 and the remainder is a quadruple of unknowns: the corner mixed derivative
 u_xy(0,0), the edge traces u_xxy(x,0) and u_xyy(0,y), and the core unknown
 u_xxyy(x,y).  Collocating the transformed equation at the grid nodes and
-replacing every integral by the shared trapezoid weight tables yields
+replacing every integral by the shared trapezoid rule yields
 either a coupled square system in the full quadruple or, after eliminating
 the three lower unknowns through the far-edge conditions, a single
 second-kind system (I + K) core = g in the core unknown alone.
@@ -14,6 +14,8 @@ K is written once, as 15 terms coef(i,j) * (A core B^T)(i,j) (`kernel_terms`);
 the matrix-free product, the dense matrix and both blocks of the coupled
 system are derived from that table, so the two assemblies agree to
 linear-solver roundoff; this is exercised as a cross-check downstream.
+The matrix-free product applies A and B by running sums (`Axis.cumulative`)
+in O(n1 n2); only the dense assemblies read the weight tables.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid2D, GridFn2D
+from .grids import Axis, Grid2D, GridFn2D
 from .problem import SampledData, SampledProblem
 
 #: largest node count for which the dense kernel matrix may be materialized
@@ -54,10 +56,9 @@ class BaseBundle:
     def __init__(self, grid: Grid2D, sd: SampledData):
         ax, ay = grid.ax, grid.ay
         x, y = ax.nodes, ay.nodes
-        mom_x = ax.cum1 @ sd.uxx_bottom      # integral of (x - t) uxx_bottom(t)
-        mom_y = ay.cum1 @ sd.uyy_left
-        run_x = ax.cum0 @ sd.uxx_bottom      # integral of uxx_bottom up to x
-        run_y = ay.cum0 @ sd.uyy_left
+        # running integral and first moment (x - t) of uxx_bottom up to x
+        run_x, mom_x = ax.cumulative(sd.uxx_bottom)
+        run_y, mom_y = ay.cumulative(sd.uyy_left)
         n1, n2 = grid.shape
         u = sd.u00 + x[:, None] * sd.ux00 + y[None, :] * sd.uy00 \
             + mom_x[:, None] + mom_y[None, :]
@@ -164,13 +165,14 @@ def kernel_terms(c: dict[str, np.ndarray], grid: Grid2D) -> list[Term]:
     ]
 
 
-def _matrix(ops: dict, kind: str, n: int) -> np.ndarray:
-    """The (n, n) matrix of an operator kind on one axis."""
+def _matrix(axis: Axis, mom: np.ndarray, kind: str) -> np.ndarray:
+    """The (n, n) matrix of an operator kind on one axis; the cumulative
+    kinds are the axis tables of the same name."""
     if kind == IDENT:
-        return np.eye(n)
+        return np.eye(axis.n)
     if kind == MOM:
-        return np.broadcast_to(ops[MOM], (n, n))
-    return ops[kind]
+        return np.broadcast_to(mom, (axis.n, axis.n))
+    return getattr(axis, kind)
 
 
 class DiscreteOperator:
@@ -192,52 +194,49 @@ class DiscreteOperator:
         grid, sd = sp.grid, sp.data
         self.grid = grid
         self.terms = kernel_terms(sp.coeffs, grid)
-        m1x, m2y = _moment_average_weights(grid)
-        self._x = {CUM0: grid.ax.cum0, CUM1: grid.ax.cum1, MOM: m1x}
-        self._y = {CUM0: grid.ay.cum0, CUM1: grid.ay.cum1, MOM: m2y}
-        self._dense = None
+        self.m1x, self.m2y = _moment_average_weights(grid)
         # data part of the corner unknown (bottom-edge route)
-        corner_data = sd.d_uy - float(m1x @ sd.d_uxx)
+        corner_data = sd.d_uy - float(self.m1x @ sd.d_uxx)
         rr = reduced_rhs(sp, assemble_base(sd, grid))
         self.g = GridFn2D(grid, rr.values - self.lower(corner_data, sd.d_uxx, sd.d_uyy))
 
-    def _along_x(self, kind: str, v: np.ndarray) -> np.ndarray:
-        """A v for the x-side operator `kind`; v is indexed by x first."""
-        if kind == IDENT:
-            return v
-        if kind == MOM:
-            return (self._x[MOM] @ v)[None]
-        return self._x[kind] @ v
+    def _along_x(self, v: np.ndarray) -> dict[str, np.ndarray]:
+        """A v for every x-side operator A; v is indexed by x first."""
+        c0, c1 = self.grid.ax.cumulative(v, 0)
+        return {IDENT: v, CUM0: c0, CUM1: c1, MOM: (self.m1x @ v)[None]}
 
-    def _along_y(self, kind: str, v: np.ndarray) -> np.ndarray:
-        """v B^T for the y-side operator `kind`; v is indexed by y last."""
-        if kind == IDENT:
-            return v
-        if kind == MOM:
-            return (v @ self._y[MOM])[:, None]
-        return v @ self._y[kind].T
+    def _along_y(self, v: np.ndarray) -> dict[str, np.ndarray]:
+        """v B^T for every y-side operator B; v is indexed by y last."""
+        c0, c1 = self.grid.ay.cumulative(v, 1)
+        return {IDENT: v, CUM0: c0, CUM1: c1, MOM: (v @ self.m2y)[:, None]}
 
     def matvec(self, core: np.ndarray) -> np.ndarray:
         """Apply K to a core array of shape (n1, n2): the x-side partials
-        once, then every term's y side."""
-        parts = {kind: self._along_x(kind, core) for kind in (IDENT, CUM0, CUM1, MOM)}
+        once, then, one x-side operator at a time, every term's y side."""
+        parts = self._along_x(core)
         out = np.zeros(self.grid.shape)
-        for t in self.terms:
-            out += t.coef * self._along_y(t.y, parts[t.x])
+        prod = np.empty(self.grid.shape)
+        for kind in (IDENT, CUM0, CUM1, MOM):
+            sides = self._along_y(parts.pop(kind))
+            for t in self.terms:
+                if t.x == kind:
+                    out += np.multiply(t.coef, sides[t.y], out=prod)
         return out
 
     def lower(self, corner: float, edge_x: np.ndarray, edge_y: np.ndarray) -> np.ndarray:
         """The collocated terms of given lower unknowns, at every node: the
         moment-average terms before the substitutions edge_x = d_uxx - core m2y,
         edge_y = d_uyy - m1x core and corner = d_uy - m1x edge_x."""
+        xs = self._along_x(edge_x[:, None])
+        ys = self._along_y(edge_y[None, :])
         out = np.zeros(self.grid.shape)
         for t in self.terms:
             if t.x == MOM and t.y == MOM:
                 out += t.coef * corner
             elif t.y == MOM:
-                out -= t.coef * self._along_x(t.x, edge_x[:, None])
+                out -= t.coef * xs[t.x]
             elif t.x == MOM:
-                out -= t.coef * self._along_y(t.y, edge_y[None, :])
+                out -= t.coef * ys[t.y]
         return out
 
     def assemble(self, terms: list[Term]) -> np.ndarray:
@@ -245,8 +244,10 @@ class DiscreteOperator:
 
         Terms are grouped by their x-side operator A: each group forms
         C[i,j,l] = sum of coef(i,j) B(j,l) and adds A(i,k) C[i,j,l] at
-        [i,j,k,l]; for A = I that is an update of the k = i diagonal.
+        [i,j,k,l], one row block i at a time so that no temporary as large
+        as K is made; for A = I that is an update of the k = i diagonal.
         """
+        ax, ay = self.grid.ax, self.grid.ay
         n1, n2 = self.grid.shape
         _check_dense_limit(n1 * n2)
         k4 = np.zeros((n1, n2, n1, n2))
@@ -255,18 +256,19 @@ class DiscreteOperator:
             group = [t for t in terms if t.x == kind]
             if not group:
                 continue
-            c = sum(t.coef[:, :, None] * _matrix(self._y, t.y, n2)[None] for t in group)
+            c = sum(t.coef[:, :, None] * _matrix(ay, self.m2y, t.y)[None] for t in group)
             if kind == IDENT:
                 k4[diag, :, diag, :] += c
-            else:
-                k4 += np.einsum("ik,ijl->ijkl", _matrix(self._x, kind, n1), c)
+                continue
+            a = _matrix(ax, self.m1x, kind)
+            for i in range(n1):
+                k4[i] += a[i][None, :, None] * c[i][:, None, :]
         return k4.reshape(n1 * n2, n1 * n2)
 
     def dense(self) -> np.ndarray:
-        """Materialize K as an (n1 n2) x (n1 n2) matrix, row-major nodes."""
-        if self._dense is None:
-            self._dense = self.assemble(self.terms)
-        return self._dense
+        """Materialize K as a new (n1 n2) x (n1 n2) matrix, row-major nodes;
+        the caller owns it and may modify it in place."""
+        return self.assemble(self.terms)
 
 
 def assemble_eliminated(sp: SampledProblem) -> DiscreteOperator:

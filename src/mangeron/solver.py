@@ -144,8 +144,8 @@ def solve_dense(op: DiscreteOperator) -> tuple[GridFn2D, float]:
     is a SolverError.
     """
     try:
-        k = op.dense()
-        a = np.eye(k.shape[0]) + k
+        a = op.dense()                      # I + K, built in place
+        a[np.diag_indices_from(a)] += 1.0
         cond = float(np.linalg.cond(a, 1))
     except (DenseLimitError, MemoryError) as exc:
         raise SolverError(f"dense solve refused: {exc}") from exc
@@ -198,18 +198,12 @@ def assemble_solution(sd: SampledData, unknowns: ReducedUnknowns,
     b = unknowns.uxxyy.values
 
     base = assemble_base(sd, grid)
-    i_ex1 = ax.cum1 @ ex      # integral of (x - s) u_xxy(s, 0)
-    i_ex0 = ax.cum0 @ ex
-    i_ey1 = ay.cum1 @ ey
-    i_ey0 = ay.cum0 @ ey
-    bx1 = ax.cum1 @ b
-    bx0 = ax.cum0 @ b
-    dbl11 = bx1 @ ay.cum1.T   # double integral with kernel (x-s)(y-t)
-    dbl10 = bx1 @ ay.cum0.T   # moment kernel in x only
-    dbl01 = bx0 @ ay.cum1.T   # moment kernel in y only
-    dbl00 = bx0 @ ay.cum0.T   # plain double integral
-    ry1 = b @ ay.cum1.T       # y-partial integrals along each grid row
-    ry0 = b @ ay.cum0.T
+    i_ex0, i_ex1 = ax.cumulative(ex)     # integrals of u_xxy(s, 0), kernel 1 and (x - s)
+    i_ey0, i_ey1 = ay.cumulative(ey)
+    bx0, bx1 = ax.cumulative(b, 0)
+    dbl10, dbl11 = ay.cumulative(bx1, 1)   # moment kernel in x; and in x and y
+    dbl00, dbl01 = ay.cumulative(bx0, 1)   # plain double integral; moment kernel in y
+    ry0, ry1 = ay.cumulative(b, 1)         # y-partial integrals along each grid row
 
     u = base.u.values + x * y * corner + y * i_ex1[:, None] + x * i_ey1[None, :] + dbl11
     ux = base.ux.values + y * corner + y * i_ex0[:, None] + i_ey1[None, :] + dbl01

@@ -274,3 +274,19 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_gate_on_solve_leaves_scipy_unloaded(tmp_path):
+    # a cold CLI solve (residual gate on, Neumann route) never imports scipy
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; from mangeron.cli import main; "
+            f"rc = main(['solve', '--config', {str(CONFIGS / 'trig.cfg')!r}, "
+            f"'--out', {str(tmp_path)!r}]); "
+            "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip().splitlines()[-1] == "0 []"
+    report = read_report(tmp_path)
+    assert report["method"] == "neumann" and report["residual_pass"]

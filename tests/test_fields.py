@@ -3,6 +3,7 @@ import pytest
 
 from mangeron import (Domain, Field1D, Field2D, Piece2D, Segment1D, build_grid,
                       const1d, const2d, piecewise1d, piecewise2d, samples1d, samples2d)
+from mangeron.config import build_coefficients, load_config
 
 
 def test_constant_fields_broadcast():
@@ -74,3 +75,64 @@ def test_field2d_sample_matches_meshgrid_eval():
     f = Field2D(lambda x, y: np.sin(x) + y)
     xx, yy = grid.meshgrid()
     np.testing.assert_allclose(f.sample(grid), np.sin(xx) + yy, rtol=1e-15)
+
+
+def test_field2d_sample_passes_axes_and_returns_full_writeable_array():
+    grid = build_grid(Domain(1.0, 2.0), 4, 7)
+    seen = []
+
+    def fn(x, y):
+        seen.append((x.shape, y.shape))
+        return 2.5
+
+    out = Field2D(fn).sample(grid)
+    assert seen == [((4, 1), (1, 7))]
+    assert out.shape == (4, 7) and out.flags.writeable and out.flags.owndata
+    assert np.all(out == 2.5)
+    out[0, 0] = 1.0
+
+
+CONFIG_FIELDS = """[domain]
+h1 = 1.0
+h2 = 2.0
+
+[grid]
+n1 = 9
+n2 = 13
+x_breakpoints = 0.3
+
+[coefficients]
+c_u = piecewise((0, 0.3, 0, 2): 1 + x * y; (0.3, 1, 0, 2): sin(y))
+c_xy = exp(x) * cos(y) / (1 + x^2)
+c_x = 0.25
+
+[forcing]
+z = zero
+
+[data.nonclassical]
+u00 = 0
+"""
+
+
+def test_field2d_sample_bit_identical_to_meshgrid_eval(tmp_path):
+    cfg_path = tmp_path / "fields.cfg"
+    cfg_path.write_text(CONFIG_FIELDS)
+    coeffs = build_coefficients(load_config(str(cfg_path)))
+    grid = build_grid(Domain(1.0, 2.0), 9, 13, x_breakpoints=[0.3])
+    xx, yy = grid.meshgrid()
+    rng = np.random.default_rng(6)
+    fields = {
+        "analytic": Field2D(lambda x, y: np.sin(3.0 * x) * np.exp(-y) + x * y),
+        "constant": const2d(-1.5),
+        "config c_u (piecewise)": coeffs.c_u,
+        "config c_xy": coeffs.c_xy,
+        "config c_x": coeffs.c_x,
+        "piecewise2d": piecewise2d(
+            [Piece2D(0.0, 0.3, 0.0, 2.0, lambda x, y: np.cos(x + y)),
+             Piece2D(0.3, 1.0, 0.0, 1.0, lambda x, y: x - y),
+             Piece2D(0.3, 1.0, 1.0, 2.0, lambda x, y: np.ones(np.shape(x)))], 1.0, 2.0),
+        "samples2d": samples2d(build_grid(Domain(1.0, 2.0), 5, 6),
+                               rng.standard_normal((5, 6))),
+    }
+    for name, f in fields.items():
+        assert np.array_equal(f.sample(grid), f.eval(xx, yy)), name

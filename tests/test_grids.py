@@ -75,6 +75,60 @@ def test_cumulative_matrix_rows():
     np.testing.assert_allclose(ax.cum0[-1], ax.weights, rtol=1e-14)
 
 
+def test_tables_built_on_first_use_and_frozen():
+    ax = Axis(np.linspace(0.0, 1.0, 7))
+    assert "cum0" not in vars(ax) and "cum1" not in vars(ax)
+    assert ax.cum1 is ax.cum1
+    assert "cum0" in vars(ax) and "cum1" in vars(ax)
+    with pytest.raises(ValueError):
+        ax.cum1[1, 0] = 1.0
+
+
+def test_moment_weights_are_last_row_of_cum1():
+    grid = build_grid(Domain(2.0, 0.5), 44, 25, [0.3, 1.37], [0.111])
+    for ax in (grid.ax, grid.ay):
+        assert np.array_equal(ax.moments, ax.cum1[-1])
+
+
+# uniform unit axis; breakpoint axes on [0, 2] and [0, 0.5]
+CUMULATIVE_AXES = {
+    "uniform": build_grid(Domain(1.0, 1.0), 33, 33),
+    "breakpoints": build_grid(Domain(2.0, 0.5), 44, 25, [0.3, 1.37], [0.111]),
+}
+
+
+@pytest.mark.parametrize("name", CUMULATIVE_AXES)
+@pytest.mark.parametrize("sign", ["mixed", "positive"])
+def test_cumulative_matches_tables(name, sign):
+    # the tables' own products round too, so agreement is to roundoff of
+    # the integrals: 1e-15 max|f| on a unit axis, scaled by length^2 above it
+    grid = CUMULATIVE_AXES[name]
+    rng = np.random.default_rng(5)
+    f = rng.standard_normal(grid.shape)
+    if sign == "positive":
+        f = 1.0 + np.abs(f)
+    cases = [(grid.ax, f, 0, grid.ax.cum0 @ f, grid.ax.cum1 @ f),
+             (grid.ay, f, 1, f @ grid.ay.cum0.T, f @ grid.ay.cum1.T),
+             (grid.ax, f[:, 3], 0, grid.ax.cum0 @ f[:, 3], grid.ax.cum1 @ f[:, 3]),
+             (grid.ay, f[2], 0, grid.ay.cum0 @ f[2], grid.ay.cum1 @ f[2])]
+    for ax, v, axis, want0, want1 in cases:
+        tol = 1e-15 * float(np.max(np.abs(v))) * max(1.0, ax.length) ** 2
+        got0, got1 = ax.cumulative(v, axis)
+        assert got0.shape == got1.shape == v.shape
+        assert np.max(np.abs(got0 - want0)) <= tol
+        assert np.max(np.abs(got1 - want1)) <= tol
+        assert np.all(got0[(slice(None),) * axis + (0,)] == 0.0)
+        assert np.all(got1[(slice(None),) * axis + (0,)] == 0.0)
+
+
+def test_cumulative_rejects_mismatched_axis():
+    grid = build_grid(Domain(1.0, 1.0), 5, 6)
+    with pytest.raises(ValueError):
+        grid.ax.cumulative(np.zeros((5, 6)), 1)
+    with pytest.raises(ValueError):
+        grid.ax.cumulative(np.zeros(5), 1)
+
+
 def test_gridfn_shape_validation():
     grid = build_grid(Domain(1.0, 1.0), 4, 5)
     with pytest.raises(ValueError):

@@ -296,6 +296,21 @@ def test_dense_matches_matvec_columnwise():
                                    dense[:, col], atol=1e-12)
 
 
+def test_dense_matches_matvec_columnwise_on_breakpoint_grid():
+    rng = np.random.default_rng(16)
+    dom = Domain(2.0, 0.5)
+    grid = build_grid(dom, 6, 5, x_breakpoints=[0.3], y_breakpoints=[0.111])
+    prob, _, _ = random_forward_problem(rng, dom, grid, random_coefficients(rng))
+    op = assemble_eliminated(sample_problem(prob, grid))
+    dense = op.dense()
+    n = dense.shape[0]
+    for col in range(n):
+        e = np.zeros(n)
+        e[col] = 1.0
+        np.testing.assert_allclose(op.matvec(e.reshape(grid.shape)).ravel(),
+                                   dense[:, col], atol=1e-12)
+
+
 def test_matvec_linearity():
     rng = np.random.default_rng(14)
     grid = build_grid(DOM, 6, 5)

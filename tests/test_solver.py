@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -393,6 +394,40 @@ def test_grid_and_data_arrays_are_frozen():
     result = solve_problem(case.problem, grid)
     with pytest.raises(ValueError):
         result.bundle.u.values[0, 0] = 7.0
+
+
+def test_neumann_route_builds_no_weight_table():
+    # the matrix-free route integrates by running sums; the n x n tables
+    # are built only by the dense and coupled assemblies
+    grid = build_grid(DOM, 33, 33)
+    case = make_mms(trig_solution(), const_coeffs(c_xy=0.2, c_u=0.1), DOM)
+    for gate in (False, True):
+        result = solve_problem(case.problem, grid, method="neumann", residual_gate=gate)
+        assert result.report.converged
+    assert result.report.residual_pass
+    for ax in (grid.ax, grid.ay):
+        assert "cum0" not in vars(ax) and "cum1" not in vars(ax)
+
+
+def test_dense_route_peak_memory():
+    # K is assembled one row block at a time and I + K is formed in place:
+    # no temporary as large as K besides the inverse and LU copies
+    rng = np.random.default_rng(21)
+    grid = build_grid(DOM, 49, 49)
+    prob, _, _ = random_forward_problem(rng, DOM, grid, random_coefficients(rng))
+    op = assemble_eliminated(sample_problem(prob, grid))
+    k_bytes = (49 * 49) ** 2 * 8
+    tracemalloc.start()
+    try:
+        op.dense()
+        _, dense_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        solve_dense(op)
+        _, solve_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dense_peak <= 1.1 * k_bytes
+    assert solve_peak <= 3.2 * k_bytes
 
 
 # ------------------------------------------------------ residual-gate calibration
