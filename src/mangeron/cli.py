@@ -5,9 +5,11 @@ node, y varying in the outer loop) and JSON reports; all floating-point
 output carries 17 significant digits so identical runs produce byte
 identical files.
 
-Exit codes: 0 success, 2 configuration error, 3 data-consistency failure,
-4 solver failure (including a failed residual gate, a failed verify suite,
-and a dense or coupled solve refused above the dense limit).
+Exit codes: 0 success, 2 configuration error (including an expression that
+fails to evaluate on the grid and an output directory that cannot be
+created), 3 data-consistency failure, 4 solver failure (including a failed
+residual gate, a failed verify suite, and a dense or coupled solve refused
+above the dense limit).
 """
 
 from __future__ import annotations
@@ -91,8 +93,25 @@ def write_solution_csv(result: SolveResult, path: str):
                 fh.write(",".join(row) + "\n")
 
 
+def _check_out_dir(out_dir: str):
+    """Refuse, before any solving, an output directory that a file blocks.
+
+    Only the deepest existing part of the path is looked at; nothing is
+    created here, so a run that fails later leaves no directory behind.
+    """
+    path = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"cannot create output directory {out_dir}: "
+                          f"{path} is not a directory")
+
+
 def _out_path(out_dir: str, name: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
     return os.path.join(out_dir, name)
 
 
@@ -114,6 +133,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 
 def cmd_solve(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
+    _check_out_dir(args.out)
     grid = build_grid_from(cfg)
     problem, _ = build_problem(cfg, grid)
     result = solve_problem(problem, grid, method=cfg.solver.method,
@@ -249,6 +269,7 @@ def cmd_verify(args) -> int:
     if args.suite not in VERIFY_SUITES:
         raise ConfigError(f"unknown suite {args.suite!r} "
                           f"(available: {', '.join(sorted(VERIFY_SUITES))})")
+    _check_out_dir(args.out)
     case_names, sizes, rule = VERIFY_SUITES[args.suite]
     cases = named_cases()
     summary = {"suite": args.suite, "cases": {}, "passed": True}
@@ -326,7 +347,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, exprlang.ExprError) as exc:
+        # an expression error surfaces when a config expression is evaluated,
+        # for example a piecewise expression that leaves a node uncovered
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataConsistencyError as exc:

@@ -13,12 +13,13 @@ known solution.  All function values use the expression mini-language.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import exprlang
-from .fields import ANALYTIC, PIECEWISE, Field1D, Field2D, LINF_X_LP_Y, LP, LP_X_LINF_Y
+from .fields import ANALYTIC, PIECEWISE, Field1D, Field2D
 from .grids import Domain, Grid2D, build_grid
 from .norms import NormSpec
 from .problem import (BoundaryTrace, ClassicalData, Coefficients, NonclassicalData,
@@ -30,9 +31,6 @@ class ConfigError(ValueError):
 
 
 COEFF_KEYS = Coefficients.KEYS
-_COEFF_TAGS = {"c_xxy": LINF_X_LP_Y, "c_xx": LINF_X_LP_Y,
-               "c_xyy": LP_X_LINF_Y, "c_yy": LP_X_LINF_Y,
-               "c_xy": LP, "c_x": LP, "c_y": LP, "c_u": LP}
 
 NONCLASSICAL_SCALARS = ("u00", "ux00", "uy00", "u10", "uy10", "u01", "ux01")
 NONCLASSICAL_TRACES = {"uxx_bottom": "x", "uxx_top": "x",
@@ -61,7 +59,6 @@ class RunConfig:
     data_exprs: dict
     solver: SolverOptions
     reference_expr: object | None
-    raw_expressions: dict = field(default_factory=dict)
 
 
 def _parse_expr(text: str, variables, where: str):
@@ -117,7 +114,6 @@ def load_config(path: str) -> RunConfig:
     xb = _breakpoints(cp["grid"].get("x_breakpoints", ""))
     yb = _breakpoints(cp["grid"].get("y_breakpoints", ""))
 
-    raw: dict[str, str] = {}
     coeff_exprs = {}
     if cp.has_section("coefficients"):
         for key, text in cp["coefficients"].items():
@@ -125,12 +121,10 @@ def load_config(path: str) -> RunConfig:
                 raise ConfigError(f"unknown coefficient {key!r} "
                                   f"(expected one of {COEFF_KEYS})")
             coeff_exprs[key] = _parse_expr(text, ("x", "y"), f"coefficients.{key}")
-            raw[f"coefficients.{key}"] = text
 
     if "z" not in cp["forcing"]:
         raise ConfigError("section [forcing] must define z")
     forcing_expr = _parse_expr(cp["forcing"]["z"], ("x", "y"), "forcing.z")
-    raw["forcing.z"] = cp["forcing"]["z"]
 
     has_nc = cp.has_section("data.nonclassical")
     has_cl = cp.has_section("data.classical")
@@ -146,7 +140,6 @@ def load_config(path: str) -> RunConfig:
         for key, var in NONCLASSICAL_TRACES.items():
             text = sec.get(key, "zero")
             data_exprs[key] = _parse_expr(text, (var,), f"data.nonclassical.{key}")
-            raw[f"data.{key}"] = text
         for key in sec:
             if key not in NONCLASSICAL_SCALARS and key not in NONCLASSICAL_TRACES:
                 raise ConfigError(f"unknown data component {key!r}")
@@ -157,7 +150,6 @@ def load_config(path: str) -> RunConfig:
             if key not in sec:
                 raise ConfigError(f"data.classical must define {key!r}")
             data_exprs[key] = _parse_expr(sec[key], (var,), f"data.classical.{key}")
-            raw[f"data.{key}"] = sec[key]
         for key in sec:
             if key not in CLASSICAL_TRACES:
                 raise ConfigError(f"unknown data component {key!r}")
@@ -173,27 +165,30 @@ def load_config(path: str) -> RunConfig:
             solver.max_iter = int(sec.get("max_iter", solver.max_iter))
         except ValueError as exc:
             raise ConfigError(f"bad [solver] values: {exc}") from exc
+        if solver.max_iter < 1:
+            raise ConfigError(f"[solver] max_iter must be at least 1, got {solver.max_iter}")
+        if not (math.isfinite(solver.tol) and solver.tol > 0.0):
+            raise ConfigError(f"[solver] tol must be finite and positive, got {solver.tol}")
         solver.p = norm_exponent(sec.get("p", solver.p))
 
     reference_expr = None
     if cp.has_section("reference") and "u" in cp["reference"]:
         reference_expr = _parse_expr(cp["reference"]["u"], ("x", "y"), "reference.u")
-        raw["reference.u"] = cp["reference"]["u"]
 
     return RunConfig(domain=domain, n1=n1, n2=n2, x_breakpoints=xb, y_breakpoints=yb,
                      coeff_exprs=coeff_exprs, forcing_expr=forcing_expr,
                      data_kind=data_kind, data_exprs=data_exprs, solver=solver,
-                     reference_expr=reference_expr, raw_expressions=raw)
+                     reference_expr=reference_expr)
 
 
-def _field2d(node, tag: str) -> Field2D:
+def _field2d(node) -> Field2D:
     kind = PIECEWISE if exprlang.is_piecewise(node) else ANALYTIC
 
     def fn(x, y, _n=node):
         return exprlang.evaluate(_n, {"x": np.asarray(x, dtype=float),
                                       "y": np.asarray(y, dtype=float)})
 
-    return Field2D(fn, kind, tag)
+    return Field2D(fn, kind)
 
 
 def _field1d(node, var: str) -> Field1D:
@@ -215,10 +210,7 @@ def build_grid_from(cfg: RunConfig) -> Grid2D:
 
 
 def build_coefficients(cfg: RunConfig) -> Coefficients:
-    fields = {}
-    for key, node in cfg.coeff_exprs.items():
-        fields[key] = _field2d(node, _COEFF_TAGS[key])
-    return Coefficients(**fields)
+    return Coefficients(**{key: _field2d(node) for key, node in cfg.coeff_exprs.items()})
 
 
 def build_nonclassical(cfg: RunConfig) -> NonclassicalData:
@@ -257,7 +249,7 @@ def build_problem(cfg: RunConfig, grid: Grid2D):
     from .problem import classical_to_nonclassical
 
     coeffs = build_coefficients(cfg)
-    forcing = _field2d(cfg.forcing_expr, LP)
+    forcing = _field2d(cfg.forcing_expr)
     classical = None
     if cfg.data_kind == "classical":
         classical = build_classical(cfg)

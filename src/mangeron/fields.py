@@ -1,11 +1,10 @@
 """Evaluable scalar fields on the rectangle and on its axes.
 
-A field is a total evaluator plus two pieces of metadata: the kind of its
-representation (analytic closure, piecewise over axis-aligned rectangles,
-or grid samples) and a smoothness tag recording which mixed-norm class the
-field is meant to represent.  Piecewise fields must tile the domain exactly
-and are evaluated deterministically: on a shared edge the piece with the
-lexicographically smallest origin wins.
+A field is a total evaluator plus the kind of its representation (analytic
+closure, piecewise over axis-aligned rectangles, or grid samples).
+Piecewise fields must tile the domain exactly and are evaluated
+deterministically: on a shared edge the piece with the lexicographically
+smallest origin wins.
 """
 
 from __future__ import annotations
@@ -22,21 +21,12 @@ ANALYTIC = "analytic"
 PIECEWISE = "piecewise"
 SAMPLES = "samples"
 
-# smoothness tags (mixed-norm classes of the coefficients)
-CONTINUOUS = "continuous"
-LP = "Lp"
-LINF_X_LP_Y = "Linf_x*Lp_y"
-LP_X_LINF_Y = "Lp_x*Linf_y"
-
 _KINDS = (ANALYTIC, PIECEWISE, SAMPLES)
-_TAGS = (CONTINUOUS, LP, LINF_X_LP_Y, LP_X_LINF_Y)
 
 
-def _check_meta(kind: str, smoothness: str):
+def _check_kind(kind: str):
     if kind not in _KINDS:
         raise ValueError(f"unknown field kind {kind!r}")
-    if smoothness not in _TAGS:
-        raise ValueError(f"unknown smoothness tag {smoothness!r}")
 
 
 @dataclass(frozen=True)
@@ -45,10 +35,9 @@ class Field1D:
 
     fn: Callable
     kind: str = ANALYTIC
-    smoothness: str = CONTINUOUS
 
     def __post_init__(self):
-        _check_meta(self.kind, self.smoothness)
+        _check_kind(self.kind)
 
     def eval(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -73,10 +62,9 @@ class Field2D:
 
     fn: Callable
     kind: str = ANALYTIC
-    smoothness: str = CONTINUOUS
 
     def __post_init__(self):
-        _check_meta(self.kind, self.smoothness)
+        _check_kind(self.kind)
 
     def eval(self, x, y) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -90,22 +78,21 @@ class Field2D:
         return np.array(self.eval(grid.x[:, None], grid.y[None, :]))
 
 
-def const1d(c: float, smoothness: str = CONTINUOUS) -> Field1D:
+def const1d(c: float) -> Field1D:
     c = float(c)
-    return Field1D(lambda t, _c=c: np.full(np.shape(t), _c), ANALYTIC, smoothness)
+    return Field1D(lambda t, _c=c: np.full(np.shape(t), _c))
 
 
-def const2d(c: float, smoothness: str = CONTINUOUS) -> Field2D:
+def const2d(c: float) -> Field2D:
     c = float(c)
-    return Field2D(lambda x, y, _c=c: np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), _c),
-                   ANALYTIC, smoothness)
+    return Field2D(lambda x, y, _c=c: np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), _c))
 
 
 ZERO_1D = const1d(0.0)
 ZERO_2D = const2d(0.0)
 
 
-def samples1d(nodes, values, smoothness: str = CONTINUOUS) -> Field1D:
+def samples1d(nodes, values) -> Field1D:
     """Field defined by node samples; linear interpolation off the nodes."""
     nodes = np.array(nodes, dtype=float)
     values = np.array(values, dtype=float)
@@ -115,10 +102,10 @@ def samples1d(nodes, values, smoothness: str = CONTINUOUS) -> Field1D:
     def fn(t, _n=nodes, _v=values):
         return np.interp(np.clip(t, _n[0], _n[-1]), _n, _v)
 
-    return Field1D(fn, SAMPLES, smoothness)
+    return Field1D(fn, SAMPLES)
 
 
-def samples2d(grid: Grid2D, values, smoothness: str = CONTINUOUS) -> Field2D:
+def samples2d(grid: Grid2D, values) -> Field2D:
     """Field defined by grid samples; bilinear interpolation off the nodes."""
     values = np.array(values, dtype=float)
     if values.shape != grid.shape:
@@ -136,7 +123,7 @@ def samples2d(grid: Grid2D, values, smoothness: str = CONTINUOUS) -> Field2D:
         return ((1 - tx) * (1 - ty) * _v[i, j] + tx * (1 - ty) * _v[i + 1, j]
                 + (1 - tx) * ty * _v[i, j + 1] + tx * ty * _v[i + 1, j + 1])
 
-    return Field2D(fn, SAMPLES, smoothness)
+    return Field2D(fn, SAMPLES)
 
 
 @dataclass(frozen=True)
@@ -171,8 +158,7 @@ def _validate_tiling(pieces: Sequence[Piece2D], h1: float, h2: float):
         raise ValueError("pieces do not tile the domain (gap detected)")
 
 
-def piecewise2d(pieces: Sequence[Piece2D], h1: float, h2: float,
-                smoothness: str = LP) -> Field2D:
+def piecewise2d(pieces: Sequence[Piece2D], h1: float, h2: float) -> Field2D:
     """Piecewise field over axis-aligned rectangles tiling [0,h1] x [0,h2].
 
     Evaluation is deterministic at interface points: pieces are tried in
@@ -196,7 +182,7 @@ def piecewise2d(pieces: Sequence[Piece2D], h1: float, h2: float,
             raise ValueError("evaluation point not covered by any piece")
         return out
 
-    return Field2D(fn, PIECEWISE, smoothness)
+    return Field2D(fn, PIECEWISE)
 
 
 @dataclass(frozen=True)
@@ -210,7 +196,7 @@ class Segment1D:
             raise ValueError("degenerate segment")
 
 
-def piecewise1d(segments: Sequence[Segment1D], h: float, smoothness: str = LP) -> Field1D:
+def piecewise1d(segments: Sequence[Segment1D], h: float) -> Field1D:
     """Piecewise field over segments tiling [0, h]; lowest-origin piece wins."""
     segments = sorted(segments, key=lambda s: s.t0)
     length = sum(s.t1 - s.t0 for s in segments)
@@ -230,4 +216,4 @@ def piecewise1d(segments: Sequence[Segment1D], h: float, smoothness: str = LP) -
             raise ValueError("evaluation point not covered by any segment")
         return out
 
-    return Field1D(fn, PIECEWISE, smoothness)
+    return Field1D(fn, PIECEWISE)

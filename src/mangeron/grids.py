@@ -79,6 +79,8 @@ class Axis:
     weights : (n,) full-interval trapezoid weights
     moments : (n,) full-interval first-moment weights, ``moments @ f`` =
         integral of (length - t) f(t); the last row of cum1
+    moment_avg : (n,) ``moments / length``, the weights of the moment average
+        (1/length) * integral of (length - t) f(t)
     cum0 : (n, n) partial-integral weights, ``cum0[i] @ f`` = integral of f
         from 0 to nodes[i]; built on first use
     cum1 : (n, n) first-moment weights, ``cum1[i] @ f`` = integral of
@@ -98,6 +100,7 @@ class Axis:
         self.length = float(nodes[-1])
         self.weights = _frozen(trapezoid_weights(nodes))
         self.moments = _frozen(self.weights * (self.length - nodes))
+        self.moment_avg = _frozen(self.moments / self.length)
         self._steps = _frozen(np.diff(nodes))
 
     @cached_property

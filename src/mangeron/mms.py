@@ -231,7 +231,7 @@ def forward_problem(domain: Domain, grid: Grid2D, coeffs: Coefficients,
         uxxyy=GridFn2D(grid, core),
         uxy00_alt=corner)
     bundle = assemble_solution(sample_data(data, grid), unknowns, grid)
-    forcing = samples2d(grid, apply_pde_operator(coeffs.sample_all(grid), bundle).values)
+    forcing = samples2d(grid, apply_pde_operator(coeffs.sample_all(grid), bundle))
     return PdeProblem(domain, coeffs, forcing, data), bundle, unknowns
 
 

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (ANALYTIC, LINF_X_LP_Y, LP, LP_X_LINF_Y, SAMPLES,
-                     Field1D, Field2D, ZERO_1D, ZERO_2D, const2d, samples1d)
+from .fields import ANALYTIC, SAMPLES, Field1D, Field2D, ZERO_1D, ZERO_2D, samples1d
 from .grids import Axis, Domain, Grid2D, fd_derivatives, trapezoid_error_bound
 
 
@@ -43,21 +42,21 @@ class Coefficients:
     """The eight coefficient fields of the fourth-order operator.
 
     Each field is named by the derivative of u it multiplies; the leading
-    mixed fourth derivative has unit coefficient and is not stored.  Default
-    smoothness tags follow the admissible mixed-norm classes: coefficients of
-    x-second-derivative terms are bounded in x / integrable in y, those of
-    y-second-derivative terms the transpose, and the low-order ones merely
-    integrable.
+    mixed fourth derivative has unit coefficient and is not stored.  The
+    admissible mixed-norm classes: coefficients of x-second-derivative terms
+    (c_xxy, c_xx) are bounded in x and integrable in y, those of
+    y-second-derivative terms (c_xyy, c_yy) the transpose, and the low-order
+    ones merely integrable.  Missing coefficients are zero.
     """
 
-    c_xxy: Field2D = field(default_factory=lambda: const2d(0.0, LINF_X_LP_Y))
-    c_xyy: Field2D = field(default_factory=lambda: const2d(0.0, LP_X_LINF_Y))
-    c_xx: Field2D = field(default_factory=lambda: const2d(0.0, LINF_X_LP_Y))
-    c_yy: Field2D = field(default_factory=lambda: const2d(0.0, LP_X_LINF_Y))
-    c_xy: Field2D = field(default_factory=lambda: const2d(0.0, LP))
-    c_x: Field2D = field(default_factory=lambda: const2d(0.0, LP))
-    c_y: Field2D = field(default_factory=lambda: const2d(0.0, LP))
-    c_u: Field2D = field(default_factory=lambda: const2d(0.0, LP))
+    c_xxy: Field2D = ZERO_2D
+    c_xyy: Field2D = ZERO_2D
+    c_xx: Field2D = ZERO_2D
+    c_yy: Field2D = ZERO_2D
+    c_xy: Field2D = ZERO_2D
+    c_x: Field2D = ZERO_2D
+    c_y: Field2D = ZERO_2D
+    c_u: Field2D = ZERO_2D
 
     KEYS = ("c_xxy", "c_xyy", "c_xx", "c_yy", "c_xy", "c_x", "c_y", "c_u")
 
@@ -87,8 +86,7 @@ class NonclassicalData:
     def scaled(self, factor: float) -> "NonclassicalData":
         """Data multiplied by a scalar (the whole element is a vector)."""
         def s1(f: Field1D) -> Field1D:
-            return Field1D(lambda t, _f=f.fn, _c=factor: _c * np.asarray(_f(t)),
-                           f.kind, f.smoothness)
+            return Field1D(lambda t, _f=f.fn, _c=factor: _c * np.asarray(_f(t)), f.kind)
         return NonclassicalData(
             factor * self.u00, factor * self.ux00, factor * self.uy00,
             s1(self.uxx_bottom), s1(self.uyy_left),
@@ -98,7 +96,7 @@ class NonclassicalData:
     def plus(self, other: "NonclassicalData") -> "NonclassicalData":
         def a1(f: Field1D, g: Field1D) -> Field1D:
             return Field1D(lambda t, _f=f.fn, _g=g.fn: np.asarray(_f(t)) + np.asarray(_g(t)),
-                           f.kind if f.kind == g.kind else ANALYTIC, f.smoothness)
+                           f.kind if f.kind == g.kind else ANALYTIC)
         return NonclassicalData(
             self.u00 + other.u00, self.ux00 + other.ux00, self.uy00 + other.uy00,
             a1(self.uxx_bottom, other.uxx_bottom), a1(self.uyy_left, other.uyy_left),
@@ -110,7 +108,13 @@ class NonclassicalData:
 
 @dataclass(frozen=True)
 class SampledData:
-    """Nonclassical data sampled on one grid, plus derived route quantities."""
+    """Nonclassical data sampled on one grid, plus derived route quantities.
+
+    The base part of the solution, fixed by the origin corner and the bottom
+    and left traces, is separable: u = base_x(x) + base_y(y), ux = base_ux(x),
+    uy = base_uy(y), uxx = uxx_bottom(x), uyy = uyy_left(y), and every mixed
+    derivative is zero.  It is held as those 1-D vectors only.
+    """
 
     u00: float
     ux00: float
@@ -127,19 +131,28 @@ class SampledData:
     d_uyy: np.ndarray        # (uyy_right - uyy_left) / h1, per y node
     d_uy: float              # (uy10 - uy00) / h1
     d_ux: float              # (ux01 - ux00) / h2
+    base_x: np.ndarray       # u00 + x ux00 + cum1(uxx_bottom), (n1,)
+    base_y: np.ndarray       # y uy00 + cum1(uyy_left), (n2,)
+    base_ux: np.ndarray      # ux00 + cum0(uxx_bottom), (n1,)
+    base_uy: np.ndarray      # uy00 + cum0(uyy_left), (n2,)
 
 
 def sample_data(data: NonclassicalData, grid: Grid2D) -> SampledData:
     h1, h2 = grid.domain.h1, grid.domain.h2
-    uxx_b = data.uxx_bottom.sample(grid.ax)
-    uxx_t = data.uxx_top.sample(grid.ax)
-    uyy_l = data.uyy_left.sample(grid.ay)
-    uyy_r = data.uyy_right.sample(grid.ay)
+    ax, ay = grid.ax, grid.ay
+    uxx_b = data.uxx_bottom.sample(ax)
+    uxx_t = data.uxx_top.sample(ax)
+    uyy_l = data.uyy_left.sample(ay)
+    uyy_r = data.uyy_right.sample(ay)
+    run_x, mom_x = ax.cumulative(uxx_b)
+    run_y, mom_y = ay.cumulative(uyy_l)
     return SampledData(
         data.u00, data.ux00, data.uy00, data.u10, data.uy10, data.u01, data.ux01,
         uxx_b, uxx_t, uyy_l, uyy_r,
         (uxx_t - uxx_b) / h2, (uyy_r - uyy_l) / h1,
-        (data.uy10 - data.uy00) / h1, (data.ux01 - data.ux00) / h2)
+        (data.uy10 - data.uy00) / h1, (data.ux01 - data.ux00) / h2,
+        data.u00 + ax.nodes * data.ux00 + mom_x, ay.nodes * data.uy00 + mom_y,
+        data.ux00 + run_x, data.uy00 + run_y)
 
 
 @dataclass(frozen=True)
@@ -267,9 +280,10 @@ def nonclassical_to_classical(data: NonclassicalData, domain: Domain,
     ax, ay = grid.ax, grid.ay
     sd = sample_data(data, grid)
 
-    left_vals = sd.u00 + ay.nodes * sd.uy00 + ay.cumulative(sd.uyy_left)[1]
+    # the bottom and left edges are traces of the base part
+    left_vals = sd.u00 + sd.base_y
     right_vals = sd.u10 + ay.nodes * sd.uy10 + ay.cumulative(sd.uyy_right)[1]
-    bottom_vals = sd.u00 + ax.nodes * sd.ux00 + ax.cumulative(sd.uxx_bottom)[1]
+    bottom_vals = sd.base_x
     top_vals = sd.u01 + ax.nodes * sd.ux01 + ax.cumulative(sd.uxx_top)[1]
 
     return ClassicalData(

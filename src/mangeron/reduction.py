@@ -16,6 +16,11 @@ system are derived from that table, so the two assemblies agree to
 linear-solver roundoff; this is exercised as a cross-check downstream.
 The matrix-free product applies A and B by running sums (`Axis.cumulative`)
 in O(n1 n2); only the dense assemblies read the weight tables.
+
+The base part is separable (a function of x plus a function of y), so it
+enters only the right-hand side, through the five non-mixed terms of the
+operator; `reduced_rhs` reads it as the 1-D vectors of `SampledData` and
+makes no base grid.  The stages exchange plain arrays; g is read-only.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Axis, Grid2D, GridFn2D
-from .problem import SampledData, SampledProblem
+from .grids import Axis, Grid2D
+from .problem import SampledProblem
 
 #: largest node count for which the dense kernel matrix may be materialized
 DENSE_NODE_LIMIT = 70 * 70
@@ -45,41 +50,7 @@ def _check_dense_limit(n_nodes: int):
                               "use the matrix-free matvec")
 
 
-class BaseBundle:
-    """The data-determined base part of the solution and its derivatives.
-
-    The base is an additively separable function of x and y, so every mixed
-    derivative vanishes identically; only u, ux, uy, uxx, uyy are stored.
-    uxx depends on x alone (constant along grid columns) and uyy on y alone.
-    """
-
-    def __init__(self, grid: Grid2D, sd: SampledData):
-        ax, ay = grid.ax, grid.ay
-        x, y = ax.nodes, ay.nodes
-        # running integral and first moment (x - t) of uxx_bottom up to x
-        run_x, mom_x = ax.cumulative(sd.uxx_bottom)
-        run_y, mom_y = ay.cumulative(sd.uyy_left)
-        n1, n2 = grid.shape
-        u = sd.u00 + x[:, None] * sd.ux00 + y[None, :] * sd.uy00 \
-            + mom_x[:, None] + mom_y[None, :]
-        ux = np.broadcast_to((sd.ux00 + run_x)[:, None], (n1, n2))
-        uy = np.broadcast_to((sd.uy00 + run_y)[None, :], (n1, n2))
-        uxx = np.broadcast_to(sd.uxx_bottom[:, None], (n1, n2))
-        uyy = np.broadcast_to(sd.uyy_left[None, :], (n1, n2))
-        self.grid = grid
-        self.u = GridFn2D(grid, u)
-        self.ux = GridFn2D(grid, ux)
-        self.uy = GridFn2D(grid, uy)
-        self.uxx = GridFn2D(grid, uxx)
-        self.uyy = GridFn2D(grid, uyy)
-
-
-def assemble_base(sd: SampledData, grid: Grid2D) -> BaseBundle:
-    """Base part of the solution from the origin corner and near-edge data."""
-    return BaseBundle(grid, sd)
-
-
-def apply_pde_operator(c: dict[str, np.ndarray], bundle) -> GridFn2D:
+def apply_pde_operator(c: dict[str, np.ndarray], bundle) -> np.ndarray:
     """Pointwise application of the full fourth-order operator to a bundle.
 
     `c` holds the coefficient grids on the bundle's grid (as sampled by
@@ -87,43 +58,34 @@ def apply_pde_operator(c: dict[str, np.ndarray], bundle) -> GridFn2D:
     grids (u .. uxxyy); the result is uxxyy + c_xxy uxxy + c_xyy uxyy
     + c_xx uxx + c_yy uyy + c_xy uxy + c_x ux + c_y uy + c_u u at every node.
     """
-    grid = bundle.u.grid
     for key in ("u", "ux", "uy", "uxx", "uyy", "uxy", "uxxy", "uxyy", "uxxyy"):
         if getattr(bundle, key, None) is None:
             raise ValueError(f"bundle is missing derivative grid {key!r}")
-    v = (bundle.uxxyy.values
-         + c["c_xxy"] * bundle.uxxy.values
-         + c["c_xyy"] * bundle.uxyy.values
-         + c["c_xx"] * bundle.uxx.values
-         + c["c_yy"] * bundle.uyy.values
-         + c["c_xy"] * bundle.uxy.values
-         + c["c_x"] * bundle.ux.values
-         + c["c_y"] * bundle.uy.values
-         + c["c_u"] * bundle.u.values)
-    return GridFn2D(grid, v)
+    return (bundle.uxxyy.values
+            + c["c_xxy"] * bundle.uxxy.values
+            + c["c_xyy"] * bundle.uxyy.values
+            + c["c_xx"] * bundle.uxx.values
+            + c["c_yy"] * bundle.uyy.values
+            + c["c_xy"] * bundle.uxy.values
+            + c["c_x"] * bundle.ux.values
+            + c["c_y"] * bundle.uy.values
+            + c["c_u"] * bundle.u.values)
 
 
-def reduced_rhs(sp: SampledProblem, base: BaseBundle) -> GridFn2D:
+def reduced_rhs(sp: SampledProblem) -> np.ndarray:
     """Forcing minus the operator applied to the base part.
 
     Every mixed derivative of the base vanishes identically, so only the
-    five non-mixed terms survive.
+    five non-mixed terms survive; each reads the base's 1-D vectors in
+    `SampledData` by broadcasting.
     """
-    c = sp.coeffs
-    v = sp.forcing - (
-        c["c_xx"] * base.uxx.values
-        + c["c_yy"] * base.uyy.values
-        + c["c_x"] * base.ux.values
-        + c["c_y"] * base.uy.values
-        + c["c_u"] * base.u.values)
-    return GridFn2D(base.grid, v)
-
-
-def _moment_average_weights(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
-    """Weights of (1/h) * integral of (h - t) f(t) dt over each full axis."""
-    m1x = grid.wx * (grid.domain.h1 - grid.x) / grid.domain.h1
-    m2y = grid.wy * (grid.domain.h2 - grid.y) / grid.domain.h2
-    return m1x, m2y
+    c, sd = sp.coeffs, sp.data
+    return sp.forcing - (
+        c["c_xx"] * sd.uxx_bottom[:, None]
+        + c["c_yy"] * sd.uyy_left[None, :]
+        + c["c_x"] * sd.base_ux[:, None]
+        + c["c_y"] * sd.base_uy[None, :]
+        + c["c_u"] * (sd.base_x[:, None] + sd.base_y[None, :]))
 
 
 @dataclass(frozen=True)
@@ -194,11 +156,14 @@ class DiscreteOperator:
         grid, sd = sp.grid, sp.data
         self.grid = grid
         self.terms = kernel_terms(sp.coeffs, grid)
-        self.m1x, self.m2y = _moment_average_weights(grid)
+        self.m1x = grid.ax.moment_avg
+        self.m2y = grid.ay.moment_avg
         # data part of the corner unknown (bottom-edge route)
         corner_data = sd.d_uy - float(self.m1x @ sd.d_uxx)
-        rr = reduced_rhs(sp, assemble_base(sd, grid))
-        self.g = GridFn2D(grid, rr.values - self.lower(corner_data, sd.d_uxx, sd.d_uyy))
+        g = reduced_rhs(sp)
+        g -= self.lower(corner_data, sd.d_uxx, sd.d_uyy)
+        g.flags.writeable = False
+        self.g = g
 
     def _along_x(self, v: np.ndarray) -> dict[str, np.ndarray]:
         """A v for every x-side operator A; v is indexed by x first."""
@@ -308,22 +273,20 @@ class CoupledSystem:
 
         op = DiscreteOperator(sp)
         h1, h2 = grid.domain.h1, grid.domain.h2
-        mom1x = grid.wx * (h1 - grid.x)     # full first-moment weights in x
-        mom2y = grid.wy * (h2 - grid.y)
 
         a = np.zeros((size, size))
         b = np.zeros(size)
 
         # corner row (bottom-edge route)
         a[0, 0] = h1
-        a[0, self.s_edge_x] = mom1x
+        a[0, self.s_edge_x] = grid.ax.moments
         b[0] = sd.uy10 - sd.uy00
 
         # left-edge unknown rows, one per y node (right-edge conditions)
         rows = np.arange(n2)
         a[1 + n1 + rows, 1 + n1 + rows] = h1
         blk = np.zeros((n2, n1, n2))
-        blk[rows, :, rows] = mom1x[None, :]
+        blk[rows, :, rows] = grid.ax.moments[None, :]
         a[self.s_edge_y, self.s_core] = blk.reshape(n2, n_core)
         b[self.s_edge_y] = sd.uyy_right - sd.uyy_left
 
@@ -331,7 +294,7 @@ class CoupledSystem:
         rows = np.arange(n1)
         a[1 + rows, 1 + rows] = h2
         blk = np.zeros((n1, n1, n2))
-        blk[rows, rows, :] = mom2y[None, :]
+        blk[rows, rows, :] = grid.ay.moments[None, :]
         a[self.s_edge_x, self.s_core] = blk.reshape(n1, n_core)
         b[self.s_edge_x] = sd.uxx_top - sd.uxx_bottom
 
@@ -345,7 +308,7 @@ class CoupledSystem:
         core = op.assemble([t for t in op.terms if MOM not in (t.x, t.y)])
         core[np.arange(n_core), np.arange(n_core)] += 1.0
         a[self.s_core, self.s_core] = core
-        b[self.s_core] = reduced_rhs(sp, assemble_base(sd, grid)).values.ravel()
+        b[self.s_core] = reduced_rhs(sp).ravel()
 
         self.matrix = a
         self.rhs = b

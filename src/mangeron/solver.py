@@ -24,9 +24,8 @@ from .grids import Domain, Grid2D, GridFn1D, GridFn2D
 from .norms import NormSpec, data_norm, lp_norm, sobolev_norm
 from .problem import (Coefficients, ConstraintError, NonclassicalData, PdeProblem,
                       SampledData, SampledProblem, check_data_constraints, sample_problem)
-from .reduction import (DenseLimitError, DiscreteOperator, _moment_average_weights,
-                        apply_pde_operator, assemble_base, assemble_coupled,
-                        assemble_eliminated)
+from .reduction import (DenseLimitError, DiscreteOperator, apply_pde_operator,
+                        assemble_coupled, assemble_eliminated)
 
 #: consecutive growing updates before the iteration is declared divergent
 DIVERGENCE_PATIENCE = 5
@@ -95,7 +94,7 @@ class NeumannInfo:
 
 
 def solve_neumann(op: DiscreteOperator, tol: float = 1e-10,
-                  max_iter: int = 200) -> tuple[GridFn2D, NeumannInfo]:
+                  max_iter: int = 200) -> tuple[np.ndarray, NeumannInfo]:
     """Successive approximations b <- g - K b started from b = g.
 
     Stops when the sup-norm update drops below `tol`.  Divergence (five
@@ -103,13 +102,13 @@ def solve_neumann(op: DiscreteOperator, tol: float = 1e-10,
     `max_iter`) is a reported state, not an exception; the last finite
     iterate is returned so a dense fallback can be compared against it.
     """
-    g = op.g.values
+    g = op.g
     b = g.copy()
     info = NeumannInfo(iterations=0, final_update_norm=0.0, converged=False, diverged=False)
     if not np.any(g):
         # zero data: fixed point is zero regardless of K
         info.converged = True
-        return GridFn2D(op.grid, b), info
+        return b, info
     grows = 0
     prev_update = None
     for it in range(1, max_iter + 1):
@@ -120,24 +119,24 @@ def solve_neumann(op: DiscreteOperator, tol: float = 1e-10,
         info.update_norms.append(upd)
         if not math.isfinite(upd):
             info.diverged = True
-            return GridFn2D(op.grid, b), info
+            return b, info
         b = nxt
         if upd <= tol:
             info.converged = True
-            return GridFn2D(op.grid, b), info
+            return b, info
         if prev_update is not None and upd > prev_update:
             grows += 1
             if grows >= DIVERGENCE_PATIENCE:
                 info.diverged = True
-                return GridFn2D(op.grid, b), info
+                return b, info
         else:
             grows = 0
         prev_update = upd
     info.diverged = True
-    return GridFn2D(op.grid, b), info
+    return b, info
 
 
-def solve_dense(op: DiscreteOperator) -> tuple[GridFn2D, float]:
+def solve_dense(op: DiscreteOperator) -> tuple[np.ndarray, float]:
     """Direct LU solve of (I + K) b = g; returns the core and a condition estimate.
 
     A grid over the dense limit, or one whose matrices do not fit in memory,
@@ -152,13 +151,13 @@ def solve_dense(op: DiscreteOperator) -> tuple[GridFn2D, float]:
     if not math.isfinite(cond) or cond > 1e15:
         raise SolverError(f"second-kind system numerically singular (cond ~ {cond:.3e})")
     try:
-        sol = np.linalg.solve(a, op.g.values.ravel())
+        sol = np.linalg.solve(a, op.g.ravel())
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"dense solve failed (cond ~ {cond:.3e})") from exc
-    return GridFn2D(op.grid, sol.reshape(op.grid.shape)), cond
+    return sol.reshape(op.grid.shape), cond
 
 
-def reconstruct_lower(sd: SampledData, core: GridFn2D,
+def reconstruct_lower(sd: SampledData, core: np.ndarray,
                       grid: Grid2D) -> ReducedUnknowns:
     """Recover the edge and corner unknowns from the solved core.
 
@@ -167,17 +166,16 @@ def reconstruct_lower(sd: SampledData, core: GridFn2D,
     from the bottom-edge route; the alternative left-edge route is computed
     as well and retained for the route-gap diagnostic.
     """
-    m1x, m2y = _moment_average_weights(grid)
-    b = core.values
-    edge_x = sd.d_uxx - b @ m2y
-    edge_y = sd.d_uyy - m1x @ b
+    m1x, m2y = grid.ax.moment_avg, grid.ay.moment_avg
+    edge_x = sd.d_uxx - core @ m2y
+    edge_y = sd.d_uyy - m1x @ core
     corner = float(sd.d_uy - m1x @ edge_x)
     corner_alt = float(sd.d_ux - m2y @ edge_y)
     return ReducedUnknowns(
         uxy00=corner,
         uxxy_bottom=GridFn1D(grid.ax, edge_x),
         uxyy_left=GridFn1D(grid.ay, edge_y),
-        uxxyy=core,
+        uxxyy=GridFn2D(grid, core),
         uxy00_alt=corner_alt)
 
 
@@ -197,7 +195,6 @@ def assemble_solution(sd: SampledData, unknowns: ReducedUnknowns,
     ey = unknowns.uxyy_left.values
     b = unknowns.uxxyy.values
 
-    base = assemble_base(sd, grid)
     i_ex0, i_ex1 = ax.cumulative(ex)     # integrals of u_xxy(s, 0), kernel 1 and (x - s)
     i_ey0, i_ey1 = ay.cumulative(ey)
     bx0, bx1 = ax.cumulative(b, 0)
@@ -205,9 +202,10 @@ def assemble_solution(sd: SampledData, unknowns: ReducedUnknowns,
     dbl00, dbl01 = ay.cumulative(bx0, 1)   # plain double integral; moment kernel in y
     ry0, ry1 = ay.cumulative(b, 1)         # y-partial integrals along each grid row
 
-    u = base.u.values + x * y * corner + y * i_ex1[:, None] + x * i_ey1[None, :] + dbl11
-    ux = base.ux.values + y * corner + y * i_ex0[:, None] + i_ey1[None, :] + dbl01
-    uy = base.uy.values + x * corner + i_ex1[:, None] + x * i_ey0[None, :] + dbl10
+    u = (sd.base_x[:, None] + sd.base_y[None, :] + x * y * corner
+         + y * i_ex1[:, None] + x * i_ey1[None, :] + dbl11)
+    ux = sd.base_ux[:, None] + y * corner + y * i_ex0[:, None] + i_ey1[None, :] + dbl01
+    uy = sd.base_uy[None, :] + x * corner + i_ex1[:, None] + x * i_ey0[None, :] + dbl10
     uxx = sd.uxx_bottom[:, None] + y * ex[:, None] + ry1
     uyy = sd.uyy_left[None, :] + x * ey[None, :] + bx1
     uxy = corner + i_ex0[:, None] + i_ey0[None, :] + dbl00
@@ -241,7 +239,8 @@ def residual_report(sp: SampledProblem, bundle: SolutionBundle,
     """
     grid = bundle.grid
     v = apply_pde_operator(sp.coeffs, bundle)
-    pde = lp_norm(GridFn2D(grid, v.values - sp.forcing), spec)
+    v -= sp.forcing
+    pde = lp_norm(GridFn2D(grid, v), spec)
     sd = sp.data
     u, ux, uy = bundle.u.values, bundle.ux.values, bundle.uy.values
     uxx, uyy = bundle.uxx.values, bundle.uyy.values
@@ -394,12 +393,11 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
 
     if method == "coupled":
         try:
-            _, _, _, core_arr, cond = assemble_coupled(sp).solve()
+            _, _, _, core, cond = assemble_coupled(sp).solve()
         except (DenseLimitError, MemoryError) as exc:
             raise SolverError(f"coupled solve refused: {exc}") from exc
         except np.linalg.LinAlgError as exc:
             raise SolverError(str(exc)) from exc
-        core = GridFn2D(grid, core_arr)
         method_used = "coupled-dense"
     elif method in ("auto", "neumann", "dense"):
         op = assemble_eliminated(sp)

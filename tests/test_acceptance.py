@@ -61,8 +61,8 @@ def test_criterion_02_coupled_vs_eliminated_equivalence():
         prob, _, _ = random_forward_problem(rng, DOM, grid, coeffs)
         _, _, _, core_coupled, _ = assemble_coupled(sample_problem(prob, grid)).solve()
         core_elim, _ = solve_dense(assemble_eliminated(sample_problem(prob, grid)))
-        scale = float(np.max(np.abs(core_elim.values)))
-        rel = float(np.max(np.abs(core_coupled - core_elim.values))) / scale
+        scale = float(np.max(np.abs(core_elim)))
+        rel = float(np.max(np.abs(core_coupled - core_elim))) / scale
         worst = max(worst, rel)
         assert rel <= 1e-8
     elapsed = time.perf_counter() - start
@@ -88,7 +88,7 @@ def test_criterion_03_successive_approximations_vs_direct():
         core_n, info = solve_neumann(op, tol=1e-12)
         assert info.converged, "expected convergence for a small-coefficient case"
         core_d, _ = solve_dense(op)
-        gap = float(np.max(np.abs(core_n.values - core_d.values)))
+        gap = float(np.max(np.abs(core_n - core_d)))
         worst = max(worst, gap)
         assert gap <= 1e-9
 

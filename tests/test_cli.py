@@ -114,6 +114,54 @@ def test_invalid_norm_exponent_exits_two(tmp_path, capsys, p):
     assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
 
+@pytest.mark.parametrize("setting", ["max_iter = 0", "max_iter = -3",
+                                     "tol = nan", "tol = 0", "tol = -1e-10"])
+def test_invalid_solver_options_exit_two(tmp_path, capsys, setting):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text((CONFIGS / "zero.cfg").read_text() + setting + "\n")
+    assert run(["solve", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [solver]") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_uncovered_piecewise_expression_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "pw.cfg"
+    cfg.write_text((CONFIGS / "zero.cfg").read_text()
+                   + "\n[coefficients]\nc_u = piecewise((0, 0.5, 0, 1): 1)\n")
+    assert run(["solve", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "cover" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_output_path_under_a_file_exits_two(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run(["solve", "--config", CONFIGS / "zero.cfg", "--out", blocker / "sub"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["file"]
+
+
+@pytest.mark.parametrize("command", [["solve", "--config", CONFIGS / "zero.cfg"],
+                                     ["verify", "--suite", "exact-bilinear"]])
+def test_blocked_output_path_exits_before_solving(tmp_path, monkeypatch, command):
+    import mangeron.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved although the output path is blocked")
+
+    monkeypatch.setattr(cli, "solve_problem", refuse)
+    monkeypatch.setattr(cli, "convergence_study", refuse)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run(command + ["--out", blocker / "sub"]) == 2
+    assert run(command + ["--out", blocker]) == 2
+    assert sorted(os.listdir(tmp_path)) == ["file"]
+
+
 def test_convert_plane_classical_to_nonclassical(tmp_path):
     assert run(["convert", "--config", CONFIGS / "plane_classical.cfg",
                 "--direction", "to-nonclassical", "--out", tmp_path]) == 0

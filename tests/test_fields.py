@@ -18,8 +18,6 @@ def test_constant_fields_broadcast():
 def test_metadata_validation():
     with pytest.raises(ValueError):
         Field1D(lambda t: t, kind="weird")
-    with pytest.raises(ValueError):
-        Field2D(lambda x, y: x, smoothness="nope")
 
 
 def test_samples1d_linear_interpolation():

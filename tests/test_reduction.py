@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mangeron import (Coefficients, Domain, Field2D, NonclassicalData, PdeProblem,
-                      apply_pde_operator, assemble_base, assemble_coupled,
+from mangeron import (Coefficients, Domain, Field2D, GridFn2D, NonclassicalData, PdeProblem,
+                      apply_pde_operator, assemble_coupled,
                       assemble_eliminated, assemble_solution, build_grid, const1d,
                       const2d, random_coefficients, random_forward_problem,
                       reconstruct_lower, reduced_rhs, sample_data, sample_problem)
@@ -19,18 +19,29 @@ def const_coeffs(**kv):
     return Coefficients(**{k: const2d(v) for k, v in kv.items()})
 
 
+def base_grids(sd, grid):
+    """The base part's five non-mixed grids, broadcast from its 1-D vectors."""
+    class Base:
+        u = GridFn2D(grid, sd.base_x[:, None] + sd.base_y[None, :])
+        ux = GridFn2D(grid, np.broadcast_to(sd.base_ux[:, None], grid.shape))
+        uy = GridFn2D(grid, np.broadcast_to(sd.base_uy[None, :], grid.shape))
+        uxx = GridFn2D(grid, np.broadcast_to(sd.uxx_bottom[:, None], grid.shape))
+        uyy = GridFn2D(grid, np.broadcast_to(sd.uyy_left[None, :], grid.shape))
+    return Base
+
+
 # ------------------------------------------------------------- base bundle
 
 def test_base_zero_data():
     grid = build_grid(DOM, 9, 9)
-    base = assemble_base(sample_data(NonclassicalData(), grid), grid)
+    base = base_grids(sample_data(NonclassicalData(), grid), grid)
     for g in (base.u, base.ux, base.uy, base.uxx, base.uyy):
         np.testing.assert_allclose(g.values, 0.0, atol=1e-15)
 
 
 def test_base_affine_data():
     grid = build_grid(DOM, 9, 9)
-    base = assemble_base(sample_data(NonclassicalData(u00=1.0, ux00=2.0), grid), grid)
+    base = base_grids(sample_data(NonclassicalData(u00=1.0, ux00=2.0), grid), grid)
     xx, _ = grid.meshgrid()
     np.testing.assert_allclose(base.u.values, 1.0 + 2.0 * xx, atol=1e-14)
     np.testing.assert_allclose(base.ux.values, 2.0, atol=1e-14)
@@ -40,7 +51,7 @@ def test_base_affine_data():
 def test_base_constant_curvature():
     # uxx trace == 2 integrates to u = x^2 exactly (linear moment integrand)
     grid = build_grid(DOM, 21, 21)
-    base = assemble_base(sample_data(NonclassicalData(uxx_bottom=const1d(2.0)), grid), grid)
+    base = base_grids(sample_data(NonclassicalData(uxx_bottom=const1d(2.0)), grid), grid)
     xx, _ = grid.meshgrid()
     np.testing.assert_allclose(base.u.values, xx**2, atol=1e-12)
     np.testing.assert_allclose(base.uxx.values, 2.0, atol=1e-15)
@@ -54,24 +65,24 @@ def test_apply_operator_bilinear_with_cxy():
     grid = build_grid(DOM, 9, 9)
     bundle = exact_bundle(SeparableSolution(((sep_poly(0, 1), sep_poly(0, 1)),)), grid)
     out = apply_pde_operator(const_coeffs(c_xy=1.0).sample_all(grid), bundle)
-    np.testing.assert_allclose(out.values, 1.0, atol=1e-14)
+    np.testing.assert_allclose(out, 1.0, atol=1e-14)
 
 
 def test_apply_operator_biquadratic():
     grid = build_grid(DOM, 9, 9)
     bundle = exact_bundle(biquadratic_solution(), grid)
     out = apply_pde_operator(Coefficients().sample_all(grid), bundle)
-    np.testing.assert_allclose(out.values, 4.0, atol=1e-13)
+    np.testing.assert_allclose(out, 4.0, atol=1e-13)
     out = apply_pde_operator(const_coeffs(c_u=1.0).sample_all(grid), bundle)
     xx, yy = grid.meshgrid()
-    np.testing.assert_allclose(out.values, 4.0 + xx**2 * yy**2, atol=1e-13)
+    np.testing.assert_allclose(out, 4.0 + xx**2 * yy**2, atol=1e-13)
 
 
 def test_apply_operator_rejects_partial_bundle():
     grid = build_grid(DOM, 5, 5)
 
     class Partial:
-        u = assemble_base(sample_data(NonclassicalData(), grid), grid).u
+        u = base_grids(sample_data(NonclassicalData(), grid), grid).u
     with pytest.raises(ValueError):
         apply_pde_operator(Coefficients().sample_all(grid), Partial())
 
@@ -83,15 +94,15 @@ def test_reduced_rhs_zero_coefficients_equals_forcing():
     forcing = Field2D(lambda x, y: 1.0 + x * y)
     sp = sample_problem(PdeProblem(DOM, Coefficients(), forcing, NonclassicalData(uy10=1.0)),
                         grid)
-    rr = reduced_rhs(sp, assemble_base(sp.data, grid))
-    np.testing.assert_allclose(rr.values, forcing.sample(grid), atol=1e-15)
+    rr = reduced_rhs(sp)
+    np.testing.assert_allclose(rr, forcing.sample(grid), atol=1e-15)
 
 
 def test_reduced_rhs_all_zero():
     grid = build_grid(DOM, 9, 9)
     sp = sample_problem(PdeProblem(DOM, const_coeffs(c_u=1.0, c_x=0.5)), grid)
-    rr = reduced_rhs(sp, assemble_base(sp.data, grid))
-    np.testing.assert_allclose(rr.values, 0.0, atol=1e-15)
+    rr = reduced_rhs(sp)
+    np.testing.assert_allclose(rr, 0.0, atol=1e-15)
 
 
 def test_reduced_rhs_matches_analytic_derivation():
@@ -103,11 +114,11 @@ def test_reduced_rhs_matches_analytic_derivation():
     u = SeparableSolution(((shift, shift),))
     case = make_mms(u, const_coeffs(c_u=1.0), DOM)
     sp = sample_problem(case.problem, grid)
-    rr = reduced_rhs(sp, assemble_base(sp.data, grid))
+    rr = reduced_rhs(sp)
     xx, yy = grid.meshgrid()
     expect = (4.0 + (1 + xx) ** 2 * (1 + yy) ** 2
               - (1.0 + 2 * xx + 2 * yy + xx**2 + yy**2))
-    np.testing.assert_allclose(rr.values, expect, atol=1e-10)
+    np.testing.assert_allclose(rr, expect, atol=1e-10)
 
 
 def test_reduced_rhs_agrees_with_full_operator_on_base():
@@ -118,16 +129,15 @@ def test_reduced_rhs_agrees_with_full_operator_on_base():
     coeffs = random_coefficients(rng)
     prob, _, _ = random_forward_problem(rng, DOM, grid, coeffs)
     sp = sample_problem(prob, grid)
-    base = assemble_base(sp.data, grid)
+    base = base_grids(sp.data, grid)
 
     class BaseAsBundle:
         u, ux, uy, uxx, uyy = base.u, base.ux, base.uy, base.uxx, base.uyy
-        from mangeron import GridFn2D as _G
-        uxy = uxxy = uxyy = uxxyy = _G(grid, np.zeros(grid.shape))
+        uxy = uxxy = uxyy = uxxyy = GridFn2D(grid, np.zeros(grid.shape))
 
-    direct = prob.forcing.sample(grid) - apply_pde_operator(sp.coeffs, BaseAsBundle()).values
-    rr = reduced_rhs(sp, base)
-    np.testing.assert_allclose(rr.values, direct, rtol=1e-12, atol=1e-12)
+    direct = prob.forcing.sample(grid) - apply_pde_operator(sp.coeffs, BaseAsBundle())
+    rr = reduced_rhs(sp)
+    np.testing.assert_allclose(rr, direct, rtol=1e-12, atol=1e-12)
 
 
 # ------------------------------------------------- pointwise kernels (oracle)
@@ -249,7 +259,7 @@ def test_zero_coefficients_give_identity_operator():
     np.testing.assert_allclose(op.dense(), 0.0, atol=1e-15)
     v = np.random.default_rng(0).standard_normal(grid.shape)
     np.testing.assert_allclose(op.matvec(v), 0.0, atol=1e-15)
-    np.testing.assert_allclose(op.g.values, prob.forcing.sample(grid), atol=1e-15)
+    np.testing.assert_allclose(op.g, prob.forcing.sample(grid), atol=1e-15)
 
 
 def test_constant_cxy_dense_matches_hand_factorization():
@@ -333,12 +343,11 @@ def test_eliminated_equation_matches_bundle_route():
     prob, _, _ = random_forward_problem(rng, DOM, grid, coeffs)
     sp = sample_problem(prob, grid)
     op = assemble_eliminated(sp)
-    from mangeron import GridFn2D
     b = rng.standard_normal(grid.shape)
-    lhs = b + op.matvec(b) - op.g.values
-    unknowns = reconstruct_lower(sp.data, GridFn2D(grid, b), grid)
+    lhs = b + op.matvec(b) - op.g
+    unknowns = reconstruct_lower(sp.data, b, grid)
     bundle = assemble_solution(sp.data, unknowns, grid)
-    rhs = apply_pde_operator(sp.coeffs, bundle).values - sp.forcing
+    rhs = apply_pde_operator(sp.coeffs, bundle) - sp.forcing
     np.testing.assert_allclose(lhs, rhs, rtol=1e-11, atol=1e-11)
 
 
@@ -348,6 +357,23 @@ def test_dense_size_guard():
     op = assemble_eliminated(sample_problem(prob, grid))
     with pytest.raises(ValueError):
         op.dense()
+
+
+def test_eliminated_assembly_peak_memory():
+    # the operator keeps its seven substituted coefficient grids and g; the
+    # base part enters g through 1-D vectors, so no base grid is made
+    rng = np.random.default_rng(3)
+    grid = build_grid(DOM, 129, 129)
+    prob, _, _ = random_forward_problem(rng, DOM, grid, random_coefficients(rng))
+    sp = sample_problem(prob, grid)
+    tracemalloc.start()
+    try:
+        op = assemble_eliminated(sp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 129 * 129 * 8
+    assert isinstance(op.g, np.ndarray) and not op.g.flags.writeable
 
 
 # ------------------------------------------------------- coupled system
@@ -395,8 +421,8 @@ def test_coupled_and_eliminated_agree_on_core():
         op = assemble_eliminated(sample_problem(prob, grid))
         from mangeron import solve_dense
         core_elim, _ = solve_dense(op)
-        scale = max(1e-30, float(np.max(np.abs(core_elim.values))))
-        assert np.max(np.abs(core_coupled - core_elim.values)) / scale <= 1e-8
+        scale = max(1e-30, float(np.max(np.abs(core_elim))))
+        assert np.max(np.abs(core_coupled - core_elim)) / scale <= 1e-8
 
 
 def test_coupled_collocation_rows_match_brute_force():

@@ -44,7 +44,7 @@ def test_neumann_identity_converges_in_one_step():
     op = assemble_eliminated(sample_problem(prob, grid))
     core, info = solve_neumann(op)
     assert info.converged and info.iterations == 1
-    np.testing.assert_allclose(core.values, op.g.values, atol=1e-15)
+    np.testing.assert_allclose(core, op.g, atol=1e-15)
 
 
 def test_neumann_matches_dense_for_small_coefficient():
@@ -54,7 +54,7 @@ def test_neumann_matches_dense_for_small_coefficient():
     core_n, info = solve_neumann(op, tol=1e-13)
     assert info.converged
     core_d, _ = solve_dense(op)
-    assert np.max(np.abs(core_n.values - core_d.values)) <= 1e-9
+    assert np.max(np.abs(core_n - core_d)) <= 1e-9
 
 
 def test_neumann_updates_decrease_geometrically():
@@ -75,7 +75,7 @@ def test_neumann_divergence_detected_for_large_coefficient():
     op = assemble_eliminated(sample_problem(case.problem, grid))
     core, info = solve_neumann(op)
     assert info.diverged and not info.converged
-    assert np.all(np.isfinite(core.values))     # partial iterate is returned
+    assert np.all(np.isfinite(core))     # partial iterate is returned
     # the divergence is real: the iteration operator has spectral radius > 1
     assert power_iteration_radius(op, grid) > 1.0
 
@@ -98,7 +98,7 @@ def test_dense_identity_returns_g():
     prob = PdeProblem(DOM, Coefficients(), Field2D(lambda x, y: np.cos(x) + y))
     op = assemble_eliminated(sample_problem(prob, grid))
     core, cond = solve_dense(op)
-    np.testing.assert_allclose(core.values, op.g.values, atol=1e-14)
+    np.testing.assert_allclose(core, op.g, atol=1e-14)
     assert cond == pytest.approx(1.0, rel=1e-12)
 
 
@@ -120,8 +120,8 @@ def test_dense_three_node_case_matches_direct_elimination():
                 for ll in range(3):
                     k[i * 3 + j, kk * 3 + ll] = (c * (c0x[i, kk] - m1x[kk])
                                                  * (c0y[j, ll] - m2y[ll]))
-    expect = np.linalg.solve(np.eye(9) + k, op.g.values.ravel()).reshape(3, 3)
-    np.testing.assert_allclose(core.values, expect, atol=1e-12)
+    expect = np.linalg.solve(np.eye(9) + k, op.g.ravel()).reshape(3, 3)
+    np.testing.assert_allclose(core, expect, atol=1e-12)
 
 
 # ----------------------------------------------------------- reconstruction
@@ -130,7 +130,7 @@ def test_reconstruct_zero_core_with_equal_edge_traces():
     grid = build_grid(DOM, 9, 9)
     data = NonclassicalData(uxx_bottom=const1d(2.0), uxx_top=const1d(2.0))
     unknowns = reconstruct_lower(sample_data(data, grid),
-                                 GridFn2D(grid, np.zeros(grid.shape)), grid)
+                                 np.zeros(grid.shape), grid)
     np.testing.assert_allclose(unknowns.uxxy_bottom.values, 0.0, atol=1e-15)
 
 
@@ -138,7 +138,7 @@ def test_reconstruct_corner_from_far_edge_value():
     grid = build_grid(DOM, 9, 9)
     data = NonclassicalData(uy10=1.0)
     unknowns = reconstruct_lower(sample_data(data, grid),
-                                 GridFn2D(grid, np.zeros(grid.shape)), grid)
+                                 np.zeros(grid.shape), grid)
     assert unknowns.uxy00 == pytest.approx(1.0, abs=1e-14)
 
 
@@ -146,7 +146,7 @@ def test_reconstruct_bilinear_case_routes_agree():
     grid = build_grid(DOM, 9, 9)
     case = make_mms(bilinear_solution(), Coefficients(), DOM)
     unknowns = reconstruct_lower(sample_data(case.problem.data, grid),
-                                 GridFn2D(grid, np.zeros(grid.shape)), grid)
+                                 np.zeros(grid.shape), grid)
     assert unknowns.uxy00 == pytest.approx(1.0, abs=1e-12)
     assert unknowns.uxy00_alt == pytest.approx(1.0, abs=1e-12)
     assert unknowns.route_gap <= 1e-12
@@ -159,7 +159,7 @@ def test_reconstruct_bilinear_case_routes_agree():
 def test_assemble_solution_zero():
     grid = build_grid(DOM, 9, 9)
     unknowns = reconstruct_lower(sample_data(NonclassicalData(), grid),
-                                 GridFn2D(grid, np.zeros(grid.shape)), grid)
+                                 np.zeros(grid.shape), grid)
     bundle = assemble_solution(sample_data(NonclassicalData(), grid), unknowns, grid)
     for key in ("u", "ux", "uy", "uxx", "uyy", "uxy", "uxxy", "uxyy", "uxxyy"):
         np.testing.assert_allclose(getattr(bundle, key).values, 0.0, atol=1e-15)
@@ -185,13 +185,14 @@ def test_assemble_solution_pure_corner_term():
 def test_assemble_solution_constant_core_biquadratic():
     grid = build_grid(DOM, 21, 21)
     case = make_mms(biquadratic_solution(), Coefficients(), DOM)
-    core = GridFn2D(grid, np.full(grid.shape, 4.0))
+    core = np.full(grid.shape, 4.0)
     sd = sample_data(case.problem.data, grid)
     unknowns = reconstruct_lower(sd, core, grid)
     bundle = assemble_solution(sd, unknowns, grid)
     xx, yy = grid.meshgrid()
     np.testing.assert_allclose(bundle.u.values, xx**2 * yy**2, atol=1e-10)
-    assert bundle.uxxyy.values is core.values   # the core grid is the unknown itself
+    assert bundle.uxxyy.values is unknowns.uxxyy.values   # the core grid is the unknown itself
+    np.testing.assert_array_equal(bundle.uxxyy.values, core)  # and holds the core passed in
 
 
 def test_core_grid_is_solution_core_exactly():
@@ -335,7 +336,7 @@ def counting(f, counts, key):
     def fn(x, y):
         counts[key] = counts.get(key, 0) + 1
         return f.eval(x, y)
-    return Field2D(fn, f.kind, f.smoothness)
+    return Field2D(fn, f.kind)
 
 
 @pytest.mark.parametrize("method, c, used", [
