@@ -23,12 +23,12 @@ import sys
 import numpy as np
 
 from . import exprlang
-from .config import (ConfigError, RunConfig, build_grid_from, build_problem, load_config,
-                     norm_exponent)
+from .config import (ConfigError, RunConfig, build_grid_from, build_problem, evaluate_expr,
+                     load_config, norm_exponent)
 from .mms import convergence_study, named_cases
 from .problem import (DataConsistencyError, check_data_constraints, check_matching,
                       classical_to_nonclassical, nonclassical_to_classical, sample_data)
-from .solver import SolveResult, SolverError, solve_problem
+from .solver import METHODS, SolveResult, SolverError, solve_problem
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -123,7 +123,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
             raise ConfigError(f"--grid expects N1xN2, got {args.grid!r}") from exc
         cfg.n1, cfg.n2 = n1, n2
     if args.method:
-        if args.method not in ("auto", "neumann", "dense", "coupled"):
+        if args.method not in METHODS:
             raise ConfigError(f"unknown method {args.method!r}")
         cfg.solver.method = args.method
     if args.p:
@@ -143,7 +143,7 @@ def cmd_solve(args) -> int:
     report["grid"] = {"n1": grid.shape[0], "n2": grid.shape[1]}
     if cfg.reference_expr is not None:
         xx, yy = grid.meshgrid()
-        ref = exprlang.evaluate(cfg.reference_expr, {"x": xx, "y": yy})
+        ref = evaluate_expr(cfg.reference_expr, {"x": xx, "y": yy}, "reference.u")
         report["sup_error_vs_reference"] = float(np.max(np.abs(result.bundle.u.values - ref)))
 
     csv_path = _out_path(args.out, "solution.csv")
@@ -315,7 +315,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--grid", default=None, help="override grid as N1xN2")
         p.add_argument("--method", default=None,
-                       help="override solver method (auto|neumann|dense|coupled)")
+                       help=f"override solver method ({'|'.join(METHODS)})")
         p.add_argument("--p", default=None, help="norm exponent (a number >= 1 or 'inf')")
 
     p = sub.add_parser("solve", help="solve the configured problem")

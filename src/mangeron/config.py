@@ -3,7 +3,7 @@
 Sections: [domain] h1, h2; [grid] n1, n2, optional x_breakpoints /
 y_breakpoints (comma-separated); [coefficients] any of the eight coefficient
 keys as expressions in x and y (missing ones are zero); [forcing] z;
-exactly one of [data.nonclassical] (eight scalars, plus `uxx_bottom`,
+exactly one of [data.nonclassical] (seven scalars, plus `uxx_bottom`,
 `uxx_top` in x and `uyy_left`, `uyy_right` in y) or [data.classical]
 (`left`, `right` in y and `bottom`, `top` in x); optional [solver] method,
 tol, max_iter, p; optional [reference] u for error reporting against a
@@ -24,6 +24,7 @@ from .grids import Domain, Grid2D, build_grid
 from .norms import NormSpec
 from .problem import (BoundaryTrace, ClassicalData, Coefficients, NonclassicalData,
                       PdeProblem)
+from .solver import METHODS
 
 
 class ConfigError(ValueError):
@@ -32,7 +33,6 @@ class ConfigError(ValueError):
 
 COEFF_KEYS = Coefficients.KEYS
 
-NONCLASSICAL_SCALARS = ("u00", "ux00", "uy00", "u10", "uy10", "u01", "ux01")
 NONCLASSICAL_TRACES = {"uxx_bottom": "x", "uxx_top": "x",
                        "uyy_left": "y", "uyy_right": "y"}
 CLASSICAL_TRACES = {"left": "y", "right": "y", "bottom": "x", "top": "x"}
@@ -135,13 +135,13 @@ def load_config(path: str) -> RunConfig:
     if has_nc:
         data_kind = "nonclassical"
         sec = cp["data.nonclassical"]
-        for key in NONCLASSICAL_SCALARS:
+        for key in NonclassicalData.SCALAR_KEYS:
             data_exprs[key] = _scalar(sec.get(key, "0"), f"data.nonclassical.{key}")
         for key, var in NONCLASSICAL_TRACES.items():
             text = sec.get(key, "zero")
             data_exprs[key] = _parse_expr(text, (var,), f"data.nonclassical.{key}")
         for key in sec:
-            if key not in NONCLASSICAL_SCALARS and key not in NONCLASSICAL_TRACES:
+            if key not in NonclassicalData.SCALAR_KEYS and key not in NONCLASSICAL_TRACES:
                 raise ConfigError(f"unknown data component {key!r}")
     else:
         data_kind = "classical"
@@ -158,7 +158,7 @@ def load_config(path: str) -> RunConfig:
     if cp.has_section("solver"):
         sec = cp["solver"]
         solver.method = sec.get("method", solver.method)
-        if solver.method not in ("auto", "neumann", "dense", "coupled"):
+        if solver.method not in METHODS:
             raise ConfigError(f"unknown solver method {solver.method!r}")
         try:
             solver.tol = float(sec.get("tol", solver.tol))
@@ -181,21 +181,30 @@ def load_config(path: str) -> RunConfig:
                      reference_expr=reference_expr)
 
 
-def _field2d(node) -> Field2D:
+def evaluate_expr(node, env: dict, where: str):
+    """Evaluate a config expression; an evaluation error names its config
+    key `where`, such as ``coefficients.c_u``."""
+    try:
+        return exprlang.evaluate(node, env)
+    except exprlang.ExprError as exc:
+        raise exprlang.ExprError(f"{where}: {exc}") from exc
+
+
+def _field2d(node, where: str) -> Field2D:
     kind = PIECEWISE if exprlang.is_piecewise(node) else ANALYTIC
 
     def fn(x, y, _n=node):
-        return exprlang.evaluate(_n, {"x": np.asarray(x, dtype=float),
-                                      "y": np.asarray(y, dtype=float)})
+        return evaluate_expr(_n, {"x": np.asarray(x, dtype=float),
+                                  "y": np.asarray(y, dtype=float)}, where)
 
     return Field2D(fn, kind)
 
 
-def _field1d(node, var: str) -> Field1D:
+def _field1d(node, var: str, where: str) -> Field1D:
     kind = PIECEWISE if exprlang.is_piecewise(node) else ANALYTIC
 
     def fn(t, _n=node, _v=var):
-        return exprlang.evaluate(_n, {_v: np.asarray(t, dtype=float)})
+        return evaluate_expr(_n, {_v: np.asarray(t, dtype=float)}, where)
 
     return Field1D(fn, kind)
 
@@ -210,30 +219,28 @@ def build_grid_from(cfg: RunConfig) -> Grid2D:
 
 
 def build_coefficients(cfg: RunConfig) -> Coefficients:
-    return Coefficients(**{key: _field2d(node) for key, node in cfg.coeff_exprs.items()})
+    return Coefficients(**{key: _field2d(node, f"coefficients.{key}")
+                           for key, node in cfg.coeff_exprs.items()})
 
 
 def build_nonclassical(cfg: RunConfig) -> NonclassicalData:
     e = cfg.data_exprs
-    return NonclassicalData(
-        u00=e["u00"], ux00=e["ux00"], uy00=e["uy00"],
-        uxx_bottom=_field1d(e["uxx_bottom"], "x"),
-        uyy_left=_field1d(e["uyy_left"], "y"),
-        u10=e["u10"], uy10=e["uy10"],
-        uyy_right=_field1d(e["uyy_right"], "y"),
-        u01=e["u01"], ux01=e["ux01"],
-        uxx_top=_field1d(e["uxx_top"], "x"))
+    traces = {key: _field1d(e[key], var, f"data.nonclassical.{key}")
+              for key, var in NONCLASSICAL_TRACES.items()}
+    return NonclassicalData(**{key: e[key] for key in NonclassicalData.SCALAR_KEYS},
+                            **traces)
 
 
 def build_classical(cfg: RunConfig) -> ClassicalData:
     traces = {}
     for key, var in CLASSICAL_TRACES.items():
         node = cfg.data_exprs[key]
-        value = _field1d(node, var)
+        where = f"data.classical.{key}"
+        value = _field1d(node, var, where)
         try:
             d1_node = exprlang.diff(node, var)
             d2_node = exprlang.diff(d1_node, var)
-            d1, d2 = _field1d(d1_node, var), _field1d(d2_node, var)
+            d1, d2 = _field1d(d1_node, var, where), _field1d(d2_node, var, where)
         except exprlang.ExprError:
             d1 = d2 = None  # fall back to grid differencing downstream
         traces[key] = BoundaryTrace(value, d1, d2)
@@ -249,7 +256,7 @@ def build_problem(cfg: RunConfig, grid: Grid2D):
     from .problem import classical_to_nonclassical
 
     coeffs = build_coefficients(cfg)
-    forcing = _field2d(cfg.forcing_expr)
+    forcing = _field2d(cfg.forcing_expr, "forcing.z")
     classical = None
     if cfg.data_kind == "classical":
         classical = build_classical(cfg)

@@ -14,7 +14,8 @@ Grammar (deliberately small, no general scripting):
 
 For two-variable expressions the bounds are x0, x1, y0, y1 of an
 axis-aligned rectangle; for one-variable expressions they are t0, t1 of a
-segment.  Pieces are evaluated with lowest-origin priority on shared edges.
+segment.  Pieces are evaluated by `fields.evaluate_pieces`: on a shared
+edge the piece with the lexicographically smallest origin (x0, y0) wins.
 Expressions support exact symbolic differentiation, except powers with a
 non-constant exponent.
 """
@@ -26,6 +27,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .fields import evaluate_pieces
 
 
 class ExprError(ValueError):
@@ -241,24 +244,9 @@ def evaluate(node, env: dict[str, np.ndarray]):
 
 def _eval_piecewise(node: Piecewise, env: dict[str, np.ndarray]):
     names = sorted(env)
-    vals = [np.asarray(env[n], dtype=float) for n in names]
-    shape = np.broadcast_shapes(*(v.shape for v in vals))
-    vals = [np.broadcast_to(v, shape) for v in vals]
-    out = np.empty(shape)
-    done = np.zeros(shape, dtype=bool)
-    # lowest-origin piece wins on shared edges
-    for bounds, sub in sorted(node.pieces, key=lambda p: p[0]):
-        m = ~done
-        for k, v in enumerate(vals):
-            lo, hi = bounds[2 * k], bounds[2 * k + 1]
-            m = m & (v >= lo - 1e-14) & (v <= hi + 1e-14)
-        if np.any(m):
-            sub_env = {n: np.broadcast_to(env[n], shape)[m] for n in env}
-            out[m] = evaluate(sub, sub_env)
-            done[m] = True
-    if not np.all(done):
-        raise ExprError("piecewise expression does not cover an evaluation point")
-    return out
+    pieces = [(bounds, lambda *vals, _sub=sub: evaluate(_sub, dict(zip(names, vals))))
+              for bounds, sub in node.pieces]
+    return evaluate_pieces(pieces, [env[n] for n in names], error=ExprError)
 
 
 def diff(node, var: str):

@@ -3,8 +3,9 @@
 A field is a total evaluator plus the kind of its representation (analytic
 closure, piecewise over axis-aligned rectangles, or grid samples).
 Piecewise fields must tile the domain exactly and are evaluated
-deterministically: on a shared edge the piece with the lexicographically
-smallest origin wins.
+deterministically by `evaluate_pieces`, the one piecewise rule of the
+package (the config language uses it too): on a shared edge the piece with
+the lexicographically smallest origin wins.
 """
 
 from __future__ import annotations
@@ -158,31 +159,42 @@ def _validate_tiling(pieces: Sequence[Piece2D], h1: float, h2: float):
         raise ValueError("pieces do not tile the domain (gap detected)")
 
 
-def piecewise2d(pieces: Sequence[Piece2D], h1: float, h2: float) -> Field2D:
-    """Piecewise field over axis-aligned rectangles tiling [0,h1] x [0,h2].
+def evaluate_pieces(pieces: Sequence[tuple[Sequence[float], Callable]], coords: Sequence,
+                    error: type[Exception] = ValueError) -> np.ndarray:
+    """Values of a piecewise function at the broadcast points `coords`.
 
-    Evaluation is deterministic at interface points: pieces are tried in
-    lexicographic order of their lower-left corner and the first whose
-    closure contains the point wins.
+    `pieces` holds (bounds, fn) pairs: bounds (lo0, hi0, lo1, hi1, ...)
+    give a closed box, one (lo, hi) per coordinate, and fn maps the
+    coordinates of the points given to it to their values.  Pieces are
+    tried in lexicographic order of their origin (lo0, lo1, ...), widened
+    by 1e-14, and the first whose box contains a point wins it.  A point
+    that no box contains raises `error`, naming the point.
     """
-    pieces = sorted(pieces, key=lambda p: (p.x0, p.y0))
+    coords = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in coords))
+    shape = coords[0].shape if coords else ()
+    out = np.empty(shape)
+    done = np.zeros(shape, dtype=bool)
+    for bounds, fn in sorted(pieces, key=lambda p: p[0][::2]):
+        m = ~done
+        for c, lo, hi in zip(coords, bounds[::2], bounds[1::2]):
+            m &= (c >= lo - 1e-14) & (c <= hi + 1e-14)
+        if np.any(m):
+            values = np.asarray(fn(*(c[m] for c in coords)), dtype=float)
+            out[m] = np.broadcast_to(values, (np.count_nonzero(m),))
+            done |= m
+    if not np.all(done):
+        first = np.unravel_index(np.argmin(done), shape)
+        point = ", ".join(repr(float(c[first])) for c in coords)
+        raise error(f"evaluation point ({point}) is not covered by any piece")
+    return out
+
+
+def piecewise2d(pieces: Sequence[Piece2D], h1: float, h2: float) -> Field2D:
+    """Piecewise field over axis-aligned rectangles tiling [0,h1] x [0,h2],
+    evaluated by `evaluate_pieces`."""
     _validate_tiling(pieces, h1, h2)
-
-    def fn(x, y, _pieces=tuple(pieces)):
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        out = np.empty(x.shape)
-        done = np.zeros(x.shape, dtype=bool)
-        for p in _pieces:
-            m = (~done) & (x >= p.x0 - 1e-14) & (x <= p.x1 + 1e-14) \
-                & (y >= p.y0 - 1e-14) & (y <= p.y1 + 1e-14)
-            if np.any(m):
-                out[m] = np.broadcast_to(np.asarray(p.fn(x[m], y[m]), dtype=float), x[m].shape)
-                done[m] = True
-        if not np.all(done):
-            raise ValueError("evaluation point not covered by any piece")
-        return out
-
-    return Field2D(fn, PIECEWISE)
+    table = tuple(((p.x0, p.x1, p.y0, p.y1), p.fn) for p in pieces)
+    return Field2D(lambda x, y, _t=table: evaluate_pieces(_t, (x, y)), PIECEWISE)
 
 
 @dataclass(frozen=True)
@@ -197,23 +209,10 @@ class Segment1D:
 
 
 def piecewise1d(segments: Sequence[Segment1D], h: float) -> Field1D:
-    """Piecewise field over segments tiling [0, h]; lowest-origin piece wins."""
-    segments = sorted(segments, key=lambda s: s.t0)
+    """Piecewise field over segments tiling [0, h], evaluated by
+    `evaluate_pieces`."""
     length = sum(s.t1 - s.t0 for s in segments)
     if abs(length - h) > 1e-10 * max(1.0, h):
         raise ValueError("segments do not tile the interval")
-
-    def fn(t, _segs=tuple(segments)):
-        t = np.asarray(t, dtype=float)
-        out = np.empty(t.shape)
-        done = np.zeros(t.shape, dtype=bool)
-        for s in _segs:
-            m = (~done) & (t >= s.t0 - 1e-14) & (t <= s.t1 + 1e-14)
-            if np.any(m):
-                out[m] = np.broadcast_to(np.asarray(s.fn(t[m]), dtype=float), t[m].shape)
-                done[m] = True
-        if not np.all(done):
-            raise ValueError("evaluation point not covered by any segment")
-        return out
-
-    return Field1D(fn, PIECEWISE)
+    table = tuple(((s.t0, s.t1), s.fn) for s in segments)
+    return Field1D(lambda t, _t=table: evaluate_pieces(_t, (t,)), PIECEWISE)

@@ -4,21 +4,18 @@ The whole discretization is built on one rule: composite trapezoid weights
 on a (possibly nonuniform) node set that always contains both interval
 endpoints.  Partial integrals from 0 up to a node, and their first-moment
 variants with kernel (x - t), are applied by `Axis.cumulative` as running
-sums in O(n) per line, so the matrix-free route never forms an n x n table.
-The same rule written as lower-triangular weight matrices (`Axis.cum0`,
-`Axis.cum1`) serves only the dense and coupled assemblies, which need the
-matrix entries; those tables are built on first use.
+sums in O(n) per line; this is the only definition of the cumulative rule,
+and the dense assemblies read its matrix entries by applying it to the
+identity.
 
 All node and weight arrays are frozen; grids and grid functions are safe to
-share across threads (two threads that first touch a table at once build it
-twice, identically), and every operation here is a pure function of its
+share across threads, and every operation here is a pure function of its
 inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -53,38 +50,17 @@ def trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
     return w
 
 
-def cumulative_trapezoid_matrix(nodes: np.ndarray) -> np.ndarray:
-    """Matrix C with C[i, k] = trapezoid weight of node k over [nodes[0], nodes[i]].
-
-    Row i holds the composite trapezoid rule on the sub-partition up to node i;
-    row 0 is zero (empty interval) and the last row equals the full-interval
-    weights.
-    """
-    n = len(nodes)
-    d = np.diff(nodes)
-    half_prev = np.zeros(n)  # weight contribution of the panel left of node k
-    half_prev[1:] = 0.5 * d
-    half_next = np.zeros(n)  # contribution of the panel right of node k
-    half_next[:-1] = 0.5 * d
-    c = np.tril(np.tile(half_prev, (n, 1))) + np.tril(np.tile(half_next, (n, 1)), -1)
-    return c
-
-
 class Axis:
-    """One quadrature axis: nodes from 0 to `length` plus derived weight tables.
+    """One quadrature axis: nodes from 0 to `length` plus derived weights.
 
     Attributes
     ----------
     nodes : (n,) strictly increasing, nodes[0] == 0
     weights : (n,) full-interval trapezoid weights
     moments : (n,) full-interval first-moment weights, ``moments @ f`` =
-        integral of (length - t) f(t); the last row of cum1
+        integral of (length - t) f(t)
     moment_avg : (n,) ``moments / length``, the weights of the moment average
         (1/length) * integral of (length - t) f(t)
-    cum0 : (n, n) partial-integral weights, ``cum0[i] @ f`` = integral of f
-        from 0 to nodes[i]; built on first use
-    cum1 : (n, n) first-moment weights, ``cum1[i] @ f`` = integral of
-        (nodes[i] - t) f(t) from 0 to nodes[i]; built on first use
     """
 
     def __init__(self, nodes):
@@ -103,18 +79,11 @@ class Axis:
         self.moment_avg = _frozen(self.moments / self.length)
         self._steps = _frozen(np.diff(nodes))
 
-    @cached_property
-    def cum0(self) -> np.ndarray:
-        return _frozen(cumulative_trapezoid_matrix(self.nodes))
-
-    @cached_property
-    def cum1(self) -> np.ndarray:
-        return _frozen(self.cum0 * (self.nodes[:, None] - self.nodes[None, :]))
-
     def cumulative(self, f, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """``(cum0 f, cum1 f)`` along `axis` of f, in O(f.size) by running sums.
 
-        The same trapezoid rule as the tables: with panel widths d_i =
+        ``cum0 f[i]`` is the trapezoid integral of f from 0 to nodes[i] and
+        ``cum1 f[i]`` that of (nodes[i] - t) f(t); with panel widths d_i =
         nodes[i] - nodes[i-1],
 
             cum0 f[i] = cum0 f[i-1] + d_i (f[i-1] + f[i]) / 2,
@@ -122,8 +91,8 @@ class Axis:
 
         which is ``x cum0 f - cum0 (x f)`` summed panel by panel, free of the
         cancellation between its two terms.  `f` is 1-D, or 2-D with its
-        `axis` running along this axis; the results agree with the table
-        products to roundoff.
+        `axis` running along this axis; applied to the identity, the results
+        are the (n, n) weight matrices of the two rules.
         """
         f = np.asarray(f, dtype=float)
         if not 0 <= axis < f.ndim or f.shape[axis] != self.n:

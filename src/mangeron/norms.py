@@ -1,8 +1,8 @@
 """Discrete L_p norms and the two composite norms used by the solver.
 
 The solution norm sums the L_p norms of all nine derivative grids of a
-solution bundle; the data norm sums the absolute values of the eight scalar
-boundary components and the L_p norms of the three edge-trace functions.
+solution bundle; the data norm sums the absolute values of the seven scalar
+boundary components and the L_p norms of the four edge-trace functions.
 p = inf is realized as the node maximum, a discretization of the essential
 supremum.
 """
@@ -63,7 +63,7 @@ def sobolev_norm(bundle, spec: NormSpec = NormSpec()) -> float:
 def data_norm(sd, grid: Grid2D, spec: NormSpec = NormSpec()) -> float:
     """Norm of an 11-component boundary data element, sampled as `sd`.
 
-    Eight scalar components enter by absolute value, the three edge traces
+    Seven scalar components enter by absolute value, the four edge traces
     by their quadrature L_p norm on the matching axis.
     """
     total = (abs(sd.u00) + abs(sd.ux00) + abs(sd.uy00)

@@ -15,7 +15,7 @@ the matrix-free product, the dense matrix and both blocks of the coupled
 system are derived from that table, so the two assemblies agree to
 linear-solver roundoff; this is exercised as a cross-check downstream.
 The matrix-free product applies A and B by running sums (`Axis.cumulative`)
-in O(n1 n2); only the dense assemblies read the weight tables.
+in O(n1 n2); the dense assemblies apply the same code to the identity.
 
 The base part is separable (a function of x plus a function of y), so it
 enters only the right-hand side, through the five non-mixed terms of the
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Axis, Grid2D
+from .grids import Grid2D
 from .problem import SampledProblem
 
 #: largest node count for which the dense kernel matrix may be materialized
@@ -100,10 +100,11 @@ class Term:
 
 def kernel_terms(c: dict[str, np.ndarray], grid: Grid2D) -> list[Term]:
     """The 15 terms of K, signs included.  A and B are each a cumulative
-    integral table (cum0, cum1), the identity, or the rank-one moment average
-    (mom) left behind by substituting a lower unknown: the bottom edge (fx1,
-    fx0, edge_x_factor) averages along y, the left edge (fy1, fy0,
-    edge_y_factor) along x, and the corner (corner_factor) along both.
+    integral (cum0, cum1, as in `Axis.cumulative`), the identity, or the
+    rank-one moment average (mom) left behind by substituting a lower
+    unknown: the bottom edge (fx1, fx0, edge_x_factor) averages along y,
+    the left edge (fy1, fy0, edge_y_factor) along x, and the corner
+    (corner_factor) along both.
     """
     x = grid.x[:, None]
     y = grid.y[None, :]
@@ -125,16 +126,6 @@ def kernel_terms(c: dict[str, np.ndarray], grid: Grid2D) -> list[Term]:
         Term("corner_factor", x * y * c["c_u"] + y * c["c_x"] + x * c["c_y"] + c["c_xy"],
              MOM, MOM),
     ]
-
-
-def _matrix(axis: Axis, mom: np.ndarray, kind: str) -> np.ndarray:
-    """The (n, n) matrix of an operator kind on one axis; the cumulative
-    kinds are the axis tables of the same name."""
-    if kind == IDENT:
-        return np.eye(axis.n)
-    if kind == MOM:
-        return np.broadcast_to(mom, (axis.n, axis.n))
-    return getattr(axis, kind)
 
 
 class DiscreteOperator:
@@ -207,25 +198,30 @@ class DiscreteOperator:
     def assemble(self, terms: list[Term]) -> np.ndarray:
         """Dense (n1 n2) x (n1 n2) matrix of the sum of `terms`, row-major nodes.
 
-        Terms are grouped by their x-side operator A: each group forms
-        C[i,j,l] = sum of coef(i,j) B(j,l) and adds A(i,k) C[i,j,l] at
-        [i,j,k,l], one row block i at a time so that no temporary as large
-        as K is made; for A = I that is an update of the k = i diagonal.
+        The (n, n) matrix of every operator kind is read off the code the
+        matvec runs, applied to the identity: A = `_along_x` of I, and B the
+        transpose of `_along_y` of I.  Terms are grouped by their x-side
+        operator A: each group forms C[i,j,l] = sum of coef(i,j) B(j,l) and
+        adds A(i,k) C[i,j,l] at [i,j,k,l], one row block i at a time so that
+        no temporary as large as K is made; for A = I that is an update of
+        the k = i diagonal.
         """
-        ax, ay = self.grid.ax, self.grid.ay
         n1, n2 = self.grid.shape
         _check_dense_limit(n1 * n2)
+        xs = self._along_x(np.eye(n1))
+        ys = {kind: np.ascontiguousarray(b.T)
+              for kind, b in self._along_y(np.eye(n2)).items()}
         k4 = np.zeros((n1, n2, n1, n2))
         diag = np.arange(n1)
         for kind in (IDENT, CUM0, CUM1, MOM):
             group = [t for t in terms if t.x == kind]
             if not group:
                 continue
-            c = sum(t.coef[:, :, None] * _matrix(ay, self.m2y, t.y)[None] for t in group)
+            c = sum(t.coef[:, :, None] * ys[t.y][None] for t in group)
             if kind == IDENT:
                 k4[diag, :, diag, :] += c
                 continue
-            a = _matrix(ax, self.m1x, kind)
+            a = np.broadcast_to(xs[kind], (n1, n1))
             for i in range(n1):
                 k4[i] += a[i][None, :, None] * c[i][:, None, :]
         return k4.reshape(n1 * n2, n1 * n2)

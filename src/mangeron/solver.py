@@ -30,6 +30,9 @@ from .reduction import (DenseLimitError, DiscreteOperator, apply_pde_operator,
 #: consecutive growing updates before the iteration is declared divergent
 DIVERGENCE_PATIENCE = 5
 
+#: solve routes accepted by `solve_problem`, the config and the command line
+METHODS = ("auto", "neumann", "dense", "coupled")
+
 
 class SolverError(RuntimeError):
     """A solve failed: singular system, dense limit or memory exceeded, or a
@@ -313,13 +316,12 @@ def calibrate_residual_threshold(grid: Grid2D) -> float:
     if key not in _THRESHOLD_CACHE:
         worst = 0.0
         for prob in _reference_problems(grid.domain):
-            result = solve_problem(prob, grid, method="neumann",
-                                   residual_gate=False, force=True)
-            if not result.report.converged:
+            report = solve_problem(prob, grid, method="neumann",
+                                   residual_gate=False, force=True).report
+            if not report.converged:
                 raise SolverError("residual-gate calibration did not converge "
-                                  f"after {result.report.iterations} iterations")
-            worst = max(worst, result.report.residual_pde,
-                        max(result.report.residual_bc.values()))
+                                  f"after {report.iterations} iterations")
+            worst = max(worst, report.residual_pde, max(report.residual_bc.values()))
         _THRESHOLD_CACHE[key] = 10.0 * max(worst, 1e-12)
     return _THRESHOLD_CACHE[key]
 
@@ -373,8 +375,13 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
     route explicitly.  Data failing the two scalar constraints is refused
     unless `force` is set; the residuals are reported either way.  The
     problem is sampled on the grid once, and every stage reads that sample.
+    The residual gate is calibrated first, so that the reference solves are
+    done before any array of this solve is made.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
     spec = NormSpec(p)
+    gate = calibrate_residual_threshold(grid) if residual_gate else math.inf
     sp = sample_problem(problem, grid)
     constraints = check_data_constraints(sp.data, grid, constraint_tol)
     if not constraints.passed and not force:
@@ -399,7 +406,7 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
         except np.linalg.LinAlgError as exc:
             raise SolverError(str(exc)) from exc
         method_used = "coupled-dense"
-    elif method in ("auto", "neumann", "dense"):
+    else:
         op = assemble_eliminated(sp)
         if method == "dense":
             core, cond = solve_dense(op)
@@ -428,8 +435,6 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
                     warning = ("successive approximations diverged "
                                f"after {info.iterations} iterations; partial iterate "
                                "returned, consider method='dense'")
-    else:
-        raise ValueError(f"unknown method {method!r}")
 
     unknowns = reconstruct_lower(sp.data, core, grid)
     bundle = assemble_solution(sp.data, unknowns, grid)
@@ -444,11 +449,7 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
     else:
         ratio = 0.0 if solution_norm == 0.0 else math.inf
 
-    if residual_gate:
-        scale = max(1.0, denom)
-        threshold = calibrate_residual_threshold(grid) * scale
-    else:
-        threshold = math.inf
+    threshold = gate * max(1.0, denom)
     residual_pass = bool(converged
                          and resid.pde <= threshold
                          and resid.max_bc <= threshold)

@@ -127,13 +127,16 @@ def test_invalid_solver_options_exit_two(tmp_path, capsys, setting):
 
 def test_uncovered_piecewise_expression_exits_two(tmp_path, capsys):
     cfg = tmp_path / "pw.cfg"
-    cfg.write_text((CONFIGS / "zero.cfg").read_text()
-                   + "\n[coefficients]\nc_u = piecewise((0, 0.5, 0, 1): 1)\n")
-    assert run(["solve", "--config", cfg, "--out", tmp_path / "out"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and err.count("\n") == 1
-    assert "cover" in err
-    assert not (tmp_path / "out").exists()
+    for section, key in (("coefficients", "c_u"), ("reference", "u")):
+        cfg.write_text((CONFIGS / "zero.cfg").read_text()
+                       + f"\n[{section}]\n{key} = piecewise((0, 0.5, 0, 1): 1)\n")
+        assert run(["solve", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "cover" in err
+        # the key of the expression and the first uncovered node (9 x 9 grid)
+        assert f"{section}.{key}: " in err and "(0.625, 0.0)" in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_output_path_under_a_file_exits_two(tmp_path, capsys):

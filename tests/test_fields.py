@@ -134,3 +134,37 @@ def test_field2d_sample_bit_identical_to_meshgrid_eval(tmp_path):
     }
     for name, f in fields.items():
         assert np.array_equal(f.sample(grid), f.eval(xx, yy)), name
+
+
+CONFIG_PIECES = """[domain]
+h1 = 1.0
+h2 = 1.0
+
+[grid]
+n1 = 9
+n2 = 9
+
+[coefficients]
+c_u = piecewise((0, 0.5, 0.5, 1): 1 + x; (0, 1, 0, 0.5): 2 + y; (0.5, 1, 0.5, 1): 3 + x * y)
+
+[forcing]
+z = zero
+
+[data.nonclassical]
+u00 = 0
+"""
+
+
+def test_config_piecewise_agrees_with_piecewise2d_on_shared_edges(tmp_path):
+    # three pieces meet at (0.5, 0.5) and every shared edge lies on nodes;
+    # both take the piece of lowest origin (x0, y0), so the edge y = 0.5,
+    # x < 0.5 belongs to the piece with origin (0, 0)
+    cfg_path = tmp_path / "pieces.cfg"
+    cfg_path.write_text(CONFIG_PIECES)
+    from_config = build_coefficients(load_config(str(cfg_path))).c_u
+    direct = piecewise2d([Piece2D(0.0, 0.5, 0.5, 1.0, lambda x, y: 1 + x),
+                          Piece2D(0.0, 1.0, 0.0, 0.5, lambda x, y: 2 + y),
+                          Piece2D(0.5, 1.0, 0.5, 1.0, lambda x, y: 3 + x * y)], 1.0, 1.0)
+    grid = build_grid(Domain(1.0, 1.0), 9, 9)
+    assert np.array_equal(from_config.sample(grid), direct.sample(grid))
+    assert from_config.eval(0.25, 0.5) == 2.5

@@ -4,6 +4,7 @@ import pytest
 from mangeron import (Axis, Domain, Grid2D, GridFn1D, GridFn2D, build_grid,
                       fd_derivatives, moment_integral_1d, quad_1d,
                       trapezoid_error_bound)
+from quadrature_oracle import panel_tables
 
 
 def panel_weights(nodes):
@@ -71,23 +72,15 @@ def test_axis_node_validation():
 
 def test_cumulative_matrix_rows():
     ax = Axis(np.linspace(0.0, 1.0, 7))
-    np.testing.assert_allclose(ax.cum0[0], 0.0)
-    np.testing.assert_allclose(ax.cum0[-1], ax.weights, rtol=1e-14)
-
-
-def test_tables_built_on_first_use_and_frozen():
-    ax = Axis(np.linspace(0.0, 1.0, 7))
-    assert "cum0" not in vars(ax) and "cum1" not in vars(ax)
-    assert ax.cum1 is ax.cum1
-    assert "cum0" in vars(ax) and "cum1" in vars(ax)
-    with pytest.raises(ValueError):
-        ax.cum1[1, 0] = 1.0
+    cum0, _ = ax.cumulative(np.eye(ax.n))
+    np.testing.assert_allclose(cum0[0], 0.0)
+    np.testing.assert_allclose(cum0[-1], ax.weights, rtol=1e-14)
 
 
 def test_moment_weights_are_last_row_of_cum1():
     grid = build_grid(Domain(2.0, 0.5), 44, 25, [0.3, 1.37], [0.111])
     for ax in (grid.ax, grid.ay):
-        assert np.array_equal(ax.moments, ax.cum1[-1])
+        assert np.array_equal(ax.moments, panel_tables(ax.nodes)[1][-1])
 
 
 # uniform unit axis; breakpoint axes on [0, 2] and [0, 0.5]
@@ -107,10 +100,12 @@ def test_cumulative_matches_tables(name, sign):
     f = rng.standard_normal(grid.shape)
     if sign == "positive":
         f = 1.0 + np.abs(f)
-    cases = [(grid.ax, f, 0, grid.ax.cum0 @ f, grid.ax.cum1 @ f),
-             (grid.ay, f, 1, f @ grid.ay.cum0.T, f @ grid.ay.cum1.T),
-             (grid.ax, f[:, 3], 0, grid.ax.cum0 @ f[:, 3], grid.ax.cum1 @ f[:, 3]),
-             (grid.ay, f[2], 0, grid.ay.cum0 @ f[2], grid.ay.cum1 @ f[2])]
+    x0, x1 = panel_tables(grid.x)
+    y0, y1 = panel_tables(grid.y)
+    cases = [(grid.ax, f, 0, x0 @ f, x1 @ f),
+             (grid.ay, f, 1, f @ y0.T, f @ y1.T),
+             (grid.ax, f[:, 3], 0, x0 @ f[:, 3], x1 @ f[:, 3]),
+             (grid.ay, f[2], 0, y0 @ f[2], y1 @ f[2])]
     for ax, v, axis, want0, want1 in cases:
         tol = 1e-15 * float(np.max(np.abs(v))) * max(1.0, ax.length) ** 2
         got0, got1 = ax.cumulative(v, axis)

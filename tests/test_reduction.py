@@ -11,6 +11,7 @@ from mangeron import (Coefficients, Domain, Field2D, GridFn2D, NonclassicalData,
 from mangeron.reduction import DenseLimitError
 from mangeron.mms import (biquadratic_solution, exact_bundle, make_mms, sep_poly,
                           SeparableSolution)
+from quadrature_oracle import panel_tables
 
 DOM = Domain(1.0, 1.0)
 
@@ -185,10 +186,10 @@ def edge_y_factor(cf, x, y):
 def brute_collocation_rows(problem, grid):
     """Entrywise loop assembly of the coupled system's collocation rows
     (columns: corner, bottom-edge nodes, left-edge nodes, core nodes), from
-    the pointwise kernels and the shared weight tables."""
+    the pointwise kernels and the panel-loop weight tables."""
     n1, n2 = grid.shape
     x, y = grid.x, grid.y
-    c0x, c0y = grid.ax.cum0, grid.ay.cum0
+    (c0x, _), (c0y, _) = panel_tables(grid.x), panel_tables(grid.y)
     cf = problem.coeffs
     out = np.zeros((n1 * n2, 1 + n1 + n2 + n1 * n2))
     for i in range(n1):
@@ -217,10 +218,10 @@ def brute_collocation_rows(problem, grid):
 
 def brute_dense_eliminated(problem, grid):
     """Entrywise loop assembly of the eliminated kernel, straight from the
-    pointwise kernel definitions and the shared weight tables."""
+    pointwise kernel definitions and the panel-loop weight tables."""
     n1, n2 = grid.shape
     x, y = grid.x, grid.y
-    c0x, c0y = grid.ax.cum0, grid.ay.cum0
+    (c0x, _), (c0y, _) = panel_tables(grid.x), panel_tables(grid.y)
     h1, h2 = grid.domain.h1, grid.domain.h2
     m1x = grid.wx * (h1 - x) / h1
     m2y = grid.wy * (h2 - y) / h2
@@ -269,7 +270,7 @@ def test_constant_cxy_dense_matches_hand_factorization():
     grid = build_grid(DOM, 3, 3)
     prob = PdeProblem(DOM, const_coeffs(c_xy=c))
     op = assemble_eliminated(sample_problem(prob, grid))
-    c0x, c0y = grid.ax.cum0, grid.ay.cum0
+    (c0x, _), (c0y, _) = panel_tables(grid.x), panel_tables(grid.y)
     m1x = grid.wx * (1.0 - grid.x)
     m2y = grid.wy * (1.0 - grid.y)
     expect = np.zeros((9, 9))

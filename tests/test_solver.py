@@ -15,6 +15,7 @@ from mangeron import (Coefficients, ConstraintError, Domain, Field2D, GridFn2D,
 from mangeron import solver as solver_mod
 from mangeron.mms import (bilinear_solution, biquadratic_solution, make_mms,
                           trig_solution)
+from quadrature_oracle import panel_tables
 
 DOM = Domain(1.0, 1.0)
 
@@ -110,7 +111,7 @@ def test_dense_three_node_case_matches_direct_elimination():
     core, _ = solve_dense(op)
     # independent route: assemble the same 9x9 system from the hand
     # factorization of the constant-coefficient kernel and solve it directly
-    c0x, c0y = grid.ax.cum0, grid.ay.cum0
+    (c0x, _), (c0y, _) = panel_tables(grid.x), panel_tables(grid.y)
     m1x = grid.wx * (1.0 - grid.x)
     m2y = grid.wy * (1.0 - grid.y)
     k = np.zeros((9, 9))
@@ -389,8 +390,6 @@ def test_grid_and_data_arrays_are_frozen():
     grid = build_grid(DOM, 9, 9)
     with pytest.raises(ValueError):
         grid.x[0] = 1.0
-    with pytest.raises(ValueError):
-        grid.ax.cum0[0, 0] = 1.0
     case = make_mms(trig_solution(), Coefficients(), DOM)
     result = solve_problem(case.problem, grid)
     with pytest.raises(ValueError):
@@ -398,16 +397,34 @@ def test_grid_and_data_arrays_are_frozen():
 
 
 def test_neumann_route_builds_no_weight_table():
-    # the matrix-free route integrates by running sums; the n x n tables
-    # are built only by the dense and coupled assemblies
+    # the matrix-free route integrates by running sums, gate on or off
     grid = build_grid(DOM, 33, 33)
     case = make_mms(trig_solution(), const_coeffs(c_xy=0.2, c_u=0.1), DOM)
     for gate in (False, True):
         result = solve_problem(case.problem, grid, method="neumann", residual_gate=gate)
         assert result.report.converged
     assert result.report.residual_pass
-    for ax in (grid.ax, grid.ay):
-        assert "cum0" not in vars(ax) and "cum1" not in vars(ax)
+
+
+def test_gate_on_solve_peak_memory(monkeypatch):
+    # the gate is calibrated before the problem is sampled, and only the
+    # reference solves' reports are kept: a cold gate-on solve peaks no
+    # higher than the gate-off solve of the same problem
+    grid = build_grid(DOM, 129, 129)
+    case = make_mms(trig_solution(), const_coeffs(c_xy=0.2, c_u=0.1), DOM)
+    peaks = {}
+    for gate in (False, True):
+        monkeypatch.setattr(solver_mod, "_THRESHOLD_CACHE", {})
+        tracemalloc.start()
+        try:
+            report = solve_problem(case.problem, grid, method="neumann",
+                                   residual_gate=gate).report
+            _, peaks[gate] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.converged
+    assert report.residual_pass
+    assert peaks[True] <= 1.1 * peaks[False]
 
 
 def test_dense_route_peak_memory():
