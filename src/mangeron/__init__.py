@@ -9,11 +9,11 @@ driven CLI are included.
 """
 
 from .grids import (Axis, Domain, Grid2D, GridFn1D, GridFn2D, build_grid,
-                    fd_derivatives, moment_integral_1d, quad_1d, trapezoid_error_bound)
-from .fields import (ANALYTIC, PIECEWISE, SAMPLES, Field1D, Field2D, Piece2D, Segment1D,
+                    fd_derivatives, trapezoid_error_bound)
+from .fields import (ANALYTIC, SAMPLES, Field1D, Field2D, Piece2D, Segment1D,
                      const1d, const2d, piecewise1d, piecewise2d, samples1d, samples2d)
-from .norms import DERIVATIVE_KEYS, INF, NormSpec, data_norm, lp_norm, sobolev_norm
-from .problem import (BoundaryTrace, CheckReport, ClassicalData, Coefficients,
+from .norms import INF, NormSpec, data_norm, lp_norm, sobolev_norm
+from .problem import (DERIVATIVES, BoundaryTrace, CheckReport, ClassicalData, Coefficients,
                       ConstraintError, CornerMismatchError, DataConsistencyError,
                       NonclassicalData, PdeProblem, check_data_constraints,
                       check_matching, classical_to_nonclassical, constraint_tolerance,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprlang
-from .fields import ANALYTIC, PIECEWISE, Field1D, Field2D
+from .fields import Field1D, Field2D, validate_tiling
 from .grids import Domain, Grid2D, build_grid
 from .norms import NormSpec
 from .problem import (BoundaryTrace, ClassicalData, Coefficients, NonclassicalData,
@@ -61,15 +61,21 @@ class RunConfig:
     reference_expr: object | None
 
 
-def _parse_expr(text: str, variables, where: str):
+def _parse_expr(text: str, extents: dict[str, float], where: str):
+    """Parse an expression in the variables of `extents`; the pieces of every
+    piecewise node in it must tile [0, extent] along each variable."""
     try:
-        return exprlang.parse(text, variables)
-    except exprlang.ExprError as exc:
+        node = exprlang.parse(text, tuple(extents))
+        for sub in exprlang.walk(node):
+            if isinstance(sub, exprlang.Piecewise):
+                validate_tiling([bounds for bounds, _ in sub.pieces], tuple(extents.values()))
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    return node
 
 
 def _scalar(text: str, where: str) -> float:
-    node = _parse_expr(text, (), where)
+    node = _parse_expr(text, {}, where)
     try:
         return float(exprlang.evaluate(node, {}))
     except Exception as exc:
@@ -111,6 +117,7 @@ def load_config(path: str) -> RunConfig:
         n2 = int(cp["grid"]["n2"])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad [domain]/[grid] values: {exc}") from exc
+    xy = {"x": domain.h1, "y": domain.h2}
     xb = _breakpoints(cp["grid"].get("x_breakpoints", ""))
     yb = _breakpoints(cp["grid"].get("y_breakpoints", ""))
 
@@ -120,11 +127,11 @@ def load_config(path: str) -> RunConfig:
             if key not in COEFF_KEYS:
                 raise ConfigError(f"unknown coefficient {key!r} "
                                   f"(expected one of {COEFF_KEYS})")
-            coeff_exprs[key] = _parse_expr(text, ("x", "y"), f"coefficients.{key}")
+            coeff_exprs[key] = _parse_expr(text, xy, f"coefficients.{key}")
 
     if "z" not in cp["forcing"]:
         raise ConfigError("section [forcing] must define z")
-    forcing_expr = _parse_expr(cp["forcing"]["z"], ("x", "y"), "forcing.z")
+    forcing_expr = _parse_expr(cp["forcing"]["z"], xy, "forcing.z")
 
     has_nc = cp.has_section("data.nonclassical")
     has_cl = cp.has_section("data.classical")
@@ -139,7 +146,7 @@ def load_config(path: str) -> RunConfig:
             data_exprs[key] = _scalar(sec.get(key, "0"), f"data.nonclassical.{key}")
         for key, var in NONCLASSICAL_TRACES.items():
             text = sec.get(key, "zero")
-            data_exprs[key] = _parse_expr(text, (var,), f"data.nonclassical.{key}")
+            data_exprs[key] = _parse_expr(text, {var: xy[var]}, f"data.nonclassical.{key}")
         for key in sec:
             if key not in NonclassicalData.SCALAR_KEYS and key not in NONCLASSICAL_TRACES:
                 raise ConfigError(f"unknown data component {key!r}")
@@ -149,7 +156,8 @@ def load_config(path: str) -> RunConfig:
         for key, var in CLASSICAL_TRACES.items():
             if key not in sec:
                 raise ConfigError(f"data.classical must define {key!r}")
-            data_exprs[key] = _parse_expr(sec[key], (var,), f"data.classical.{key}")
+            data_exprs[key] = _parse_expr(sec[key], {var: xy[var]},
+                                         f"data.classical.{key}")
         for key in sec:
             if key not in CLASSICAL_TRACES:
                 raise ConfigError(f"unknown data component {key!r}")
@@ -173,7 +181,7 @@ def load_config(path: str) -> RunConfig:
 
     reference_expr = None
     if cp.has_section("reference") and "u" in cp["reference"]:
-        reference_expr = _parse_expr(cp["reference"]["u"], ("x", "y"), "reference.u")
+        reference_expr = _parse_expr(cp["reference"]["u"], xy, "reference.u")
 
     return RunConfig(domain=domain, n1=n1, n2=n2, x_breakpoints=xb, y_breakpoints=yb,
                      coeff_exprs=coeff_exprs, forcing_expr=forcing_expr,
@@ -191,22 +199,18 @@ def evaluate_expr(node, env: dict, where: str):
 
 
 def _field2d(node, where: str) -> Field2D:
-    kind = PIECEWISE if exprlang.is_piecewise(node) else ANALYTIC
-
     def fn(x, y, _n=node):
         return evaluate_expr(_n, {"x": np.asarray(x, dtype=float),
                                   "y": np.asarray(y, dtype=float)}, where)
 
-    return Field2D(fn, kind)
+    return Field2D(fn)
 
 
 def _field1d(node, var: str, where: str) -> Field1D:
-    kind = PIECEWISE if exprlang.is_piecewise(node) else ANALYTIC
-
     def fn(t, _n=node, _v=var):
         return evaluate_expr(_n, {_v: np.asarray(t, dtype=float)}, where)
 
-    return Field1D(fn, kind)
+    return Field1D(fn)
 
 
 def build_grid_from(cfg: RunConfig) -> Grid2D:

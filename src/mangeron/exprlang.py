@@ -249,6 +249,18 @@ def _eval_piecewise(node: Piecewise, env: dict[str, np.ndarray]):
     return evaluate_pieces(pieces, [env[n] for n in names], error=ExprError)
 
 
+def walk(node):
+    """Every node of an AST, `node` first."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Piecewise):
+            stack.extend(sub for _, sub in node.pieces)
+        else:
+            stack.extend(getattr(node, k) for k in ("a", "b") if hasattr(node, k))
+
+
 def diff(node, var: str):
     """Exact derivative of an AST with respect to `var`."""
     if isinstance(node, Num):
@@ -306,7 +318,3 @@ def to_string(node) -> str:
             parts.append(f"({bs}): {to_string(sub)}")
         return "piecewise(" + "; ".join(parts) + ")"
     raise ExprError(f"cannot render node {node!r}")
-
-
-def is_piecewise(node) -> bool:
-    return isinstance(node, Piecewise)

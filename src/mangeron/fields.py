@@ -1,15 +1,17 @@
 """Evaluable scalar fields on the rectangle and on its axes.
 
-A field is a total evaluator plus the kind of its representation (analytic
-closure, piecewise over axis-aligned rectangles, or grid samples).
-Piecewise fields must tile the domain exactly and are evaluated
-deterministically by `evaluate_pieces`, the one piecewise rule of the
-package (the config language uses it too): on a shared edge the piece with
-the lexicographically smallest origin wins.
+A field is a total evaluator plus one of two kinds of representation: a
+closure (analytic, piecewise fields included) or grid samples.  Piecewise
+fields over axis-aligned boxes must tile the domain (`validate_tiling`) and
+are evaluated deterministically by `evaluate_pieces`; both are the one
+piecewise rule of the package, which the config language uses too.  On a
+shared edge the piece with the lexicographically smallest origin wins.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -19,10 +21,9 @@ from .grids import Axis, Grid2D
 
 # representation kinds
 ANALYTIC = "analytic"
-PIECEWISE = "piecewise"
 SAMPLES = "samples"
 
-_KINDS = (ANALYTIC, PIECEWISE, SAMPLES)
+_KINDS = (ANALYTIC, SAMPLES)
 
 
 def _check_kind(kind: str):
@@ -137,25 +138,25 @@ class Piece2D:
     y1: float
     fn: Callable
 
-    def __post_init__(self):
-        if not (self.x0 < self.x1 and self.y0 < self.y1):
-            raise ValueError("degenerate piece")
 
-
-def _validate_tiling(pieces: Sequence[Piece2D], h1: float, h2: float):
-    area = 0.0
-    for p in pieces:
-        if p.x0 < -1e-12 or p.y0 < -1e-12 or p.x1 > h1 + 1e-12 or p.y1 > h2 + 1e-12:
-            raise ValueError("piece extends outside the domain")
-        area += (p.x1 - p.x0) * (p.y1 - p.y0)
-    for a in range(len(pieces)):
-        for b in range(a + 1, len(pieces)):
-            pa, pb = pieces[a], pieces[b]
-            ox = min(pa.x1, pb.x1) - max(pa.x0, pb.x0)
-            oy = min(pa.y1, pb.y1) - max(pa.y0, pb.y0)
-            if ox > 1e-12 and oy > 1e-12:
-                raise ValueError("pieces overlap on a set of positive area")
-    if abs(area - h1 * h2) > 1e-10 * max(1.0, h1 * h2):
+def validate_tiling(boxes: Sequence[Sequence[float]], extents: Sequence[float]):
+    """Refuse boxes (lo0, hi0, lo1, hi1, ...) that do not tile the domain
+    [0, extents[0]] x [0, extents[1]] x ...: each box must be nondegenerate
+    and inside the domain, no two may overlap on a set of positive measure,
+    and their measures must add up to the domain's."""
+    sides = [tuple(zip(box[::2], box[1::2])) for box in boxes]
+    for box, s in zip(boxes, sides):
+        if not all(lo < hi for lo, hi in s):
+            raise ValueError(f"degenerate piece {tuple(box)}")
+        if any(lo < -1e-12 or hi > h + 1e-12 for (lo, hi), h in zip(s, extents)):
+            raise ValueError(f"piece {tuple(box)} extends outside the domain")
+    for (a, sa), (b, sb) in itertools.combinations(zip(boxes, sides), 2):
+        if all(min(ah, bh) - max(al, bl) > 1e-12 for (al, ah), (bl, bh) in zip(sa, sb)):
+            raise ValueError(f"pieces {tuple(a)} and {tuple(b)} overlap on a set of "
+                             "positive measure")
+    measure = sum(math.prod(hi - lo for lo, hi in s) for s in sides)
+    volume = math.prod(extents)
+    if abs(measure - volume) > 1e-10 * max(1.0, volume):
         raise ValueError("pieces do not tile the domain (gap detected)")
 
 
@@ -192,9 +193,9 @@ def evaluate_pieces(pieces: Sequence[tuple[Sequence[float], Callable]], coords: 
 def piecewise2d(pieces: Sequence[Piece2D], h1: float, h2: float) -> Field2D:
     """Piecewise field over axis-aligned rectangles tiling [0,h1] x [0,h2],
     evaluated by `evaluate_pieces`."""
-    _validate_tiling(pieces, h1, h2)
     table = tuple(((p.x0, p.x1, p.y0, p.y1), p.fn) for p in pieces)
-    return Field2D(lambda x, y, _t=table: evaluate_pieces(_t, (x, y)), PIECEWISE)
+    validate_tiling([b for b, _ in table], (h1, h2))
+    return Field2D(lambda x, y, _t=table: evaluate_pieces(_t, (x, y)))
 
 
 @dataclass(frozen=True)
@@ -203,16 +204,10 @@ class Segment1D:
     t1: float
     fn: Callable
 
-    def __post_init__(self):
-        if not self.t0 < self.t1:
-            raise ValueError("degenerate segment")
-
 
 def piecewise1d(segments: Sequence[Segment1D], h: float) -> Field1D:
     """Piecewise field over segments tiling [0, h], evaluated by
     `evaluate_pieces`."""
-    length = sum(s.t1 - s.t0 for s in segments)
-    if abs(length - h) > 1e-10 * max(1.0, h):
-        raise ValueError("segments do not tile the interval")
     table = tuple(((s.t0, s.t1), s.fn) for s in segments)
-    return Field1D(lambda t, _t=table: evaluate_pieces(_t, (t,)), PIECEWISE)
+    validate_tiling([b for b, _ in table], (h,))
+    return Field1D(lambda t, _t=table: evaluate_pieces(_t, (t,)))

@@ -116,14 +116,6 @@ class Axis:
         np.cumsum(inc, axis=axis, out=c1[hi])
         return c0, c1
 
-    def node_index(self, t: float) -> int:
-        """Index of the node equal to t; raises if t is not a node."""
-        tol = NODE_MATCH_RTOL * max(1.0, self.length)
-        idx = int(np.argmin(np.abs(self.nodes - t)))
-        if abs(self.nodes[idx] - t) > tol:
-            raise ValueError(f"{t} is not a grid node (no interpolation applied)")
-        return idx
-
     def __repr__(self):
         return f"Axis(n={self.n}, length={self.length})"
 
@@ -215,17 +207,6 @@ class GridFn2D:
             raise ValueError(f"value shape {values.shape} does not match grid {grid.shape}")
         self.grid = grid
         self.values = _frozen(values)
-
-
-def quad_1d(f: GridFn1D) -> float:
-    """Trapezoid integral of f over its whole axis; exact for piecewise-linear f."""
-    return float(f.axis.weights @ f.values)
-
-
-def moment_integral_1d(f: GridFn1D, x: float) -> float:
-    """Integral of (x - t) f(t) from 0 to x, where x must be a grid node."""
-    idx = f.axis.node_index(x)
-    return float(f.axis.cumulative(f.values)[1][idx])
 
 
 def fd_derivatives(nodes: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

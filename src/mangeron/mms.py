@@ -22,8 +22,8 @@ from numpy.polynomial import polynomial as npoly
 
 from .fields import Field1D, Field2D, Piece2D, piecewise2d, samples1d, samples2d
 from .grids import Domain, Grid2D, GridFn1D, GridFn2D, build_grid
-from .problem import (Coefficients, NonclassicalData, PdeProblem, nonclassical_to_classical,
-                      sample_data)
+from .problem import (DERIVATIVES, Coefficients, NonclassicalData, PdeProblem,
+                      nonclassical_to_classical, sample_data)
 from .reduction import apply_pde_operator
 from .solver import ReducedUnknowns, SolutionBundle, assemble_solution, solve_problem
 
@@ -155,14 +155,8 @@ def make_mms(u_star: SeparableSolution, coeffs: Coefficients, domain: Domain,
 
     def forcing_fn(x, y):
         out = d(2, 2, x, y)
-        out = out + coeffs.c_xxy.eval(x, y) * d(2, 1, x, y)
-        out = out + coeffs.c_xyy.eval(x, y) * d(1, 2, x, y)
-        out = out + coeffs.c_xx.eval(x, y) * d(2, 0, x, y)
-        out = out + coeffs.c_yy.eval(x, y) * d(0, 2, x, y)
-        out = out + coeffs.c_xy.eval(x, y) * d(1, 1, x, y)
-        out = out + coeffs.c_x.eval(x, y) * d(1, 0, x, y)
-        out = out + coeffs.c_y.eval(x, y) * d(0, 1, x, y)
-        out = out + coeffs.c_u.eval(x, y) * d(0, 0, x, y)
+        for key, name in Coefficients.MULTIPLIES.items():
+            out = out + getattr(coeffs, key).eval(x, y) * d(*DERIVATIVES[name], x, y)
         return out
 
     data = NonclassicalData(
@@ -185,11 +179,8 @@ def make_mms(u_star: SeparableSolution, coeffs: Coefficients, domain: Domain,
 def exact_bundle(u_star: SeparableSolution, grid: Grid2D) -> SolutionBundle:
     """All nine derivative grids of a known solution, sampled at the nodes."""
     xx, yy = grid.meshgrid()
-    g = {key: GridFn2D(grid, u_star.eval_deriv(i, j, xx, yy))
-         for key, (i, j) in (("u", (0, 0)), ("ux", (1, 0)), ("uy", (0, 1)),
-                             ("uxx", (2, 0)), ("uyy", (0, 2)), ("uxy", (1, 1)),
-                             ("uxxy", (2, 1)), ("uxyy", (1, 2)), ("uxxyy", (2, 2)))}
-    return SolutionBundle(**g)
+    return SolutionBundle(**{key: GridFn2D(grid, u_star.eval_deriv(i, j, xx, yy))
+                             for key, (i, j) in DERIVATIVES.items()})
 
 
 def forward_problem(domain: Domain, grid: Grid2D, coeffs: Coefficients,
@@ -292,24 +283,20 @@ def fd_oracle(problem: PdeProblem, grid: Grid2D) -> GridFn2D:
 
     cd = nonclassical_to_classical(problem.data, problem.domain, grid)
     n1, n2 = grid.shape
-    d1x, d2x = difference_matrices(grid.x)
-    d1y, d2y = difference_matrices(grid.y)
-    ix = sparse.identity(n1, format="csr")
-    iy = sparse.identity(n2, format="csr")
+    dx = (sparse.identity(n1, format="csr"),) + difference_matrices(grid.x)
+    dy = (sparse.identity(n2, format="csr"),) + difference_matrices(grid.y)
     c = problem.coeffs.sample_all(grid)
 
     def dia(vals):
         return sparse.diags(vals.ravel())
 
-    op = sparse.kron(d2x, d2y)
-    op = op + dia(c["c_xxy"]) @ sparse.kron(d2x, d1y)
-    op = op + dia(c["c_xyy"]) @ sparse.kron(d1x, d2y)
-    op = op + dia(c["c_xx"]) @ sparse.kron(d2x, iy)
-    op = op + dia(c["c_yy"]) @ sparse.kron(ix, d2y)
-    op = op + dia(c["c_xy"]) @ sparse.kron(d1x, d1y)
-    op = op + dia(c["c_x"]) @ sparse.kron(d1x, iy)
-    op = op + dia(c["c_y"]) @ sparse.kron(ix, d1y)
-    op = op + dia(c["c_u"])
+    def term(name):
+        i, j = DERIVATIVES[name]
+        return sparse.kron(dx[i], dy[j])
+
+    op = term("uxxyy")
+    for key, name in Coefficients.MULTIPLIES.items():
+        op = op + dia(c[key]) @ term(name)
 
     rhs = problem.forcing.sample(grid).astype(float)
     boundary = np.zeros((n1, n2), dtype=bool)

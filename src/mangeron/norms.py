@@ -15,11 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Grid2D, GridFn1D, GridFn2D
+from .problem import DERIVATIVES
 
 INF = math.inf
-
-#: attribute names of the nine derivative grids of a solution bundle
-DERIVATIVE_KEYS = ("u", "ux", "uy", "uxx", "uyy", "uxy", "uxxy", "uxyy", "uxxyy")
 
 
 @dataclass(frozen=True)
@@ -52,7 +50,7 @@ def lp_norm(f: GridFn1D | GridFn2D, spec: NormSpec = NormSpec()) -> float:
 def sobolev_norm(bundle, spec: NormSpec = NormSpec()) -> float:
     """Sum of the L_p norms of all nine derivative grids of `bundle`."""
     total = 0.0
-    for key in DERIVATIVE_KEYS:
+    for key in DERIVATIVES:
         g = getattr(bundle, key, None)
         if g is None:
             raise ValueError(f"bundle is missing derivative grid {key!r}")

@@ -37,12 +37,19 @@ class ConstraintError(DataConsistencyError):
     """Nonclassical data violates one of the two scalar corner constraints."""
 
 
+#: the nine derivative grids of a solution, each by its orders (i, j) in x and y
+DERIVATIVES = {"u": (0, 0), "ux": (1, 0), "uy": (0, 1), "uxx": (2, 0), "uyy": (0, 2),
+               "uxy": (1, 1), "uxxy": (2, 1), "uxyy": (1, 2), "uxxyy": (2, 2)}
+
+
 @dataclass(frozen=True)
 class Coefficients:
     """The eight coefficient fields of the fourth-order operator.
 
-    Each field is named by the derivative of u it multiplies; the leading
-    mixed fourth derivative has unit coefficient and is not stored.  The
+    Each field is named by the derivative of u it multiplies (`MULTIPLIES`,
+    the equation's one statement: u_xxyy plus each coefficient times its
+    grid, in this order); the leading mixed fourth derivative has unit
+    coefficient and is not stored.  The
     admissible mixed-norm classes: coefficients of x-second-derivative terms
     (c_xxy, c_xx) are bounded in x and integrable in y, those of
     y-second-derivative terms (c_xyy, c_yy) the transpose, and the low-order
@@ -58,7 +65,9 @@ class Coefficients:
     c_y: Field2D = ZERO_2D
     c_u: Field2D = ZERO_2D
 
-    KEYS = ("c_xxy", "c_xyy", "c_xx", "c_yy", "c_xy", "c_x", "c_y", "c_u")
+    MULTIPLIES = {"c_xxy": "uxxy", "c_xyy": "uxyy", "c_xx": "uxx", "c_yy": "uyy",
+                  "c_xy": "uxy", "c_x": "ux", "c_y": "uy", "c_u": "u"}
+    KEYS = tuple(MULTIPLIES)
 
     def sample_all(self, grid: Grid2D) -> dict[str, np.ndarray]:
         return {k: getattr(self, k).sample(grid) for k in self.KEYS}
@@ -206,6 +215,20 @@ def _default_corner_tol(cd: ClassicalData) -> float:
     return CORNER_TOL_SAMPLED if cd.any_sampled() else CORNER_TOL_ANALYTIC
 
 
+def check_matching(cd: ClassicalData, domain: Domain,
+                   tol: float | None = None) -> CheckReport:
+    """Residuals of the four corner matching relations of classical data."""
+    tol = _default_corner_tol(cd) if tol is None else tol
+    h1, h2 = domain.h1, domain.h2
+    res = (
+        ("corner(0,0)", abs(float(cd.left.value.eval(0.0)) - float(cd.bottom.value.eval(0.0)))),
+        ("corner(h1,h2)", abs(float(cd.right.value.eval(h2)) - float(cd.top.value.eval(h1)))),
+        ("corner(0,h2)", abs(float(cd.left.value.eval(h2)) - float(cd.top.value.eval(0.0)))),
+        ("corner(h1,0)", abs(float(cd.right.value.eval(0.0)) - float(cd.bottom.value.eval(h1)))),
+    )
+    return CheckReport(res, tol)
+
+
 def _trace_derivatives(trace: BoundaryTrace, axis: Axis | None):
     """Derivative evaluators of an edge function, differencing if absent.
 
@@ -231,27 +254,16 @@ def classical_to_nonclassical(cd: ClassicalData, domain: Domain,
                               corner_tol: float | None = None) -> NonclassicalData:
     """Extract the 11 nonclassical components from classical edge data.
 
-    Corner values given by two edges each must agree within `corner_tol`
-    (defaults depend on whether any trace is grid-sampled); disagreement
-    raises CornerMismatchError.
+    The edge values must agree at all four corners within `corner_tol`, as
+    measured by `check_matching` (the default depends on whether any trace
+    is grid-sampled); the first corner that disagrees raises
+    CornerMismatchError naming it.
     """
-    tol = _default_corner_tol(cd) if corner_tol is None else corner_tol
-
-    u00_a = float(cd.left.value.eval(0.0))
-    u00_b = float(cd.bottom.value.eval(0.0))
-    if abs(u00_a - u00_b) > tol:
-        raise CornerMismatchError(
-            f"edge values disagree at (0,0): {u00_a} vs {u00_b}")
-    u10_a = float(cd.right.value.eval(0.0))
-    u10_b = float(cd.bottom.value.eval(domain.h1))
-    if abs(u10_a - u10_b) > tol:
-        raise CornerMismatchError(
-            f"edge values disagree at (h1,0): {u10_a} vs {u10_b}")
-    u01_a = float(cd.top.value.eval(0.0))
-    u01_b = float(cd.left.value.eval(domain.h2))
-    if abs(u01_a - u01_b) > tol:
-        raise CornerMismatchError(
-            f"edge values disagree at (0,h2): {u01_a} vs {u01_b}")
+    matching = check_matching(cd, domain, corner_tol)
+    for name, r in matching.residuals:
+        if r > matching.tolerance:
+            raise CornerMismatchError(f"edge values disagree at {name}: "
+                                      f"|difference| {r} > {matching.tolerance}")
 
     x_axis = grid.ax if grid is not None else None
     y_axis = grid.ay if grid is not None else None
@@ -261,10 +273,10 @@ def classical_to_nonclassical(cd: ClassicalData, domain: Domain,
     ux01, uxx_top = _trace_derivatives(cd.top, x_axis)
 
     return NonclassicalData(
-        u00=u00_a, ux00=ux00, uy00=uy00,
+        u00=float(cd.left.value.eval(0.0)), ux00=ux00, uy00=uy00,
         uxx_bottom=uxx_bottom, uyy_left=uyy_left,
-        u10=u10_a, uy10=uy10, uyy_right=uyy_right,
-        u01=u01_a, ux01=ux01, uxx_top=uxx_top)
+        u10=float(cd.right.value.eval(0.0)), uy10=uy10, uyy_right=uyy_right,
+        u01=float(cd.top.value.eval(0.0)), ux01=ux01, uxx_top=uxx_top)
 
 
 def nonclassical_to_classical(data: NonclassicalData, domain: Domain,
@@ -293,20 +305,6 @@ def nonclassical_to_classical(data: NonclassicalData, domain: Domain,
         top=BoundaryTrace(samples1d(ax.nodes, top_vals)))
 
 
-def check_matching(cd: ClassicalData, domain: Domain,
-                   tol: float | None = None) -> CheckReport:
-    """Residuals of the four corner matching relations of classical data."""
-    tol = _default_corner_tol(cd) if tol is None else tol
-    h1, h2 = domain.h1, domain.h2
-    res = (
-        ("corner(0,0)", abs(float(cd.left.value.eval(0.0)) - float(cd.bottom.value.eval(0.0)))),
-        ("corner(h1,h2)", abs(float(cd.right.value.eval(h2)) - float(cd.top.value.eval(h1)))),
-        ("corner(0,h2)", abs(float(cd.left.value.eval(h2)) - float(cd.top.value.eval(0.0)))),
-        ("corner(h1,0)", abs(float(cd.right.value.eval(0.0)) - float(cd.bottom.value.eval(h1)))),
-    )
-    return CheckReport(res, tol)
-
-
 def constraint_tolerance(sd: SampledData, grid: Grid2D) -> float:
     """Grid-aware tolerance for the two scalar data constraints.
 
@@ -323,8 +321,7 @@ def constraint_tolerance(sd: SampledData, grid: Grid2D) -> float:
     return 10.0 * max(b1, b2) + 1e-9 * scale
 
 
-def check_data_constraints(sd: SampledData, grid: Grid2D,
-                           tol: float | None = None) -> CheckReport:
+def check_data_constraints(sd: SampledData, grid: Grid2D) -> CheckReport:
     """The two unknown-free relations nonclassical data must satisfy.
 
     The corner values u(h1,0) and u(0,h2) are already determined by the
@@ -336,10 +333,8 @@ def check_data_constraints(sd: SampledData, grid: Grid2D,
     h1, h2 = grid.domain.h1, grid.domain.h2
     r1 = float(abs(sd.u00 + h1 * sd.ux00 + float(ax.moments @ sd.uxx_bottom) - sd.u10))
     r2 = float(abs(sd.u00 + h2 * sd.uy00 + float(ay.moments @ sd.uyy_left) - sd.u01))
-    if tol is None:
-        tol = constraint_tolerance(sd, grid)
     return CheckReport((("bottom-edge route to u(h1,0)", r1),
-                        ("left-edge route to u(0,h2)", r2)), tol)
+                        ("left-edge route to u(0,h2)", r2)), constraint_tolerance(sd, grid))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Grid2D
-from .problem import SampledProblem
+from .problem import DERIVATIVES, Coefficients, SampledProblem
 
 #: largest node count for which the dense kernel matrix may be materialized
 DENSE_NODE_LIMIT = 70 * 70
@@ -55,21 +55,16 @@ def apply_pde_operator(c: dict[str, np.ndarray], bundle) -> np.ndarray:
 
     `c` holds the coefficient grids on the bundle's grid (as sampled by
     `Coefficients.sample_all`).  The bundle must expose all nine derivative
-    grids (u .. uxxyy); the result is uxxyy + c_xxy uxxy + c_xyy uxyy
-    + c_xx uxx + c_yy uyy + c_xy uxy + c_x ux + c_y uy + c_u u at every node.
+    grids (`DERIVATIVES`); the result is uxxyy plus each coefficient times
+    the grid it multiplies (`Coefficients.MULTIPLIES`) at every node.
     """
-    for key in ("u", "ux", "uy", "uxx", "uyy", "uxy", "uxxy", "uxyy", "uxxyy"):
+    for key in DERIVATIVES:
         if getattr(bundle, key, None) is None:
             raise ValueError(f"bundle is missing derivative grid {key!r}")
-    return (bundle.uxxyy.values
-            + c["c_xxy"] * bundle.uxxy.values
-            + c["c_xyy"] * bundle.uxyy.values
-            + c["c_xx"] * bundle.uxx.values
-            + c["c_yy"] * bundle.uyy.values
-            + c["c_xy"] * bundle.uxy.values
-            + c["c_x"] * bundle.ux.values
-            + c["c_y"] * bundle.uy.values
-            + c["c_u"] * bundle.u.values)
+    out = bundle.uxxyy.values.copy()
+    for key, name in Coefficients.MULTIPLIES.items():
+        out += c[key] * getattr(bundle, name).values
+    return out
 
 
 def reduced_rhs(sp: SampledProblem) -> np.ndarray:

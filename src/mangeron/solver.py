@@ -366,8 +366,7 @@ class SolveResult:
 
 def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
                   tol: float = 1e-10, max_iter: int = 200, p: float = 2.0,
-                  force: bool = False, constraint_tol: float | None = None,
-                  residual_gate: bool = True) -> SolveResult:
+                  force: bool = False, residual_gate: bool = True) -> SolveResult:
     """End-to-end solve: gate, assemble, solve, reconstruct, verify.
 
     method: "auto" tries successive approximations and falls back to the
@@ -383,7 +382,7 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
     spec = NormSpec(p)
     gate = calibrate_residual_threshold(grid) if residual_gate else math.inf
     sp = sample_problem(problem, grid)
-    constraints = check_data_constraints(sp.data, grid, constraint_tol)
+    constraints = check_data_constraints(sp.data, grid)
     if not constraints.passed and not force:
         raise ConstraintError(
             "data violates the corner constraints "

@@ -126,16 +126,33 @@ def test_invalid_solver_options_exit_two(tmp_path, capsys, setting):
 
 
 def test_uncovered_piecewise_expression_exits_two(tmp_path, capsys):
+    # pieces that leave a gap, overlap, stick out of the domain or are
+    # degenerate are refused when the config is loaded, naming the key
     cfg = tmp_path / "pw.cfg"
-    for section, key in (("coefficients", "c_u"), ("reference", "u")):
-        cfg.write_text((CONFIGS / "zero.cfg").read_text()
-                       + f"\n[{section}]\n{key} = piecewise((0, 0.5, 0, 1): 1)\n")
+    zero = (CONFIGS / "zero.cfg").read_text()
+    for section, key, expr, message in (
+            ("coefficients", "c_u", "piecewise((0, 0.5, 0, 1): 1)", "do not tile the domain"),
+            ("reference", "u", "x * (1 + piecewise((0, 0.5, 0, 1): 1))",
+             "do not tile the domain"),
+            ("coefficients", "c_u",
+             "piecewise((0, 1, 0, 1): 1; (0, 0.5, 0, 1): 2; (0.2, 0.3, 5, 9): 7)",
+             "(0.2, 0.3, 5.0, 9.0) extends outside the domain"),
+            ("coefficients", "c_xy", "piecewise((0, 0.7, 0, 1): 1; (0.3, 1, 0, 1): 2)",
+             "overlap"),
+            ("forcing", "z",
+             "piecewise((0, 0.5, 0, 1): 1; (0.5, 0.5, 0, 1): 3; (0.5, 1, 0, 1): 2)",
+             "degenerate piece (0.5, 0.5, 0.0, 1.0)"),
+            ("data.nonclassical", "uxx_bottom", "piecewise((0, 0.6): 1; (0.2, 0.6): 2)",
+             "overlap")):
+        if section in ("forcing", "data.nonclassical"):
+            text = zero.replace(f"{key} = zero", f"{key} = {expr}")
+        else:
+            text = zero + f"\n[{section}]\n{key} = {expr}\n"
+        cfg.write_text(text)
         assert run(["solve", "--config", cfg, "--out", tmp_path / "out"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
-        assert "cover" in err
-        # the key of the expression and the first uncovered node (9 x 9 grid)
-        assert f"{section}.{key}: " in err and "(0.625, 0.0)" in err
+        assert f"{section}.{key}: " in err and message in err
         assert not (tmp_path / "out").exists()
 
 
@@ -222,6 +239,20 @@ def test_check_reports_corner_mismatch(tmp_path):
         report = json.load(fh)
     assert report["matching"]["passed"] is False
     assert report["matching"]["residuals"]["corner(0,0)"] == pytest.approx(5.0)
+
+
+def test_far_corner_mismatch_exits_three(tmp_path, capsys):
+    # classical edges that disagree only at (h1, h2) are refused by every command
+    bad = tmp_path / "far.cfg"
+    bad.write_text((CONFIGS / "plane_classical.cfg").read_text()
+                   .replace("top = 1 + x", "top = 1 + 3*x"))
+    for command in (["check"], ["solve"], ["convert", "--direction", "to-nonclassical"]):
+        assert run([*command, "--config", bad, "--out", tmp_path / command[0]]) == 3
+    with open(tmp_path / "check" / "check_report.json") as fh:
+        assert json.load(fh)["matching"]["residuals"]["corner(h1,h2)"] == pytest.approx(2.0)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all("corner(h1,h2)" in line for line in err)
+    assert not (tmp_path / "solve").exists() and not (tmp_path / "convert").exists()
 
 
 def test_solve_outputs_are_deterministic(tmp_path):

@@ -64,7 +64,7 @@ def test_piecewise_two_variables():
 
 def test_piecewise_uncovered_point_rejected():
     f = parse("piecewise((0, 0.4): 1; (0.6, 1): 2)", ("x",))
-    with pytest.raises(ExprError):
+    with pytest.raises(ExprError, match=r"\(0\.5\)"):
         evaluate(f, {"x": np.array([0.5])})
 
 

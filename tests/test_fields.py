@@ -3,7 +3,7 @@ import pytest
 
 from mangeron import (Domain, Field1D, Field2D, Piece2D, Segment1D, build_grid,
                       const1d, const2d, piecewise1d, piecewise2d, samples1d, samples2d)
-from mangeron.config import build_coefficients, load_config
+from mangeron.config import ConfigError, build_coefficients, load_config
 
 
 def test_constant_fields_broadcast():
@@ -58,6 +58,9 @@ def test_piecewise2d_rejects_gaps_and_overlaps():
                      Piece2D(0.3, 1.0, 0.0, 1.0, lambda x, y: x)], 1.0, 1.0)
     with pytest.raises(ValueError):
         piecewise2d([Piece2D(0.0, 1.2, 0.0, 1.0, lambda x, y: x)], 1.0, 1.0)
+    with pytest.raises(ValueError, match="degenerate"):
+        piecewise2d([Piece2D(0.0, 1.0, 0.0, 1.0, lambda x, y: x),
+                     Piece2D(0.5, 0.5, 0.0, 1.0, lambda x, y: x)], 1.0, 1.0)
 
 
 def test_piecewise1d_segments():
@@ -66,6 +69,9 @@ def test_piecewise1d_segments():
     np.testing.assert_allclose(f.eval(np.array([0.2, 0.5, 0.8])), [1.0, 1.0, 3.0])
     with pytest.raises(ValueError):
         piecewise1d([Segment1D(0.0, 0.5, lambda t: t)], 1.0)
+    # lengths add up to 1, but the segments overlap and leave (0.6, 1] uncovered
+    with pytest.raises(ValueError, match="overlap"):
+        piecewise1d([Segment1D(0.0, 0.6, lambda t: t), Segment1D(0.2, 0.6, lambda t: t)], 1.0)
 
 
 def test_field2d_sample_matches_meshgrid_eval():
@@ -110,6 +116,17 @@ z = zero
 [data.nonclassical]
 u00 = 0
 """
+
+
+def test_config_pieces_tile_the_extent_of_their_variable(tmp_path):
+    # on [0, 1] x [0, 2] the pieces of a trace in y tile [0, 2], of one in x [0, 1]
+    cfg_path = tmp_path / "traces.cfg"
+    cfg_path.write_text(CONFIG_FIELDS + "uyy_left = piecewise((0, 1): 1; (1, 2): 2)\n")
+    load_config(str(cfg_path))
+    cfg_path.write_text(CONFIG_FIELDS + "uxx_bottom = piecewise((0, 1): 1; (1, 2): 2)\n")
+    with pytest.raises(ConfigError, match=r"^data\.nonclassical\.uxx_bottom: piece "
+                                          r"\(1\.0, 2\.0\) extends outside the domain$"):
+        load_config(str(cfg_path))
 
 
 def test_field2d_sample_bit_identical_to_meshgrid_eval(tmp_path):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from mangeron import (Axis, Domain, Grid2D, GridFn1D, GridFn2D, build_grid,
-                      fd_derivatives, moment_integral_1d, quad_1d,
-                      trapezoid_error_bound)
+                      fd_derivatives, trapezoid_error_bound)
 from quadrature_oracle import panel_tables
 
 
@@ -134,13 +133,13 @@ def test_gridfn_shape_validation():
 
 def test_quad_linear_exact():
     ax = Axis(np.linspace(0.0, 1.0, 6))
-    assert quad_1d(GridFn1D(ax, ax.nodes)) == pytest.approx(0.5, abs=1e-15)
-    assert quad_1d(GridFn1D(ax, np.zeros(6))) == 0.0
+    assert ax.weights @ ax.nodes == pytest.approx(0.5, abs=1e-15)
+    assert ax.weights @ np.zeros(6) == 0.0
 
 
 def test_quad_quadratic_error():
     ax = Axis(np.linspace(0.0, 1.0, 11))
-    q = quad_1d(GridFn1D(ax, ax.nodes**2))
+    q = ax.weights @ ax.nodes**2
     assert abs(q - 1.0 / 3.0) <= 2e-3
     # constant curvature: the composite trapezoid error is exactly (b-a) h^2/12 * 2
     assert abs(q - 1.0 / 3.0) == pytest.approx(0.01 / 12.0 * 2.0, rel=1e-10)
@@ -148,22 +147,14 @@ def test_quad_quadratic_error():
 
 def test_moment_constant_and_empty():
     ax = Axis(np.linspace(0.0, 1.0, 9))
-    f = GridFn1D(ax, np.ones(9))
-    assert moment_integral_1d(f, 1.0) == pytest.approx(0.5, abs=1e-15)
-    assert moment_integral_1d(f, 0.0) == 0.0
+    moment = ax.cumulative(np.ones(9))[1]
+    assert moment[-1] == pytest.approx(0.5, abs=1e-15)
+    assert moment[0] == 0.0
 
 
 def test_moment_linear_integrand():
     ax = Axis(np.linspace(0.0, 1.0, 21))
-    f = GridFn1D(ax, ax.nodes)
-    assert abs(moment_integral_1d(f, 1.0) - 1.0 / 6.0) <= 1e-3
-
-
-def test_moment_rejects_off_node_point():
-    ax = Axis(np.linspace(0.0, 1.0, 9))
-    f = GridFn1D(ax, ax.nodes)
-    with pytest.raises(ValueError):
-        moment_integral_1d(f, 0.3)
+    assert abs(ax.cumulative(ax.nodes)[1][-1] - 1.0 / 6.0) <= 1e-3
 
 
 def test_quad_and_moment_linear_in_f():
@@ -173,21 +164,19 @@ def test_quad_and_moment_linear_in_f():
         f = rng.standard_normal(ax.n)
         g = rng.standard_normal(ax.n)
         a, b = rng.standard_normal(2)
-        lhs = quad_1d(GridFn1D(ax, a * f + b * g))
-        rhs = a * quad_1d(GridFn1D(ax, f)) + b * quad_1d(GridFn1D(ax, g))
+        lhs = ax.weights @ (a * f + b * g)
+        rhs = a * (ax.weights @ f) + b * (ax.weights @ g)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-        x = float(ax.nodes[rng.integers(0, ax.n)])
-        lhs = moment_integral_1d(GridFn1D(ax, a * f + b * g), x)
-        rhs = (a * moment_integral_1d(GridFn1D(ax, f), x)
-               + b * moment_integral_1d(GridFn1D(ax, g), x))
+        k = rng.integers(0, ax.n)
+        lhs = ax.cumulative(a * f + b * g)[1][k]
+        rhs = a * ax.cumulative(f)[1][k] + b * ax.cumulative(g)[1][k]
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 def test_moment_nondecreasing_for_nonnegative_f():
     rng = np.random.default_rng(3)
     ax = Axis(np.linspace(0.0, 2.0, 15))
-    f = GridFn1D(ax, rng.uniform(0.0, 1.0, ax.n))
-    vals = [moment_integral_1d(f, float(t)) for t in ax.nodes]
+    vals = ax.cumulative(rng.uniform(0.0, 1.0, ax.n))[1]
     assert all(vals[k + 1] >= vals[k] - 1e-15 for k in range(len(vals) - 1))
 
 
@@ -196,7 +185,7 @@ def test_trapezoid_second_order_refinement():
     errors = []
     for n in (9, 17, 33):
         ax = Axis(np.linspace(0.0, 1.0, n))
-        errors.append(abs(quad_1d(GridFn1D(ax, np.exp(ax.nodes))) - exact))
+        errors.append(abs(ax.weights @ np.exp(ax.nodes) - exact))
     order1 = np.log2(errors[0] / errors[1])
     order2 = np.log2(errors[1] / errors[2])
     assert order1 >= 1.9 and order2 >= 1.9
@@ -221,11 +210,11 @@ def test_fd_second_derivative_endpoints_exact_for_cubics():
 def test_trapezoid_error_bound_covers_actual_error():
     ax = Axis(np.linspace(0.0, 1.0, 11))
     vals = ax.nodes**2
-    actual = abs(quad_1d(GridFn1D(ax, vals)) - 1.0 / 3.0)
+    actual = abs(ax.weights @ vals - 1.0 / 3.0)
     # constant curvature: the bound is attained exactly
     assert trapezoid_error_bound(ax.nodes, vals) >= actual * (1 - 1e-12)
     vals = np.exp(ax.nodes)
-    actual = abs(quad_1d(GridFn1D(ax, vals)) - (np.e - 1.0))
+    actual = abs(ax.weights @ vals - (np.e - 1.0))
     assert trapezoid_error_bound(ax.nodes, vals) > actual
 
 

@@ -1,13 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from mangeron import (BoundaryTrace, ClassicalData, Coefficients, CornerMismatchError,
-                      Domain, Field1D, NonclassicalData, build_grid,
+from mangeron import (DERIVATIVES, BoundaryTrace, ClassicalData, Coefficients,
+                      CornerMismatchError, Domain, Field1D, NonclassicalData,
+                      SolutionBundle, build_grid,
                       check_data_constraints, check_matching, classical_to_nonclassical,
                       const1d, nonclassical_to_classical, random_forward_problem,
                       sample_data, trapezoid_error_bound)
+from mangeron.cli import CSV_COLUMNS
 from mangeron.mms import make_mms, random_solution
 
 
@@ -68,6 +71,26 @@ def test_corner_mismatch_detected():
                         right=cd.right, bottom=cd.bottom, top=cd.top)
     with pytest.raises(CornerMismatchError):
         classical_to_nonclassical(bad, dom, grid)
+    # top = 1 + 3x disagrees with the other edges only at (h1, h2)
+    top = BoundaryTrace(Field1D(lambda t: 1.0 + 3.0 * np.asarray(t, dtype=float)),
+                        const1d(3.0), const1d(0.0))
+    bad = ClassicalData(left=cd.left, right=cd.right, bottom=cd.bottom, top=top)
+    with pytest.raises(CornerMismatchError, match=r"corner\(h1,h2\)"):
+        classical_to_nonclassical(bad, dom, grid)
+
+
+def test_equation_tables_name_the_grids_and_coefficients():
+    names = lambda cls: tuple(f.name for f in dataclasses.fields(cls))
+    assert tuple(DERIVATIVES) == names(SolutionBundle)
+    assert ",".join(CSV_COLUMNS) == "x,y,u,ux,uy,uxx,uyy,uxy,uxxy,uxyy,uxxyy"
+    assert CSV_COLUMNS[2:] == tuple(DERIVATIVES)
+    for name, (i, j) in DERIVATIVES.items():
+        assert name == "u" + "x" * i + "y" * j
+    assert tuple(Coefficients.MULTIPLIES) == Coefficients.KEYS == names(Coefficients)
+    # every term but the leading u_xxyy has one coefficient, named by its grid
+    assert set(Coefficients.MULTIPLIES.values()) == set(DERIVATIVES) - {"uxxyy"}
+    for key, name in Coefficients.MULTIPLIES.items():
+        assert key == "c_" + (name[1:] or "u")
 
 
 def test_nonclassical_to_classical_simple_cases():

@@ -377,15 +377,6 @@ def test_selectable_norm_exponents():
         assert math.isfinite(result.report.stability_ratio)
 
 
-def test_constraint_tolerance_override():
-    grid = build_grid(DOM, 9, 9)
-    prob = PdeProblem(DOM, Coefficients(), data=NonclassicalData(u10=1e-7))
-    with pytest.raises(ConstraintError):
-        solve_problem(prob, grid, constraint_tol=1e-9)
-    result = solve_problem(prob, grid, constraint_tol=1e-3)
-    assert result.report.constraint_pass
-
-
 def test_grid_and_data_arrays_are_frozen():
     grid = build_grid(DOM, 9, 9)
     with pytest.raises(ValueError):
