@@ -17,7 +17,8 @@ from .problem import (DERIVATIVES, BoundaryTrace, CheckReport, ClassicalData, Co
                       ConstraintError, CornerMismatchError, DataConsistencyError,
                       NonclassicalData, PdeProblem, check_data_constraints,
                       check_matching, classical_to_nonclassical, constraint_tolerance,
-                      nonclassical_to_classical, sample_data, sample_problem)
+                      nonclassical_to_classical, sample_data, sample_problem,
+                      solution_data, trace_axis)
 from .reduction import (CoupledSystem, DiscreteOperator, apply_pde_operator, assemble_coupled,
                         assemble_eliminated, reduced_rhs)
 from .solver import (ReducedUnknowns, ResidualReport, SolutionBundle, SolveReport,

@@ -7,10 +7,11 @@ identical files.
 
 Exit codes: 0 success, 2 configuration error (including piecewise pieces
 that do not tile the domain, an expression that fails to evaluate on the
-grid and an output directory that cannot be created), 3 data-consistency
-failure (including classical edges that disagree at a corner), 4 solver
-failure (including a failed residual gate, a failed verify suite, and a
-dense or coupled solve refused above the dense limit).
+grid or is not finite there, and an output directory that cannot be
+created), 3 data-consistency failure (including classical edges that
+disagree at a corner), 4 solver failure (including a failed residual gate,
+a failed verify suite, and a dense or coupled solve refused above the dense
+limit).
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ import sys
 import numpy as np
 
 from . import exprlang
-from .config import (ConfigError, RunConfig, build_grid_from, build_problem, evaluate_expr,
+from .config import (CLASSICAL_TRACES, ConfigError, RunConfig, build_classical,
+                     build_grid_from, build_nonclassical, build_problem, evaluate_expr,
                      load_config, norm_exponent)
 from .mms import convergence_study, named_cases
-from .problem import (DERIVATIVES, DataConsistencyError, check_data_constraints,
-                      check_matching, classical_to_nonclassical, nonclassical_to_classical,
-                      sample_data)
+from .problem import (DERIVATIVES, DataConsistencyError, NonclassicalData,
+                      check_data_constraints, check_matching, classical_to_nonclassical,
+                      nonclassical_to_classical, sample_data, trace_axis)
 from .solver import METHODS, SolveResult, SolverError, solve_problem
 
 EXIT_OK = 0
@@ -162,7 +164,7 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _trace_payload(axis_nodes: np.ndarray, values: np.ndarray, expr: str | None):
+def _trace_payload(axis_nodes: np.ndarray, values: np.ndarray, expr: str | None = None):
     out = {"nodes": [float(t) for t in axis_nodes],
            "values": [float(v) for v in values]}
     if expr is not None:
@@ -177,42 +179,34 @@ def cmd_convert(args) -> int:
     if args.direction == "to-nonclassical":
         if cfg.data_kind != "classical":
             raise ConfigError("to-nonclassical conversion needs [data.classical]")
-        from .config import build_classical
         cd = build_classical(cfg)
         data = classical_to_nonclassical(cd, cfg.domain, grid)
         sd = sample_data(data, grid)
 
-        def second_derivative_expr(key, var):
-            # analytic inputs yield exact expressions for the converted traces
+        def trace(key):
+            # a trace is named after its classical edge; analytic inputs
+            # yield exact expressions for the converted traces
+            axis = trace_axis(key)
+            var = "xy"[axis]
             try:
-                node = exprlang.diff(exprlang.diff(cfg.data_exprs[key], var), var)
-                return exprlang.to_string(node)
+                edge = cfg.data_exprs[key.partition("_")[2]]
+                expr = exprlang.to_string(exprlang.diff(exprlang.diff(edge, var), var))
             except exprlang.ExprError:
-                return None
+                expr = None
+            return _trace_payload((grid.x, grid.y)[axis], getattr(sd, key), expr)
 
-        payload = {"direction": args.direction,
-                   "u00": sd.u00, "ux00": sd.ux00, "uy00": sd.uy00,
-                   "uxx_bottom": _trace_payload(grid.x, sd.uxx_bottom,
-                                                second_derivative_expr("bottom", "x")),
-                   "uyy_left": _trace_payload(grid.y, sd.uyy_left,
-                                              second_derivative_expr("left", "y")),
-                   "u10": sd.u10, "uy10": sd.uy10,
-                   "uyy_right": _trace_payload(grid.y, sd.uyy_right,
-                                               second_derivative_expr("right", "y")),
-                   "u01": sd.u01, "ux01": sd.ux01,
-                   "uxx_top": _trace_payload(grid.x, sd.uxx_top,
-                                             second_derivative_expr("top", "x"))}
+        payload = {"direction": args.direction}
+        for key in NonclassicalData.PLACES:
+            payload[key] = trace(key) if key in NonclassicalData.TRACE_KEYS else getattr(sd, key)
     elif args.direction == "to-classical":
         if cfg.data_kind != "nonclassical":
             raise ConfigError("to-classical conversion needs [data.nonclassical]")
-        from .config import build_nonclassical
         data = build_nonclassical(cfg)
         cd = nonclassical_to_classical(data, cfg.domain, grid)
-        payload = {"direction": args.direction,
-                   "left": _trace_payload(grid.y, cd.left.value.sample(grid.ay), None),
-                   "right": _trace_payload(grid.y, cd.right.value.sample(grid.ay), None),
-                   "bottom": _trace_payload(grid.x, cd.bottom.value.sample(grid.ax), None),
-                   "top": _trace_payload(grid.x, cd.top.value.sample(grid.ax), None)}
+        payload = {"direction": args.direction}
+        for edge, var in CLASSICAL_TRACES.items():
+            axis = grid.ax if var == "x" else grid.ay
+            payload[edge] = _trace_payload(axis.nodes, getattr(cd, edge).value.sample(axis))
     else:
         raise ConfigError(f"unknown direction {args.direction!r}")
 
@@ -225,32 +219,25 @@ def cmd_convert(args) -> int:
 def cmd_check(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     grid = build_grid_from(cfg)
-    payload: dict = {}
-    ok = True
     if cfg.data_kind == "classical":
-        from .config import build_classical
         cd = build_classical(cfg)
         matching = check_matching(cd, cfg.domain)
         # convert without the corner gate so residuals are reported even
         # for mismatched data
         data = classical_to_nonclassical(cd, cfg.domain, grid, corner_tol=math.inf)
     else:
-        from .config import build_nonclassical
         data = build_nonclassical(cfg)
         cd = nonclassical_to_classical(data, cfg.domain, grid)
         matching = check_matching(cd, cfg.domain)
     constraints = check_data_constraints(sample_data(data, grid), grid)
-    payload["matching"] = {"residuals": matching.as_dict(),
-                           "tolerance": matching.tolerance,
-                           "passed": matching.passed}
-    payload["constraints"] = {"residuals": constraints.as_dict(),
-                              "tolerance": constraints.tolerance,
-                              "passed": constraints.passed}
+    reports = {"matching": matching, "constraints": constraints}
     ok = matching.passed and constraints.passed
+    payload = {name: {"residuals": rep.as_dict(), "tolerance": rep.tolerance,
+                      "passed": rep.passed} for name, rep in reports.items()}
     payload["passed"] = ok
     path = _out_path(args.out, "check_report.json")
     write_json(payload, path)
-    for name, rep in (("matching", matching), ("constraints", constraints)):
+    for name, rep in reports.items():
         state = "pass" if rep.passed else "FAIL"
         print(f"{name}: {state} (max residual {fmt(rep.max_residual)}, "
               f"tol {fmt(rep.tolerance)})")

@@ -23,7 +23,7 @@ from .fields import Field1D, Field2D, validate_tiling
 from .grids import Domain, Grid2D, build_grid
 from .norms import NormSpec
 from .problem import (BoundaryTrace, ClassicalData, Coefficients, NonclassicalData,
-                      PdeProblem)
+                      PdeProblem, trace_axis)
 from .solver import METHODS
 
 
@@ -33,8 +33,7 @@ class ConfigError(ValueError):
 
 COEFF_KEYS = Coefficients.KEYS
 
-NONCLASSICAL_TRACES = {"uxx_bottom": "x", "uxx_top": "x",
-                       "uyy_left": "y", "uyy_right": "y"}
+NONCLASSICAL_TRACES = {key: "xy"[trace_axis(key)] for key in NonclassicalData.TRACE_KEYS}
 CLASSICAL_TRACES = {"left": "y", "right": "y", "bottom": "x", "top": "x"}
 
 
@@ -77,9 +76,13 @@ def _parse_expr(text: str, extents: dict[str, float], where: str):
 def _scalar(text: str, where: str) -> float:
     node = _parse_expr(text, {}, where)
     try:
-        return float(exprlang.evaluate(node, {}))
+        with np.errstate(all="ignore"):
+            value = float(exprlang.evaluate(node, {}))
     except Exception as exc:
         raise ConfigError(f"{where}: not a constant expression") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: value {value} is not finite")
+    return value
 
 
 def norm_exponent(text) -> float:
@@ -148,7 +151,7 @@ def load_config(path: str) -> RunConfig:
             text = sec.get(key, "zero")
             data_exprs[key] = _parse_expr(text, {var: xy[var]}, f"data.nonclassical.{key}")
         for key in sec:
-            if key not in NonclassicalData.SCALAR_KEYS and key not in NONCLASSICAL_TRACES:
+            if key not in NonclassicalData.PLACES:
                 raise ConfigError(f"unknown data component {key!r}")
     else:
         data_kind = "classical"
@@ -190,12 +193,21 @@ def load_config(path: str) -> RunConfig:
 
 
 def evaluate_expr(node, env: dict, where: str):
-    """Evaluate a config expression; an evaluation error names its config
-    key `where`, such as ``coefficients.c_u``."""
+    """Evaluate a config expression; an evaluation error, or a value that is
+    not finite at some point, names its config key `where`, such as
+    ``coefficients.c_u``, and the point."""
     try:
-        return exprlang.evaluate(node, env)
+        with np.errstate(all="ignore"):
+            values = np.asarray(exprlang.evaluate(node, env), dtype=float)
+        if not np.all(np.isfinite(values)):
+            names = sorted(env)
+            values, *coords = np.broadcast_arrays(values, *(env[n] for n in names))
+            first = np.unravel_index(np.argmin(np.isfinite(values)), values.shape)
+            point = ", ".join(f"{n} = {float(c[first])!r}" for n, c in zip(names, coords))
+            raise exprlang.ExprError(f"value {float(values[first])} is not finite at ({point})")
     except exprlang.ExprError as exc:
         raise exprlang.ExprError(f"{where}: {exc}") from exc
+    return values
 
 
 def _field2d(node, where: str) -> Field2D:

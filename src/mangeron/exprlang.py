@@ -234,7 +234,7 @@ def evaluate(node, env: dict[str, np.ndarray]):
         if node.op == "*":
             return a * b
         if node.op == "/":
-            return a / b
+            return np.divide(a, b)   # 1/0 is inf, as on arrays, not ZeroDivisionError
         if node.op == "^":
             return np.power(a, b)
     if isinstance(node, Piecewise):

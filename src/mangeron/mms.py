@@ -20,10 +20,10 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .fields import Field1D, Field2D, Piece2D, piecewise2d, samples1d, samples2d
+from .fields import Field2D, Piece2D, piecewise2d, samples1d, samples2d
 from .grids import Domain, Grid2D, GridFn1D, GridFn2D, build_grid
 from .problem import (DERIVATIVES, Coefficients, NonclassicalData, PdeProblem,
-                      nonclassical_to_classical, sample_data)
+                      nonclassical_to_classical, sample_data, solution_data)
 from .reduction import apply_pde_operator
 from .solver import ReducedUnknowns, SolutionBundle, assemble_solution, solve_problem
 
@@ -151,7 +151,6 @@ def make_mms(u_star: SeparableSolution, coeffs: Coefficients, domain: Domain,
              name: str = "mms", x_breakpoints: Sequence[float] = ()) -> MmsCase:
     """Derive forcing and all 11 data components from a known solution."""
     d = u_star.eval_deriv
-    h1, h2 = domain.h1, domain.h2
 
     def forcing_fn(x, y):
         out = d(2, 2, x, y)
@@ -159,19 +158,7 @@ def make_mms(u_star: SeparableSolution, coeffs: Coefficients, domain: Domain,
             out = out + getattr(coeffs, key).eval(x, y) * d(*DERIVATIVES[name], x, y)
         return out
 
-    data = NonclassicalData(
-        u00=float(d(0, 0, 0.0, 0.0)),
-        ux00=float(d(1, 0, 0.0, 0.0)),
-        uy00=float(d(0, 1, 0.0, 0.0)),
-        uxx_bottom=Field1D(lambda t: d(2, 0, t, 0.0)),
-        uyy_left=Field1D(lambda t: d(0, 2, 0.0, t)),
-        u10=float(d(0, 0, h1, 0.0)),
-        uy10=float(d(0, 1, h1, 0.0)),
-        uyy_right=Field1D(lambda t: d(0, 2, h1, t)),
-        u01=float(d(0, 0, 0.0, h2)),
-        ux01=float(d(1, 0, 0.0, h2)),
-        uxx_top=Field1D(lambda t: d(2, 0, t, h2)))
-    problem = PdeProblem(domain, coeffs, Field2D(forcing_fn), data)
+    problem = PdeProblem(domain, coeffs, Field2D(forcing_fn), solution_data(d, domain))
     return MmsCase(name, u_star, coeffs, domain, problem,
                    x_breakpoints=tuple(x_breakpoints))
 

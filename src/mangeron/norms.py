@@ -2,7 +2,8 @@
 
 The solution norm sums the L_p norms of all nine derivative grids of a
 solution bundle; the data norm sums the absolute values of the seven scalar
-boundary components and the L_p norms of the four edge-trace functions.
+boundary components and the L_p norms of the four edge-trace functions
+(`NonclassicalData.SCALAR_KEYS` and `TRACE_KEYS`).
 p = inf is realized as the node maximum, a discretization of the essential
 supremum.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Grid2D, GridFn1D, GridFn2D
-from .problem import DERIVATIVES
+from .problem import DERIVATIVES, NonclassicalData, trace_axis
 
 INF = math.inf
 
@@ -61,14 +62,14 @@ def sobolev_norm(bundle, spec: NormSpec = NormSpec()) -> float:
 def data_norm(sd, grid: Grid2D, spec: NormSpec = NormSpec()) -> float:
     """Norm of an 11-component boundary data element, sampled as `sd`.
 
-    Seven scalar components enter by absolute value, the four edge traces
-    by their quadrature L_p norm on the matching axis.
+    The seven scalar components enter by absolute value, then the four edge
+    traces by their quadrature L_p norm on the axis they run along, each
+    group in its `NonclassicalData` key order.
     """
-    total = (abs(sd.u00) + abs(sd.ux00) + abs(sd.uy00)
-             + abs(sd.u10) + abs(sd.uy10)
-             + abs(sd.u01) + abs(sd.ux01))
-    total += lp_norm(GridFn1D(grid.ax, sd.uxx_bottom), spec)
-    total += lp_norm(GridFn1D(grid.ay, sd.uyy_left), spec)
-    total += lp_norm(GridFn1D(grid.ay, sd.uyy_right), spec)
-    total += lp_norm(GridFn1D(grid.ax, sd.uxx_top), spec)
+    axes = (grid.ax, grid.ay)
+    total = 0.0
+    for key in NonclassicalData.SCALAR_KEYS:
+        total += abs(getattr(sd, key))
+    for key in NonclassicalData.TRACE_KEYS:
+        total += lp_norm(GridFn1D(axes[trace_axis(key)], getattr(sd, key)), spec)
     return float(total)

@@ -19,11 +19,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .fields import Field1D, Field2D
+from .fields import Field2D
 from .grids import Domain, Grid2D, GridFn1D, GridFn2D
 from .norms import NormSpec, data_norm, lp_norm, sobolev_norm
 from .problem import (Coefficients, ConstraintError, NonclassicalData, PdeProblem,
-                      SampledData, SampledProblem, check_data_constraints, sample_problem)
+                      SampledData, SampledProblem, check_data_constraints, sample_problem,
+                      solution_data)
 from .reduction import (DenseLimitError, DiscreteOperator, apply_pde_operator,
                         assemble_coupled, assemble_eliminated)
 
@@ -229,7 +230,8 @@ class ResidualReport:
 
     @property
     def max_bc(self) -> float:
-        return max(self.bc.values())
+        """The largest boundary residual; NaN if any is NaN."""
+        return float(np.max(list(self.bc.values())))
 
 
 def residual_report(sp: SampledProblem, bundle: SolutionBundle,
@@ -237,29 +239,19 @@ def residual_report(sp: SampledProblem, bundle: SolutionBundle,
     """Residual of the equation and of all 11 boundary conditions.
 
     The equation residual is the L_p norm of (operator applied to the
-    bundle) minus the forcing; trace residuals are node maxima along their
-    edge.
+    bundle) minus the forcing.  Each boundary residual reads its bundle grid
+    at the component's place in `NonclassicalData.PLACES`: a corner node, or
+    the node maximum along a trace's edge.
     """
     grid = bundle.grid
     v = apply_pde_operator(sp.coeffs, bundle)
     v -= sp.forcing
     pde = lp_norm(GridFn2D(grid, v), spec)
-    sd = sp.data
-    u, ux, uy = bundle.u.values, bundle.ux.values, bundle.uy.values
-    uxx, uyy = bundle.uxx.values, bundle.uyy.values
-    bc = {
-        "u00": abs(u[0, 0] - sd.u00),
-        "ux00": abs(ux[0, 0] - sd.ux00),
-        "uy00": abs(uy[0, 0] - sd.uy00),
-        "uxx_bottom": float(np.max(np.abs(uxx[:, 0] - sd.uxx_bottom))),
-        "uyy_left": float(np.max(np.abs(uyy[0, :] - sd.uyy_left))),
-        "u10": abs(u[-1, 0] - sd.u10),
-        "uy10": abs(uy[-1, 0] - sd.uy10),
-        "uyy_right": float(np.max(np.abs(uyy[-1, :] - sd.uyy_right))),
-        "u01": abs(u[0, -1] - sd.u01),
-        "ux01": abs(ux[0, -1] - sd.ux01),
-        "uxx_top": float(np.max(np.abs(uxx[:, -1] - sd.uxx_top))),
-    }
+    index = {0: 0, 1: -1, None: slice(None)}   # a place as an index along one axis
+    bc = {}
+    for key, (name, px, py) in NonclassicalData.PLACES.items():
+        trace = getattr(bundle, name).values[index[px], index[py]]
+        bc[key] = float(np.max(np.abs(trace - getattr(sp.data, key))))
     return ResidualReport(pde=float(pde), bc=bc)
 
 
@@ -271,29 +263,13 @@ def _reference_problems(domain: Domain) -> list[PdeProblem]:
     not cancel by symmetry, so they expose the genuine quadrature error of
     the grid in use.
     """
-    h1, h2 = domain.h1, domain.h2
-    zero = Field1D(lambda t: 0.0 * np.asarray(t))
-    trig = PdeProblem(
-        domain, Coefficients(),
-        Field2D(lambda x, y: np.sin(x) * np.sin(y)),
-        NonclassicalData(
-            u00=0.0, ux00=0.0, uy00=0.0, uxx_bottom=zero, uyy_left=zero,
-            u10=0.0, uy10=math.sin(h1),
-            uyy_right=Field1D(lambda t, _h=h1: -math.sin(_h) * np.sin(t)),
-            u01=0.0, ux01=math.sin(h2),
-            uxx_top=Field1D(lambda t, _h=h2: -np.sin(t) * math.sin(_h))))
-    trig_exp = PdeProblem(
-        domain, Coefficients(),
-        Field2D(lambda x, y: -np.sin(x) * np.exp(y)),
-        NonclassicalData(
-            u00=0.0, ux00=1.0, uy00=0.0,
-            uxx_bottom=Field1D(lambda t: -np.sin(t)),
-            uyy_left=zero,
-            u10=math.sin(h1), uy10=math.sin(h1),
-            uyy_right=Field1D(lambda t, _h=h1: math.sin(_h) * np.exp(t)),
-            u01=0.0, ux01=math.exp(h2),
-            uxx_top=Field1D(lambda t, _h=h2: -np.sin(t) * math.exp(_h))))
-    return [trig, trig_exp]
+    sin = (np.sin, np.cos, lambda t: -np.sin(t))   # a factor and its two derivatives
+    exp = (np.exp,) * 3
+    return [PdeProblem(domain, Coefficients(),
+                       Field2D(lambda x, y, _f=f, _g=g: _f[2](x) * _g[2](y)),
+                       solution_data(lambda i, j, x, y, _f=f, _g=g: _f[i](x) * _g[j](y),
+                                     domain))
+            for f, g in ((sin, sin), (sin, exp))]
 
 
 _THRESHOLD_CACHE: dict[tuple, float] = {}
@@ -309,8 +285,9 @@ def calibrate_residual_threshold(grid: Grid2D) -> float:
     dense-route threshold exactly, at any grid size and without any dense
     assembly.  The equation residual is then exactly 0 in every L_p norm and
     the boundary residuals are node maxima, so one threshold per grid serves
-    every norm exponent.  A reference solve that does not converge is a
-    solver failure; no threshold is ever built from a partial iterate.
+    every norm exponent.  A reference solve that does not converge, or whose
+    residuals are not finite, is a solver failure; no threshold is ever
+    built from a partial iterate.
     """
     key = (grid.x.tobytes(), grid.y.tobytes())
     if key not in _THRESHOLD_CACHE:
@@ -321,7 +298,9 @@ def calibrate_residual_threshold(grid: Grid2D) -> float:
             if not report.converged:
                 raise SolverError("residual-gate calibration did not converge "
                                   f"after {report.iterations} iterations")
-            worst = max(worst, report.residual_pde, max(report.residual_bc.values()))
+            worst = float(np.max([worst, report.residual_pde, *report.residual_bc.values()]))
+        if not math.isfinite(worst):
+            raise SolverError(f"residual-gate calibration gave a non-finite residual ({worst})")
         _THRESHOLD_CACHE[key] = 10.0 * max(worst, 1e-12)
     return _THRESHOLD_CACHE[key]
 

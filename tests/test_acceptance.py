@@ -18,7 +18,7 @@ from mangeron import (Coefficients, ConstraintError, Domain, Field2D, GridFn2D,
                       named_cases, nonclassical_to_classical, random_coefficients,
                       random_forward_problem, residual_report, sample_data,
                       sample_problem, solve_dense, solve_neumann, solve_problem,
-                      trapezoid_error_bound)
+                      trace_axis, trapezoid_error_bound)
 from mangeron.mms import (SeparableSolution, bilinear_solution, make_mms,
                           random_solution, sep_exp, sep_sin, trig_solution)
 
@@ -193,7 +193,7 @@ def test_criterion_06_round_trip_second_order():
         for key in NonclassicalData.SCALAR_KEYS:
             err = max(err, abs(getattr(back, key) - getattr(data, key)))
         for key in NonclassicalData.TRACE_KEYS:
-            axis = grid.ax if key.startswith("uxx") else grid.ay
+            axis = (grid.ax, grid.ay)[trace_axis(key)]
             err = max(err, float(np.max(np.abs(
                 getattr(back, key).sample(axis) - getattr(data, key).sample(axis)))))
         nc_errors.append(err)

@@ -1,5 +1,6 @@
 import filecmp
 import json
+import math
 import os
 import subprocess
 import sys
@@ -253,6 +254,67 @@ def test_far_corner_mismatch_exits_three(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all("corner(h1,h2)" in line for line in err)
     assert not (tmp_path / "solve").exists() and not (tmp_path / "convert").exists()
+
+
+NON_FINITE_VALUES = (
+    # a 0/0 at y = h2 in a classical edge, at x = 0 in a nonclassical trace,
+    # a scalar inf - inf, and a constant forcing 1/0
+    ("plane_classical.cfg", "left = y", "left = y * (y - 1) / (y - 1)",
+     "data.classical.left: value nan is not finite at (y = 1.0)"),
+    ("plane_nonclassical.cfg", "uxx_top = zero", "uxx_top = x / x - 1",
+     "data.nonclassical.uxx_top: value nan is not finite at (x = 0.0)"),
+    ("plane_nonclassical.cfg", "ux01 = 1", "ux01 = exp(1000) - exp(1000)",
+     "data.nonclassical.ux01: value nan is not finite"),
+    ("zero.cfg", "z = zero", "z = 1 / 0",
+     "forcing.z: value inf is not finite at (x = 0.0, y = 0.0)"),
+)
+
+
+@pytest.mark.parametrize("config, old, new, message", NON_FINITE_VALUES)
+def test_non_finite_config_value_exits_two(tmp_path, capsys, config, old, new, message):
+    bad = tmp_path / "nan.cfg"
+    bad.write_text((CONFIGS / config).read_text().replace(old, new))
+    direction = "to-nonclassical" if config == "plane_classical.cfg" else "to-classical"
+    commands = [["solve"]]
+    if message.startswith("data."):   # check and convert read only the boundary data
+        commands += [["check"], ["convert", "--direction", direction]]
+    for command in commands:
+        assert run([*command, "--config", bad, "--out", tmp_path / command[0]]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {message}\n"
+
+
+def json_numbers(obj):
+    """Every number in a loaded report; non-finite floats are written as strings."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        for item in obj:
+            yield from json_numbers(item)
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        yield float(obj)
+    elif obj in ("nan", "inf", "-inf"):
+        yield float(obj)
+
+
+SMOKE_CONFIGS = sorted(CONFIGS.glob("*.cfg")) + [
+    (config, old, new) for config, old, new, _ in NON_FINITE_VALUES]
+
+
+@pytest.mark.parametrize("config", SMOKE_CONFIGS,
+                         ids=lambda c: c.stem if isinstance(c, Path) else c[2])
+def test_exit_zero_writes_only_finite_numbers(tmp_path, config):
+    if not isinstance(config, Path):
+        name, old, new = config
+        config = tmp_path / "variant.cfg"
+        config.write_text((CONFIGS / name).read_text().replace(old, new))
+    for command in (["solve"], ["check"], ["convert", "--direction", "to-classical"],
+                    ["convert", "--direction", "to-nonclassical"]):
+        out = tmp_path / "-".join(command)
+        if run([*command, "--config", config, "--out", out]) == 0:
+            for path in out.glob("*.json"):
+                numbers = list(json_numbers(json.loads(path.read_text())))
+                assert numbers and all(math.isfinite(v) for v in numbers), path.name
 
 
 def test_solve_outputs_are_deterministic(tmp_path):

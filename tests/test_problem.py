@@ -9,7 +9,8 @@ from mangeron import (DERIVATIVES, BoundaryTrace, ClassicalData, Coefficients,
                       SolutionBundle, build_grid,
                       check_data_constraints, check_matching, classical_to_nonclassical,
                       const1d, nonclassical_to_classical, random_forward_problem,
-                      sample_data, trapezoid_error_bound)
+                      sample_data, solution_data, solve_problem, trace_axis,
+                      trapezoid_error_bound)
 from mangeron.cli import CSV_COLUMNS
 from mangeron.mms import make_mms, random_solution
 
@@ -37,7 +38,7 @@ def test_plane_conversion_analytic():
         assert getattr(data, key) == pytest.approx(val, abs=1e-12)
     for key in NonclassicalData.TRACE_KEYS:
         trace = getattr(data, key)
-        axis = grid.ax if key.startswith("uxx") else grid.ay
+        axis = (grid.ax, grid.ay)[trace_axis(key)]
         np.testing.assert_allclose(trace.sample(axis), 0.0, atol=1e-12)
 
 
@@ -91,6 +92,58 @@ def test_equation_tables_name_the_grids_and_coefficients():
     assert set(Coefficients.MULTIPLIES.values()) == set(DERIVATIVES) - {"uxxyy"}
     for key, name in Coefficients.MULTIPLIES.items():
         assert key == "c_" + (name[1:] or "u")
+
+
+def test_boundary_table_places_every_component():
+    places = NonclassicalData.PLACES
+    assert tuple(places) == tuple(f.name for f in dataclasses.fields(NonclassicalData))
+    assert NonclassicalData.SCALAR_KEYS == ("u00", "ux00", "uy00", "u10", "uy10", "u01", "ux01")
+    assert NonclassicalData.TRACE_KEYS == ("uxx_bottom", "uyy_left", "uyy_right", "uxx_top")
+    edges = {(None, 0): "bottom", (None, 1): "top", (0, None): "left", (1, None): "right"}
+    for key, (name, px, py) in places.items():
+        assert name in DERIVATIVES
+        if key in NonclassicalData.TRACE_KEYS:
+            # named by its grid and its edge; a bottom or top trace runs along x
+            assert key == f"{name}_{edges[px, py]}"
+            assert trace_axis(key) == (0 if edges[px, py] in ("bottom", "top") else 1)
+        else:
+            # named by its grid and its corner in units of the side lengths
+            assert key == f"{name}{px}{py}"
+    # the residual report has one entry per component, in the table's order
+    case = make_mms(random_solution(np.random.default_rng(3)), Coefficients(),
+                    Domain(1.0, 0.5))
+    grid = build_grid(case.domain, 9, 7)
+    report = solve_problem(case.problem, grid, residual_gate=False).report
+    assert tuple(report.residual_bc) == tuple(places)
+
+
+def test_solution_data_reads_each_place():
+    # a solution whose every derivative names the point it is read at
+    dom = Domain(2.0, 0.5)
+    data = solution_data(lambda i, j, x, y: 100.0 * i + 10.0 * j + np.asarray(x)
+                         + 1000.0 * np.asarray(y), dom)
+    t = np.array([0.0, 0.25, 0.5])
+    assert (data.u00, data.ux00, data.uy00) == (0.0, 100.0, 10.0)
+    assert (data.u10, data.uy10, data.u01, data.ux01) == (2.0, 12.0, 500.0, 600.0)
+    np.testing.assert_array_equal(data.uxx_bottom.eval(t), 200.0 + t)
+    np.testing.assert_array_equal(data.uxx_top.eval(t), 700.0 + t)
+    np.testing.assert_array_equal(data.uyy_left.eval(t), 20.0 + 1000.0 * t)
+    np.testing.assert_array_equal(data.uyy_right.eval(t), 22.0 + 1000.0 * t)
+
+
+def test_nan_corner_fails_matching_wherever_it_is_listed():
+    # the top edge is NaN at x = 0: the third corner check, corner(0,h2)
+    dom = Domain(1.0, 1.0)
+    cd = plane_classical()
+    top = BoundaryTrace(Field1D(lambda t: np.where(t == 0.0, np.nan, 1.0 + t)),
+                        cd.top.d1, cd.top.d2)
+    bad = ClassicalData(left=cd.left, right=cd.right, bottom=cd.bottom, top=top)
+    report = check_matching(bad, dom)
+    assert [name for name, _ in report.residuals].index("corner(0,h2)") > 0
+    assert math.isnan(report.max_residual)
+    assert report.passed is False
+    with pytest.raises(CornerMismatchError, match=r"corner\(0,h2\)"):
+        classical_to_nonclassical(bad, dom, build_grid(dom, 9, 9))
 
 
 def test_nonclassical_to_classical_simple_cases():
@@ -184,7 +237,7 @@ def _data_sup_distance(a, b, grid):
     for key in NonclassicalData.SCALAR_KEYS:
         out = max(out, abs(getattr(a, key) - getattr(b, key)))
     for key in NonclassicalData.TRACE_KEYS:
-        axis = grid.ax if key.startswith("uxx") else grid.ay
+        axis = (grid.ax, grid.ay)[trace_axis(key)]
         out = max(out, float(np.max(np.abs(getattr(a, key).sample(axis)
                                            - getattr(b, key).sample(axis)))))
     return out

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -255,6 +256,25 @@ def test_constraint_gate_refuses_bad_data_unless_forced():
     assert not result.report.residual_pass   # the violated condition shows up
 
 
+def nan_datum(key):
+    prob = make_mms(trig_solution(), Coefficients(), DOM).problem
+    return dataclasses.replace(prob, data=dataclasses.replace(prob.data, **{key: math.nan}))
+
+
+@pytest.mark.parametrize("key", ["ux01", "u01"])
+def test_nan_datum_fails_every_pass_rule(key):
+    # Python max skips a NaN unless it comes first; neither scalar is first
+    grid = build_grid(DOM, 17, 17)
+    report = solve_problem(nan_datum(key), grid, force=True).report
+    assert math.isnan(report.residual_bc[key])
+    assert report.residual_pass is False
+    if key == "u01":   # u(0, h2) enters the left-edge constraint
+        assert math.isnan(report.constraint_residuals["left-edge route to u(0,h2)"])
+        assert report.constraint_pass is False
+        with pytest.raises(ConstraintError):
+            solve_problem(nan_datum(key), grid)
+
+
 def test_residual_gate_passes_good_solves():
     grid = build_grid(DOM, 17, 17)
     for case_name in ("bilinear", "biquadratic", "trig"):
@@ -470,5 +490,14 @@ def test_calibration_refuses_unconverged_reference(monkeypatch):
     monkeypatch.setattr(solver_mod, "_THRESHOLD_CACHE", {})
     monkeypatch.setattr(solver_mod, "_reference_problems", lambda domain: [divergent])
     with pytest.raises(SolverError, match="calibration did not converge"):
+        calibrate_residual_threshold(grid)
+    assert solver_mod._THRESHOLD_CACHE == {}
+
+
+def test_calibration_refuses_non_finite_reference(monkeypatch):
+    grid = build_grid(DOM, 9, 9)
+    monkeypatch.setattr(solver_mod, "_THRESHOLD_CACHE", {})
+    monkeypatch.setattr(solver_mod, "_reference_problems", lambda domain: [nan_datum("ux01")])
+    with pytest.raises(SolverError, match="non-finite"):
         calibrate_residual_threshold(grid)
     assert solver_mod._THRESHOLD_CACHE == {}
