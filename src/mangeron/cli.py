@@ -11,7 +11,7 @@ grid or is not finite there, and an output directory that cannot be
 created), 3 data-consistency failure (including classical edges that
 disagree at a corner), 4 solver failure (including a failed residual gate,
 a failed verify suite, and a dense or coupled solve refused above the dense
-limit).
+limit or as numerically singular).
 """
 
 from __future__ import annotations
@@ -29,9 +29,10 @@ from .config import (CLASSICAL_TRACES, ConfigError, RunConfig, build_classical,
                      build_grid_from, build_nonclassical, build_problem, evaluate_expr,
                      load_config, norm_exponent)
 from .mms import convergence_study, named_cases
-from .problem import (DERIVATIVES, DataConsistencyError, NonclassicalData,
-                      check_data_constraints, check_matching, classical_to_nonclassical,
-                      nonclassical_to_classical, sample_data, trace_axis)
+from .problem import (CORNER_TOL_SAMPLED, DERIVATIVES, DataConsistencyError,
+                      NonclassicalData, check_data_constraints, check_matching,
+                      classical_to_nonclassical, nonclassical_to_classical, sample_data,
+                      trace_axis)
 from .solver import METHODS, SolveResult, SolverError, solve_problem
 
 EXIT_OK = 0
@@ -83,16 +84,13 @@ def write_json(obj, path: str):
 
 
 def write_solution_csv(result: SolveResult, path: str):
-    grid = result.grid
-    b = result.bundle
-    grids = [getattr(b, k).values for k in CSV_COLUMNS[2:]]
+    # one row per node, y outer: every (n1, n2) grid is read transposed
+    xx, yy = result.grid.meshgrid()
+    grids = [xx, yy] + [getattr(result.bundle, k).values for k in CSV_COLUMNS[2:]]
+    columns = [g.T.ravel() for g in grids]
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for j in range(grid.shape[1]):       # y outer
-            for i in range(grid.shape[0]):
-                row = [fmt(float(grid.x[i])), fmt(float(grid.y[j]))]
-                row += [fmt(float(g[i, j])) for g in grids]
-                fh.write(",".join(row) + "\n")
+        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",")
 
 
 def _check_out_dir(out_dir: str):
@@ -228,7 +226,7 @@ def cmd_check(args) -> int:
     else:
         data = build_nonclassical(cfg)
         cd = nonclassical_to_classical(data, cfg.domain, grid)
-        matching = check_matching(cd, cfg.domain)
+        matching = check_matching(cd, cfg.domain, CORNER_TOL_SAMPLED)
     constraints = check_data_constraints(sample_data(data, grid), grid)
     reports = {"matching": matching, "constraints": constraints}
     ok = matching.passed and constraints.passed

@@ -1,7 +1,7 @@
 """Evaluable scalar fields on the rectangle and on its axes.
 
-A field is a total evaluator plus one of two kinds of representation: a
-closure (analytic, piecewise fields included) or grid samples.  Piecewise
+A field is a total evaluator: a closure, analytic or piecewise, or an
+interpolant of grid samples (`samples1d`, `samples2d`).  Piecewise
 fields over axis-aligned boxes must tile the domain (`validate_tiling`) and
 are evaluated deterministically by `evaluate_pieces`; both are the one
 piecewise rule of the package, which the config language uses too.  On a
@@ -19,27 +19,11 @@ import numpy as np
 
 from .grids import Axis, Grid2D
 
-# representation kinds
-ANALYTIC = "analytic"
-SAMPLES = "samples"
-
-_KINDS = (ANALYTIC, SAMPLES)
-
-
-def _check_kind(kind: str):
-    if kind not in _KINDS:
-        raise ValueError(f"unknown field kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class Field1D:
     """Scalar field on one closed interval [0, h]."""
 
     fn: Callable
-    kind: str = ANALYTIC
-
-    def __post_init__(self):
-        _check_kind(self.kind)
 
     def eval(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -63,10 +47,6 @@ class Field2D:
     """
 
     fn: Callable
-    kind: str = ANALYTIC
-
-    def __post_init__(self):
-        _check_kind(self.kind)
 
     def eval(self, x, y) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -104,7 +84,7 @@ def samples1d(nodes, values) -> Field1D:
     def fn(t, _n=nodes, _v=values):
         return np.interp(np.clip(t, _n[0], _n[-1]), _n, _v)
 
-    return Field1D(fn, SAMPLES)
+    return Field1D(fn)
 
 
 def samples2d(grid: Grid2D, values) -> Field2D:
@@ -125,7 +105,7 @@ def samples2d(grid: Grid2D, values) -> Field2D:
         return ((1 - tx) * (1 - ty) * _v[i, j] + tx * (1 - ty) * _v[i + 1, j]
                 + (1 - tx) * ty * _v[i, j + 1] + tx * ty * _v[i + 1, j + 1])
 
-    return Field2D(fn, SAMPLES)
+    return Field2D(fn)
 
 
 @dataclass(frozen=True)

@@ -97,9 +97,6 @@ class SeparableSolution:
             out = out + np.asarray(fx.order(i)(x)) * np.asarray(gy.order(j)(y))
         return out
 
-    def deriv_field(self, i: int, j: int) -> Field2D:
-        return Field2D(lambda x, y, _i=i, _j=j: self.eval_deriv(_i, _j, x, y))
-
 
 def bilinear_solution() -> SeparableSolution:
     return SeparableSolution(((sep_poly(0.0, 1.0), sep_poly(0.0, 1.0)),))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import SAMPLES, Field1D, Field2D, ZERO_1D, ZERO_2D, samples1d
+from .fields import Field1D, Field2D, ZERO_1D, ZERO_2D, samples1d
 from .grids import Axis, Domain, Grid2D, fd_derivatives, trapezoid_error_bound
 
 
@@ -214,10 +214,6 @@ class ClassicalData:
     bottom: BoundaryTrace   # u(x, 0),  x in [0, h1]
     top: BoundaryTrace      # u(x, h2), x in [0, h1]
 
-    def any_sampled(self) -> bool:
-        return any(t.value.kind == SAMPLES
-                   for t in (self.left, self.right, self.bottom, self.top))
-
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -238,19 +234,19 @@ class CheckReport:
         return dict(self.residuals)
 
 
-# default corner tolerances by data representation
+# corner tolerances: the default, for edges given as expressions, and the one
+# for edges built by quadrature on a grid (`nonclassical_to_classical`)
 CORNER_TOL_ANALYTIC = 1e-10
 CORNER_TOL_SAMPLED = 1e-6
 
 
-def _default_corner_tol(cd: ClassicalData) -> float:
-    return CORNER_TOL_SAMPLED if cd.any_sampled() else CORNER_TOL_ANALYTIC
-
-
 def check_matching(cd: ClassicalData, domain: Domain,
-                   tol: float | None = None) -> CheckReport:
-    """Residuals of the four corner matching relations of classical data."""
-    tol = _default_corner_tol(cd) if tol is None else tol
+                   tol: float = CORNER_TOL_ANALYTIC) -> CheckReport:
+    """Residuals of the four corner matching relations of classical data.
+
+    Edges built by quadrature agree at the corners only to quadrature
+    error; pass `tol=CORNER_TOL_SAMPLED` for them.
+    """
     h1, h2 = domain.h1, domain.h2
     res = (
         ("corner(0,0)", abs(float(cd.left.value.eval(0.0)) - float(cd.bottom.value.eval(0.0)))),
@@ -283,13 +279,13 @@ def _trace_derivatives(trace: BoundaryTrace, axis: Axis | None):
 
 def classical_to_nonclassical(cd: ClassicalData, domain: Domain,
                               grid: Grid2D | None = None,
-                              corner_tol: float | None = None) -> NonclassicalData:
+                              corner_tol: float = CORNER_TOL_ANALYTIC) -> NonclassicalData:
     """Extract the 11 nonclassical components from classical edge data.
 
     The edge values must agree at all four corners within `corner_tol`, as
-    measured by `check_matching` (the default depends on whether any trace
-    is grid-sampled); the first corner that disagrees, a NaN residual
-    included, raises CornerMismatchError naming it.
+    measured by `check_matching` (see there for edges built by quadrature);
+    the first corner that disagrees, a NaN residual included, raises
+    CornerMismatchError naming it.
     """
     matching = check_matching(cd, domain, corner_tol)
     for name, r in matching.residuals:

@@ -35,6 +35,10 @@ from .problem import DERIVATIVES, Coefficients, SampledProblem
 #: largest node count for which the dense kernel matrix may be materialized
 DENSE_NODE_LIMIT = 70 * 70
 
+#: largest 1-norm condition number a direct solve accepts; a system above it,
+#: or whose condition number is not finite, is numerically singular
+SINGULAR_CONDITION = 1e15
+
 # operator kinds of a kernel term, on either axis
 CUM0, CUM1, IDENT, MOM = "cum0", "cum1", "I", "mom"
 
@@ -305,8 +309,14 @@ class CoupledSystem:
         self.rhs = b
 
     def solve(self):
-        """Direct solve; returns (corner, edge_x, edge_y, core, cond estimate)."""
+        """Direct solve; returns (corner, edge_x, edge_y, core, cond estimate).
+
+        A numerically singular system (`SINGULAR_CONDITION`) raises LinAlgError.
+        """
         cond = float(np.linalg.cond(self.matrix, 1))
+        if not cond <= SINGULAR_CONDITION:
+            raise np.linalg.LinAlgError(
+                f"coupled system numerically singular (cond ~ {cond:.3e})")
         try:
             sol = np.linalg.solve(self.matrix, self.rhs)
         except np.linalg.LinAlgError as exc:

@@ -25,8 +25,8 @@ from .norms import NormSpec, data_norm, lp_norm, sobolev_norm
 from .problem import (Coefficients, ConstraintError, NonclassicalData, PdeProblem,
                       SampledData, SampledProblem, check_data_constraints, sample_problem,
                       solution_data)
-from .reduction import (DenseLimitError, DiscreteOperator, apply_pde_operator,
-                        assemble_coupled, assemble_eliminated)
+from .reduction import (SINGULAR_CONDITION, DenseLimitError, DiscreteOperator,
+                        apply_pde_operator, assemble_coupled, assemble_eliminated)
 
 #: consecutive growing updates before the iteration is declared divergent
 DIVERGENCE_PATIENCE = 5
@@ -82,10 +82,12 @@ class SolutionBundle:
 
 @dataclass
 class NeumannInfo:
-    iterations: int
-    final_update_norm: float
-    converged: bool
-    diverged: bool
+    """The record of a Neumann iteration; the default is the record of none."""
+
+    iterations: int = 0
+    final_update_norm: float = 0.0
+    converged: bool = False
+    diverged: bool = False
     update_norms: list[float] = field(default_factory=list)
 
     @property
@@ -108,7 +110,7 @@ def solve_neumann(op: DiscreteOperator, tol: float = 1e-10,
     """
     g = op.g
     b = g.copy()
-    info = NeumannInfo(iterations=0, final_update_norm=0.0, converged=False, diverged=False)
+    info = NeumannInfo()
     if not np.any(g):
         # zero data: fixed point is zero regardless of K
         info.converged = True
@@ -141,10 +143,12 @@ def solve_neumann(op: DiscreteOperator, tol: float = 1e-10,
 
 
 def solve_dense(op: DiscreteOperator) -> tuple[np.ndarray, float]:
-    """Direct LU solve of (I + K) b = g; returns the core and a condition estimate.
+    """Direct LU solve of (I + K) b = g; returns the core and its 1-norm
+    condition number.
 
-    A grid over the dense limit, or one whose matrices do not fit in memory,
-    is a SolverError.
+    A grid over the dense limit, one whose matrices do not fit in memory, and
+    a numerically singular system (`SINGULAR_CONDITION`, the coupled route's
+    rule too) are each a SolverError.
     """
     try:
         a = op.dense()                      # I + K, built in place
@@ -152,7 +156,7 @@ def solve_dense(op: DiscreteOperator) -> tuple[np.ndarray, float]:
         cond = float(np.linalg.cond(a, 1))
     except (DenseLimitError, MemoryError) as exc:
         raise SolverError(f"dense solve refused: {exc}") from exc
-    if not math.isfinite(cond) or cond > 1e15:
+    if not cond <= SINGULAR_CONDITION:
         raise SolverError(f"second-kind system numerically singular (cond ~ {cond:.3e})")
     try:
         sol = np.linalg.solve(a, op.g.ravel())
@@ -350,11 +354,18 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
 
     method: "auto" tries successive approximations and falls back to the
     dense solve on divergence; "neumann", "dense" and "coupled" select one
-    route explicitly.  Data failing the two scalar constraints is refused
-    unless `force` is set; the residuals are reported either way.  The
-    problem is sampled on the grid once, and every stage reads that sample.
-    The residual gate is calibrated first, so that the reference solves are
-    done before any array of this solve is made.
+    route explicitly.  The route is decided in one block that keeps the
+    core, the Neumann record (`NeumannInfo`; a direct route makes no
+    iteration, so its record is the empty one) and the condition number of
+    a direct solve; the report's `method`, `converged` and `warning` are
+    derived from the last two.  Both direct routes refuse a numerically
+    singular system by one rule (`SINGULAR_CONDITION`).
+
+    Data failing the two scalar constraints is refused unless `force` is
+    set; the residuals are reported either way.  The problem is sampled on
+    the grid once, and every stage reads that sample.  The residual gate is
+    calibrated first, so that the reference solves are done before any
+    array of this solve is made.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -368,14 +379,8 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
             f"(max residual {constraints.max_residual:.3e} > tol {constraints.tolerance:.3e}); "
             "pass force=True to proceed anyway")
 
-    warning = None
+    info = NeumannInfo()
     cond: float | None = None
-    iterations = 0
-    final_update = 0.0
-    converged = True
-    neumann_diverged = False
-    update_ratio = None
-
     if method == "coupled":
         try:
             _, _, _, core, cond = assemble_coupled(sp).solve()
@@ -383,36 +388,29 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
             raise SolverError(f"coupled solve refused: {exc}") from exc
         except np.linalg.LinAlgError as exc:
             raise SolverError(str(exc)) from exc
-        method_used = "coupled-dense"
     else:
         op = assemble_eliminated(sp)
-        if method == "dense":
-            core, cond = solve_dense(op)
-            method_used = "dense"
-        else:
+        if method in ("auto", "neumann"):
             core, info = solve_neumann(op, tol=tol, max_iter=max_iter)
-            iterations = info.iterations
-            final_update = info.final_update_norm
-            converged = info.converged
-            neumann_diverged = info.diverged
-            update_ratio = info.update_ratio
-            method_used = "neumann"
-            if info.diverged:
-                if method == "auto":
-                    try:
-                        core, cond = solve_dense(op)
-                    except SolverError as exc:
-                        raise SolverError("successive approximations diverged after "
-                                          f"{info.iterations} iterations and the dense "
-                                          f"fallback failed: {exc}") from exc
-                    method_used = "dense"
-                    converged = True
-                    warning = ("successive approximations diverged "
-                               f"after {info.iterations} iterations; dense fallback used")
-                else:
-                    warning = ("successive approximations diverged "
-                               f"after {info.iterations} iterations; partial iterate "
-                               "returned, consider method='dense'")
+        if method == "dense" or (method == "auto" and info.diverged):
+            try:
+                core, cond = solve_dense(op)
+            except SolverError as exc:
+                if not info.diverged:
+                    raise
+                raise SolverError("successive approximations diverged after "
+                                  f"{info.iterations} iterations and the dense "
+                                  f"fallback failed: {exc}") from exc
+
+    converged = info.converged or cond is not None
+    method_used = ("coupled-dense" if method == "coupled"
+                   else "neumann" if cond is None else "dense")
+    warning = None
+    if info.diverged:
+        outcome = ("dense fallback used" if cond is not None
+                   else "partial iterate returned, consider method='dense'")
+        warning = (f"successive approximations diverged after {info.iterations} "
+                   f"iterations; {outcome}")
 
     unknowns = reconstruct_lower(sp.data, core, grid)
     bundle = assemble_solution(sp.data, unknowns, grid)
@@ -422,10 +420,10 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
     dnorm = data_norm(sp.data, grid, spec)
     fnorm = lp_norm(GridFn2D(grid, sp.forcing), spec)
     denom = dnorm + fnorm
-    if denom > 0.0:
-        ratio = solution_norm / denom
-    else:
+    if denom == 0.0:
         ratio = 0.0 if solution_norm == 0.0 else math.inf
+    else:
+        ratio = solution_norm / denom           # NaN when a data norm is NaN
 
     threshold = gate * max(1.0, denom)
     residual_pass = bool(converged
@@ -434,10 +432,10 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
 
     report = SolveReport(
         method=method_used,
-        iterations=iterations,
-        final_update_norm=final_update,
+        iterations=info.iterations,
+        final_update_norm=info.final_update_norm,
         converged=converged,
-        neumann_diverged=neumann_diverged,
+        neumann_diverged=info.diverged,
         residual_pde=resid.pde,
         residual_bc=resid.bc,
         residual_threshold=threshold,
@@ -447,7 +445,7 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
         condition_estimate=cond,
         constraint_residuals=constraints.as_dict(),
         constraint_pass=constraints.passed,
-        update_ratio=update_ratio,
+        update_ratio=info.update_ratio,
         warning=warning,
         p=p,
         solution_norm=solution_norm,
@@ -467,8 +465,9 @@ def estimate_stability_ratio(make_problem, grid: Grid2D, trials: int,
                              p: float = 2.0, method: str = "auto") -> StabilityEstimate:
     """Empirical bound sup ||u|| / (||data|| + ||forcing||) over a family.
 
-    `make_problem(k)` supplies the k-th trial problem.  Divergent or
-    singular solves are excluded from the maximum and counted.
+    `make_problem(k)` supplies the k-th trial problem.  Trials whose solve
+    fails, diverges or fails the residual gate are excluded from the maximum
+    and counted.
     """
     ratios = []
     excluded = 0
@@ -479,7 +478,7 @@ def estimate_stability_ratio(make_problem, grid: Grid2D, trials: int,
         except (SolverError, ConstraintError):
             excluded += 1
             continue
-        if not result.report.converged:
+        if not result.report.residual_pass:    # a pass implies convergence
             excluded += 1
             continue
         ratios.append(result.report.stability_ratio)

@@ -231,6 +231,16 @@ def test_check_passes_for_consistent_data(tmp_path):
                 "--out", tmp_path]) == 0
 
 
+@pytest.mark.parametrize("config, tolerance", [
+    ("plane_classical.cfg", 1e-10),       # edges given as expressions
+    ("plane_nonclassical.cfg", 1e-6),     # edges built by quadrature on the grid
+])
+def test_check_matching_tolerance_follows_the_edges(tmp_path, config, tolerance):
+    assert run(["check", "--config", CONFIGS / config, "--out", tmp_path]) == 0
+    with open(tmp_path / "check_report.json") as fh:
+        assert json.load(fh)["matching"]["tolerance"] == tolerance
+
+
 def test_check_reports_corner_mismatch(tmp_path):
     bad = tmp_path / "mismatch.cfg"
     bad.write_text((CONFIGS / "plane_classical.cfg").read_text()

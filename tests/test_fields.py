@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mangeron import (Domain, Field1D, Field2D, Piece2D, Segment1D, build_grid,
+from mangeron import (Domain, Field2D, Piece2D, Segment1D, build_grid,
                       const1d, const2d, piecewise1d, piecewise2d, samples1d, samples2d)
 from mangeron.config import ConfigError, build_coefficients, load_config
 
@@ -13,11 +13,6 @@ def test_constant_fields_broadcast():
     assert np.all(out == 3.5)
     g = const1d(-1.0)
     assert g.eval(np.linspace(0, 1, 7)).shape == (7,)
-
-
-def test_metadata_validation():
-    with pytest.raises(ValueError):
-        Field1D(lambda t: t, kind="weird")
 
 
 def test_samples1d_linear_interpolation():

@@ -12,6 +12,7 @@ from mangeron import (DERIVATIVES, BoundaryTrace, ClassicalData, Coefficients,
                       sample_data, solution_data, solve_problem, trace_axis,
                       trapezoid_error_bound)
 from mangeron.cli import CSV_COLUMNS
+from mangeron.problem import CORNER_TOL_ANALYTIC, CORNER_TOL_SAMPLED
 from mangeron.mms import make_mms, random_solution
 
 
@@ -172,6 +173,14 @@ def test_matching_exact_for_plane_traces():
     dom = Domain(1.0, 1.0)
     rep = check_matching(plane_classical(), dom)
     assert rep.passed and rep.max_residual == 0.0
+
+
+def test_matching_default_tolerance_is_the_analytic_one():
+    # edges built by quadrature get no looser default; callers pass CORNER_TOL_SAMPLED
+    dom = Domain(1.0, 1.0)
+    cd = nonclassical_to_classical(NonclassicalData(uy00=1.0), dom, build_grid(dom, 9, 9))
+    assert check_matching(cd, dom).tolerance == CORNER_TOL_ANALYTIC
+    assert check_matching(cd, dom, CORNER_TOL_SAMPLED).tolerance == CORNER_TOL_SAMPLED
 
 
 def test_matching_detects_injected_mismatch():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from mangeron import (Coefficients, ConstraintError, Domain, Field2D, GridFn2D,
                       calibrate_residual_threshold, solve_dense, solve_neumann,
                       solve_problem)
 from mangeron import solver as solver_mod
+from mangeron.cli import main as cli_main
 from mangeron.mms import (bilinear_solution, biquadratic_solution, make_mms,
                           trig_solution)
+from mangeron.reduction import CoupledSystem, DiscreteOperator
 from quadrature_oracle import panel_tables
 
 DOM = Domain(1.0, 1.0)
@@ -320,6 +323,17 @@ def test_stability_family_is_stable():
     assert max(est.ratios) / min(est.ratios) < 10.0
 
 
+def test_stability_excludes_a_trial_that_fails_the_gate():
+    # a NaN datum gives a NaN data norm, hence a NaN ratio, and fails the gate
+    grid = build_grid(DOM, 17, 17)
+    bad = nan_datum("ux01")
+    assert math.isnan(solve_problem(bad, grid).report.stability_ratio)
+    good = make_mms(trig_solution(), Coefficients(), DOM).problem
+    est = estimate_stability_ratio(lambda k: (good, bad)[k], grid, 2)
+    assert len(est.ratios) == 1 and est.excluded == 1
+    assert est.max_ratio == solve_problem(good, grid).report.stability_ratio
+
+
 # ------------------------------------------------------------- linearity
 
 def test_full_pipeline_superposition():
@@ -352,12 +366,85 @@ def test_solver_report_methods():
         solve_problem(case.problem, grid, method="bogus")
 
 
+DIVERGED = "successive approximations diverged after 8 iterations; "
+
+
+@pytest.mark.parametrize("c, method, used, converged, diverged, iterated, cond, warning", [
+    (0.1, "auto", "neumann", True, False, True, False, None),
+    (0.1, "neumann", "neumann", True, False, True, False, None),
+    (0.1, "dense", "dense", True, False, False, True, None),
+    (0.1, "coupled", "coupled-dense", True, False, False, True, None),
+    (50.0, "auto", "dense", True, True, True, True, DIVERGED + "dense fallback used"),
+    (50.0, "neumann", "neumann", False, True, True, False,
+     DIVERGED + "partial iterate returned, consider method='dense'"),
+    (50.0, "dense", "dense", True, False, False, True, None),
+    (50.0, "coupled", "coupled-dense", True, False, False, True, None),
+])
+def test_route_outcomes(c, method, used, converged, diverged, iterated, cond, warning):
+    grid = build_grid(DOM, 9, 9)
+    case = make_mms(trig_solution(), const_coeffs(c_xy=c), DOM)
+    report = solve_problem(case.problem, grid, method=method).report
+    assert report.method == used
+    assert report.converged is converged
+    assert report.neumann_diverged is diverged
+    assert (report.iterations > 0) is iterated
+    assert (report.condition_estimate is not None) is cond
+    assert report.warning == warning
+
+
+def test_auto_fallback_failure_message():
+    grid = build_grid(DOM, 71, 71)
+    case = make_mms(trig_solution(), const_coeffs(c_xy=50.0), DOM)
+    with pytest.raises(SolverError) as err:
+        solve_problem(case.problem, grid, residual_gate=False)
+    assert str(err.value) == (
+        "successive approximations diverged after 8 iterations and the dense fallback "
+        "failed: dense solve refused: dense assembly limited to 4900 nodes; "
+        "use the matrix-free matvec")
+
+
+def nearly_dependent(a, identity=0.0):
+    """`a`, changed in place so that row 1 of the system identity * I + a is
+    row 0 plus 1e-20 times row 1: a nearly dependent row."""
+    e = np.eye(len(a))
+    system = a + identity * e
+    a[1] = system[0] + 1e-20 * system[1] - identity * e[1]
+    return a
+
+
+@pytest.mark.parametrize("method, message", [
+    ("dense", "second-kind system numerically singular"),
+    ("coupled", "coupled system numerically singular"),
+])
+def test_direct_routes_refuse_a_singular_system(method, message, monkeypatch, tmp_path, capsys):
+    dense, coupled = DiscreteOperator.dense, CoupledSystem.__init__
+
+    def singular_coupled(self, sp):
+        coupled(self, sp)
+        nearly_dependent(self.matrix)
+
+    monkeypatch.setattr(DiscreteOperator, "dense", lambda self: nearly_dependent(dense(self), 1.0))
+    monkeypatch.setattr(CoupledSystem, "__init__", singular_coupled)
+    grid = build_grid(DOM, 9, 9)
+    case = make_mms(trig_solution(), const_coeffs(c_xy=0.1), DOM)
+    with pytest.raises(SolverError, match=message):
+        solve_problem(case.problem, grid, method=method, residual_gate=False)
+    config = Path(__file__).resolve().parent.parent / "configs" / "trig.cfg"
+    capsys.readouterr()
+    assert cli_main(["solve", "--config", str(config), "--out", str(tmp_path),
+                     "--grid", "9x9", "--method", method]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"solver failure: {message} (cond ~ ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
+
+
 def counting(f, counts, key):
     """`f` as a Field2D that counts its samples in counts[key]."""
     def fn(x, y):
         counts[key] = counts.get(key, 0) + 1
         return f.eval(x, y)
-    return Field2D(fn, f.kind)
+    return Field2D(fn)
 
 
 @pytest.mark.parametrize("method, c, used", [
