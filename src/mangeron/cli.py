@@ -7,11 +7,12 @@ identical files.
 
 Exit codes: 0 success, 2 configuration error (including piecewise pieces
 that do not tile the domain, an expression that fails to evaluate on the
-grid or is not finite there, and an output directory that cannot be
-created), 3 data-consistency failure (including classical edges that
-disagree at a corner), 4 solver failure (including a failed residual gate,
-a failed verify suite, and a dense or coupled solve refused above the dense
-limit or as numerically singular).
+grid or is not finite there, domain sides that are not positive and
+finite, grid breakpoints that are not numbers, and an output directory that
+cannot be created), 3 data-consistency failure (including classical edges
+that disagree at a corner), 4 solver failure (including a failed residual
+gate or gate calibration, a failed verify suite, and a dense or coupled
+solve refused above the dense limit or as numerically singular).
 """
 
 from __future__ import annotations

@@ -93,11 +93,12 @@ def norm_exponent(text) -> float:
         raise ConfigError(f"bad norm exponent p = {text!r}: {exc}") from exc
 
 
-def _breakpoints(text: str) -> tuple[float, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(float(t) for t in text.split(","))
+def _breakpoints(grid_section, key: str) -> tuple[float, ...]:
+    text = grid_section.get(key, "").strip()
+    try:
+        return tuple(float(t) for t in text.split(",")) if text else ()
+    except ValueError as exc:
+        raise ConfigError(f"bad [grid] {key} = {text!r}: {exc}") from exc
 
 
 def load_config(path: str) -> RunConfig:
@@ -121,8 +122,8 @@ def load_config(path: str) -> RunConfig:
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad [domain]/[grid] values: {exc}") from exc
     xy = {"x": domain.h1, "y": domain.h2}
-    xb = _breakpoints(cp["grid"].get("x_breakpoints", ""))
-    yb = _breakpoints(cp["grid"].get("y_breakpoints", ""))
+    xb = _breakpoints(cp["grid"], "x_breakpoints")
+    yb = _breakpoints(cp["grid"], "y_breakpoints")
 
     coeff_exprs = {}
     if cp.has_section("coefficients"):

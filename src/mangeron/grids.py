@@ -37,8 +37,8 @@ class Domain:
     h2: float
 
     def __post_init__(self):
-        if not (self.h1 > 0.0 and self.h2 > 0.0):
-            raise ValueError(f"side lengths must be positive, got ({self.h1}, {self.h2})")
+        if not (0.0 < self.h1 < np.inf and 0.0 < self.h2 < np.inf):
+            raise ValueError(f"side lengths must be positive and finite, got {self.h1, self.h2}")
 
 
 def trapezoid_weights(nodes: np.ndarray) -> np.ndarray:

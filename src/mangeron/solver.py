@@ -37,7 +37,7 @@ METHODS = ("auto", "neumann", "dense", "coupled")
 
 class SolverError(RuntimeError):
     """A solve failed: singular system, dense limit or memory exceeded, or a
-    residual-gate calibration that did not converge."""
+    residual-gate calibration whose reference residuals are not finite."""
 
 
 @dataclass(frozen=True)
@@ -265,7 +265,7 @@ def _reference_problems(domain: Domain) -> list[PdeProblem]:
     Two zero-coefficient cases with known solutions: sin(x) sin(y), and the
     asymmetric sin(x) exp(y) whose corner-route and constraint residuals do
     not cancel by symmetry, so they expose the genuine quadrature error of
-    the grid in use.
+    the grid in use.  Zero coefficients (K = 0) let the calibration skip the solve.
     """
     sin = (np.sin, np.cos, lambda t: -np.sin(t))   # a factor and its two derivatives
     exp = (np.exp,) * 3
@@ -280,29 +280,24 @@ _THRESHOLD_CACHE: dict[tuple, float] = {}
 
 
 def calibrate_residual_threshold(grid: Grid2D) -> float:
-    """Ten times the worst residual of smooth reference solves on this grid.
+    """Ten times the worst residual of the reference problems on this grid.
 
-    The reference problems have zero coefficients, so K is identically zero
-    and the second-kind system is the identity: the first Neumann update is
-    exactly 0 and the solved core is g bit for bit, as an LU solve of the
-    identity would give.  The matrix-free route therefore reproduces the
-    dense-route threshold exactly, at any grid size and without any dense
-    assembly.  The equation residual is then exactly 0 in every L_p norm and
-    the boundary residuals are node maxima, so one threshold per grid serves
-    every norm exponent.  A reference solve that does not converge, or whose
-    residuals are not finite, is a solver failure; no threshold is ever
-    built from a partial iterate.
+    Their coefficients are zero, so K is identically zero and the solved
+    core is the sampled forcing, bit for bit on every route (one zero
+    Neumann update, or LU on the identity): each reference bundle is rebuilt
+    from it with no solve, and the threshold is the dense-route one at any
+    grid size.  The equation residual is then exactly 0 in every L_p norm
+    and the boundary residuals are node maxima, so one threshold per grid
+    serves every norm exponent.  Non-finite residuals are a solver failure.
     """
     key = (grid.x.tobytes(), grid.y.tobytes())
     if key not in _THRESHOLD_CACHE:
         worst = 0.0
         for prob in _reference_problems(grid.domain):
-            report = solve_problem(prob, grid, method="neumann",
-                                   residual_gate=False, force=True).report
-            if not report.converged:
-                raise SolverError("residual-gate calibration did not converge "
-                                  f"after {report.iterations} iterations")
-            worst = float(np.max([worst, report.residual_pde, *report.residual_bc.values()]))
+            sp = sample_problem(prob, grid)
+            unknowns = reconstruct_lower(sp.data, sp.forcing, grid)    # K = 0: core = g
+            resid = residual_report(sp, assemble_solution(sp.data, unknowns, grid))
+            worst = float(np.max([worst, resid.pde, *resid.bc.values()]))
         if not math.isfinite(worst):
             raise SolverError(f"residual-gate calibration gave a non-finite residual ({worst})")
         _THRESHOLD_CACHE[key] = 10.0 * max(worst, 1e-12)
@@ -364,8 +359,8 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
     Data failing the two scalar constraints is refused unless `force` is
     set; the residuals are reported either way.  The problem is sampled on
     the grid once, and every stage reads that sample.  The residual gate is
-    calibrated first, so that the reference solves are done before any
-    array of this solve is made.
+    calibrated first, without a solve, so that its arrays are freed before
+    any array of this solve is made.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -425,7 +420,7 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
     else:
         ratio = solution_norm / denom           # NaN when a data norm is NaN
 
-    threshold = gate * max(1.0, denom)
+    threshold = gate * float(np.maximum(1.0, denom))   # NaN when a data norm is NaN
     residual_pass = bool(converged
                          and resid.pde <= threshold
                          and resid.max_bc <= threshold)

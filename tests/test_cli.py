@@ -126,6 +126,20 @@ def test_invalid_solver_options_exit_two(tmp_path, capsys, setting):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("[grid]", "[grid]\nx_breakpoints = abc", "[grid] x_breakpoints = 'abc'"),
+    ("[grid]", "[grid]\ny_breakpoints = 0.5,,0.7", "[grid] y_breakpoints = '0.5,,0.7'"),
+    ("h1 = 1.0", "h1 = inf", "side lengths must be positive and finite"),
+])
+def test_invalid_grid_or_domain_values_exit_two(tmp_path, capsys, old, new, message):
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text((CONFIGS / "zero.cfg").read_text().replace(old, new))
+    assert run(["solve", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_uncovered_piecewise_expression_exits_two(tmp_path, capsys):
     # pieces that leave a gap, overlap, stick out of the domain or are
     # degenerate are refused when the config is loaded, naming the key

@@ -270,6 +270,8 @@ def test_nan_datum_fails_every_pass_rule(key):
     grid = build_grid(DOM, 17, 17)
     report = solve_problem(nan_datum(key), grid, force=True).report
     assert math.isnan(report.residual_bc[key])
+    # the threshold scales with the data norm, so it is NaN too, not the bare gate
+    assert math.isnan(report.data_norm_value) and math.isnan(report.residual_threshold)
     assert report.residual_pass is False
     if key == "u01":   # u(0, h2) enters the left-edge constraint
         assert math.isnan(report.constraint_residuals["left-edge route to u(0,h2)"])
@@ -505,9 +507,9 @@ def test_neumann_route_builds_no_weight_table():
 
 
 def test_gate_on_solve_peak_memory(monkeypatch):
-    # the gate is calibrated before the problem is sampled, and only the
-    # reference solves' reports are kept: a cold gate-on solve peaks no
-    # higher than the gate-off solve of the same problem
+    # the gate is calibrated before the problem is sampled, and the
+    # calibration's reference bundles are freed before it returns: a cold
+    # gate-on solve peaks no higher than the gate-off solve of the same problem
     grid = build_grid(DOM, 129, 129)
     case = make_mms(trig_solution(), const_coeffs(c_xy=0.2, c_u=0.1), DOM)
     peaks = {}
@@ -571,14 +573,35 @@ def test_calibrated_threshold_equals_dense_route(grid, monkeypatch):
         assert threshold == dense_route_threshold(grid, p)
 
 
-def test_calibration_refuses_unconverged_reference(monkeypatch):
-    grid = build_grid(DOM, 9, 9)
-    divergent = make_mms(trig_solution(), const_coeffs(c_xy=50.0), DOM).problem
+def test_calibration_solves_nothing(monkeypatch):
+    # the reference problems have K = 0, so their core is the forcing: the
+    # calibration rebuilds each bundle from it and reaches no solve route
+    grid = build_grid(DOM, 17, 17)
+    expected = dense_route_threshold(grid, 2.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the calibration solved a system")
+
+    for name in ("solve_problem", "solve_neumann", "solve_dense", "assemble_eliminated",
+                 "check_data_constraints"):
+        monkeypatch.setattr(solver_mod, name, refuse)
     monkeypatch.setattr(solver_mod, "_THRESHOLD_CACHE", {})
-    monkeypatch.setattr(solver_mod, "_reference_problems", lambda domain: [divergent])
-    with pytest.raises(SolverError, match="calibration did not converge"):
-        calibrate_residual_threshold(grid)
-    assert solver_mod._THRESHOLD_CACHE == {}
+    assert calibrate_residual_threshold(grid) == expected
+
+
+@pytest.mark.parametrize("grid, threshold", [
+    (build_grid(DOM, 17, 17), 0.01774602410513193),
+    (build_grid(DOM, 33, 33), 0.004436471106328277),
+    (build_grid(DOM, 65, 65), 0.0011091155977682732),
+    (build_grid(DOM, 70, 70), 0.0009541980829874674),
+    (build_grid(DOM, 129, 129), 0.00027727876332317436),
+    (build_grid(Domain(2.0, 0.5), 44, 25, x_breakpoints=[0.7, 1.3], y_breakpoints=[0.2]),
+     0.005202099743359945),
+], ids=["17x17", "33x33", "65x65", "70x70", "129x129", "44x25-breakpoints"])
+def test_calibrated_threshold_golden(grid, threshold, monkeypatch):
+    # the gate is never loosened: thresholds stay those of the dense-route rule
+    monkeypatch.setattr(solver_mod, "_THRESHOLD_CACHE", {})
+    assert calibrate_residual_threshold(grid) == pytest.approx(threshold, rel=1e-12)
 
 
 def test_calibration_refuses_non_finite_reference(monkeypatch):
