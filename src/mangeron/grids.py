@@ -210,12 +210,17 @@ class GridFn2D:
 
 
 def fd_derivatives(nodes: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and second derivatives of sampled data by local polynomial fits.
+    """First and second derivatives of sampled data by three-point differences.
 
     Interior nodes use the 3-point stencil (exact for quadratics, second
-    order on uniform spacing).  Endpoints use one-sided fits: quadratic for
-    the first derivative, cubic for the second, keeping second-order
-    accuracy at the boundary.
+    order on uniform spacing).  The endpoints are read off the nearest
+    stencils, with no fit or linear solve.  The first derivative is that of
+    the quadratic through the three end nodes, ``d1[0] = d1[1] - d2[1] (x1 -
+    x0)``, exact for quadratics.  The second derivative is extrapolated
+    linearly from the two nearest interior values, each placed at the
+    centroid of its stencil, where a three-point second difference is exact
+    for any cubic; so it is exact for cubics.  With three nodes the one
+    interior second derivative is used throughout.
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -233,24 +238,15 @@ def fd_derivatives(nodes: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, n
         + (hm / (hp * (hm + hp))) * f2
     d2[1:-1] = 2.0 * (hm * f2 - (hm + hp) * f1 + hp * f0) / (hm * hp * (hm + hp))
 
-    def _fit(idx, deg, where):
-        t = nodes[idx] - nodes[where]
-        v = np.vander(t, deg + 1, increasing=True)
-        coef = np.linalg.solve(v, values[idx])
-        return coef  # coef[k] = f^(k)(nodes[where]) / k!
-
-    c = _fit([0, 1, 2], 2, 0)
-    d1[0] = c[1]
-    c = _fit([n - 3, n - 2, n - 1], 2, n - 1)
-    d1[-1] = c[1]
-    if n >= 4:
-        c = _fit([0, 1, 2, 3], 3, 0)
-        d2[0] = 2.0 * c[2]
-        c = _fit([n - 4, n - 3, n - 2, n - 1], 3, n - 1)
-        d2[-1] = 2.0 * c[2]
-    else:
-        c = _fit([0, 1, 2], 2, 0)
-        d2[0] = d2[-1] = 2.0 * c[2]
+    d1[0] = d1[1] - d2[1] * hm[0]
+    d1[-1] = d1[-2] + d2[-2] * hp[-1]
+    if n == 3:
+        d2[0] = d2[-1] = d2[1]
+        return d1, d2
+    inner, centroid = d2[1:-1], nodes[1:-1] + (hp - hm) / 3.0
+    for end, a, b in ((0, 0, 1), (-1, -1, -2)):
+        slope = (inner[b] - inner[a]) / (centroid[b] - centroid[a])
+        d2[end] = inner[a] + slope * (nodes[end] - centroid[a])
     return d1, d2
 
 
@@ -259,8 +255,11 @@ def trapezoid_error_bound(nodes: np.ndarray, integrand: np.ndarray) -> float:
 
     The curvature is estimated from the samples themselves, so the bound is
     reliable for resolved integrands and is used only to size tolerances.
+    The samples are differenced in units of the largest step h, which gives
+    h^2 f'' directly, so no step is squared or cubed on a very small or very
+    large interval.
     """
     nodes = np.asarray(nodes, dtype=float)
     h = float(np.max(np.diff(nodes)))
-    _, d2 = fd_derivatives(nodes, integrand)
-    return (nodes[-1] - nodes[0]) * h * h / 12.0 * float(np.max(np.abs(d2)))
+    _, h2_d2 = fd_derivatives(nodes / h, integrand)
+    return (nodes[-1] - nodes[0]) / 12.0 * float(np.max(np.abs(h2_d2)))

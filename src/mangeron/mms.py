@@ -325,9 +325,12 @@ class ConvergenceTable:
         return all(r.exact for r in self.rows)
 
 
-def convergence_study(case: MmsCase, sizes: Sequence[int], solver: str = "integral",
-                      method: str = "auto") -> ConvergenceTable:
+def convergence_study(case: MmsCase, sizes: Sequence[int],
+                      solver: str = "integral") -> ConvergenceTable:
     """Sup errors against the known solution over a sweep of grid sizes.
+
+    `solver` is "integral" (`solve_problem` on its default route) or "fd"
+    (`fd_oracle`).
 
     Orders come from consecutive error ratios; errors at roundoff level are
     flagged exact and excluded from order estimates.  A non-monotone error
@@ -340,7 +343,7 @@ def convergence_study(case: MmsCase, sizes: Sequence[int], solver: str = "integr
     for n in sizes:
         grid = build_grid(case.domain, n, n, x_breakpoints=case.x_breakpoints)
         if solver == "integral":
-            result = solve_problem(case.problem, grid, method=method)
+            result = solve_problem(case.problem, grid)
             u_num = result.bundle.u.values
         elif solver == "fd":
             u_num = fd_oracle(case.problem, grid).values

@@ -237,20 +237,23 @@ def assemble_eliminated(sp: SampledProblem) -> DiscreteOperator:
 
 
 class CoupledSystem:
-    """Square dense system in the full unknown quadruple.
+    """Square dense system in the full unknown quadruple, as one 4 x 4 block
+    matrix.
 
-    Unknown layout: [corner, bottom-edge nodes (n1), left-edge nodes (n2),
-    core nodes (n1*n2, row-major)].  Rows: the bottom-edge route for the
-    corner unknown, the right-edge conditions for the left-edge unknown,
-    the top-edge conditions for the bottom-edge unknown, and the collocated
-    integral equation at every node.  The left-edge route for the corner
-    unknown is algebraically redundant on admissible data and is kept as a
-    post-solve diagnostic instead of a row.
+    Columns: the corner, the n1 bottom-edge nodes, the n2 left-edge nodes and
+    the n1*n2 core nodes (row-major).  Rows, with m_x, m_y the moment weights
+    of the two axes (`Axis.moments`):
 
-    The collocation rows come from the eliminated operator's term table:
-    the core block is I plus the terms without a moment-average side, and
-    the lower-unknown columns are `DiscreteOperator.lower` applied to unit
-    vectors.
+        corner (bottom-edge route)   [h1,  m_x,     0,       0             ]
+        top-edge conditions (n1)     [0,   h2 I,    0,       kron(I, m_y)  ]
+        right-edge conditions (n2)   [0,   0,       h1 I,    kron(m_x, I)  ]
+        collocation (n1*n2)          [lower(corner, edge_x, edge_y), I + K']
+
+    The collocation rows come from the eliminated operator's term table: the
+    lower-unknown columns are `DiscreteOperator.lower` applied to unit
+    vectors, and K' is K without its moment-average terms.  The left-edge
+    route for the corner unknown is algebraically redundant on admissible
+    data and is kept as a post-solve diagnostic instead of a row.
     """
 
     def __init__(self, sp: SampledProblem):
@@ -259,54 +262,22 @@ class CoupledSystem:
         n1, n2 = grid.shape
         n_core = n1 * n2
         _check_dense_limit(n_core)
-        size = 1 + n1 + n2 + n_core
-        self.size = size
-        self.i_corner = 0
-        self.s_edge_x = slice(1, 1 + n1)
-        self.s_edge_y = slice(1 + n1, 1 + n1 + n2)
-        self.s_core = slice(1 + n1 + n2, size)
-
         op = DiscreteOperator(sp)
         h1, h2 = grid.domain.h1, grid.domain.h2
-
-        a = np.zeros((size, size))
-        b = np.zeros(size)
-
-        # corner row (bottom-edge route)
-        a[0, 0] = h1
-        a[0, self.s_edge_x] = grid.ax.moments
-        b[0] = sd.uy10 - sd.uy00
-
-        # left-edge unknown rows, one per y node (right-edge conditions)
-        rows = np.arange(n2)
-        a[1 + n1 + rows, 1 + n1 + rows] = h1
-        blk = np.zeros((n2, n1, n2))
-        blk[rows, :, rows] = grid.ax.moments[None, :]
-        a[self.s_edge_y, self.s_core] = blk.reshape(n2, n_core)
-        b[self.s_edge_y] = sd.uyy_right - sd.uyy_left
-
-        # bottom-edge unknown rows, one per x node (top-edge conditions)
-        rows = np.arange(n1)
-        a[1 + rows, 1 + rows] = h2
-        blk = np.zeros((n1, n1, n2))
-        blk[rows, rows, :] = grid.ay.moments[None, :]
-        a[self.s_edge_x, self.s_core] = blk.reshape(n1, n_core)
-        b[self.s_edge_x] = sd.uxx_top - sd.uxx_bottom
-
-        # collocation rows at every node
+        m_x, m_y = grid.ax.moments, grid.ay.moments
         zx, zy = np.zeros(n1), np.zeros(n2)
-        a[self.s_core, 0] = op.lower(1.0, zx, zy).ravel()
-        a[self.s_core, self.s_edge_x] = np.stack(
-            [op.lower(0.0, e, zy).ravel() for e in np.eye(n1)], axis=1)
-        a[self.s_core, self.s_edge_y] = np.stack(
-            [op.lower(0.0, zx, e).ravel() for e in np.eye(n2)], axis=1)
         core = op.assemble([t for t in op.terms if MOM not in (t.x, t.y)])
-        core[np.arange(n_core), np.arange(n_core)] += 1.0
-        a[self.s_core, self.s_core] = core
-        b[self.s_core] = reduced_rhs(sp).ravel()
-
-        self.matrix = a
-        self.rhs = b
+        core[np.diag_indices(n_core)] += 1.0
+        self.matrix = np.block([
+            [h1, m_x, zy, np.zeros(n_core)],
+            [zx[:, None], h2 * np.eye(n1), np.zeros((n1, n2)), np.kron(np.eye(n1), m_y)],
+            [zy[:, None], np.zeros((n2, n1)), h1 * np.eye(n2), np.kron(m_x, np.eye(n2))],
+            [op.lower(1.0, zx, zy).reshape(n_core, 1),
+             np.stack([op.lower(0.0, e, zy).ravel() for e in np.eye(n1)], axis=1),
+             np.stack([op.lower(0.0, zx, e).ravel() for e in np.eye(n2)], axis=1),
+             core]])
+        self.rhs = np.concatenate([[sd.uy10 - sd.uy00], sd.uxx_top - sd.uxx_bottom,
+                                   sd.uyy_right - sd.uyy_left, reduced_rhs(sp).ravel()])
 
     def solve(self):
         """Direct solve; returns (corner, edge_x, edge_y, core, cond estimate).
@@ -323,11 +294,8 @@ class CoupledSystem:
             raise np.linalg.LinAlgError(
                 f"coupled system singular (cond ~ {cond:.3e})") from exc
         n1, n2 = self.grid.shape
-        corner = float(sol[self.i_corner])
-        edge_x = sol[self.s_edge_x]
-        edge_y = sol[self.s_edge_y]
-        core = sol[self.s_core].reshape(n1, n2)
-        return corner, edge_x, edge_y, core, cond
+        corner, edge_x, edge_y, core = np.split(sol, np.cumsum([1, n1, n2]))
+        return float(corner[0]), edge_x, edge_y, core.reshape(n1, n2), cond
 
 
 def assemble_coupled(sp: SampledProblem) -> CoupledSystem:

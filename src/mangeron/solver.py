@@ -456,20 +456,19 @@ class StabilityEstimate:
     excluded: int
 
 
-def estimate_stability_ratio(make_problem, grid: Grid2D, trials: int,
-                             p: float = 2.0, method: str = "auto") -> StabilityEstimate:
+def estimate_stability_ratio(make_problem, grid: Grid2D, trials: int) -> StabilityEstimate:
     """Empirical bound sup ||u|| / (||data|| + ||forcing||) over a family.
 
-    `make_problem(k)` supplies the k-th trial problem.  Trials whose solve
-    fails, diverges or fails the residual gate are excluded from the maximum
-    and counted.
+    `make_problem(k)` supplies the k-th trial problem, solved on the default
+    route ("auto") with the 2-norm.  Trials whose solve fails, diverges or
+    fails the residual gate are excluded from the maximum and counted.
     """
     ratios = []
     excluded = 0
     for k in range(trials):
         prob = make_problem(k)
         try:
-            result = solve_problem(prob, grid, method=method, p=p)
+            result = solve_problem(prob, grid)
         except (SolverError, ConstraintError):
             excluded += 1
             continue

@@ -140,6 +140,22 @@ def test_invalid_grid_or_domain_values_exit_two(tmp_path, capsys, old, new, mess
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("h1", ["1e-200", "1e-320"])
+def test_tiny_domain_solves_quietly(tmp_path, h1):
+    # positive finite sides are admitted, so a tiny one must solve: the data
+    # tolerance differences its samples in units of the step, with no fit
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text((CONFIGS / "zero.cfg").read_text().replace("h1 = 1.0", f"h1 = {h1}"))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; from mangeron.cli import main; "
+            f"sys.exit(main(['solve', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert read_report(tmp_path / "out")["residual_pass"] is True
+
+
 def test_uncovered_piecewise_expression_exits_two(tmp_path, capsys):
     # pieces that leave a gap, overlap, stick out of the domain or are
     # degenerate are refused when the config is loaded, naming the key

@@ -192,19 +192,35 @@ def test_trapezoid_second_order_refinement():
 
 
 def test_fd_derivatives_exact_for_quadratics():
-    nodes = np.sort(np.concatenate([[0.0, 1.0], np.random.default_rng(4).uniform(0.1, 0.9, 6)]))
-    vals = 3.0 - 2.0 * nodes + 5.0 * nodes**2
-    d1, d2 = fd_derivatives(nodes, vals)
-    np.testing.assert_allclose(d1, -2.0 + 10.0 * nodes, rtol=1e-10, atol=1e-10)
-    np.testing.assert_allclose(d2, 10.0, rtol=1e-10)
+    # three nodes keep the one interior second derivative at both ends
+    for nodes in (np.sort(np.concatenate([[0.0, 1.0],
+                                          np.random.default_rng(4).uniform(0.1, 0.9, 6)])),
+                  np.array([0.0, 0.2, 1.0])):
+        vals = 3.0 - 2.0 * nodes + 5.0 * nodes**2
+        d1, d2 = fd_derivatives(nodes, vals)
+        np.testing.assert_allclose(d1, -2.0 + 10.0 * nodes, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(d2, 10.0, rtol=1e-10)
 
 
 def test_fd_second_derivative_endpoints_exact_for_cubics():
-    nodes = np.linspace(0.0, 1.0, 9)
-    vals = nodes**3
-    _, d2 = fd_derivatives(nodes, vals)
-    assert d2[0] == pytest.approx(0.0, abs=1e-9)
-    assert d2[-1] == pytest.approx(6.0, rel=1e-9)
+    for nodes in (np.linspace(0.0, 1.0, 9),
+                  np.array([0.0, 0.05, 0.3, 0.32, 0.7, 0.95, 1.0]),
+                  np.array([0.0, 0.9, 0.93, 1.0])):
+        _, d2 = fd_derivatives(nodes, 2.0 - nodes + 3.0 * nodes**2 - 4.0 * nodes**3)
+        np.testing.assert_allclose(d2[[0, -1]], [6.0, 6.0 - 24.0], rtol=1e-9)
+        # the endpoint first derivative is that of the quadratic through the end nodes
+        d1, _ = fd_derivatives(nodes, 1.0 - 2.0 * nodes + nodes**2)
+        np.testing.assert_allclose(d1[[0, -1]], [-2.0, 0.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("length", [1e-300, 1e-200, 1e-100, 1e100, 1e200, 1e300])
+def test_trapezoid_error_bound_scales_with_the_interval(length):
+    # differenced in units of the step, the bound neither underflows nor
+    # overflows: it is (b-a) h^2/12 max|f''| for any length
+    t = np.linspace(0.0, 1.0, 9) ** 1.3
+    vals = np.sin(3.0 * t)
+    bound = trapezoid_error_bound(t * length, vals)
+    assert bound / length == pytest.approx(trapezoid_error_bound(t, vals), rel=1e-12)
 
 
 def test_trapezoid_error_bound_covers_actual_error():

@@ -433,8 +433,43 @@ def test_coupled_collocation_rows_match_brute_force():
     assert grid.shape[0] != grid.shape[1]     # nonsquare to catch index transposition
     prob = PdeProblem(dom, random_coefficients(rng))
     system = assemble_coupled(sample_problem(prob, grid))
-    np.testing.assert_allclose(system.matrix[system.s_core],
+    n_core = grid.shape[0] * grid.shape[1]
+    np.testing.assert_allclose(system.matrix[-n_core:],
                                brute_collocation_rows(prob, grid), atol=1e-12)
+
+
+def test_coupled_system_holds_the_forward_quadruple():
+    # every row, the corner and far-edge rows included, holds the quadruple a
+    # forward problem was built from, to roundoff
+    rng = np.random.default_rng(18)
+    dom = Domain(1.0, 0.8)
+    grid = build_grid(dom, 6, 5, x_breakpoints=[0.37], y_breakpoints=[0.5])
+    assert grid.shape == (7, 6)
+    prob, _, unknowns = random_forward_problem(rng, dom, grid, random_coefficients(rng))
+    system = assemble_coupled(sample_problem(prob, grid))
+    z = np.concatenate([[unknowns.uxy00], unknowns.uxxy_bottom.values,
+                        unknowns.uxyy_left.values, unknowns.uxxyy.values.ravel()])
+    scale = np.abs(system.matrix) @ np.abs(z) + np.abs(system.rhs)
+    assert np.max(np.abs(system.matrix @ z - system.rhs) / scale) <= 1e-14
+    corner, edge_x, edge_y, core, _ = system.solve()
+    np.testing.assert_allclose(np.concatenate([[corner], edge_x, edge_y, core.ravel()]), z,
+                               rtol=1e-10, atol=1e-10)
+    assert edge_x.shape == (7,) and edge_y.shape == (6,) and core.shape == (7, 6)
+
+
+def test_coupled_assembly_peak_memory():
+    # the matrix and the core block it is built from; no third full-size copy
+    rng = np.random.default_rng(19)
+    grid = build_grid(DOM, 40, 40)
+    prob, _, _ = random_forward_problem(rng, DOM, grid, random_coefficients(rng))
+    sp = sample_problem(prob, grid)
+    tracemalloc.start()
+    try:
+        system = assemble_coupled(sp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.05 * system.matrix.nbytes
 
 
 def test_coupled_size_guard_refuses_before_allocating():
