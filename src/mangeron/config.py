@@ -93,6 +93,13 @@ def norm_exponent(text) -> float:
         raise ConfigError(f"bad norm exponent p = {text!r}: {exc}") from exc
 
 
+def solve_method(text: str) -> str:
+    """Solve route from config or command-line text: one of `METHODS`."""
+    if text not in METHODS:
+        raise ConfigError(f"unknown solver method {text!r}")
+    return text
+
+
 def _breakpoints(grid_section, key: str) -> tuple[float, ...]:
     text = grid_section.get(key, "").strip()
     try:
@@ -169,9 +176,7 @@ def load_config(path: str) -> RunConfig:
     solver = SolverOptions()
     if cp.has_section("solver"):
         sec = cp["solver"]
-        solver.method = sec.get("method", solver.method)
-        if solver.method not in METHODS:
-            raise ConfigError(f"unknown solver method {solver.method!r}")
+        solver.method = solve_method(sec.get("method", solver.method))
         try:
             solver.tol = float(sec.get("tol", solver.tol))
             solver.max_iter = int(sec.get("max_iter", solver.max_iter))

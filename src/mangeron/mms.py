@@ -6,9 +6,9 @@ can be compared against truth.  `fd_oracle` solves the same problem by a
 plain finite-difference discretization fed with classical edge data (built
 through the nonclassical-to-classical conversion), sharing nothing with the
 integral-equation pipeline except the grid.  `forward_problem` goes the
-other way: it picks the unknown quadruple first and manufactures data that
-is consistent with the discrete quadrature itself, which any correct solve
-must reproduce to roundoff.
+other way: it picks the unknown quadruple first and reads the data off the
+bundle the solver's own reconstruction builds from it, which any correct
+solve must reproduce to roundoff.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from numpy.polynomial import polynomial as npoly
 from .fields import Field2D, Piece2D, piecewise2d, samples1d, samples2d
 from .grids import Domain, Grid2D, GridFn1D, GridFn2D, build_grid
 from .problem import (DERIVATIVES, Coefficients, NonclassicalData, PdeProblem,
-                      nonclassical_to_classical, sample_data, solution_data)
+                      nonclassical_to_classical, sample_data, solution_data, trace_axis)
 from .reduction import apply_pde_operator
 from .solver import ReducedUnknowns, SolutionBundle, assemble_solution, solve_problem
 
@@ -167,52 +167,41 @@ def exact_bundle(u_star: SeparableSolution, grid: Grid2D) -> SolutionBundle:
                              for key, (i, j) in DERIVATIVES.items()})
 
 
-def forward_problem(domain: Domain, grid: Grid2D, coeffs: Coefficients,
+def forward_problem(grid: Grid2D, coeffs: Coefficients,
                     u00: float, ux00: float, uy00: float,
                     uxx_bottom: np.ndarray, uyy_left: np.ndarray,
                     corner: float, edge_x: np.ndarray, edge_y: np.ndarray,
                     core: np.ndarray):
-    """Manufacture a problem from prescribed near-edge data and unknowns.
+    """Manufacture a problem on `grid.domain` from near data and unknowns.
 
-    The far-edge components are produced by the same quadrature the solver
-    uses, so the data is discretely consistent: solving the returned problem
-    on the same grid must reproduce the quadruple to linear-solver roundoff.
-    Returns (problem, bundle, unknowns).
+    The near data (origin corner, bottom and left traces) and the quadruple
+    are assembled into a bundle by the solver's reconstruction; the 11 data
+    components are that bundle's `boundary_values`, and the forcing is the
+    operator applied to it.  So the bundle's boundary and constraint
+    residuals are exactly zero, and a solve on the same grid must reproduce
+    the quadruple to linear-solver roundoff.  Returns (problem, bundle, unknowns).
     """
     ax, ay = grid.ax, grid.ay
-    h1, h2 = domain.h1, domain.h2
-    mom_x = ax.moments      # full first-moment weights on the x axis
-    mom_y = ay.moments
-
-    u10 = u00 + h1 * ux00 + float(mom_x @ uxx_bottom)
-    u01 = u00 + h2 * uy00 + float(mom_y @ uyy_left)
-    uy10 = uy00 + h1 * corner + float(mom_x @ edge_x)
-    ux01 = ux00 + h2 * corner + float(mom_y @ edge_y)
-    uyy_right = uyy_left + h1 * edge_y + mom_x @ core
-    uxx_top = uxx_bottom + h2 * edge_x + core @ mom_y
-
-    data = NonclassicalData(
-        u00=u00, ux00=ux00, uy00=uy00,
-        uxx_bottom=samples1d(ax.nodes, uxx_bottom),
-        uyy_left=samples1d(ay.nodes, uyy_left),
-        u10=u10, uy10=uy10,
-        uyy_right=samples1d(ay.nodes, uyy_right),
-        u01=u01, ux01=ux01,
-        uxx_top=samples1d(ax.nodes, uxx_top))
+    near = NonclassicalData(u00=u00, ux00=ux00, uy00=uy00,
+                            uxx_bottom=samples1d(ax.nodes, uxx_bottom),
+                            uyy_left=samples1d(ay.nodes, uyy_left))
     unknowns = ReducedUnknowns(
         uxy00=corner,
         uxxy_bottom=GridFn1D(ax, edge_x),
         uxyy_left=GridFn1D(ay, edge_y),
         uxxyy=GridFn2D(grid, core),
         uxy00_alt=corner)
-    bundle = assemble_solution(sample_data(data, grid), unknowns, grid)
+    bundle = assemble_solution(sample_data(near, grid), unknowns, grid)
+    data = NonclassicalData(**{
+        key: samples1d((ax, ay)[trace_axis(key)].nodes, value)
+        if key in NonclassicalData.TRACE_KEYS else float(value)
+        for key, value in bundle.boundary_values().items()})
     forcing = samples2d(grid, apply_pde_operator(coeffs.sample_all(grid), bundle))
-    return PdeProblem(domain, coeffs, forcing, data), bundle, unknowns
+    return PdeProblem(grid.domain, coeffs, forcing, data), bundle, unknowns
 
 
-def random_forward_problem(rng: np.random.Generator, domain: Domain, grid: Grid2D,
-                           coeffs: Coefficients):
-    """Random admissible problem via the forward construction."""
+def random_forward_problem(rng: np.random.Generator, grid: Grid2D, coeffs: Coefficients):
+    """Random admissible problem on `grid.domain` via the forward construction."""
     x, y = grid.x, grid.y
 
     def smooth1(t):
@@ -223,7 +212,7 @@ def random_forward_problem(rng: np.random.Generator, domain: Domain, grid: Grid2
     c = rng.uniform(-1.0, 1.0, 4)
     core = c[0] + c[1] * xx + c[2] * yy + c[3] * np.sin(xx) * np.cos(yy)
     return forward_problem(
-        domain, grid, coeffs,
+        grid, coeffs,
         u00=float(rng.uniform(-1, 1)), ux00=float(rng.uniform(-1, 1)),
         uy00=float(rng.uniform(-1, 1)),
         uxx_bottom=smooth1(x), uyy_left=smooth1(y),

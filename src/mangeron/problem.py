@@ -13,8 +13,9 @@ samples its problem on the grid once (`sample_problem`).
 Naming: scalar components carry corner coordinates in units of the side
 lengths (`u10` is u(h1, 0), `ux01` is u_x(0, h2)); edge traces are named by
 the edge they live on (`uxx_bottom` is u_xx(x, 0)).  `NonclassicalData.PLACES`
-states both once, as a solution grid and a node or edge; the residual
-report, the manufactured data, the data norm, the config and the CLI read it.
+states both once, as a solution grid and a node or edge; a solution bundle
+(`boundary_values`), the manufactured data, the data norm, the config and
+the CLI read it.
 """
 
 from __future__ import annotations
@@ -353,14 +354,13 @@ def check_data_constraints(sd: SampledData, grid: Grid2D) -> CheckReport:
     """The two unknown-free relations nonclassical data must satisfy.
 
     The corner values u(h1,0) and u(0,h2) are already determined by the
-    origin data integrated along the bottom and left edges; these residuals
+    origin data integrated along the bottom and left edges, as the base part
+    there (`base_x[-1] + base_y[0]`, `base_x[0] + base_y[-1]`); these residuals
     are necessary conditions on admissible data and are checked before any
     solve (a force flag can bypass the gate, never the report).
     """
-    ax, ay = grid.ax, grid.ay
-    h1, h2 = grid.domain.h1, grid.domain.h2
-    r1 = float(abs(sd.u00 + h1 * sd.ux00 + float(ax.moments @ sd.uxx_bottom) - sd.u10))
-    r2 = float(abs(sd.u00 + h2 * sd.uy00 + float(ay.moments @ sd.uyy_left) - sd.u01))
+    r1 = float(abs(sd.base_x[-1] + sd.base_y[0] - sd.u10))
+    r2 = float(abs(sd.base_x[0] + sd.base_y[-1] - sd.u01))
     return CheckReport((("bottom-edge route to u(h1,0)", r1),
                         ("left-edge route to u(0,h2)", r2)), constraint_tolerance(sd, grid))
 

@@ -79,16 +79,30 @@ class SolutionBundle:
     def grid(self) -> Grid2D:
         return self.u.grid
 
+    def boundary_values(self) -> dict[str, float | np.ndarray]:
+        """The 11 nonclassical components read off this bundle at their
+        `NonclassicalData.PLACES`: a scalar at a corner node, or a 1-D array
+        of node values along a trace's edge."""
+        index = {0: 0, 1: -1, None: slice(None)}   # a place as an index along one axis
+        return {key: getattr(self, name).values[index[px], index[py]]
+                for key, (name, px, py) in NonclassicalData.PLACES.items()}
+
 
 @dataclass
 class NeumannInfo:
     """The record of a Neumann iteration; the default is the record of none."""
 
-    iterations: int = 0
-    final_update_norm: float = 0.0
     converged: bool = False
     diverged: bool = False
     update_norms: list[float] = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.update_norms)
+
+    @property
+    def final_update_norm(self) -> float:
+        return self.update_norms[-1] if self.update_norms else 0.0
 
     @property
     def update_ratio(self) -> float | None:
@@ -116,12 +130,9 @@ def solve_neumann(op: DiscreteOperator, tol: float = 1e-10,
         info.converged = True
         return b, info
     grows = 0
-    prev_update = None
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         nxt = g - op.matvec(b)
         upd = float(np.max(np.abs(nxt - b)))
-        info.iterations = it
-        info.final_update_norm = upd
         info.update_norms.append(upd)
         if not math.isfinite(upd):
             info.diverged = True
@@ -130,14 +141,13 @@ def solve_neumann(op: DiscreteOperator, tol: float = 1e-10,
         if upd <= tol:
             info.converged = True
             return b, info
-        if prev_update is not None and upd > prev_update:
+        if len(info.update_norms) > 1 and upd > info.update_norms[-2]:
             grows += 1
             if grows >= DIVERGENCE_PATIENCE:
                 info.diverged = True
                 return b, info
         else:
             grows = 0
-        prev_update = upd
     info.diverged = True
     return b, info
 
@@ -243,19 +253,16 @@ def residual_report(sp: SampledProblem, bundle: SolutionBundle,
     """Residual of the equation and of all 11 boundary conditions.
 
     The equation residual is the L_p norm of (operator applied to the
-    bundle) minus the forcing.  Each boundary residual reads its bundle grid
-    at the component's place in `NonclassicalData.PLACES`: a corner node, or
-    the node maximum along a trace's edge.
+    bundle) minus the forcing.  Each boundary residual compares the data with
+    `SolutionBundle.boundary_values`: at a corner node, or as the node
+    maximum along a trace's edge.
     """
     grid = bundle.grid
     v = apply_pde_operator(sp.coeffs, bundle)
     v -= sp.forcing
     pde = lp_norm(GridFn2D(grid, v), spec)
-    index = {0: 0, 1: -1, None: slice(None)}   # a place as an index along one axis
-    bc = {}
-    for key, (name, px, py) in NonclassicalData.PLACES.items():
-        trace = getattr(bundle, name).values[index[px], index[py]]
-        bc[key] = float(np.max(np.abs(trace - getattr(sp.data, key))))
+    bc = {key: float(np.max(np.abs(value - getattr(sp.data, key))))
+          for key, value in bundle.boundary_values().items()}
     return ResidualReport(pde=float(pde), bc=bc)
 
 
@@ -420,8 +427,10 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
     else:
         ratio = solution_norm / denom           # NaN when a data norm is NaN
 
-    threshold = gate * float(np.maximum(1.0, denom))   # NaN when a data norm is NaN
+    # a data norm that overflows or is NaN leaves no finite threshold, and the gate fails
+    threshold = gate * float(np.maximum(1.0, denom))
     residual_pass = bool(converged
+                         and (math.isfinite(threshold) or not residual_gate)
                          and resid.pde <= threshold
                          and resid.max_bc <= threshold)
 

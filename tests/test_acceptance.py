@@ -58,7 +58,7 @@ def test_criterion_02_coupled_vs_eliminated_equivalence():
     worst = 0.0
     for _ in range(10):
         coeffs = random_coefficients(rng, magnitude=0.5)
-        prob, _, _ = random_forward_problem(rng, DOM, grid, coeffs)
+        prob, _, _ = random_forward_problem(rng, grid, coeffs)
         _, _, _, core_coupled, _ = assemble_coupled(sample_problem(prob, grid)).solve()
         core_elim, _ = solve_dense(assemble_eliminated(sample_problem(prob, grid)))
         scale = float(np.max(np.abs(core_elim)))
@@ -162,7 +162,7 @@ def test_criterion_05_matching_auto_satisfaction():
     worst_margin = 0.0
     for trial in range(100):
         if trial % 2 == 0:
-            data = random_forward_problem(rng, DOM, grid, Coefficients())[0].data
+            data = random_forward_problem(rng, grid, Coefficients())[0].data
         else:
             data = make_mms(random_solution(rng), Coefficients(), DOM).problem.data
         cd = nonclassical_to_classical(data, DOM, grid)
@@ -226,7 +226,7 @@ def test_criterion_07_corner_route_consistency():
     worst = 0.0
     for trial in range(20):
         if trial % 2 == 0:
-            prob = random_forward_problem(rng, DOM, grid, Coefficients())[0]
+            prob = random_forward_problem(rng, grid, Coefficients())[0]
         else:
             prob = make_mms(random_solution(rng), Coefficients(), DOM).problem
         assert check_data_constraints(sample_data(prob.data, grid), grid).passed
@@ -264,8 +264,8 @@ def test_criterion_08_well_posedness_surrogate():
     rng = np.random.default_rng(105)
     grid = build_grid(DOM, 9, 9)
     coeffs = random_coefficients(rng, 0.3)
-    p1, _, _ = random_forward_problem(rng, DOM, grid, coeffs)
-    p2, _, _ = random_forward_problem(rng, DOM, grid, coeffs)
+    p1, _, _ = random_forward_problem(rng, grid, coeffs)
+    p2, _, _ = random_forward_problem(rng, grid, coeffs)
     a, b = 0.8, -0.6
     combo = PdeProblem(
         DOM, coeffs,
@@ -288,7 +288,7 @@ def test_criterion_08_well_posedness_surrogate():
     assert ratio2 == pytest.approx(ratio1, rel=1e-10)
 
     def make(k):
-        return random_forward_problem(rng, DOM, grid, Coefficients())[0]
+        return random_forward_problem(rng, grid, Coefficients())[0]
 
     est = estimate_stability_ratio(make, grid, 50)
     spread = max(est.ratios) / min(est.ratios)

@@ -23,6 +23,15 @@ def read_report(out_dir):
         return json.load(fh)
 
 
+def run_fresh(args):
+    """`main(args)` in a fresh interpreter, so that stderr is what a user sees."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"import sys; from mangeron.cli import main; sys.exit(main({[str(a) for a in args]!r}))"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
 def test_solve_zero_config(tmp_path):
     assert run(["solve", "--config", CONFIGS / "zero.cfg", "--out", tmp_path]) == 0
     rows = (tmp_path / "solution.csv").read_text().splitlines()
@@ -146,14 +155,45 @@ def test_tiny_domain_solves_quietly(tmp_path, h1):
     # tolerance differences its samples in units of the step, with no fit
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text((CONFIGS / "zero.cfg").read_text().replace("h1 = 1.0", f"h1 = {h1}"))
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys; from mangeron.cli import main; "
-            f"sys.exit(main(['solve', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    out = run_fresh(["solve", "--config", cfg, "--out", tmp_path / "out"])
     assert (out.returncode, out.stderr) == (0, "")
     assert read_report(tmp_path / "out")["residual_pass"] is True
+
+
+def test_overflowing_domain_fails_with_one_line(tmp_path):
+    # the quadrature overflows; the calibration check reports it, and no
+    # numpy warning precedes its line
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text((CONFIGS / "zero.cfg").read_text().replace("h1 = 1.0", "h1 = 1e308"))
+    out = run_fresh(["solve", "--config", cfg, "--out", tmp_path / "out"])
+    assert out.returncode == 4
+    assert out.stderr.splitlines() == [
+        "solver failure: residual-gate calibration gave a non-finite residual (nan)"]
+
+
+def test_overflowing_forcing_fails_the_gate(tmp_path):
+    # the forcing norm overflows, so the threshold is not finite: the gate
+    # must fail, not pass every residual
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text((CONFIGS / "trig.cfg").read_text().replace(
+        "z = sin(x) * sin(y)", "z = 1e300 * sin(x) * sin(y)"))
+    out = run_fresh(["solve", "--config", cfg, "--out", tmp_path / "out"])
+    assert (out.returncode, out.stderr) == (4, "")
+    report = read_report(tmp_path / "out")
+    assert report["residual_threshold"] == "inf"
+    assert report["residual_pass"] is False
+
+
+def test_unknown_method_exits_two(tmp_path, capsys):
+    # one rule on the command line and under [solver] in the config
+    assert run(["solve", "--config", CONFIGS / "zero.cfg", "--out", tmp_path / "a",
+                "--method", "bogus"]) == 2
+    assert capsys.readouterr().err == "config error: unknown solver method 'bogus'\n"
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text((CONFIGS / "zero.cfg").read_text().replace("method = auto", "method = bogus"))
+    assert run(["solve", "--config", cfg, "--out", tmp_path / "b"]) == 2
+    assert capsys.readouterr().err == "config error: unknown solver method 'bogus'\n"
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
 
 def test_uncovered_piecewise_expression_exits_two(tmp_path, capsys):

@@ -3,8 +3,8 @@ import pytest
 
 from mangeron import (Coefficients, Domain, build_grid, check_data_constraints,
                       const2d, convergence_study, fd_oracle, named_cases,
-                      random_coefficients, random_forward_problem, sample_data,
-                      solve_problem)
+                      random_coefficients, random_forward_problem, residual_report,
+                      sample_data, sample_problem, solve_problem)
 from mangeron.mms import (SeparableSolution, biquadratic_solution, exact_bundle,
                           make_mms, random_solution, sep_poly, trig_solution)
 
@@ -145,10 +145,26 @@ def test_forward_problem_recovered_exactly():
     rng = np.random.default_rng(35)
     grid = build_grid(DOM, 9, 9)
     coeffs = random_coefficients(rng)
-    prob, bundle, unknowns = random_forward_problem(rng, DOM, grid, coeffs)
+    prob, bundle, unknowns = random_forward_problem(rng, grid, coeffs)
     result = solve_problem(prob, grid, method="dense")
     scale = max(1.0, float(np.max(np.abs(unknowns.uxxyy.values))))
     assert np.max(np.abs(result.unknowns.uxxyy.values
                          - unknowns.uxxyy.values)) / scale <= 1e-11
     assert np.max(np.abs(result.bundle.u.values - bundle.u.values)) <= 1e-11
     assert result.report.uxy00_route_gap <= 1e-12
+
+
+@pytest.mark.parametrize("grid", [
+    build_grid(DOM, 9, 9),
+    build_grid(Domain(2.0, 0.5), 11, 7, x_breakpoints=[0.3, 1.37], y_breakpoints=[0.11]),
+], ids=["uniform", "breakpoints"])
+def test_forward_data_is_read_off_its_bundle(grid):
+    # the data is the bundle's own values at their places, so the oracle and
+    # the residual gate agree exactly, not to roundoff
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        prob, bundle, _ = random_forward_problem(rng, grid, random_coefficients(rng))
+        sp = sample_problem(prob, grid)
+        assert prob.domain == grid.domain
+        assert residual_report(sp, bundle).max_bc == 0.0
+        assert check_data_constraints(sp.data, grid).max_residual == 0.0

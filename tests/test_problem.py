@@ -237,7 +237,7 @@ def test_constraints_pass_for_forward_constructed_data():
     dom = Domain(1.0, 1.0)
     grid = build_grid(dom, 9, 9)
     for _ in range(5):
-        prob, _, _ = random_forward_problem(rng, dom, grid, Coefficients())
+        prob, _, _ = random_forward_problem(rng, grid, Coefficients())
         assert check_data_constraints(sample_data(prob.data, grid), grid).passed
 
 

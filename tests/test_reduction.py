@@ -128,7 +128,7 @@ def test_reduced_rhs_agrees_with_full_operator_on_base():
     rng = np.random.default_rng(10)
     grid = build_grid(DOM, 9, 9)
     coeffs = random_coefficients(rng)
-    prob, _, _ = random_forward_problem(rng, DOM, grid, coeffs)
+    prob, _, _ = random_forward_problem(rng, grid, coeffs)
     sp = sample_problem(prob, grid)
     base = base_grids(sp.data, grid)
 
@@ -287,7 +287,7 @@ def test_dense_matches_brute_force_on_random_problem():
     rng = np.random.default_rng(12)
     grid = build_grid(DOM, 4, 5)   # nonsquare to catch index transposition
     coeffs = random_coefficients(rng)
-    prob, _, _ = random_forward_problem(rng, DOM, grid, coeffs)
+    prob, _, _ = random_forward_problem(rng, grid, coeffs)
     op = assemble_eliminated(sample_problem(prob, grid))
     np.testing.assert_allclose(op.dense(), brute_dense_eliminated(prob, grid),
                                atol=1e-12)
@@ -296,7 +296,7 @@ def test_dense_matches_brute_force_on_random_problem():
 def test_dense_matches_matvec_columnwise():
     rng = np.random.default_rng(13)
     grid = build_grid(DOM, 5, 4)
-    prob, _, _ = random_forward_problem(rng, DOM, grid, random_coefficients(rng))
+    prob, _, _ = random_forward_problem(rng, grid, random_coefficients(rng))
     op = assemble_eliminated(sample_problem(prob, grid))
     dense = op.dense()
     n = dense.shape[0]
@@ -311,7 +311,7 @@ def test_dense_matches_matvec_columnwise_on_breakpoint_grid():
     rng = np.random.default_rng(16)
     dom = Domain(2.0, 0.5)
     grid = build_grid(dom, 6, 5, x_breakpoints=[0.3], y_breakpoints=[0.111])
-    prob, _, _ = random_forward_problem(rng, dom, grid, random_coefficients(rng))
+    prob, _, _ = random_forward_problem(rng, grid, random_coefficients(rng))
     op = assemble_eliminated(sample_problem(prob, grid))
     dense = op.dense()
     n = dense.shape[0]
@@ -325,7 +325,7 @@ def test_dense_matches_matvec_columnwise_on_breakpoint_grid():
 def test_matvec_linearity():
     rng = np.random.default_rng(14)
     grid = build_grid(DOM, 6, 5)
-    prob, _, _ = random_forward_problem(rng, DOM, grid, random_coefficients(rng))
+    prob, _, _ = random_forward_problem(rng, grid, random_coefficients(rng))
     op = assemble_eliminated(sample_problem(prob, grid))
     u = rng.standard_normal(grid.shape)
     v = rng.standard_normal(grid.shape)
@@ -341,7 +341,7 @@ def test_eliminated_equation_matches_bundle_route():
     rng = np.random.default_rng(15)
     grid = build_grid(DOM, 6, 7)
     coeffs = random_coefficients(rng)
-    prob, _, _ = random_forward_problem(rng, DOM, grid, coeffs)
+    prob, _, _ = random_forward_problem(rng, grid, coeffs)
     sp = sample_problem(prob, grid)
     op = assemble_eliminated(sp)
     b = rng.standard_normal(grid.shape)
@@ -365,7 +365,7 @@ def test_eliminated_assembly_peak_memory():
     # base part enters g through 1-D vectors, so no base grid is made
     rng = np.random.default_rng(3)
     grid = build_grid(DOM, 129, 129)
-    prob, _, _ = random_forward_problem(rng, DOM, grid, random_coefficients(rng))
+    prob, _, _ = random_forward_problem(rng, grid, random_coefficients(rng))
     sp = sample_problem(prob, grid)
     tracemalloc.start()
     try:
@@ -417,7 +417,7 @@ def test_coupled_and_eliminated_agree_on_core():
     for _ in range(3):
         grid = build_grid(DOM, 7, 6)
         coeffs = random_coefficients(rng)
-        prob, _, _ = random_forward_problem(rng, DOM, grid, coeffs)
+        prob, _, _ = random_forward_problem(rng, grid, coeffs)
         _, _, _, core_coupled, _ = assemble_coupled(sample_problem(prob, grid)).solve()
         op = assemble_eliminated(sample_problem(prob, grid))
         from mangeron import solve_dense
@@ -445,7 +445,7 @@ def test_coupled_system_holds_the_forward_quadruple():
     dom = Domain(1.0, 0.8)
     grid = build_grid(dom, 6, 5, x_breakpoints=[0.37], y_breakpoints=[0.5])
     assert grid.shape == (7, 6)
-    prob, _, unknowns = random_forward_problem(rng, dom, grid, random_coefficients(rng))
+    prob, _, unknowns = random_forward_problem(rng, grid, random_coefficients(rng))
     system = assemble_coupled(sample_problem(prob, grid))
     z = np.concatenate([[unknowns.uxy00], unknowns.uxxy_bottom.values,
                         unknowns.uxyy_left.values, unknowns.uxxyy.values.ravel()])
@@ -461,7 +461,7 @@ def test_coupled_assembly_peak_memory():
     # the matrix and the core block it is built from; no third full-size copy
     rng = np.random.default_rng(19)
     grid = build_grid(DOM, 40, 40)
-    prob, _, _ = random_forward_problem(rng, DOM, grid, random_coefficients(rng))
+    prob, _, _ = random_forward_problem(rng, grid, random_coefficients(rng))
     sp = sample_problem(prob, grid)
     tracemalloc.start()
     try:

@@ -85,6 +85,39 @@ def test_neumann_divergence_detected_for_large_coefficient():
     assert power_iteration_radius(op, grid) > 1.0
 
 
+def neumann_iterate(op, k):
+    """The k-th iterate b <- g - K b from b = g, computed here independently."""
+    b = op.g
+    for _ in range(k):
+        b = op.g - op.matvec(b)
+    return b
+
+
+def test_neumann_stops_at_a_non_finite_update():
+    # K b overflows on the second pass: the iteration stops there and returns
+    # the last finite iterate
+    grid = build_grid(DOM, 9, 9)
+    case = make_mms(trig_solution(), const_coeffs(c_xy=1e150), DOM)
+    op = assemble_eliminated(sample_problem(case.problem, grid))
+    with np.errstate(over="ignore", invalid="ignore"):
+        core, info = solve_neumann(op)
+        expected = neumann_iterate(op, 1)
+    assert info.diverged and not info.converged
+    assert info.iterations == 2
+    assert math.isfinite(info.update_norms[0]) and not math.isfinite(info.final_update_norm)
+    assert np.all(np.isfinite(core)) and np.array_equal(core, expected)
+
+
+def test_neumann_exhausting_max_iter_is_divergence():
+    grid = build_grid(DOM, 9, 9)
+    case = make_mms(trig_solution(), const_coeffs(c_xy=0.3), DOM)
+    op = assemble_eliminated(sample_problem(case.problem, grid))
+    core, info = solve_neumann(op, tol=1e-13, max_iter=3)
+    assert info.diverged and not info.converged
+    assert info.iterations == 3 and info.final_update_norm == info.update_norms[-1] > 1e-13
+    assert np.array_equal(core, neumann_iterate(op, 3))
+
+
 def test_auto_falls_back_to_dense_on_divergence():
     grid = build_grid(DOM, 9, 9)
     case = make_mms(trig_solution(), const_coeffs(c_xy=50.0), DOM)
@@ -203,7 +236,7 @@ def test_assemble_solution_constant_core_biquadratic():
 def test_core_grid_is_solution_core_exactly():
     rng = np.random.default_rng(20)
     grid = build_grid(DOM, 9, 9)
-    prob, _, _ = random_forward_problem(rng, DOM, grid, random_coefficients(rng))
+    prob, _, _ = random_forward_problem(rng, grid, random_coefficients(rng))
     result = solve_problem(prob, grid, method="dense")
     assert np.array_equal(result.bundle.uxxyy.values, result.unknowns.uxxyy.values)
 
@@ -222,7 +255,7 @@ def test_residuals_tiny_for_exact_polynomial_solve():
 def test_residuals_bounded_for_forward_constructed_data():
     rng = np.random.default_rng(21)
     grid = build_grid(DOM, 9, 9)
-    prob, _, _ = random_forward_problem(rng, DOM, grid, random_coefficients(rng))
+    prob, _, _ = random_forward_problem(rng, grid, random_coefficients(rng))
     result = solve_problem(prob, grid, method="dense")
     rep = residual_report(sample_problem(prob, grid), result.bundle, NormSpec(2.0))
     assert rep.pde <= 1e-10
@@ -293,7 +326,7 @@ def test_residual_gate_passes_good_solves():
 def test_stability_single_trial_equals_report_ratio():
     rng = np.random.default_rng(22)
     grid = build_grid(DOM, 9, 9)
-    prob, _, _ = random_forward_problem(rng, DOM, grid, Coefficients())
+    prob, _, _ = random_forward_problem(rng, grid, Coefficients())
     single = solve_problem(prob, grid)
     est = estimate_stability_ratio(lambda k: prob, grid, 1)
     assert est.max_ratio == pytest.approx(single.report.stability_ratio, rel=1e-12)
@@ -302,7 +335,7 @@ def test_stability_single_trial_equals_report_ratio():
 def test_stability_ratio_scale_invariant():
     rng = np.random.default_rng(23)
     grid = build_grid(DOM, 9, 9)
-    prob, _, _ = random_forward_problem(rng, DOM, grid, Coefficients())
+    prob, _, _ = random_forward_problem(rng, grid, Coefficients())
     doubled = PdeProblem(
         DOM, prob.coeffs,
         Field2D(lambda x, y, _f=prob.forcing: 2.0 * _f.eval(x, y)),
@@ -317,7 +350,7 @@ def test_stability_family_is_stable():
     grid = build_grid(DOM, 9, 9)
 
     def make(k):
-        prob, _, _ = random_forward_problem(rng, DOM, grid, Coefficients())
+        prob, _, _ = random_forward_problem(rng, grid, Coefficients())
         return prob
 
     est = estimate_stability_ratio(make, grid, 50)
@@ -342,8 +375,8 @@ def test_full_pipeline_superposition():
     rng = np.random.default_rng(25)
     grid = build_grid(DOM, 9, 9)
     coeffs = random_coefficients(rng)
-    p1, _, _ = random_forward_problem(rng, DOM, grid, coeffs)
-    p2, _, _ = random_forward_problem(rng, DOM, grid, coeffs)
+    p1, _, _ = random_forward_problem(rng, grid, coeffs)
+    p2, _, _ = random_forward_problem(rng, grid, coeffs)
     a, b = 0.6, -1.1
     combo = PdeProblem(
         DOM, coeffs,
@@ -532,7 +565,7 @@ def test_dense_route_peak_memory():
     # no temporary as large as K besides the inverse and LU copies
     rng = np.random.default_rng(21)
     grid = build_grid(DOM, 49, 49)
-    prob, _, _ = random_forward_problem(rng, DOM, grid, random_coefficients(rng))
+    prob, _, _ = random_forward_problem(rng, grid, random_coefficients(rng))
     op = assemble_eliminated(sample_problem(prob, grid))
     k_bytes = (49 * 49) ** 2 * 8
     tracemalloc.start()
