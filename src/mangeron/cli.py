@@ -152,9 +152,8 @@ def cmd_solve(args) -> int:
     if result.report.warning:
         print(f"warning: {result.report.warning}")
     if not result.report.residual_pass:
-        print(f"residual gate FAILED (pde {fmt(result.report.residual_pde)}, "
-              f"threshold {fmt(result.report.residual_threshold)})")
-        return EXIT_SOLVER
+        raise SolverError(f"residual gate failed (pde {fmt(result.report.residual_pde)}, "
+                          f"threshold {fmt(result.report.residual_threshold)})")
     print(f"residual gate passed (pde {fmt(result.report.residual_pde)})")
     return EXIT_OK
 
@@ -197,7 +196,7 @@ def cmd_convert(args) -> int:
         if cfg.data_kind != "nonclassical":
             raise ConfigError("to-classical conversion needs [data.nonclassical]")
         data = build_nonclassical(cfg)
-        cd = nonclassical_to_classical(data, cfg.domain, grid)
+        cd = nonclassical_to_classical(data, grid)
         payload = {"direction": args.direction}
         for edge, var in CLASSICAL_TRACES.items():
             axis = grid.ax if var == "x" else grid.ay
@@ -220,7 +219,7 @@ def cmd_check(args) -> int:
         data = classical_to_nonclassical(cd, cfg.domain, grid, corner_tol=math.inf)
     else:
         data = build_nonclassical(cfg)
-        cd = nonclassical_to_classical(data, cfg.domain, grid)
+        cd = nonclassical_to_classical(data, grid)
         matching = check_matching(cd, cfg.domain, CORNER_TOL_SAMPLED)
     constraints = check_data_constraints(sample_data(data, grid), grid)
     reports = {"matching": matching, "constraints": constraints}

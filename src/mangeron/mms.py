@@ -254,7 +254,7 @@ def fd_oracle(problem: PdeProblem, grid: Grid2D) -> GridFn2D:
     from scipy import sparse
     from scipy.sparse.linalg import spsolve
 
-    cd = nonclassical_to_classical(problem.data, problem.domain, grid)
+    cd = nonclassical_to_classical(problem.data, grid)
     n1, n2 = grid.shape
     dx = (sparse.identity(n1, format="csr"),) + difference_matrices(grid.x)
     dy = (sparse.identity(n2, format="csr"),) + difference_matrices(grid.y)

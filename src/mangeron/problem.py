@@ -150,13 +150,9 @@ def solution_data(d, domain: Domain) -> NonclassicalData:
 
 @dataclass(frozen=True)
 class SampledData:
-    """Nonclassical data sampled on one grid, plus derived route quantities.
-
-    The base part of the solution, fixed by the origin corner and the bottom
-    and left traces, is separable: u = base_x(x) + base_y(y), ux = base_ux(x),
-    uy = base_uy(y), uxx = uxx_bottom(x), uyy = uyy_left(y), and every mixed
-    derivative is zero.  It is held as those 1-D vectors only.
-    """
+    """Nonclassical data sampled on one grid, plus derived route quantities:
+    the far-edge differences, and the 1-D factors of the separable base part
+    of the solution (`reduction.REPRESENTATION`), the only form it is held in."""
 
     u00: float
     ux00: float
@@ -308,8 +304,7 @@ def classical_to_nonclassical(cd: ClassicalData, domain: Domain,
         u01=float(cd.top.value.eval(0.0)), ux01=ux01, uxx_top=uxx_top)
 
 
-def nonclassical_to_classical(data: NonclassicalData, domain: Domain,
-                              grid: Grid2D) -> ClassicalData:
+def nonclassical_to_classical(data: NonclassicalData, grid: Grid2D) -> ClassicalData:
     """Rebuild the four edge functions from nonclassical data.
 
     Each edge function is the second antiderivative of its edge trace,

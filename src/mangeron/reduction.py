@@ -1,36 +1,31 @@
 """Reduction of the Dirichlet problem to discrete integral equations.
 
-Any admissible solution splits as u = base + remainder, where the base part
-is determined by the origin-corner data and the bottom/left edge traces,
-and the remainder is a quadruple of unknowns: the corner mixed derivative
-u_xy(0,0), the edge traces u_xxy(x,0) and u_xyy(0,y), and the core unknown
-u_xxyy(x,y).  Collocating the transformed equation at the grid nodes and
-replacing every integral by the shared trapezoid rule yields
-either a coupled square system in the full quadruple or, after eliminating
-the three lower unknowns through the far-edge conditions, a single
-second-kind system (I + K) core = g in the core unknown alone.
-
-K is written once, as 15 terms coef(i,j) * (A core B^T)(i,j) (`kernel_terms`);
-the matrix-free product, the dense matrix and both blocks of the coupled
-system are derived from that table, so the two assemblies agree to
-linear-solver roundoff; this is exercised as a cross-check downstream.
-The matrix-free product applies A and B by running sums (`Axis.cumulative`)
-in O(n1 n2); the dense assemblies apply the same code to the identity.
-
-The base part is separable (a function of x plus a function of y), so it
-enters only the right-hand side, through the five non-mixed terms of the
-operator; `reduced_rhs` reads it as the 1-D vectors of `SampledData` and
-makes no base grid.  The stages exchange plain arrays; g is read-only.
+The solution is written once, as the integral representation (`REPRESENTATION`)
+u = base_x(x) + base_y(y) + x y corner + y cum1(edge_x) + x cum1(edge_y) +
+cum1 cum1(core): a separable base part fixed by the origin-corner data and the
+bottom/left edge traces, and a quadruple of unknowns, the corner mixed
+derivative u_xy(0,0), the edge traces u_xxy(x,0) and u_xyy(0,y) and the core
+unknown u_xxyy(x,y).  The derivative grids (`representation`), the base part
+of the right-hand side (`reduced_rhs`) and the 15 terms coef(i,j) * (A core
+B^T)(i,j) of K (`kernel_terms`) are read off that table.  Collocating the
+equation at the grid nodes, every integral by the shared trapezoid rule,
+yields a coupled square system in the quadruple or, with the lower unknowns
+eliminated by the far-edge conditions (`far_edge`), a single second-kind
+system (I + K) core = g.  The matrix-free product, the dense matrix and both
+blocks of the coupled system read K's term list; the product applies A and B
+by running sums (`Axis.cumulative`) in O(n1 n2), and the dense assemblies
+apply the same code to the identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .grids import Grid2D
-from .problem import DERIVATIVES, Coefficients, SampledProblem
+from .grids import Axis, Grid2D
+from .problem import DERIVATIVES, Coefficients, SampledData, SampledProblem
 
 #: largest node count for which the dense kernel matrix may be materialized
 DENSE_NODE_LIMIT = 70 * 70
@@ -41,6 +36,24 @@ SINGULAR_CONDITION = 1e15
 
 # operator kinds of a kernel term, on either axis
 CUM0, CUM1, IDENT, MOM = "cum0", "cum1", "I", "mom"
+
+#: the factor of an integrated unknown on one axis by derivative order 0, 1, 2:
+#: the unknown under two running integrals, under one, and itself
+LADDER = (CUM1, CUM0, IDENT)
+
+#: u as a sum of separable terms, each by its x and y factors with their
+#: derivatives of order 0, 1, 2 (None: zero); besides LADDER an entry is the
+#: coordinate "x" or "y", "1", or a `SampledData` vector of the base terms,
+#: which carry no unknown
+REPRESENTATION = {
+    "base_x": (("base_x", "base_ux", "uxx_bottom"), ("1", None, None)),
+    "base_y": (("1", None, None), ("base_y", "base_uy", "uyy_left")),
+    "corner": (("x", "1", None), ("y", "1", None)),
+    "edge_x": (LADDER, ("y", "1", None)),
+    "edge_y": (("x", "1", None), LADDER),
+    "core": (LADDER, LADDER),
+}
+BASE = ("base_x", "base_y")
 
 
 class DenseLimitError(ValueError):
@@ -71,20 +84,78 @@ def apply_pde_operator(c: dict[str, np.ndarray], bundle) -> np.ndarray:
     return out
 
 
-def reduced_rhs(sp: SampledProblem) -> np.ndarray:
-    """Forcing minus the operator applied to the base part.
+def _ladder(axis: Axis, v: np.ndarray, dim: int) -> dict[str, np.ndarray]:
+    """v and its two running integrals along `dim`, by LADDER operator."""
+    c0, c1 = axis.cumulative(v, dim)
+    return {IDENT: v, CUM0: c0, CUM1: c1}
 
-    Every mixed derivative of the base vanishes identically, so only the
-    five non-mixed terms survive; each reads the base's 1-D vectors in
-    `SampledData` by broadcasting.
-    """
-    c, sd = sp.coeffs, sp.data
-    return sp.forcing - (
-        c["c_xx"] * sd.uxx_bottom[:, None]
-        + c["c_yy"] * sd.uyy_left[None, :]
-        + c["c_x"] * sd.base_ux[:, None]
-        + c["c_y"] * sd.base_uy[None, :]
-        + c["c_u"] * (sd.base_x[:, None] + sd.base_y[None, :]))
+
+def _vector(entry, grid: Grid2D, dim: int, sd: SampledData | None = None):
+    """A vector entry along axis `dim`, shaped to broadcast; None for "1" or an operator."""
+    if entry == "1" or entry in LADDER:
+        return None
+    v = getattr(grid if entry in ("x", "y") else sd, entry)
+    return v[:, None] if dim == 0 else v[None, :]
+
+
+def _times(*factors):
+    """The product of the factors that are not None, left to right."""
+    return reduce(lambda a, b: b if a is None else a if b is None else a * b, factors)
+
+
+def _sum(parts):
+    """The sum of the parts left to right, None if there are none; as in an
+    expression, each part is freed before the next is made."""
+    total = None
+    for part in parts:
+        total, part = (part if total is None else total + part), None
+    return total
+
+
+def representation(sd: SampledData, grid: Grid2D, quadruple=()):
+    """Yield (name, grid) for the nine derivative grids of u, each the sum of
+    its `REPRESENTATION` terms in table order: a term's vectors, x by y, times
+    its unknown under its operators, x first.  `quadruple` is (corner, edge_x,
+    edge_y, core); without it these are the base part's grids, broadcast from
+    1-D (None where they vanish)."""
+    under = {(term, IDENT, IDENT): None for term in BASE}   # (term, A, B) -> unknown under A, B
+    for term, w in zip([t for t in REPRESENTATION if t not in BASE], quadruple):
+        fx, fy = REPRESENTATION[term]
+        if np.ndim(w) == 1:                 # an edge trace, constant across the domain
+            w = w[:, None] if fx == LADDER else w[None, :]
+        for a, wa in (_ladder(grid.ax, w, 0) if fx == LADDER else {IDENT: w}).items():
+            for b, wab in (_ladder(grid.ay, wa, 1) if fy == LADDER else {IDENT: wa}).items():
+                under[term, a, b] = wab
+
+    def terms_at(i, j):
+        for term, (fx, fy) in REPRESENTATION.items():
+            key = (term, *(e if e in LADDER else IDENT for e in (fx[i], fy[j])))
+            if None not in (fx[i], fy[j]) and key in under:
+                yield _times(_vector(fx[i], grid, 0, sd), _vector(fy[j], grid, 1, sd), under[key])
+
+    for name, (i, j) in DERIVATIVES.items():
+        yield name, _sum(terms_at(i, j))
+
+
+def reduced_rhs(sp: SampledProblem) -> np.ndarray:
+    """Forcing minus the operator applied to the base part, whose grids are
+    `representation` with no unknown, summed in `Coefficients.MULTIPLIES` order."""
+    base = dict(representation(sp.data, sp.grid))
+    return sp.forcing - _sum(sp.coeffs[key] * base[name]
+                             for key, name in Coefficients.MULTIPLIES.items()
+                             if base[name] is not None)
+
+
+def far_edge(sd: SampledData, grid: Grid2D, core: np.ndarray | None = None):
+    """(corner, edge_x, edge_y, corner_alt): the lower unknowns that the
+    far-edge conditions give for a core (None: zero, leaving the data parts).
+    Each edge unknown is its data minus the core's moment average across the
+    domain; the corner comes by the bottom edge, corner_alt by the left."""
+    m1x, m2y = grid.ax.moment_avg, grid.ay.moment_avg
+    edge_x, edge_y = sd.d_uxx, sd.d_uyy
+    if core is not None:
+        edge_x, edge_y = edge_x - core @ m2y, edge_y - m1x @ core
+    return float(sd.d_uy - m1x @ edge_x), edge_x, edge_y, float(sd.d_ux - m2y @ edge_y)
 
 
 @dataclass(frozen=True)
@@ -98,43 +169,44 @@ class Term:
 
 
 def kernel_terms(c: dict[str, np.ndarray], grid: Grid2D) -> list[Term]:
-    """The 15 terms of K, signs included.  A and B are each a cumulative
-    integral (cum0, cum1, as in `Axis.cumulative`), the identity, or the
-    rank-one moment average (mom) left behind by substituting a lower
-    unknown: the bottom edge (fx1, fx0, edge_x_factor) averages along y,
-    the left edge (fy1, fy0, edge_y_factor) along x, and the corner
-    (corner_factor) along both.
-    """
-    x = grid.x[:, None]
-    y = grid.y[None, :]
-    return [
-        Term("c_u", c["c_u"], CUM1, CUM1),
-        Term("c_x", c["c_x"], CUM0, CUM1),
-        Term("c_y", c["c_y"], CUM1, CUM0),
-        Term("c_xy", c["c_xy"], CUM0, CUM0),
-        Term("c_yy", c["c_yy"], CUM1, IDENT),
-        Term("c_xyy", c["c_xyy"], CUM0, IDENT),
-        Term("c_xx", c["c_xx"], IDENT, CUM1),
-        Term("c_xxy", c["c_xxy"], IDENT, CUM0),
-        Term("fx1", -(y * c["c_u"] + c["c_y"]), CUM1, MOM),
-        Term("fx0", -(y * c["c_x"] + c["c_xy"]), CUM0, MOM),
-        Term("fy1", -(x * c["c_u"] + c["c_x"]), MOM, CUM1),
-        Term("fy0", -(x * c["c_y"] + c["c_xy"]), MOM, CUM0),
-        Term("edge_x_factor", -(y * c["c_xx"] + c["c_xxy"]), IDENT, MOM),
-        Term("edge_y_factor", -(x * c["c_yy"] + c["c_xyy"]), MOM, IDENT),
-        Term("corner_factor", x * y * c["c_u"] + y * c["c_x"] + x * c["c_y"] + c["c_xy"],
-             MOM, MOM),
-    ]
+    """The 15 terms of K: each coefficient times its grid, expanded by the
+    `REPRESENTATION` terms with an unknown (u_xxyy's core term is the I of
+    I + K).  A lower unknown is constant along an axis where its factor is a
+    vector, and `far_edge` gives its core part as minus the core's moment
+    average (mom) along that axis: that side's operator is mom, the vector
+    moves into the coefficient, and the sign flips.  A core term is named by
+    its coefficient; the bottom edge gives fx1, fx0 and edge_x_factor, the left
+    edge fy1, fy0 and edge_y_factor, the corner corner_factor.  Coefficients
+    sum their parts in DERIVATIVES order; the list keeps the order K was first
+    written in, which the sums of the matvec and the dense assembly follow."""
+    multiplier = {name: key for key, name in Coefficients.MULTIPLIES.items()}
+    parts = {}      # (term, A, B) -> [(coefficient key, x entry, y entry)]
+    for name, (i, j) in DERIVATIVES.items():
+        for term, (fx, fy) in REPRESENTATION.items():
+            if name in multiplier and term not in BASE and None not in (fx[i], fy[j]):
+                ops = (e if e in LADDER else MOM for e in (fx[i], fy[j]))
+                parts.setdefault((term, *ops), []).append((multiplier[name], fx[i], fy[j]))
+    # K's first order: by both sides' steps from a running integral (I one, mom
+    # two), the nearer x side first; a stable sort keeps DERIVATIVES order in ties
+    steps = {CUM1: 0, CUM0: 0, IDENT: 1, MOM: 2}
+    terms = []
+    for term, a, b in sorted(parts, key=lambda t: (steps[t[1]] + steps[t[2]], steps[t[1]])):
+        keys = parts[term, a, b]
+        coef = _sum(_times(_vector(ex, grid, 0), _vector(ey, grid, 1), c[key])
+                    for key, ex, ey in keys)
+        if (a, b).count(MOM) == 1:
+            coef = -coef
+        op = next((o for o in (a, b) if o in (CUM0, CUM1)), None)
+        name = keys[0][0] if term == "core" else f"f{term[-1]}{op[-1]}" if op else f"{term}_factor"
+        terms.append(Term(name, coef, a, b))
+    return terms
 
 
 class DiscreteOperator:
     """Nystrom discretization (I + K) core = g of the eliminated equation.
 
-    The three lower unknowns are substituted by their far-edge expressions:
-    the bottom-edge unknown from the top-edge condition, the left-edge
-    unknown from the right-edge condition, and the corner unknown from the
-    bottom-edge route (its alternative left-edge route is kept as a
-    post-solve diagnostic, not used in assembly).  K collects every
+    The three lower unknowns are substituted by their far-edge expressions
+    (`far_edge`; the corner by its bottom-edge route).  K collects every
     core-dependent term after substitution; g collects the reduced forcing
     minus all known-data terms.
 
@@ -143,27 +215,24 @@ class DiscreteOperator:
     """
 
     def __init__(self, sp: SampledProblem):
-        grid, sd = sp.grid, sp.data
+        grid = sp.grid
         self.grid = grid
         self.terms = kernel_terms(sp.coeffs, grid)
         self.m1x = grid.ax.moment_avg
         self.m2y = grid.ay.moment_avg
-        # data part of the corner unknown (bottom-edge route)
-        corner_data = sd.d_uy - float(self.m1x @ sd.d_uxx)
+        corner, edge_x, edge_y, _ = far_edge(sp.data, grid)     # the lower data parts
         g = reduced_rhs(sp)
-        g -= self.lower(corner_data, sd.d_uxx, sd.d_uyy)
+        g -= self.lower(corner, edge_x, edge_y)
         g.flags.writeable = False
         self.g = g
 
     def _along_x(self, v: np.ndarray) -> dict[str, np.ndarray]:
         """A v for every x-side operator A; v is indexed by x first."""
-        c0, c1 = self.grid.ax.cumulative(v, 0)
-        return {IDENT: v, CUM0: c0, CUM1: c1, MOM: (self.m1x @ v)[None]}
+        return {**_ladder(self.grid.ax, v, 0), MOM: (self.m1x @ v)[None]}
 
     def _along_y(self, v: np.ndarray) -> dict[str, np.ndarray]:
         """v B^T for every y-side operator B; v is indexed by y last."""
-        c0, c1 = self.grid.ay.cumulative(v, 1)
-        return {IDENT: v, CUM0: c0, CUM1: c1, MOM: (v @ self.m2y)[:, None]}
+        return {**_ladder(self.grid.ay, v, 1), MOM: (v @ self.m2y)[:, None]}
 
     def matvec(self, core: np.ndarray) -> np.ndarray:
         """Apply K to a core array of shape (n1, n2): the x-side partials
@@ -180,8 +249,7 @@ class DiscreteOperator:
 
     def lower(self, corner: float, edge_x: np.ndarray, edge_y: np.ndarray) -> np.ndarray:
         """The collocated terms of given lower unknowns, at every node: the
-        moment-average terms before the substitutions edge_x = d_uxx - core m2y,
-        edge_y = d_uyy - m1x core and corner = d_uy - m1x edge_x."""
+        moment-average terms of K before the substitution of `far_edge`."""
         xs = self._along_x(edge_x[:, None])
         ys = self._along_y(edge_y[None, :])
         out = np.zeros(self.grid.shape)

@@ -3,10 +3,10 @@
 The core unknown u_xxyy is obtained either by successive approximations on
 the second-kind system (Neumann iteration, matrix-free) or by a dense LU
 solve; the coupled square system is available as a cross-checking route.
-The three lower unknowns are then reconstructed from the far-edge data, and
-all nine derivative grids of the solution are rebuilt through the explicit
-integral formulas - never by differencing u - so the core grid of the
-bundle is the solved unknown verbatim.
+The three lower unknowns are then reconstructed by the far-edge conditions,
+and the nine derivative grids are read off the integral representation
+(`reduction.representation`), never by differencing u; the core grid of the
+bundle is the solved unknown itself.
 
 Solves are single-threaded at the API level and deterministic for a fixed
 BLAS thread count; identical inputs produce identical reports.
@@ -26,7 +26,8 @@ from .problem import (Coefficients, ConstraintError, NonclassicalData, PdeProble
                       SampledData, SampledProblem, check_data_constraints, sample_problem,
                       solution_data)
 from .reduction import (SINGULAR_CONDITION, DenseLimitError, DiscreteOperator,
-                        apply_pde_operator, assemble_coupled, assemble_eliminated)
+                        apply_pde_operator, assemble_coupled, assemble_eliminated, far_edge,
+                        representation)
 
 #: consecutive growing updates before the iteration is declared divergent
 DIVERGENCE_PATIENCE = 5
@@ -42,19 +43,15 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class ReducedUnknowns:
-    """The unknown quadruple of the reduced problem.
-
-    uxy00 is reconstructed through the bottom-edge data route; uxy00_alt
-    through the left-edge route.  The two agree (up to quadrature error)
-    exactly when the data is admissible, so their gap doubles as a data
-    diagnostic and is reported on every solve.
-    """
+    """The unknown quadruple of the reduced problem, with the corner by both
+    far-edge routes (`reduction.far_edge`): they agree up to quadrature error
+    exactly on admissible data, so their gap is a data diagnostic."""
 
     uxy00: float                # u_xy(0, 0)
     uxxy_bottom: GridFn1D       # u_xxy(x, 0)
     uxyy_left: GridFn1D         # u_xyy(0, y)
     uxxyy: GridFn2D             # core unknown on the full grid
-    uxy00_alt: float = 0.0
+    uxy00_alt: float
 
     @property
     def route_gap(self) -> float:
@@ -177,64 +174,22 @@ def solve_dense(op: DiscreteOperator) -> tuple[np.ndarray, float]:
 
 def reconstruct_lower(sd: SampledData, core: np.ndarray,
                       grid: Grid2D) -> ReducedUnknowns:
-    """Recover the edge and corner unknowns from the solved core.
-
-    The bottom-edge unknown comes from the top-edge condition, the
-    left-edge unknown from the right-edge condition, and the corner unknown
-    from the bottom-edge route; the alternative left-edge route is computed
-    as well and retained for the route-gap diagnostic.
-    """
-    m1x, m2y = grid.ax.moment_avg, grid.ay.moment_avg
-    edge_x = sd.d_uxx - core @ m2y
-    edge_y = sd.d_uyy - m1x @ core
-    corner = float(sd.d_uy - m1x @ edge_x)
-    corner_alt = float(sd.d_ux - m2y @ edge_y)
-    return ReducedUnknowns(
-        uxy00=corner,
-        uxxy_bottom=GridFn1D(grid.ax, edge_x),
-        uxyy_left=GridFn1D(grid.ay, edge_y),
-        uxxyy=GridFn2D(grid, core),
-        uxy00_alt=corner_alt)
+    """Recover the edge and corner unknowns from the solved core by the
+    far-edge conditions (`reduction.far_edge`)."""
+    corner, edge_x, edge_y, corner_alt = far_edge(sd, grid, core)
+    return ReducedUnknowns(corner, GridFn1D(grid.ax, edge_x), GridFn1D(grid.ay, edge_y),
+                           GridFn2D(grid, core), corner_alt)
 
 
 def assemble_solution(sd: SampledData, unknowns: ReducedUnknowns,
                       grid: Grid2D) -> SolutionBundle:
-    """Rebuild all nine derivative grids from the representation formulas.
-
-    Every grid is a direct quadrature of the corresponding explicit
-    formula; in particular the core grid of the bundle is the solved
-    unknown itself, identically.
-    """
-    ax, ay = grid.ax, grid.ay
-    x = grid.x[:, None]
-    y = grid.y[None, :]
-    corner = unknowns.uxy00
-    ex = unknowns.uxxy_bottom.values
-    ey = unknowns.uxyy_left.values
-    b = unknowns.uxxyy.values
-
-    i_ex0, i_ex1 = ax.cumulative(ex)     # integrals of u_xxy(s, 0), kernel 1 and (x - s)
-    i_ey0, i_ey1 = ay.cumulative(ey)
-    bx0, bx1 = ax.cumulative(b, 0)
-    dbl10, dbl11 = ay.cumulative(bx1, 1)   # moment kernel in x; and in x and y
-    dbl00, dbl01 = ay.cumulative(bx0, 1)   # plain double integral; moment kernel in y
-    ry0, ry1 = ay.cumulative(b, 1)         # y-partial integrals along each grid row
-
-    u = (sd.base_x[:, None] + sd.base_y[None, :] + x * y * corner
-         + y * i_ex1[:, None] + x * i_ey1[None, :] + dbl11)
-    ux = sd.base_ux[:, None] + y * corner + y * i_ex0[:, None] + i_ey1[None, :] + dbl01
-    uy = sd.base_uy[None, :] + x * corner + i_ex1[:, None] + x * i_ey0[None, :] + dbl10
-    uxx = sd.uxx_bottom[:, None] + y * ex[:, None] + ry1
-    uyy = sd.uyy_left[None, :] + x * ey[None, :] + bx1
-    uxy = corner + i_ex0[:, None] + i_ey0[None, :] + dbl00
-    uxxy = ex[:, None] + ry0
-    uxyy = ey[None, :] + bx0
-
-    return SolutionBundle(
-        u=GridFn2D(grid, u), ux=GridFn2D(grid, ux), uy=GridFn2D(grid, uy),
-        uxx=GridFn2D(grid, uxx), uyy=GridFn2D(grid, uyy), uxy=GridFn2D(grid, uxy),
-        uxxy=GridFn2D(grid, uxxy), uxyy=GridFn2D(grid, uxyy),
-        uxxyy=unknowns.uxxyy)
+    """Rebuild all nine derivative grids from the integral representation
+    (`reduction.representation`), each a direct quadrature, never a
+    difference of u; the core grid of the bundle is the solved unknown itself."""
+    grids = representation(sd, grid, (unknowns.uxy00, unknowns.uxxy_bottom.values,
+                                      unknowns.uxyy_left.values, unknowns.uxxyy.values))
+    return SolutionBundle(**{name: GridFn2D(grid, values) for name, values in grids
+                             if name != "uxxyy"}, uxxyy=unknowns.uxxyy)
 
 
 @dataclass(frozen=True)

@@ -165,7 +165,7 @@ def test_criterion_05_matching_auto_satisfaction():
             data = random_forward_problem(rng, grid, Coefficients())[0].data
         else:
             data = make_mms(random_solution(rng), Coefficients(), DOM).problem.data
-        cd = nonclassical_to_classical(data, DOM, grid)
+        cd = nonclassical_to_classical(data, grid)
         rep = check_matching(cd, DOM, tol=math.inf)
         bounds = _matching_bounds(data, grid)
         for name, res in rep.residuals:
@@ -188,7 +188,7 @@ def test_criterion_06_round_trip_second_order():
         grid = build_grid(DOM, n, n)
         ctol = 100.0 * float(np.max(np.diff(grid.x))) ** 2
         back = classical_to_nonclassical(
-            nonclassical_to_classical(data, DOM, grid), DOM, grid, corner_tol=ctol)
+            nonclassical_to_classical(data, grid), DOM, grid, corner_tol=ctol)
         err = 0.0
         for key in NonclassicalData.SCALAR_KEYS:
             err = max(err, abs(getattr(back, key) - getattr(data, key)))
@@ -198,9 +198,9 @@ def test_criterion_06_round_trip_second_order():
                 getattr(back, key).sample(axis) - getattr(data, key).sample(axis)))))
         nc_errors.append(err)
 
-        cd = nonclassical_to_classical(data, DOM, grid)   # exact anchor traces
+        cd = nonclassical_to_classical(data, grid)   # exact anchor traces
         again = nonclassical_to_classical(
-            classical_to_nonclassical(cd, DOM, grid, corner_tol=ctol), DOM, grid)
+            classical_to_nonclassical(cd, DOM, grid, corner_tol=ctol), grid)
         err = 0.0
         for name, axis in (("left", grid.ay), ("right", grid.ay),
                            ("bottom", grid.ax), ("top", grid.ax)):

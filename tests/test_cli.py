@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mangeron.cli import main
+from mangeron import solver as solver_mod
+from mangeron.cli import fmt, main
+from mangeron.solver import METHODS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -178,10 +180,14 @@ def test_overflowing_forcing_fails_the_gate(tmp_path):
     cfg.write_text((CONFIGS / "trig.cfg").read_text().replace(
         "z = sin(x) * sin(y)", "z = 1e300 * sin(x) * sin(y)"))
     out = run_fresh(["solve", "--config", cfg, "--out", tmp_path / "out"])
-    assert (out.returncode, out.stderr) == (4, "")
     report = read_report(tmp_path / "out")
     assert report["residual_threshold"] == "inf"
     assert report["residual_pass"] is False
+    # the gate's line goes to stderr, alone, and not to stdout
+    assert out.returncode == 4
+    assert out.stderr.splitlines() == [
+        f"solver failure: residual gate failed (pde {fmt(report['residual_pde'])}, threshold inf)"]
+    assert "residual gate" not in out.stdout
 
 
 def test_unknown_method_exits_two(tmp_path, capsys):
@@ -397,13 +403,19 @@ def test_exit_zero_writes_only_finite_numbers(tmp_path, config):
                 assert numbers and all(math.isfinite(v) for v in numbers), path.name
 
 
-def test_solve_outputs_are_deterministic(tmp_path):
-    run(["solve", "--config", CONFIGS / "biquadratic.cfg", "--out", tmp_path / "a"])
-    run(["solve", "--config", CONFIGS / "biquadratic.cfg", "--out", tmp_path / "b"])
-    assert filecmp.cmp(tmp_path / "a" / "solution.csv",
-                       tmp_path / "b" / "solution.csv", shallow=False)
-    assert filecmp.cmp(tmp_path / "a" / "report.json",
-                       tmp_path / "b" / "report.json", shallow=False)
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.cfg")), ids=lambda c: c.stem)
+def test_solve_outputs_are_deterministic(tmp_path, capsys, monkeypatch, config, method):
+    # two runs, each calibrating the gate afresh, write byte-identical files;
+    # exit 0 writes nothing on stderr, and exit 4 one line
+    for out in ("a", "b"):
+        monkeypatch.setattr(solver_mod, "_THRESHOLD_CACHE", {})
+        code = run(["solve", "--config", config, "--out", tmp_path / out, "--method", method])
+        err = capsys.readouterr().err
+        assert code in (0, 4)
+        assert err == "" if code == 0 else len(err.splitlines()) == 1, err
+    for name in ("report.json", "solution.csv"):
+        assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name, shallow=False), name
 
 
 def test_csv_floats_have_full_precision(tmp_path):

@@ -150,10 +150,10 @@ def test_nan_corner_fails_matching_wherever_it_is_listed():
 def test_nonclassical_to_classical_simple_cases():
     dom = Domain(1.0, 1.0)
     grid = build_grid(dom, 21, 21)
-    cd = nonclassical_to_classical(NonclassicalData(uy00=1.0), dom, grid)
+    cd = nonclassical_to_classical(NonclassicalData(uy00=1.0), grid)
     np.testing.assert_allclose(cd.left.value.sample(grid.ay), grid.y, atol=1e-13)
 
-    cd0 = nonclassical_to_classical(NonclassicalData(), dom, grid)
+    cd0 = nonclassical_to_classical(NonclassicalData(), grid)
     for trace, axis in ((cd0.left, grid.ay), (cd0.right, grid.ay),
                         (cd0.bottom, grid.ax), (cd0.top, grid.ax)):
         np.testing.assert_allclose(trace.value.sample(axis), 0.0, atol=1e-15)
@@ -164,7 +164,7 @@ def test_nonclassical_to_classical_quadratic_top_edge():
     dom = Domain(1.0, 1.0)
     grid = build_grid(dom, 21, 21)
     z = NonclassicalData(u01=1.0, ux01=2.0, uxx_top=const1d(2.0))
-    cd = nonclassical_to_classical(z, dom, grid)
+    cd = nonclassical_to_classical(z, grid)
     expect = 1.0 + 2.0 * grid.x + grid.x**2
     np.testing.assert_allclose(cd.top.value.sample(grid.ax), expect, atol=1e-12)
 
@@ -178,7 +178,7 @@ def test_matching_exact_for_plane_traces():
 def test_matching_default_tolerance_is_the_analytic_one():
     # edges built by quadrature get no looser default; callers pass CORNER_TOL_SAMPLED
     dom = Domain(1.0, 1.0)
-    cd = nonclassical_to_classical(NonclassicalData(uy00=1.0), dom, build_grid(dom, 9, 9))
+    cd = nonclassical_to_classical(NonclassicalData(uy00=1.0), build_grid(dom, 9, 9))
     assert check_matching(cd, dom).tolerance == CORNER_TOL_ANALYTIC
     assert check_matching(cd, dom, CORNER_TOL_SAMPLED).tolerance == CORNER_TOL_SAMPLED
 
@@ -201,7 +201,7 @@ def test_matching_auto_satisfied_for_admissible_data():
     for _ in range(10):
         case = make_mms(random_solution(rng), Coefficients(), dom)
         data = case.problem.data
-        cd = nonclassical_to_classical(data, dom, grid)
+        cd = nonclassical_to_classical(data, grid)
         rep = check_matching(cd, dom, tol=math.inf)
         sd = sample_data(data, grid)
         h1, h2 = dom.h1, dom.h2
@@ -265,7 +265,7 @@ def test_round_trip_nonclassical_second_order():
         grid = build_grid(dom, n, n)
         ctol = 100.0 * max(np.max(np.diff(grid.x)), np.max(np.diff(grid.y))) ** 2
         back = classical_to_nonclassical(
-            nonclassical_to_classical(data, dom, grid), dom, grid,
+            nonclassical_to_classical(data, grid), dom, grid,
             corner_tol=ctol)
         errors.append(_data_sup_distance(data, back, grid))
     orders = [np.log2(errors[k] / errors[k + 1]) for k in range(2)]
@@ -295,7 +295,7 @@ def test_round_trip_classical_second_order():
     for n in (9, 17, 33):
         grid = build_grid(dom, n, n)
         back = nonclassical_to_classical(
-            classical_to_nonclassical(cd, dom, grid), dom, grid)
+            classical_to_nonclassical(cd, dom, grid), grid)
         err = 0.0
         for name, axis in (("left", grid.ay), ("right", grid.ay),
                            ("bottom", grid.ax), ("top", grid.ax)):
@@ -315,9 +315,9 @@ def test_conversion_is_linear_in_the_data():
     c2 = make_mms(random_solution(rng), Coefficients(), dom).problem.data
     a, b = 0.7, -1.3
     combo = c1.scaled(a).plus(c2.scaled(b))
-    cd_combo = nonclassical_to_classical(combo, dom, grid)
-    cd1 = nonclassical_to_classical(c1, dom, grid)
-    cd2 = nonclassical_to_classical(c2, dom, grid)
+    cd_combo = nonclassical_to_classical(combo, grid)
+    cd1 = nonclassical_to_classical(c1, grid)
+    cd2 = nonclassical_to_classical(c2, grid)
     for name, axis in (("left", grid.ay), ("right", grid.ay),
                        ("bottom", grid.ax), ("top", grid.ax)):
         got = getattr(cd_combo, name).value.sample(axis)

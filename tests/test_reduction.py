@@ -8,7 +8,8 @@ from mangeron import (Coefficients, Domain, Field2D, GridFn2D, NonclassicalData,
                       assemble_eliminated, assemble_solution, build_grid, const1d,
                       const2d, random_coefficients, random_forward_problem,
                       reconstruct_lower, reduced_rhs, sample_data, sample_problem)
-from mangeron.reduction import DenseLimitError
+from mangeron import reduction
+from mangeron.reduction import CUM0, CUM1, IDENT, MOM, DenseLimitError, Term
 from mangeron.mms import (biquadratic_solution, exact_bundle, make_mms, sep_poly,
                           SeparableSolution)
 from quadrature_oracle import panel_tables
@@ -482,3 +483,119 @@ def test_coupled_size_guard_refuses_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 10e6
+
+
+# ------------------------------------------------ bit-level oracle of the table
+# The 15 terms of K, the base part of g and the nine bundle grids as they were
+# written by hand before they were read off `reduction.REPRESENTATION`, kept
+# verbatim (operation order included) so that the derivation is pinned bit
+# for bit.
+
+def oracle_kernel_terms(c, grid):
+    x = grid.x[:, None]
+    y = grid.y[None, :]
+    return [
+        Term("c_u", c["c_u"], CUM1, CUM1),
+        Term("c_x", c["c_x"], CUM0, CUM1),
+        Term("c_y", c["c_y"], CUM1, CUM0),
+        Term("c_xy", c["c_xy"], CUM0, CUM0),
+        Term("c_yy", c["c_yy"], CUM1, IDENT),
+        Term("c_xyy", c["c_xyy"], CUM0, IDENT),
+        Term("c_xx", c["c_xx"], IDENT, CUM1),
+        Term("c_xxy", c["c_xxy"], IDENT, CUM0),
+        Term("fx1", -(y * c["c_u"] + c["c_y"]), CUM1, MOM),
+        Term("fx0", -(y * c["c_x"] + c["c_xy"]), CUM0, MOM),
+        Term("fy1", -(x * c["c_u"] + c["c_x"]), MOM, CUM1),
+        Term("fy0", -(x * c["c_y"] + c["c_xy"]), MOM, CUM0),
+        Term("edge_x_factor", -(y * c["c_xx"] + c["c_xxy"]), IDENT, MOM),
+        Term("edge_y_factor", -(x * c["c_yy"] + c["c_xyy"]), MOM, IDENT),
+        Term("corner_factor", x * y * c["c_u"] + y * c["c_x"] + x * c["c_y"] + c["c_xy"],
+             MOM, MOM),
+    ]
+
+
+def oracle_reduced_rhs(sp):
+    c, sd = sp.coeffs, sp.data
+    return sp.forcing - (
+        c["c_xx"] * sd.uxx_bottom[:, None]
+        + c["c_yy"] * sd.uyy_left[None, :]
+        + c["c_x"] * sd.base_ux[:, None]
+        + c["c_y"] * sd.base_uy[None, :]
+        + c["c_u"] * (sd.base_x[:, None] + sd.base_y[None, :]))
+
+
+def oracle_bundle(sd, b, grid):
+    """The lower unknowns of core b and the nine bundle grids, by hand."""
+    ax, ay = grid.ax, grid.ay
+    m1x, m2y = ax.moment_avg, ay.moment_avg
+    ex = sd.d_uxx - b @ m2y
+    ey = sd.d_uyy - m1x @ b
+    corner = float(sd.d_uy - m1x @ ex)
+    corner_alt = float(sd.d_ux - m2y @ ey)
+    x = grid.x[:, None]
+    y = grid.y[None, :]
+    i_ex0, i_ex1 = ax.cumulative(ex)
+    i_ey0, i_ey1 = ay.cumulative(ey)
+    bx0, bx1 = ax.cumulative(b, 0)
+    dbl10, dbl11 = ay.cumulative(bx1, 1)
+    dbl00, dbl01 = ay.cumulative(bx0, 1)
+    ry0, ry1 = ay.cumulative(b, 1)
+    grids = {
+        "u": (sd.base_x[:, None] + sd.base_y[None, :] + x * y * corner
+              + y * i_ex1[:, None] + x * i_ey1[None, :] + dbl11),
+        "ux": sd.base_ux[:, None] + y * corner + y * i_ex0[:, None] + i_ey1[None, :] + dbl01,
+        "uy": sd.base_uy[None, :] + x * corner + i_ex1[:, None] + x * i_ey0[None, :] + dbl10,
+        "uxx": sd.uxx_bottom[:, None] + y * ex[:, None] + ry1,
+        "uyy": sd.uyy_left[None, :] + x * ey[None, :] + bx1,
+        "uxy": corner + i_ex0[:, None] + i_ey0[None, :] + dbl00,
+        "uxxy": ex[:, None] + ry0,
+        "uxyy": ey[None, :] + bx0,
+        "uxxyy": b,
+    }
+    return corner, corner_alt, grids
+
+
+ORACLE_GRIDS = {
+    "9x9": (DOM, 9, 9, None, None),
+    "9x7": (DOM, 9, 7, None, None),
+    "15x11-breakpoints": (Domain(2.0, 0.5), 15, 11, [0.7], [0.2]),
+}
+
+
+@pytest.mark.parametrize("seed, case", list(enumerate(ORACLE_GRIDS)), ids=list(ORACLE_GRIDS))
+def test_representation_table_reproduces_the_hand_written_terms(monkeypatch, seed, case):
+    dom, n1, n2, xb, yb = ORACLE_GRIDS[case]
+    grid = build_grid(dom, n1, n2, x_breakpoints=xb, y_breakpoints=yb)
+    rng = np.random.default_rng(100 + seed)
+    prob, _, _ = random_forward_problem(rng, grid, random_coefficients(rng))
+    sp = sample_problem(prob, grid)
+    op = assemble_eliminated(sp)
+    system = assemble_coupled(sp)
+
+    oracle = oracle_kernel_terms(sp.coeffs, grid)
+    assert [(t.name, t.x, t.y) for t in op.terms] == [(t.name, t.x, t.y) for t in oracle]
+    for t, o in zip(op.terms, oracle):
+        assert np.array_equal(t.coef, o.coef), t.name
+
+    # the same operator and coupled system assembled from the hand-written table
+    monkeypatch.setattr(reduction, "kernel_terms", oracle_kernel_terms)
+    monkeypatch.setattr(reduction, "reduced_rhs", oracle_reduced_rhs)
+    oracle_op = reduction.DiscreteOperator(sp)
+    oracle_system = reduction.CoupledSystem(sp)
+    monkeypatch.undo()
+    sd = sp.data
+    g = oracle_reduced_rhs(sp)
+    g -= oracle_op.lower(sd.d_uy - float(grid.ax.moment_avg @ sd.d_uxx), sd.d_uxx, sd.d_uyy)
+    assert np.array_equal(op.g, g)
+    v = rng.standard_normal(grid.shape)
+    assert np.array_equal(op.matvec(v), oracle_op.matvec(v))
+    assert np.array_equal(op.dense(), oracle_op.dense())
+    assert np.array_equal(system.matrix, oracle_system.matrix)
+    assert np.array_equal(system.rhs, oracle_system.rhs)
+
+    unknowns = reconstruct_lower(sd, v, grid)
+    bundle = assemble_solution(sd, unknowns, grid)
+    corner, corner_alt, grids = oracle_bundle(sd, v, grid)
+    assert (unknowns.uxy00, unknowns.uxy00_alt) == (corner, corner_alt)
+    for name, values in grids.items():
+        assert np.array_equal(getattr(bundle, name).values, values), name
