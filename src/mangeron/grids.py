@@ -10,7 +10,10 @@ identity.
 
 All node and weight arrays are frozen; grids and grid functions are safe to
 share across threads, and every operation here is a pure function of its
-inputs.
+inputs.  Freezing follows one rule: a read-only float array that owns its
+memory is adopted as it is, and anything else (a writeable array, a view, a
+list, another dtype) is copied.  An owner that marks its array read-only
+hands it over; whoever holds it afterwards only reads it.
 """
 
 from __future__ import annotations
@@ -24,6 +27,11 @@ NODE_MATCH_RTOL = 1e-12
 
 
 def _frozen(a) -> np.ndarray:
+    """`a` as a read-only float array: adopted if it already is one that owns
+    its memory, otherwise a frozen copy."""
+    if (type(a) is np.ndarray and a.dtype == np.float64 and a.flags.owndata
+            and not a.flags.writeable):
+        return a
     out = np.array(a, dtype=float, copy=True)
     out.flags.writeable = False
     return out
@@ -188,7 +196,8 @@ def build_grid(domain: Domain, n1: int, n2: int,
 
 
 class GridFn1D:
-    """Real values attached to the nodes of one axis."""
+    """Real values attached to the nodes of one axis; read-only values that
+    own their memory are adopted, anything else is copied (`_frozen`)."""
 
     def __init__(self, axis: Axis, values):
         values = np.asarray(values, dtype=float)
@@ -199,7 +208,9 @@ class GridFn1D:
 
 
 class GridFn2D:
-    """Real values attached to the nodes of a 2-D grid (shape (n1, n2))."""
+    """Real values attached to the nodes of a 2-D grid (shape (n1, n2));
+    read-only values that own their memory are adopted, anything else is
+    copied (`_frozen`)."""
 
     def __init__(self, grid: Grid2D, values):
         values = np.asarray(values, dtype=float)

@@ -20,7 +20,7 @@ apply the same code to the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -105,10 +105,22 @@ def _times(*factors):
 
 def _sum(parts):
     """The sum of the parts left to right, None if there are none; as in an
-    expression, each part is freed before the next is made."""
-    total = None
+    expression, each part is freed before the next is made.  The first
+    addition makes a new total; later parts are added into it in place
+    wherever they broadcast to its shape, with the bits of ``total + part``.
+    A total made here is returned read-only, so that a grid function adopts
+    it without a copy (`grids`); a lone part is returned as it is."""
+    total, owned = None, False
     for part in parts:
-        total, part = (part if total is None else total + part), None
+        if total is None:
+            total = part
+        elif owned and np.broadcast_shapes(total.shape, np.shape(part)) == total.shape:
+            total += part
+        else:
+            total, owned = total + part, True
+        part = None
+    if owned:
+        total.flags.writeable = False
     return total
 
 
@@ -117,7 +129,8 @@ def representation(sd: SampledData, grid: Grid2D, quadruple=()):
     its `REPRESENTATION` terms in table order: a term's vectors, x by y, times
     its unknown under its operators, x first.  `quadruple` is (corner, edge_x,
     edge_y, core); without it these are the base part's grids, broadcast from
-    1-D (None where they vanish)."""
+    1-D (None where they vanish).  A grid of the core under two operators
+    serves one derivative grid and is freed once that grid is summed."""
     under = {(term, IDENT, IDENT): None for term in BASE}   # (term, A, B) -> unknown under A, B
     for term, w in zip([t for t in REPRESENTATION if t not in BASE], quadruple):
         fx, fy = REPRESENTATION[term]
@@ -131,7 +144,8 @@ def representation(sd: SampledData, grid: Grid2D, quadruple=()):
         for term, (fx, fy) in REPRESENTATION.items():
             key = (term, *(e if e in LADDER else IDENT for e in (fx[i], fy[j])))
             if None not in (fx[i], fy[j]) and key in under:
-                yield _times(_vector(fx[i], grid, 0, sd), _vector(fy[j], grid, 1, sd), under[key])
+                yield _times(_vector(fx[i], grid, 0, sd), _vector(fy[j], grid, 1, sd),
+                             under.pop(key) if fx == fy == LADDER else under[key])
 
     for name, (i, j) in DERIVATIVES.items():
         yield name, _sum(terms_at(i, j))
@@ -216,15 +230,21 @@ class DiscreteOperator:
 
     def __init__(self, sp: SampledProblem):
         grid = sp.grid
+        self.sp = sp
         self.grid = grid
         self.terms = kernel_terms(sp.coeffs, grid)
         self.m1x = grid.ax.moment_avg
         self.m2y = grid.ay.moment_avg
-        corner, edge_x, edge_y, _ = far_edge(sp.data, grid)     # the lower data parts
-        g = reduced_rhs(sp)
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        """The right-hand side, read-only; made on first access, since the
+        coupled system reads only K's terms."""
+        corner, edge_x, edge_y, _ = far_edge(self.sp.data, self.grid)  # the lower data parts
+        g = reduced_rhs(self.sp)
         g -= self.lower(corner, edge_x, edge_y)
         g.flags.writeable = False
-        self.g = g
+        return g
 
     def _along_x(self, v: np.ndarray) -> dict[str, np.ndarray]:
         """A v for every x-side operator A; v is indexed by x first."""
@@ -239,12 +259,18 @@ class DiscreteOperator:
         once, then, one x-side operator at a time, every term's y side."""
         parts = self._along_x(core)
         out = np.zeros(self.grid.shape)
-        prod = np.empty(self.grid.shape)
+        prod = None
         for kind in (IDENT, CUM0, CUM1, MOM):
             sides = self._along_y(parts.pop(kind))
+            if prod is None:
+                # made above the first ladders, so that the malloc heap keeps the
+                # ladders freed below it for the next kind's instead of handing
+                # them back to the OS to be faulted in again
+                prod = np.empty(self.grid.shape)
             for t in self.terms:
                 if t.x == kind:
                     out += np.multiply(t.coef, sides[t.y], out=prod)
+            del sides       # freed before the next kind's are made
         return out
 
     def lower(self, corner: float, edge_x: np.ndarray, edge_y: np.ndarray) -> np.ndarray:

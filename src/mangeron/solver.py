@@ -185,11 +185,11 @@ def assemble_solution(sd: SampledData, unknowns: ReducedUnknowns,
                       grid: Grid2D) -> SolutionBundle:
     """Rebuild all nine derivative grids from the integral representation
     (`reduction.representation`), each a direct quadrature, never a
-    difference of u; the core grid of the bundle is the solved unknown itself."""
+    difference of u; the core grid of the bundle is the solved unknown itself,
+    and every grid is adopted without a copy (`grids`)."""
     grids = representation(sd, grid, (unknowns.uxy00, unknowns.uxxy_bottom.values,
                                       unknowns.uxyy_left.values, unknowns.uxxyy.values))
-    return SolutionBundle(**{name: GridFn2D(grid, values) for name, values in grids
-                             if name != "uxxyy"}, uxxyy=unknowns.uxxyy)
+    return SolutionBundle(**{name: GridFn2D(grid, values) for name, values in grids})
 
 
 @dataclass(frozen=True)
@@ -215,6 +215,7 @@ def residual_report(sp: SampledProblem, bundle: SolutionBundle,
     grid = bundle.grid
     v = apply_pde_operator(sp.coeffs, bundle)
     v -= sp.forcing
+    v.flags.writeable = False       # adopted by the grid function, not copied
     pde = lp_norm(GridFn2D(grid, v), spec)
     bc = {key: float(np.max(np.abs(value - getattr(sp.data, key))))
           for key, value in bundle.boundary_values().items()}
@@ -322,7 +323,8 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
     set; the residuals are reported either way.  The problem is sampled on
     the grid once, and every stage reads that sample.  The residual gate is
     calibrated first, without a solve, so that its arrays are freed before
-    any array of this solve is made.
+    any array of this solve is made; the operator is freed once the route
+    is decided, and the bundle adopts the solved core without a copy.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -358,6 +360,8 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
                 raise SolverError("successive approximations diverged after "
                                   f"{info.iterations} iterations and the dense "
                                   f"fallback failed: {exc}") from exc
+        del op                  # K's grids and g are freed before reconstruction
+    core.flags.writeable = False    # the bundle adopts the core without a copy
 
     converged = info.converged or cond is not None
     method_used = ("coupled-dense" if method == "coupled"

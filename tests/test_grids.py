@@ -131,6 +131,22 @@ def test_gridfn_shape_validation():
         GridFn2D(grid, np.zeros((5, 4)))
 
 
+def test_gridfn_adopts_only_read_only_arrays_that_own_their_memory():
+    grid = build_grid(Domain(1.0, 1.0), 4, 5)
+    owned = np.arange(20.0).reshape(4, 5).copy()
+    owned.flags.writeable = False
+    assert GridFn2D(grid, owned).values is owned
+    view = owned.T.T
+    ints = np.zeros((4, 5), dtype=int)
+    ints.flags.writeable = False
+    writeable = np.zeros(4)
+    for values, fn in ((view, GridFn2D(grid, view)), (ints, GridFn2D(grid, ints)),
+                       (writeable, GridFn1D(grid.ax, writeable))):
+        assert not np.shares_memory(fn.values, values)
+        assert not fn.values.flags.writeable and np.array_equal(fn.values, values)
+    assert writeable.flags.writeable
+
+
 def test_quad_linear_exact():
     ax = Axis(np.linspace(0.0, 1.0, 6))
     assert ax.weights @ ax.nodes == pytest.approx(0.5, abs=1e-15)

@@ -362,8 +362,9 @@ def test_dense_size_guard():
 
 
 def test_eliminated_assembly_peak_memory():
-    # the operator keeps its seven substituted coefficient grids and g; the
-    # base part enters g through 1-D vectors, so no base grid is made
+    # the operator keeps its seven substituted coefficient grids and g, made
+    # once on first access; the base part enters g through 1-D vectors, so no
+    # base grid is made
     rng = np.random.default_rng(3)
     grid = build_grid(DOM, 129, 129)
     prob, _, _ = random_forward_problem(rng, grid, random_coefficients(rng))
@@ -371,11 +372,12 @@ def test_eliminated_assembly_peak_memory():
     tracemalloc.start()
     try:
         op = assemble_eliminated(sp)
+        g = op.g
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 12 * 129 * 129 * 8
-    assert isinstance(op.g, np.ndarray) and not op.g.flags.writeable
+    assert isinstance(g, np.ndarray) and not g.flags.writeable and op.g is g
 
 
 # ------------------------------------------------------- coupled system
@@ -471,6 +473,27 @@ def test_coupled_assembly_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 2.05 * system.matrix.nbytes
+
+
+def test_coupled_assembly_makes_no_unused_right_hand_side(monkeypatch):
+    # the eliminated operator's g is made on first access, and the coupled
+    # system never reads it: one reduced_rhs, and 1 + n1 + n2 lower calls
+    rng = np.random.default_rng(20)
+    grid = build_grid(DOM, 9, 9)
+    sp = sample_problem(random_forward_problem(rng, grid, random_coefficients(rng))[0], grid)
+    calls = {"reduced_rhs": 0, "lower": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(reduction, "reduced_rhs", counted("reduced_rhs", reduction.reduced_rhs))
+    monkeypatch.setattr(reduction.DiscreteOperator, "lower",
+                        counted("lower", reduction.DiscreteOperator.lower))
+    assemble_coupled(sp)
+    assert calls == {"reduced_rhs": 1, "lower": 19}
 
 
 def test_coupled_size_guard_refuses_before_allocating():

@@ -14,7 +14,7 @@ from mangeron import (Coefficients, ConstraintError, Domain, Field2D, GridFn2D,
                       sample_data, sample_problem, SolverError,
                       calibrate_residual_threshold, solve_dense, solve_neumann,
                       solve_problem)
-from mangeron import solver as solver_mod
+from mangeron import reduction, solver as solver_mod
 from mangeron.cli import main as cli_main
 from mangeron.mms import (bilinear_solution, biquadratic_solution, make_mms,
                           trig_solution)
@@ -558,6 +558,61 @@ def test_gate_on_solve_peak_memory(monkeypatch):
         assert report.converged
     assert report.residual_pass
     assert peaks[True] <= 1.1 * peaks[False]
+
+
+def test_gate_off_solve_peak_memory():
+    # the operator is dropped after the route block, matvec frees each
+    # x-kind's y-ladders before the next, and the core, the bundle sums and
+    # the residual are adopted, not copied: at most 27 grids at the peak
+    rng = np.random.default_rng(21)
+    grid = build_grid(DOM, 129, 129)
+    prob, _, _ = random_forward_problem(rng, grid, random_coefficients(rng))
+    tracemalloc.start()
+    try:
+        report = solve_problem(prob, grid, method="neumann", residual_gate=False).report
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.converged
+    assert peak <= 27 * grid.shape[0] * grid.shape[1] * 8
+
+
+def test_in_place_work_leaves_caller_arrays_alone(monkeypatch):
+    rng = np.random.default_rng(23)
+    grid = build_grid(Domain(2.0, 0.5), 15, 11, x_breakpoints=[0.7], y_breakpoints=[0.2])
+    prob, _, unknowns = random_forward_problem(rng, grid, random_coefficients(rng))
+    sampled = []
+
+    def sample_and_copy(problem, on):
+        sp = sample_problem(problem, on)
+        arrays = [*sp.coeffs.values(), sp.forcing,
+                  *(v for v in vars(sp.data).values() if isinstance(v, np.ndarray))]
+        sampled.append((arrays, [a.copy() for a in arrays]))
+        return sp
+
+    monkeypatch.setattr(solver_mod, "sample_problem", sample_and_copy)
+    result = solve_problem(prob, grid, method="neumann", residual_gate=False)
+    (arrays, before), = sampled
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+    assert len(arrays) == 19    # 8 coefficients, the forcing, 10 data vectors
+
+    bundle = [getattr(result.bundle, name).values for name in vars(result.bundle)]
+    assert len(bundle) == 9 and not any(v.flags.writeable for v in bundle)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(bundle) for b in bundle[i + 1:])
+    u = result.unknowns
+    assert not any(v.flags.writeable for v in (u.uxxy_bottom.values, u.uxyy_left.values,
+                                               u.uxxyy.values))
+
+    # representation reads the quadruple and the data, and writes neither
+    sd = sample_data(prob.data, grid)
+    quad = (unknowns.uxy00, unknowns.uxxy_bottom.values.copy(),
+            unknowns.uxyy_left.values.copy(), unknowns.uxxyy.values.copy())
+    data = {k: v.copy() for k, v in vars(sd).items() if isinstance(v, np.ndarray)}
+    grids = dict(reduction.representation(sd, grid, quad))
+    assert grids["uxxyy"] is quad[3] and all(a.flags.writeable for a in quad[1:])
+    for new, old in zip(quad[1:], (unknowns.uxxy_bottom, unknowns.uxyy_left, unknowns.uxxyy)):
+        assert np.array_equal(new, old.values)
+    assert all(np.array_equal(getattr(sd, k), v) for k, v in data.items())
 
 
 def test_dense_route_peak_memory():
