@@ -21,10 +21,9 @@ from .problem import (DERIVATIVES, BoundaryTrace, CheckReport, ClassicalData, Co
                       solution_data, trace_axis)
 from .reduction import (CoupledSystem, DiscreteOperator, apply_pde_operator, assemble_coupled,
                         assemble_eliminated, reduced_rhs)
-from .solver import (ReducedUnknowns, ResidualReport, SolutionBundle, SolveReport,
-                     SolveResult, SolverError, StabilityEstimate, assemble_solution,
-                     calibrate_residual_threshold, estimate_stability_ratio,
-                     reconstruct_lower, residual_report, solve_dense, solve_neumann,
+from .solver import (ResidualReport, SolutionBundle, SolveReport, SolveResult, SolverError,
+                     StabilityEstimate, assemble_solution, calibrate_residual_threshold,
+                     estimate_stability_ratio, residual_report, solve_dense, solve_neumann,
                      solve_problem)
 from .mms import (ConvergenceTable, MmsCase, SeparableSolution, bilinear_solution,
                   biquadratic_solution, bicubic_solution, convergence_study,

@@ -114,14 +114,14 @@ class Axis:
         c1 = np.empty(f.shape)
         c0[head] = 0.0
         c1[head] = 0.0
-        panel = c1[hi]          # work space until c1 is accumulated below
+        panel = c1[hi]          # the panel increments, summed in place into c1
         np.add(f[lo], f[hi], out=panel)
         panel *= half
         np.cumsum(panel, axis=axis, out=c0[hi])
-        inc = half * f[lo]
-        inc += c0[lo]
-        inc *= step
-        np.cumsum(inc, axis=axis, out=c1[hi])
+        np.multiply(half, f[lo], out=panel)
+        panel += c0[lo]
+        panel *= step
+        np.cumsum(panel, axis=axis, out=panel)
         return c0, c1
 
     def __repr__(self):

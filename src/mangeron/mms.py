@@ -21,11 +21,11 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .fields import Field2D, Piece2D, piecewise2d, samples1d, samples2d
-from .grids import Domain, Grid2D, GridFn1D, GridFn2D, build_grid
+from .grids import Domain, Grid2D, GridFn2D, build_grid
 from .problem import (DERIVATIVES, Coefficients, NonclassicalData, PdeProblem,
                       nonclassical_to_classical, sample_data, solution_data, trace_axis)
 from .reduction import apply_pde_operator
-from .solver import ReducedUnknowns, SolutionBundle, assemble_solution, solve_problem
+from .solver import SolutionBundle, assemble_solution, solve_problem
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -179,25 +179,20 @@ def forward_problem(grid: Grid2D, coeffs: Coefficients,
     components are that bundle's `boundary_values`, and the forcing is the
     operator applied to it.  So the bundle's boundary and constraint
     residuals are exactly zero, and a solve on the same grid must reproduce
-    the quadruple to linear-solver roundoff.  Returns (problem, bundle, unknowns).
+    the quadruple to linear-solver roundoff.  Returns (problem, bundle); the
+    bundle holds the quadruple (`SolutionBundle`).
     """
     ax, ay = grid.ax, grid.ay
     near = NonclassicalData(u00=u00, ux00=ux00, uy00=uy00,
                             uxx_bottom=samples1d(ax.nodes, uxx_bottom),
                             uyy_left=samples1d(ay.nodes, uyy_left))
-    unknowns = ReducedUnknowns(
-        uxy00=corner,
-        uxxy_bottom=GridFn1D(ax, edge_x),
-        uxyy_left=GridFn1D(ay, edge_y),
-        uxxyy=GridFn2D(grid, core),
-        uxy00_alt=corner)
-    bundle = assemble_solution(sample_data(near, grid), unknowns, grid)
+    bundle = assemble_solution(sample_data(near, grid), grid, (corner, edge_x, edge_y, core))
     data = NonclassicalData(**{
         key: samples1d((ax, ay)[trace_axis(key)].nodes, value)
         if key in NonclassicalData.TRACE_KEYS else float(value)
         for key, value in bundle.boundary_values().items()})
     forcing = samples2d(grid, apply_pde_operator(coeffs.sample_all(grid), bundle))
-    return PdeProblem(grid.domain, coeffs, forcing, data), bundle, unknowns
+    return PdeProblem(grid.domain, coeffs, forcing, data), bundle
 
 
 def random_forward_problem(rng: np.random.Generator, grid: Grid2D, coeffs: Coefficients):

@@ -150,9 +150,9 @@ def solution_data(d, domain: Domain) -> NonclassicalData:
 
 @dataclass(frozen=True)
 class SampledData:
-    """Nonclassical data sampled on one grid, plus derived route quantities:
-    the far-edge differences, and the 1-D factors of the separable base part
-    of the solution (`reduction.REPRESENTATION`), the only form it is held in."""
+    """Nonclassical data sampled on one grid, plus the 1-D factors of the
+    separable base part of the solution (`reduction.REPRESENTATION`), the
+    only form it is held in."""
 
     u00: float
     ux00: float
@@ -165,10 +165,6 @@ class SampledData:
     uxx_top: np.ndarray      # (n1,)
     uyy_left: np.ndarray     # (n2,)
     uyy_right: np.ndarray    # (n2,)
-    d_uxx: np.ndarray        # (uxx_top - uxx_bottom) / h2, per x node
-    d_uyy: np.ndarray        # (uyy_right - uyy_left) / h1, per y node
-    d_uy: float              # (uy10 - uy00) / h1
-    d_ux: float              # (ux01 - ux00) / h2
     base_x: np.ndarray       # u00 + x ux00 + cum1(uxx_bottom), (n1,)
     base_y: np.ndarray       # y uy00 + cum1(uyy_left), (n2,)
     base_ux: np.ndarray      # ux00 + cum0(uxx_bottom), (n1,)
@@ -176,7 +172,6 @@ class SampledData:
 
 
 def sample_data(data: NonclassicalData, grid: Grid2D) -> SampledData:
-    h1, h2 = grid.domain.h1, grid.domain.h2
     ax, ay = grid.ax, grid.ay
     uxx_b = data.uxx_bottom.sample(ax)
     uxx_t = data.uxx_top.sample(ax)
@@ -187,8 +182,6 @@ def sample_data(data: NonclassicalData, grid: Grid2D) -> SampledData:
     return SampledData(
         data.u00, data.ux00, data.uy00, data.u10, data.uy10, data.u01, data.ux01,
         uxx_b, uxx_t, uyy_l, uyy_r,
-        (uxx_t - uxx_b) / h2, (uyy_r - uyy_l) / h1,
-        (data.uy10 - data.uy00) / h1, (data.ux01 - data.ux00) / h2,
         data.u00 + ax.nodes * data.ux00 + mom_x, ay.nodes * data.uy00 + mom_y,
         data.ux00 + run_x, data.uy00 + run_y)
 

@@ -163,20 +163,24 @@ def reduced_rhs(sp: SampledProblem) -> np.ndarray:
 def far_edge(sd: SampledData, grid: Grid2D, core: np.ndarray | None = None):
     """(corner, edge_x, edge_y, corner_alt): the lower unknowns that the
     far-edge conditions give for a core (None: zero, leaving the data parts).
-    Each edge unknown is its data minus the core's moment average across the
-    domain; the corner comes by the bottom edge, corner_alt by the left."""
+    Each edge unknown is the difference of its data across the domain over
+    the side length, minus the core's moment average; the corner comes by
+    the bottom edge, corner_alt by the left."""
+    h1, h2 = grid.domain.h1, grid.domain.h2
     m1x, m2y = grid.ax.moment_avg, grid.ay.moment_avg
-    edge_x, edge_y = sd.d_uxx, sd.d_uyy
+    edge_x = (sd.uxx_top - sd.uxx_bottom) / h2
+    edge_y = (sd.uyy_right - sd.uyy_left) / h1
     if core is not None:
-        edge_x, edge_y = edge_x - core @ m2y, edge_y - m1x @ core
-    return float(sd.d_uy - m1x @ edge_x), edge_x, edge_y, float(sd.d_ux - m2y @ edge_y)
+        edge_x -= core @ m2y
+        edge_y -= m1x @ core
+    return (float((sd.uy10 - sd.uy00) / h1 - m1x @ edge_x), edge_x, edge_y,
+            float((sd.ux01 - sd.ux00) / h2 - m2y @ edge_y))
 
 
 @dataclass(frozen=True)
 class Term:
     """One term coef(i,j) * (A core B^T)(i,j) of K; `x` names A, `y` names B."""
 
-    name: str
     coef: np.ndarray
     x: str
     y: str
@@ -188,11 +192,9 @@ def kernel_terms(c: dict[str, np.ndarray], grid: Grid2D) -> list[Term]:
     I + K).  A lower unknown is constant along an axis where its factor is a
     vector, and `far_edge` gives its core part as minus the core's moment
     average (mom) along that axis: that side's operator is mom, the vector
-    moves into the coefficient, and the sign flips.  A core term is named by
-    its coefficient; the bottom edge gives fx1, fx0 and edge_x_factor, the left
-    edge fy1, fy0 and edge_y_factor, the corner corner_factor.  Coefficients
-    sum their parts in DERIVATIVES order; the list keeps the order K was first
-    written in, which the sums of the matvec and the dense assembly follow."""
+    moves into the coefficient, and the sign flips.  Coefficients sum their
+    parts in DERIVATIVES order; the list keeps the order K was first written
+    in, which the sums of the matvec and the dense assembly follow."""
     multiplier = {name: key for key, name in Coefficients.MULTIPLIES.items()}
     parts = {}      # (term, A, B) -> [(coefficient key, x entry, y entry)]
     for name, (i, j) in DERIVATIVES.items():
@@ -210,9 +212,7 @@ def kernel_terms(c: dict[str, np.ndarray], grid: Grid2D) -> list[Term]:
                     for key, ex, ey in keys)
         if (a, b).count(MOM) == 1:
             coef = -coef
-        op = next((o for o in (a, b) if o in (CUM0, CUM1)), None)
-        name = keys[0][0] if term == "core" else f"f{term[-1]}{op[-1]}" if op else f"{term}_factor"
-        terms.append(Term(name, coef, a, b))
+        terms.append(Term(coef, a, b))
     return terms
 
 

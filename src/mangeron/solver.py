@@ -3,10 +3,10 @@
 The core unknown u_xxyy is obtained either by successive approximations on
 the second-kind system (Neumann iteration, matrix-free) or by a dense LU
 solve; the coupled square system is available as a cross-checking route.
-The three lower unknowns are then reconstructed by the far-edge conditions,
-and the nine derivative grids are read off the integral representation
-(`reduction.representation`), never by differencing u; the core grid of the
-bundle is the solved unknown itself.
+The three lower unknowns then follow by the far-edge conditions
+(`reduction.far_edge`), and the nine derivative grids are read off the
+integral representation (`reduction.representation`), never by differencing
+u; the bundle is the whole solution, the quadruple included (`SolutionBundle`).
 
 Solves are single-threaded at the API level and deterministic for a fixed
 BLAS thread count; identical inputs produce identical reports.
@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .fields import Field2D
-from .grids import Domain, Grid2D, GridFn1D, GridFn2D
+from .grids import Domain, Grid2D, GridFn2D
 from .norms import NormSpec, data_norm, lp_norm, sobolev_norm
 from .problem import (Coefficients, ConstraintError, NonclassicalData, PdeProblem,
                       SampledData, SampledProblem, check_data_constraints, sample_problem,
@@ -42,25 +42,11 @@ class SolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ReducedUnknowns:
-    """The unknown quadruple of the reduced problem, with the corner by both
-    far-edge routes (`reduction.far_edge`): they agree up to quadrature error
-    exactly on admissible data, so their gap is a data diagnostic."""
-
-    uxy00: float                # u_xy(0, 0)
-    uxxy_bottom: GridFn1D       # u_xxy(x, 0)
-    uxyy_left: GridFn1D         # u_xyy(0, y)
-    uxxyy: GridFn2D             # core unknown on the full grid
-    uxy00_alt: float
-
-    @property
-    def route_gap(self) -> float:
-        return abs(self.uxy00 - self.uxy00_alt)
-
-
-@dataclass(frozen=True)
 class SolutionBundle:
-    """u and its eight derivative grids, all built by quadrature."""
+    """u and its eight derivative grids, all built by quadrature.  The unknown
+    quadruple is held as the bundle's own values: u_xy(0,0) at the origin
+    node of `uxy`, u_xxy(x,0) and u_xyy(0,y) along the bottom edge of `uxxy`
+    and the left edge of `uxyy`, and the core as the `uxxyy` grid."""
 
     u: GridFn2D
     ux: GridFn2D
@@ -172,24 +158,14 @@ def solve_dense(op: DiscreteOperator) -> tuple[np.ndarray, float]:
     return sol.reshape(op.grid.shape), cond
 
 
-def reconstruct_lower(sd: SampledData, core: np.ndarray,
-                      grid: Grid2D) -> ReducedUnknowns:
-    """Recover the edge and corner unknowns from the solved core by the
-    far-edge conditions (`reduction.far_edge`)."""
-    corner, edge_x, edge_y, corner_alt = far_edge(sd, grid, core)
-    return ReducedUnknowns(corner, GridFn1D(grid.ax, edge_x), GridFn1D(grid.ay, edge_y),
-                           GridFn2D(grid, core), corner_alt)
-
-
-def assemble_solution(sd: SampledData, unknowns: ReducedUnknowns,
-                      grid: Grid2D) -> SolutionBundle:
+def assemble_solution(sd: SampledData, grid: Grid2D, quadruple) -> SolutionBundle:
     """Rebuild all nine derivative grids from the integral representation
-    (`reduction.representation`), each a direct quadrature, never a
-    difference of u; the core grid of the bundle is the solved unknown itself,
-    and every grid is adopted without a copy (`grids`)."""
-    grids = representation(sd, grid, (unknowns.uxy00, unknowns.uxxy_bottom.values,
-                                      unknowns.uxyy_left.values, unknowns.uxxyy.values))
-    return SolutionBundle(**{name: GridFn2D(grid, values) for name, values in grids})
+    (`reduction.representation`) of the quadruple (corner, edge_x, edge_y,
+    core), each a direct quadrature, never a difference of u.  The core grid
+    of the bundle is the core itself, and every grid is adopted without a
+    copy where it may be (`grids`)."""
+    return SolutionBundle(**{name: GridFn2D(grid, values)
+                             for name, values in representation(sd, grid, quadruple)})
 
 
 @dataclass(frozen=True)
@@ -258,8 +234,9 @@ def calibrate_residual_threshold(grid: Grid2D) -> float:
         worst = 0.0
         for prob in _reference_problems(grid.domain):
             sp = sample_problem(prob, grid)
-            unknowns = reconstruct_lower(sp.data, sp.forcing, grid)    # K = 0: core = g
-            resid = residual_report(sp, assemble_solution(sp.data, unknowns, grid))
+            quadruple = (*far_edge(sp.data, grid, sp.forcing)[:3], sp.forcing)  # K = 0: core = g
+            # no name holds the bundle, so it is freed before the next one is built
+            resid = residual_report(sp, assemble_solution(sp.data, grid, quadruple))
             worst = float(np.max([worst, resid.pde, *resid.bc.values()]))
         if not math.isfinite(worst):
             raise SolverError(f"residual-gate calibration gave a non-finite residual ({worst})")
@@ -300,7 +277,6 @@ class SolveReport:
 class SolveResult:
     problem: PdeProblem
     grid: Grid2D
-    unknowns: ReducedUnknowns
     bundle: SolutionBundle
     report: SolveReport
 
@@ -373,8 +349,8 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
         warning = (f"successive approximations diverged after {info.iterations} "
                    f"iterations; {outcome}")
 
-    unknowns = reconstruct_lower(sp.data, core, grid)
-    bundle = assemble_solution(sp.data, unknowns, grid)
+    corner, edge_x, edge_y, corner_alt = far_edge(sp.data, grid, core)
+    bundle = assemble_solution(sp.data, grid, (corner, edge_x, edge_y, core))
     resid = residual_report(sp, bundle, spec)
 
     solution_norm = sobolev_norm(bundle, spec)
@@ -403,7 +379,7 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
         residual_bc=resid.bc,
         residual_threshold=threshold,
         residual_pass=residual_pass,
-        uxy00_route_gap=unknowns.route_gap,
+        uxy00_route_gap=abs(corner - corner_alt),
         stability_ratio=ratio,
         condition_estimate=cond,
         constraint_residuals=constraints.as_dict(),
@@ -414,7 +390,7 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
         solution_norm=solution_norm,
         data_norm_value=dnorm,
         forcing_norm=fnorm)
-    return SolveResult(problem, grid, unknowns, bundle, report)
+    return SolveResult(problem, grid, bundle, report)
 
 
 @dataclass

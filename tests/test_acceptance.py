@@ -58,7 +58,7 @@ def test_criterion_02_coupled_vs_eliminated_equivalence():
     worst = 0.0
     for _ in range(10):
         coeffs = random_coefficients(rng, magnitude=0.5)
-        prob, _, _ = random_forward_problem(rng, grid, coeffs)
+        prob, _ = random_forward_problem(rng, grid, coeffs)
         _, _, _, core_coupled, _ = assemble_coupled(sample_problem(prob, grid)).solve()
         core_elim, _ = solve_dense(assemble_eliminated(sample_problem(prob, grid)))
         scale = float(np.max(np.abs(core_elim)))
@@ -233,8 +233,10 @@ def test_criterion_07_corner_route_consistency():
         result = solve_problem(prob, grid)
         sd = sample_data(prob.data, grid)
         h1, h2 = DOM.h1, DOM.h2
-        allowed = 10.0 * (trapezoid_error_bound(grid.x, (h1 - grid.x) * sd.d_uxx / h1)
-                          + trapezoid_error_bound(grid.y, (h2 - grid.y) * sd.d_uyy / h2)) \
+        d_uxx = (sd.uxx_top - sd.uxx_bottom) / h2
+        d_uyy = (sd.uyy_right - sd.uyy_left) / h1
+        allowed = 10.0 * (trapezoid_error_bound(grid.x, (h1 - grid.x) * d_uxx / h1)
+                          + trapezoid_error_bound(grid.y, (h2 - grid.y) * d_uyy / h2)) \
             + 1e-9
         assert result.report.uxy00_route_gap <= allowed
         if allowed > 1e-9:
@@ -264,8 +266,8 @@ def test_criterion_08_well_posedness_surrogate():
     rng = np.random.default_rng(105)
     grid = build_grid(DOM, 9, 9)
     coeffs = random_coefficients(rng, 0.3)
-    p1, _, _ = random_forward_problem(rng, grid, coeffs)
-    p2, _, _ = random_forward_problem(rng, grid, coeffs)
+    p1, _ = random_forward_problem(rng, grid, coeffs)
+    p2, _ = random_forward_problem(rng, grid, coeffs)
     a, b = 0.8, -0.6
     combo = PdeProblem(
         DOM, coeffs,

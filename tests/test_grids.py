@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,23 @@ def test_cumulative_rejects_mismatched_axis():
         grid.ax.cumulative(np.zeros((5, 6)), 1)
     with pytest.raises(ValueError):
         grid.ax.cumulative(np.zeros(5), 1)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_cumulative_allocates_only_its_results(axis):
+    # the panel increments are formed in the storage of the cum1 result and
+    # summed there in place: two results plus O(n) and numpy's ufunc buffers
+    # (a few of `np.getbufsize()` elements, whatever the grid), no third grid
+    grid = build_grid(Domain(2.0, 0.5), 513, 513, [0.3, 1.37], [0.111])
+    n = grid.shape[axis]
+    f = np.random.default_rng(6).standard_normal(grid.shape)
+    tracemalloc.start()
+    try:
+        (grid.ax, grid.ay)[axis].cumulative(f, axis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * f.nbytes + 64 * n * 8 + 4 * np.getbufsize() * 8
 
 
 def test_gridfn_shape_validation():

@@ -145,11 +145,11 @@ def test_forward_problem_recovered_exactly():
     rng = np.random.default_rng(35)
     grid = build_grid(DOM, 9, 9)
     coeffs = random_coefficients(rng)
-    prob, bundle, unknowns = random_forward_problem(rng, grid, coeffs)
+    prob, bundle = random_forward_problem(rng, grid, coeffs)
     result = solve_problem(prob, grid, method="dense")
-    scale = max(1.0, float(np.max(np.abs(unknowns.uxxyy.values))))
-    assert np.max(np.abs(result.unknowns.uxxyy.values
-                         - unknowns.uxxyy.values)) / scale <= 1e-11
+    scale = max(1.0, float(np.max(np.abs(bundle.uxxyy.values))))
+    assert np.max(np.abs(result.bundle.uxxyy.values
+                         - bundle.uxxyy.values)) / scale <= 1e-11
     assert np.max(np.abs(result.bundle.u.values - bundle.u.values)) <= 1e-11
     assert result.report.uxy00_route_gap <= 1e-12
 
@@ -163,7 +163,7 @@ def test_forward_data_is_read_off_its_bundle(grid):
     # the residual gate agree exactly, not to roundoff
     rng = np.random.default_rng(12)
     for _ in range(5):
-        prob, bundle, _ = random_forward_problem(rng, grid, random_coefficients(rng))
+        prob, bundle = random_forward_problem(rng, grid, random_coefficients(rng))
         sp = sample_problem(prob, grid)
         assert prob.domain == grid.domain
         assert residual_report(sp, bundle).max_bc == 0.0

@@ -13,6 +13,7 @@ from mangeron import (DERIVATIVES, BoundaryTrace, ClassicalData, Coefficients,
                       trapezoid_error_bound)
 from mangeron.cli import CSV_COLUMNS
 from mangeron.problem import CORNER_TOL_ANALYTIC, CORNER_TOL_SAMPLED
+from mangeron.reduction import far_edge
 from mangeron.mms import make_mms, random_solution
 
 
@@ -237,7 +238,7 @@ def test_constraints_pass_for_forward_constructed_data():
     dom = Domain(1.0, 1.0)
     grid = build_grid(dom, 9, 9)
     for _ in range(5):
-        prob, _, _ = random_forward_problem(rng, grid, Coefficients())
+        prob, _ = random_forward_problem(rng, grid, Coefficients())
         assert check_data_constraints(sample_data(prob.data, grid), grid).passed
 
 
@@ -331,7 +332,11 @@ def test_sampled_data_derived_slopes():
     grid = build_grid(dom, 9, 9)
     z = NonclassicalData(uy00=1.0, uy10=3.0, ux00=0.5, ux01=1.5,
                          uxx_bottom=const1d(1.0), uxx_top=const1d(2.0))
-    sd = sample_data(z, grid)
-    assert sd.d_uy == pytest.approx((3.0 - 1.0) / 2.0)
-    assert sd.d_ux == pytest.approx((1.5 - 0.5) / 0.5)
-    np.testing.assert_allclose(sd.d_uxx, (2.0 - 1.0) / 0.5)
+    # with no core, far_edge leaves the data parts: each edge's difference
+    # across the domain over the side length, and the corner by both routes
+    # (the moment average of a constant c over [0, h1] is c h1 / 2)
+    corner, edge_x, edge_y, corner_alt = far_edge(sample_data(z, grid), grid)
+    assert corner == pytest.approx((3.0 - 1.0) / 2.0 - 2.0 / 2 * (2.0 - 1.0) / 0.5, abs=1e-14)
+    assert corner_alt == pytest.approx((1.5 - 0.5) / 0.5, abs=1e-14)
+    np.testing.assert_allclose(edge_x, (2.0 - 1.0) / 0.5, rtol=1e-15)
+    np.testing.assert_allclose(edge_y, 0.0, atol=0.0)

@@ -7,9 +7,9 @@ from mangeron import (Coefficients, Domain, Field2D, GridFn2D, NonclassicalData,
                       apply_pde_operator, assemble_coupled,
                       assemble_eliminated, assemble_solution, build_grid, const1d,
                       const2d, random_coefficients, random_forward_problem,
-                      reconstruct_lower, reduced_rhs, sample_data, sample_problem)
-from mangeron import reduction
-from mangeron.reduction import CUM0, CUM1, IDENT, MOM, DenseLimitError, Term
+                      reduced_rhs, sample_data, sample_problem, solve_problem)
+from mangeron import reduction, solver as solver_mod
+from mangeron.reduction import CUM0, CUM1, IDENT, MOM, DenseLimitError, Term, far_edge
 from mangeron.mms import (biquadratic_solution, exact_bundle, make_mms, sep_poly,
                           SeparableSolution)
 from quadrature_oracle import panel_tables
@@ -129,7 +129,7 @@ def test_reduced_rhs_agrees_with_full_operator_on_base():
     rng = np.random.default_rng(10)
     grid = build_grid(DOM, 9, 9)
     coeffs = random_coefficients(rng)
-    prob, _, _ = random_forward_problem(rng, grid, coeffs)
+    prob, _ = random_forward_problem(rng, grid, coeffs)
     sp = sample_problem(prob, grid)
     base = base_grids(sp.data, grid)
 
@@ -288,7 +288,7 @@ def test_dense_matches_brute_force_on_random_problem():
     rng = np.random.default_rng(12)
     grid = build_grid(DOM, 4, 5)   # nonsquare to catch index transposition
     coeffs = random_coefficients(rng)
-    prob, _, _ = random_forward_problem(rng, grid, coeffs)
+    prob, _ = random_forward_problem(rng, grid, coeffs)
     op = assemble_eliminated(sample_problem(prob, grid))
     np.testing.assert_allclose(op.dense(), brute_dense_eliminated(prob, grid),
                                atol=1e-12)
@@ -297,7 +297,7 @@ def test_dense_matches_brute_force_on_random_problem():
 def test_dense_matches_matvec_columnwise():
     rng = np.random.default_rng(13)
     grid = build_grid(DOM, 5, 4)
-    prob, _, _ = random_forward_problem(rng, grid, random_coefficients(rng))
+    prob, _ = random_forward_problem(rng, grid, random_coefficients(rng))
     op = assemble_eliminated(sample_problem(prob, grid))
     dense = op.dense()
     n = dense.shape[0]
@@ -312,7 +312,7 @@ def test_dense_matches_matvec_columnwise_on_breakpoint_grid():
     rng = np.random.default_rng(16)
     dom = Domain(2.0, 0.5)
     grid = build_grid(dom, 6, 5, x_breakpoints=[0.3], y_breakpoints=[0.111])
-    prob, _, _ = random_forward_problem(rng, grid, random_coefficients(rng))
+    prob, _ = random_forward_problem(rng, grid, random_coefficients(rng))
     op = assemble_eliminated(sample_problem(prob, grid))
     dense = op.dense()
     n = dense.shape[0]
@@ -326,7 +326,7 @@ def test_dense_matches_matvec_columnwise_on_breakpoint_grid():
 def test_matvec_linearity():
     rng = np.random.default_rng(14)
     grid = build_grid(DOM, 6, 5)
-    prob, _, _ = random_forward_problem(rng, grid, random_coefficients(rng))
+    prob, _ = random_forward_problem(rng, grid, random_coefficients(rng))
     op = assemble_eliminated(sample_problem(prob, grid))
     u = rng.standard_normal(grid.shape)
     v = rng.standard_normal(grid.shape)
@@ -342,13 +342,12 @@ def test_eliminated_equation_matches_bundle_route():
     rng = np.random.default_rng(15)
     grid = build_grid(DOM, 6, 7)
     coeffs = random_coefficients(rng)
-    prob, _, _ = random_forward_problem(rng, grid, coeffs)
+    prob, _ = random_forward_problem(rng, grid, coeffs)
     sp = sample_problem(prob, grid)
     op = assemble_eliminated(sp)
     b = rng.standard_normal(grid.shape)
     lhs = b + op.matvec(b) - op.g
-    unknowns = reconstruct_lower(sp.data, b, grid)
-    bundle = assemble_solution(sp.data, unknowns, grid)
+    bundle = assemble_solution(sp.data, grid, (*far_edge(sp.data, grid, b)[:3], b))
     rhs = apply_pde_operator(sp.coeffs, bundle) - sp.forcing
     np.testing.assert_allclose(lhs, rhs, rtol=1e-11, atol=1e-11)
 
@@ -367,7 +366,7 @@ def test_eliminated_assembly_peak_memory():
     # base grid is made
     rng = np.random.default_rng(3)
     grid = build_grid(DOM, 129, 129)
-    prob, _, _ = random_forward_problem(rng, grid, random_coefficients(rng))
+    prob, _ = random_forward_problem(rng, grid, random_coefficients(rng))
     sp = sample_problem(prob, grid)
     tracemalloc.start()
     try:
@@ -420,7 +419,7 @@ def test_coupled_and_eliminated_agree_on_core():
     for _ in range(3):
         grid = build_grid(DOM, 7, 6)
         coeffs = random_coefficients(rng)
-        prob, _, _ = random_forward_problem(rng, grid, coeffs)
+        prob, _ = random_forward_problem(rng, grid, coeffs)
         _, _, _, core_coupled, _ = assemble_coupled(sample_problem(prob, grid)).solve()
         op = assemble_eliminated(sample_problem(prob, grid))
         from mangeron import solve_dense
@@ -448,10 +447,10 @@ def test_coupled_system_holds_the_forward_quadruple():
     dom = Domain(1.0, 0.8)
     grid = build_grid(dom, 6, 5, x_breakpoints=[0.37], y_breakpoints=[0.5])
     assert grid.shape == (7, 6)
-    prob, _, unknowns = random_forward_problem(rng, grid, random_coefficients(rng))
+    prob, bundle = random_forward_problem(rng, grid, random_coefficients(rng))
     system = assemble_coupled(sample_problem(prob, grid))
-    z = np.concatenate([[unknowns.uxy00], unknowns.uxxy_bottom.values,
-                        unknowns.uxyy_left.values, unknowns.uxxyy.values.ravel()])
+    z = np.concatenate([[bundle.uxy.values[0, 0]], bundle.uxxy.values[:, 0],
+                        bundle.uxyy.values[0, :], bundle.uxxyy.values.ravel()])
     scale = np.abs(system.matrix) @ np.abs(z) + np.abs(system.rhs)
     assert np.max(np.abs(system.matrix @ z - system.rhs) / scale) <= 1e-14
     corner, edge_x, edge_y, core, _ = system.solve()
@@ -464,7 +463,7 @@ def test_coupled_assembly_peak_memory():
     # the matrix and the core block it is built from; no third full-size copy
     rng = np.random.default_rng(19)
     grid = build_grid(DOM, 40, 40)
-    prob, _, _ = random_forward_problem(rng, grid, random_coefficients(rng))
+    prob, _ = random_forward_problem(rng, grid, random_coefficients(rng))
     sp = sample_problem(prob, grid)
     tracemalloc.start()
     try:
@@ -514,27 +513,39 @@ def test_coupled_size_guard_refuses_before_allocating():
 # verbatim (operation order included) so that the derivation is pinned bit
 # for bit.
 
-def oracle_kernel_terms(c, grid):
+def oracle_labelled_terms(c, grid):
+    """(label, term) in K's order; the labels only name terms in messages."""
     x = grid.x[:, None]
     y = grid.y[None, :]
     return [
-        Term("c_u", c["c_u"], CUM1, CUM1),
-        Term("c_x", c["c_x"], CUM0, CUM1),
-        Term("c_y", c["c_y"], CUM1, CUM0),
-        Term("c_xy", c["c_xy"], CUM0, CUM0),
-        Term("c_yy", c["c_yy"], CUM1, IDENT),
-        Term("c_xyy", c["c_xyy"], CUM0, IDENT),
-        Term("c_xx", c["c_xx"], IDENT, CUM1),
-        Term("c_xxy", c["c_xxy"], IDENT, CUM0),
-        Term("fx1", -(y * c["c_u"] + c["c_y"]), CUM1, MOM),
-        Term("fx0", -(y * c["c_x"] + c["c_xy"]), CUM0, MOM),
-        Term("fy1", -(x * c["c_u"] + c["c_x"]), MOM, CUM1),
-        Term("fy0", -(x * c["c_y"] + c["c_xy"]), MOM, CUM0),
-        Term("edge_x_factor", -(y * c["c_xx"] + c["c_xxy"]), IDENT, MOM),
-        Term("edge_y_factor", -(x * c["c_yy"] + c["c_xyy"]), MOM, IDENT),
-        Term("corner_factor", x * y * c["c_u"] + y * c["c_x"] + x * c["c_y"] + c["c_xy"],
-             MOM, MOM),
+        ("c_u", Term(c["c_u"], CUM1, CUM1)),
+        ("c_x", Term(c["c_x"], CUM0, CUM1)),
+        ("c_y", Term(c["c_y"], CUM1, CUM0)),
+        ("c_xy", Term(c["c_xy"], CUM0, CUM0)),
+        ("c_yy", Term(c["c_yy"], CUM1, IDENT)),
+        ("c_xyy", Term(c["c_xyy"], CUM0, IDENT)),
+        ("c_xx", Term(c["c_xx"], IDENT, CUM1)),
+        ("c_xxy", Term(c["c_xxy"], IDENT, CUM0)),
+        ("fx1", Term(-(y * c["c_u"] + c["c_y"]), CUM1, MOM)),
+        ("fx0", Term(-(y * c["c_x"] + c["c_xy"]), CUM0, MOM)),
+        ("fy1", Term(-(x * c["c_u"] + c["c_x"]), MOM, CUM1)),
+        ("fy0", Term(-(x * c["c_y"] + c["c_xy"]), MOM, CUM0)),
+        ("edge_x_factor", Term(-(y * c["c_xx"] + c["c_xxy"]), IDENT, MOM)),
+        ("edge_y_factor", Term(-(x * c["c_yy"] + c["c_xyy"]), MOM, IDENT)),
+        ("corner_factor", Term(x * y * c["c_u"] + y * c["c_x"] + x * c["c_y"] + c["c_xy"],
+                               MOM, MOM)),
     ]
+
+
+def oracle_kernel_terms(c, grid):
+    return [t for _, t in oracle_labelled_terms(c, grid)]
+
+
+def oracle_far_differences(sd, grid):
+    """The far-edge differences of the data: edge_x, edge_y, corner, corner_alt."""
+    h1, h2 = grid.domain.h1, grid.domain.h2
+    return ((sd.uxx_top - sd.uxx_bottom) / h2, (sd.uyy_right - sd.uyy_left) / h1,
+            (sd.uy10 - sd.uy00) / h1, (sd.ux01 - sd.ux00) / h2)
 
 
 def oracle_reduced_rhs(sp):
@@ -551,10 +562,11 @@ def oracle_bundle(sd, b, grid):
     """The lower unknowns of core b and the nine bundle grids, by hand."""
     ax, ay = grid.ax, grid.ay
     m1x, m2y = ax.moment_avg, ay.moment_avg
-    ex = sd.d_uxx - b @ m2y
-    ey = sd.d_uyy - m1x @ b
-    corner = float(sd.d_uy - m1x @ ex)
-    corner_alt = float(sd.d_ux - m2y @ ey)
+    d_uxx, d_uyy, d_uy, d_ux = oracle_far_differences(sd, grid)
+    ex = d_uxx - b @ m2y
+    ey = d_uyy - m1x @ b
+    corner = float(d_uy - m1x @ ex)
+    corner_alt = float(d_ux - m2y @ ey)
     x = grid.x[:, None]
     y = grid.y[None, :]
     i_ex0, i_ex1 = ax.cumulative(ex)
@@ -590,15 +602,15 @@ def test_representation_table_reproduces_the_hand_written_terms(monkeypatch, see
     dom, n1, n2, xb, yb = ORACLE_GRIDS[case]
     grid = build_grid(dom, n1, n2, x_breakpoints=xb, y_breakpoints=yb)
     rng = np.random.default_rng(100 + seed)
-    prob, _, _ = random_forward_problem(rng, grid, random_coefficients(rng))
+    prob, _ = random_forward_problem(rng, grid, random_coefficients(rng))
     sp = sample_problem(prob, grid)
     op = assemble_eliminated(sp)
     system = assemble_coupled(sp)
 
-    oracle = oracle_kernel_terms(sp.coeffs, grid)
-    assert [(t.name, t.x, t.y) for t in op.terms] == [(t.name, t.x, t.y) for t in oracle]
-    for t, o in zip(op.terms, oracle):
-        assert np.array_equal(t.coef, o.coef), t.name
+    oracle = oracle_labelled_terms(sp.coeffs, grid)
+    assert [(t.x, t.y) for t in op.terms] == [(o.x, o.y) for _, o in oracle]
+    for t, (label, o) in zip(op.terms, oracle):
+        assert np.array_equal(t.coef, o.coef), label
 
     # the same operator and coupled system assembled from the hand-written table
     monkeypatch.setattr(reduction, "kernel_terms", oracle_kernel_terms)
@@ -608,7 +620,8 @@ def test_representation_table_reproduces_the_hand_written_terms(monkeypatch, see
     monkeypatch.undo()
     sd = sp.data
     g = oracle_reduced_rhs(sp)
-    g -= oracle_op.lower(sd.d_uy - float(grid.ax.moment_avg @ sd.d_uxx), sd.d_uxx, sd.d_uyy)
+    d_uxx, d_uyy, d_uy, _ = oracle_far_differences(sd, grid)
+    g -= oracle_op.lower(d_uy - float(grid.ax.moment_avg @ d_uxx), d_uxx, d_uyy)
     assert np.array_equal(op.g, g)
     v = rng.standard_normal(grid.shape)
     assert np.array_equal(op.matvec(v), oracle_op.matvec(v))
@@ -616,9 +629,38 @@ def test_representation_table_reproduces_the_hand_written_terms(monkeypatch, see
     assert np.array_equal(system.matrix, oracle_system.matrix)
     assert np.array_equal(system.rhs, oracle_system.rhs)
 
-    unknowns = reconstruct_lower(sd, v, grid)
-    bundle = assemble_solution(sd, unknowns, grid)
+    quadruple = far_edge(sd, grid, v)
+    bundle = assemble_solution(sd, grid, (*quadruple[:3], v))
     corner, corner_alt, grids = oracle_bundle(sd, v, grid)
-    assert (unknowns.uxy00, unknowns.uxy00_alt) == (corner, corner_alt)
+    assert (quadruple[0], quadruple[3]) == (corner, corner_alt)
     for name, values in grids.items():
         assert np.array_equal(getattr(bundle, name).values, values), name
+
+
+@pytest.mark.parametrize("method", ["neumann", "dense", "coupled"])
+@pytest.mark.parametrize("seed, case", list(enumerate(ORACLE_GRIDS)), ids=list(ORACLE_GRIDS))
+def test_bundle_carries_the_reduced_unknowns(monkeypatch, seed, case, method):
+    # the bundle is the solution: its near-edge values are the quadruple that
+    # the far-edge conditions give for the solved core, bit for bit
+    dom, n1, n2, xb, yb = ORACLE_GRIDS[case]
+    grid = build_grid(dom, n1, n2, x_breakpoints=xb, y_breakpoints=yb)
+    rng = np.random.default_rng(200 + seed)
+    prob, _ = random_forward_problem(rng, grid, random_coefficients(rng))
+    cores = []
+
+    def far_edge_of_solved_core(sd, on, core=None):
+        cores.append(core)
+        return far_edge(sd, on, core)
+
+    monkeypatch.setattr(solver_mod, "far_edge", far_edge_of_solved_core)
+    result = solve_problem(prob, grid, method=method, residual_gate=False)
+    (core,) = cores
+    bundle = result.bundle
+    corner, edge_x, edge_y, corner_alt = far_edge(sample_data(prob.data, grid), grid, core)
+    assert bundle.uxy.values[0, 0] == corner
+    assert np.array_equal(bundle.uxxy.values[:, 0], edge_x)
+    assert np.array_equal(bundle.uxyy.values[0, :], edge_y)
+    assert np.array_equal(bundle.uxxyy.values, core)
+    # adopted where the solver owns it; the direct routes' core is a view
+    assert (bundle.uxxyy.values is core) == (method == "neumann")
+    assert result.report.uxy00_route_gap == abs(corner - corner_alt)

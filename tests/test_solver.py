@@ -10,7 +10,7 @@ from mangeron import (Coefficients, ConstraintError, Domain, Field2D, GridFn2D,
                       NonclassicalData, NormSpec, PdeProblem, assemble_eliminated,
                       assemble_solution, build_grid, const1d, const2d,
                       estimate_stability_ratio, random_coefficients,
-                      random_forward_problem, reconstruct_lower, residual_report,
+                      random_forward_problem, residual_report,
                       sample_data, sample_problem, SolverError,
                       calibrate_residual_threshold, solve_dense, solve_neumann,
                       solve_problem)
@@ -18,7 +18,7 @@ from mangeron import reduction, solver as solver_mod
 from mangeron.cli import main as cli_main
 from mangeron.mms import (bilinear_solution, biquadratic_solution, make_mms,
                           trig_solution)
-from mangeron.reduction import CoupledSystem, DiscreteOperator
+from mangeron.reduction import CoupledSystem, DiscreteOperator, far_edge
 from quadrature_oracle import panel_tables
 
 DOM = Domain(1.0, 1.0)
@@ -167,52 +167,44 @@ def test_dense_three_node_case_matches_direct_elimination():
 def test_reconstruct_zero_core_with_equal_edge_traces():
     grid = build_grid(DOM, 9, 9)
     data = NonclassicalData(uxx_bottom=const1d(2.0), uxx_top=const1d(2.0))
-    unknowns = reconstruct_lower(sample_data(data, grid),
-                                 np.zeros(grid.shape), grid)
-    np.testing.assert_allclose(unknowns.uxxy_bottom.values, 0.0, atol=1e-15)
+    _, edge_x, _, _ = far_edge(sample_data(data, grid), grid, np.zeros(grid.shape))
+    np.testing.assert_allclose(edge_x, 0.0, atol=1e-15)
 
 
 def test_reconstruct_corner_from_far_edge_value():
     grid = build_grid(DOM, 9, 9)
     data = NonclassicalData(uy10=1.0)
-    unknowns = reconstruct_lower(sample_data(data, grid),
-                                 np.zeros(grid.shape), grid)
-    assert unknowns.uxy00 == pytest.approx(1.0, abs=1e-14)
+    corner, _, _, _ = far_edge(sample_data(data, grid), grid, np.zeros(grid.shape))
+    assert corner == pytest.approx(1.0, abs=1e-14)
 
 
 def test_reconstruct_bilinear_case_routes_agree():
     grid = build_grid(DOM, 9, 9)
     case = make_mms(bilinear_solution(), Coefficients(), DOM)
-    unknowns = reconstruct_lower(sample_data(case.problem.data, grid),
-                                 np.zeros(grid.shape), grid)
-    assert unknowns.uxy00 == pytest.approx(1.0, abs=1e-12)
-    assert unknowns.uxy00_alt == pytest.approx(1.0, abs=1e-12)
-    assert unknowns.route_gap <= 1e-12
-    np.testing.assert_allclose(unknowns.uxxy_bottom.values, 0.0, atol=1e-13)
-    np.testing.assert_allclose(unknowns.uxyy_left.values, 0.0, atol=1e-13)
+    corner, edge_x, edge_y, corner_alt = far_edge(sample_data(case.problem.data, grid), grid,
+                                                  np.zeros(grid.shape))
+    assert corner == pytest.approx(1.0, abs=1e-12)
+    assert corner_alt == pytest.approx(1.0, abs=1e-12)
+    assert abs(corner - corner_alt) <= 1e-12
+    np.testing.assert_allclose(edge_x, 0.0, atol=1e-13)
+    np.testing.assert_allclose(edge_y, 0.0, atol=1e-13)
 
 
 # -------------------------------------------------------- solution assembly
 
 def test_assemble_solution_zero():
     grid = build_grid(DOM, 9, 9)
-    unknowns = reconstruct_lower(sample_data(NonclassicalData(), grid),
-                                 np.zeros(grid.shape), grid)
-    bundle = assemble_solution(sample_data(NonclassicalData(), grid), unknowns, grid)
+    sd = sample_data(NonclassicalData(), grid)
+    core = np.zeros(grid.shape)
+    bundle = assemble_solution(sd, grid, (*far_edge(sd, grid, core)[:3], core))
     for key in ("u", "ux", "uy", "uxx", "uyy", "uxy", "uxxy", "uxyy", "uxxyy"):
         np.testing.assert_allclose(getattr(bundle, key).values, 0.0, atol=1e-15)
 
 
 def test_assemble_solution_pure_corner_term():
-    from mangeron import GridFn1D, ReducedUnknowns
     grid = build_grid(DOM, 9, 9)
-    unknowns = ReducedUnknowns(
-        uxy00=1.0,
-        uxxy_bottom=GridFn1D(grid.ax, np.zeros(grid.ax.n)),
-        uxyy_left=GridFn1D(grid.ay, np.zeros(grid.ay.n)),
-        uxxyy=GridFn2D(grid, np.zeros(grid.shape)),
-        uxy00_alt=1.0)
-    bundle = assemble_solution(sample_data(NonclassicalData(), grid), unknowns, grid)
+    quadruple = (1.0, np.zeros(grid.ax.n), np.zeros(grid.ay.n), np.zeros(grid.shape))
+    bundle = assemble_solution(sample_data(NonclassicalData(), grid), grid, quadruple)
     xx, yy = grid.meshgrid()
     np.testing.assert_allclose(bundle.u.values, xx * yy, atol=1e-14)
     np.testing.assert_allclose(bundle.ux.values, yy, atol=1e-14)
@@ -224,21 +216,12 @@ def test_assemble_solution_constant_core_biquadratic():
     grid = build_grid(DOM, 21, 21)
     case = make_mms(biquadratic_solution(), Coefficients(), DOM)
     core = np.full(grid.shape, 4.0)
+    core.flags.writeable = False
     sd = sample_data(case.problem.data, grid)
-    unknowns = reconstruct_lower(sd, core, grid)
-    bundle = assemble_solution(sd, unknowns, grid)
+    bundle = assemble_solution(sd, grid, (*far_edge(sd, grid, core)[:3], core))
     xx, yy = grid.meshgrid()
     np.testing.assert_allclose(bundle.u.values, xx**2 * yy**2, atol=1e-10)
-    assert bundle.uxxyy.values is unknowns.uxxyy.values   # the core grid is the unknown itself
-    np.testing.assert_array_equal(bundle.uxxyy.values, core)  # and holds the core passed in
-
-
-def test_core_grid_is_solution_core_exactly():
-    rng = np.random.default_rng(20)
-    grid = build_grid(DOM, 9, 9)
-    prob, _, _ = random_forward_problem(rng, grid, random_coefficients(rng))
-    result = solve_problem(prob, grid, method="dense")
-    assert np.array_equal(result.bundle.uxxyy.values, result.unknowns.uxxyy.values)
+    assert bundle.uxxyy.values is core      # the core grid is the core itself
 
 
 # ------------------------------------------------------------- residuals
@@ -255,7 +238,7 @@ def test_residuals_tiny_for_exact_polynomial_solve():
 def test_residuals_bounded_for_forward_constructed_data():
     rng = np.random.default_rng(21)
     grid = build_grid(DOM, 9, 9)
-    prob, _, _ = random_forward_problem(rng, grid, random_coefficients(rng))
+    prob, _ = random_forward_problem(rng, grid, random_coefficients(rng))
     result = solve_problem(prob, grid, method="dense")
     rep = residual_report(sample_problem(prob, grid), result.bundle, NormSpec(2.0))
     assert rep.pde <= 1e-10
@@ -326,7 +309,7 @@ def test_residual_gate_passes_good_solves():
 def test_stability_single_trial_equals_report_ratio():
     rng = np.random.default_rng(22)
     grid = build_grid(DOM, 9, 9)
-    prob, _, _ = random_forward_problem(rng, grid, Coefficients())
+    prob, _ = random_forward_problem(rng, grid, Coefficients())
     single = solve_problem(prob, grid)
     est = estimate_stability_ratio(lambda k: prob, grid, 1)
     assert est.max_ratio == pytest.approx(single.report.stability_ratio, rel=1e-12)
@@ -335,7 +318,7 @@ def test_stability_single_trial_equals_report_ratio():
 def test_stability_ratio_scale_invariant():
     rng = np.random.default_rng(23)
     grid = build_grid(DOM, 9, 9)
-    prob, _, _ = random_forward_problem(rng, grid, Coefficients())
+    prob, _ = random_forward_problem(rng, grid, Coefficients())
     doubled = PdeProblem(
         DOM, prob.coeffs,
         Field2D(lambda x, y, _f=prob.forcing: 2.0 * _f.eval(x, y)),
@@ -350,7 +333,7 @@ def test_stability_family_is_stable():
     grid = build_grid(DOM, 9, 9)
 
     def make(k):
-        prob, _, _ = random_forward_problem(rng, grid, Coefficients())
+        prob, _ = random_forward_problem(rng, grid, Coefficients())
         return prob
 
     est = estimate_stability_ratio(make, grid, 50)
@@ -375,8 +358,8 @@ def test_full_pipeline_superposition():
     rng = np.random.default_rng(25)
     grid = build_grid(DOM, 9, 9)
     coeffs = random_coefficients(rng)
-    p1, _, _ = random_forward_problem(rng, grid, coeffs)
-    p2, _, _ = random_forward_problem(rng, grid, coeffs)
+    p1, _ = random_forward_problem(rng, grid, coeffs)
+    p2, _ = random_forward_problem(rng, grid, coeffs)
     a, b = 0.6, -1.1
     combo = PdeProblem(
         DOM, coeffs,
@@ -562,11 +545,12 @@ def test_gate_on_solve_peak_memory(monkeypatch):
 
 def test_gate_off_solve_peak_memory():
     # the operator is dropped after the route block, matvec frees each
-    # x-kind's y-ladders before the next, and the core, the bundle sums and
-    # the residual are adopted, not copied: at most 27 grids at the peak
+    # x-kind's y-ladders before the next, the core, the bundle sums and the
+    # residual are adopted, not copied, and a running integral makes no grid
+    # besides its two results: at most 26 grids at the peak
     rng = np.random.default_rng(21)
     grid = build_grid(DOM, 129, 129)
-    prob, _, _ = random_forward_problem(rng, grid, random_coefficients(rng))
+    prob, _ = random_forward_problem(rng, grid, random_coefficients(rng))
     tracemalloc.start()
     try:
         report = solve_problem(prob, grid, method="neumann", residual_gate=False).report
@@ -574,13 +558,13 @@ def test_gate_off_solve_peak_memory():
     finally:
         tracemalloc.stop()
     assert report.converged
-    assert peak <= 27 * grid.shape[0] * grid.shape[1] * 8
+    assert peak <= 26 * grid.shape[0] * grid.shape[1] * 8
 
 
 def test_in_place_work_leaves_caller_arrays_alone(monkeypatch):
     rng = np.random.default_rng(23)
     grid = build_grid(Domain(2.0, 0.5), 15, 11, x_breakpoints=[0.7], y_breakpoints=[0.2])
-    prob, _, unknowns = random_forward_problem(rng, grid, random_coefficients(rng))
+    prob, forward = random_forward_problem(rng, grid, random_coefficients(rng))
     sampled = []
 
     def sample_and_copy(problem, on):
@@ -594,24 +578,20 @@ def test_in_place_work_leaves_caller_arrays_alone(monkeypatch):
     result = solve_problem(prob, grid, method="neumann", residual_gate=False)
     (arrays, before), = sampled
     assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
-    assert len(arrays) == 19    # 8 coefficients, the forcing, 10 data vectors
+    assert len(arrays) == 17    # 8 coefficients, the forcing, 8 data vectors
 
     bundle = [getattr(result.bundle, name).values for name in vars(result.bundle)]
     assert len(bundle) == 9 and not any(v.flags.writeable for v in bundle)
     assert not any(np.shares_memory(a, b) for i, a in enumerate(bundle) for b in bundle[i + 1:])
-    u = result.unknowns
-    assert not any(v.flags.writeable for v in (u.uxxy_bottom.values, u.uxyy_left.values,
-                                               u.uxxyy.values))
 
     # representation reads the quadruple and the data, and writes neither
     sd = sample_data(prob.data, grid)
-    quad = (unknowns.uxy00, unknowns.uxxy_bottom.values.copy(),
-            unknowns.uxyy_left.values.copy(), unknowns.uxxyy.values.copy())
+    old = (forward.uxxy.values[:, 0], forward.uxyy.values[0, :], forward.uxxyy.values)
+    quad = (forward.uxy.values[0, 0], *(v.copy() for v in old))
     data = {k: v.copy() for k, v in vars(sd).items() if isinstance(v, np.ndarray)}
     grids = dict(reduction.representation(sd, grid, quad))
     assert grids["uxxyy"] is quad[3] and all(a.flags.writeable for a in quad[1:])
-    for new, old in zip(quad[1:], (unknowns.uxxy_bottom, unknowns.uxyy_left, unknowns.uxxyy)):
-        assert np.array_equal(new, old.values)
+    assert all(np.array_equal(new, v) for new, v in zip(quad[1:], old))
     assert all(np.array_equal(getattr(sd, k), v) for k, v in data.items())
 
 
@@ -620,7 +600,7 @@ def test_dense_route_peak_memory():
     # no temporary as large as K besides the inverse and LU copies
     rng = np.random.default_rng(21)
     grid = build_grid(DOM, 49, 49)
-    prob, _, _ = random_forward_problem(rng, grid, random_coefficients(rng))
+    prob, _ = random_forward_problem(rng, grid, random_coefficients(rng))
     op = assemble_eliminated(sample_problem(prob, grid))
     k_bytes = (49 * 49) ** 2 * 8
     tracemalloc.start()
