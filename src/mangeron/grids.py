@@ -87,7 +87,7 @@ class Axis:
         self.moment_avg = _frozen(self.moments / self.length)
         self._steps = _frozen(np.diff(nodes))
 
-    def cumulative(self, f, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    def cumulative(self, f, axis: int = 0, out=None) -> tuple[np.ndarray, np.ndarray]:
         """``(cum0 f, cum1 f)`` along `axis` of f, in O(f.size) by running sums.
 
         ``cum0 f[i]`` is the trapezoid integral of f from 0 to nodes[i] and
@@ -101,17 +101,29 @@ class Axis:
         cancellation between its two terms.  `f` is 1-D, or 2-D with its
         `axis` running along this axis; applied to the identity, the results
         are the (n, n) weight matrices of the two rules.
+
+        `out`, a pair of float arrays of f's shape that share no memory with
+        f or with each other, receives ``(cum0 f, cum1 f)`` with the same
+        bits, and is returned; without it the pair is made.
         """
         f = np.asarray(f, dtype=float)
         if not 0 <= axis < f.ndim or f.shape[axis] != self.n:
             raise ValueError(f"axis {axis} of shape {f.shape} does not match axis ({self.n},)")
+        if out is None:
+            c0, c1 = np.empty(f.shape), np.empty(f.shape)
+        else:
+            c0, c1 = out
+            if any(type(c) is not np.ndarray or c.shape != f.shape or c.dtype != np.float64
+                   for c in out):
+                raise ValueError(f"out must be two float arrays of shape {f.shape}")
+            if (np.shares_memory(c0, c1) or np.shares_memory(c0, f)
+                    or np.shares_memory(c1, f)):
+                raise ValueError("out arrays must share no memory with f or each other")
         step = self._steps.reshape((-1,) + (1,) * (f.ndim - 1 - axis))
         half = 0.5 * step
         head = (slice(None),) * axis + (slice(0, 1),)
         lo = (slice(None),) * axis + (slice(None, -1),)
         hi = (slice(None),) * axis + (slice(1, None),)
-        c0 = np.empty(f.shape)
-        c1 = np.empty(f.shape)
         c0[head] = 0.0
         c1[head] = 0.0
         panel = c1[hi]          # the panel increments, summed in place into c1

@@ -37,7 +37,12 @@ class NormSpec:
 
 
 def lp_norm(f: GridFn1D | GridFn2D, spec: NormSpec = NormSpec()) -> float:
-    """Quadrature L_p norm of a grid function (node max for p = inf)."""
+    """Quadrature L_p norm of a grid function (node max for p = inf).
+
+    When the sum of w |v|^p overflows to inf or underflows to 0 while the
+    node max m of |v| is finite and nonzero, the norm is taken as m times
+    that of v / m instead; every other sum keeps its plain bits.
+    """
     v = f.values
     if spec.is_sup:
         return float(np.max(np.abs(v)))
@@ -45,7 +50,13 @@ def lp_norm(f: GridFn1D | GridFn2D, spec: NormSpec = NormSpec()) -> float:
         w = f.axis.weights
     else:
         w = np.outer(f.grid.wx, f.grid.wy)
-    return float(np.sum(w * np.abs(v) ** spec.p) ** (1.0 / spec.p))
+    with np.errstate(over="ignore"):
+        total = np.sum(w * np.abs(v) ** spec.p)
+    if total == 0.0 or total == INF:
+        m = np.max(np.abs(v))
+        if 0.0 < m < INF:
+            return float(m * np.sum(w * (np.abs(v) / m) ** spec.p) ** (1.0 / spec.p))
+    return float(total ** (1.0 / spec.p))
 
 
 def sobolev_norm(bundle, spec: NormSpec = NormSpec()) -> float:

@@ -14,7 +14,11 @@ eliminated by the far-edge conditions (`far_edge`), a single second-kind
 system (I + K) core = g.  The matrix-free product, the dense matrix and both
 blocks of the coupled system read K's term list; the product applies A and B
 by running sums (`Axis.cumulative`) in O(n1 n2), and the dense assemblies
-apply the same code to the identity.
+apply the same code to the identity.  The product runs the x side over the
+whole grid, into work grids that it reuses, and the y side in tiles of
+`TILE_ROWS` rows, except each y-side moment average, which stays one
+whole-grid product so that BLAS sums it as before; its bits are those of
+the whole-grid form.
 """
 
 from __future__ import annotations
@@ -29,6 +33,10 @@ from .problem import DERIVATIVES, Coefficients, SampledData, SampledProblem
 
 #: largest node count for which the dense kernel matrix may be materialized
 DENSE_NODE_LIMIT = 70 * 70
+
+#: rows of the grid to which `DiscreteOperator.matvec` applies the y side
+#: at a time
+TILE_ROWS = 32
 
 #: largest 1-norm condition number a direct solve accepts; a system above it,
 #: or whose condition number is not finite, is numerically singular
@@ -225,7 +233,8 @@ class DiscreteOperator:
     minus all known-data terms.
 
     K is held as its term table; `matvec` applies it matrix-free and `dense`
-    materializes it (allowed up to DENSE_NODE_LIMIT nodes).
+    materializes it (allowed up to DENSE_NODE_LIMIT nodes).  `matvec` reuses
+    the operator's work grids, so an operator serves one matvec at a time.
     """
 
     def __init__(self, sp: SampledProblem):
@@ -254,23 +263,57 @@ class DiscreteOperator:
         """v B^T for every y-side operator B; v is indexed by y last."""
         return {**_ladder(self.grid.ay, v, 1), MOM: (v @ self.m2y)[:, None]}
 
-    def matvec(self, core: np.ndarray) -> np.ndarray:
-        """Apply K to a core array of shape (n1, n2): the x-side partials
-        once, then, one x-side operator at a time, every term's y side."""
-        parts = self._along_x(core)
-        out = np.zeros(self.grid.shape)
-        prod = None
-        for kind in (IDENT, CUM0, CUM1, MOM):
-            sides = self._along_y(parts.pop(kind))
-            if prod is None:
-                # made above the first ladders, so that the malloc heap keeps the
-                # ladders freed below it for the next kind's instead of handing
-                # them back to the OS to be faulted in again
-                prod = np.empty(self.grid.shape)
-            for t in self.terms:
-                if t.x == kind:
-                    out += np.multiply(t.coef, sides[t.y], out=prod)
-            del sides       # freed before the next kind's are made
+    @cached_property
+    def _work(self) -> tuple[np.ndarray, np.ndarray]:
+        """The two grids that receive the core's x-side running integrals,
+        made on the first matvec and reused by every later one."""
+        return np.empty(self.grid.shape), np.empty(self.grid.shape)
+
+    def matvec(self, core: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Apply K to a core array of shape (n1, n2), into `out` if given.
+
+        The x side runs over the whole grid once: the core's running
+        integrals go into the operator's two work grids, and its moment
+        average is one row.  The y-side moment average of each x-side
+        partial is one whole-grid product, because a product over fewer
+        rows may sum in another order under BLAS and change the last bits.
+        The rest runs TILE_ROWS rows at a time: each partial's y-side running
+        integrals, then every term coef * (A core B^T) added into the rows of
+        `out` in K's term order.  So each node gets the bits of the
+        whole-grid sum, and a call makes only O(TILE_ROWS n2) of work arrays.
+        `out` must be a float (n1, n2) array that shares no memory with
+        `core`; it is returned.
+        """
+        shape = self.grid.shape
+        core = np.asarray(core, dtype=float)
+        if out is None:
+            out = np.empty(shape)
+        elif type(out) is not np.ndarray or out.shape != shape or out.dtype != np.float64:
+            raise ValueError(f"out must be a float array of shape {shape}")
+        elif np.shares_memory(out, core):
+            raise ValueError("out must share no memory with core")
+        x0, x1 = self.grid.ax.cumulative(core, 0, out=self._work)
+        parts = {IDENT: core, CUM0: x0, CUM1: x1}
+        moms = {kind: v @ self.m2y for kind, v in parts.items()}
+        row = self._along_y((self.m1x @ core)[None])    # the x-side mom: one row
+        n1, n2 = shape
+        rows = min(TILE_ROWS, n1)
+        y0, y1, prod = np.empty((rows, n2)), np.empty((rows, n2)), np.empty((rows, n2))
+        for start in range(0, n1, TILE_ROWS):
+            tile = slice(start, start + TILE_ROWS)
+            acc = out[tile]
+            m = len(acc)
+            acc[...] = 0.0      # a sum from zero, as over the whole grid (-0.0 included)
+            for kind in (IDENT, CUM0, CUM1, MOM):
+                if kind == MOM:
+                    sides = row
+                else:
+                    v = parts[kind][tile]
+                    c0, c1 = self.grid.ay.cumulative(v, 1, out=(y0[:m], y1[:m]))
+                    sides = {IDENT: v, CUM0: c0, CUM1: c1, MOM: moms[kind][tile, None]}
+                for t in self.terms:
+                    if t.x == kind:
+                        acc += np.multiply(t.coef[tile], sides[t.y], out=prod[:m])
         return out
 
     def lower(self, corner: float, edge_x: np.ndarray, edge_y: np.ndarray) -> np.ndarray:

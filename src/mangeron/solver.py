@@ -104,6 +104,8 @@ def solve_neumann(op: DiscreteOperator, tol: float = 1e-10,
     consecutive growing updates, a non-finite iterate, or exhaustion of
     `max_iter`) is a reported state, not an exception; the last finite
     iterate is returned so a dense fallback can be compared against it.
+    The iterate, the next one and their difference live in three buffers
+    made once; the first two swap roles on every pass.
     """
     g = op.g
     b = g.copy()
@@ -112,15 +114,16 @@ def solve_neumann(op: DiscreteOperator, tol: float = 1e-10,
         # zero data: fixed point is zero regardless of K
         info.converged = True
         return b, info
+    nxt, diff = np.empty_like(g), np.empty_like(g)
     grows = 0
     for _ in range(max_iter):
-        nxt = g - op.matvec(b)
-        upd = float(np.max(np.abs(nxt - b)))
+        np.subtract(g, op.matvec(b, out=nxt), out=nxt)
+        upd = float(np.max(np.abs(np.subtract(nxt, b, out=diff), out=diff)))
         info.update_norms.append(upd)
         if not math.isfinite(upd):
             info.diverged = True
             return b, info
-        b = nxt
+        b, nxt = nxt, b
         if upd <= tol:
             info.converged = True
             return b, info

@@ -175,19 +175,54 @@ def test_overflowing_domain_fails_with_one_line(tmp_path):
 
 def test_overflowing_forcing_fails_the_gate(tmp_path):
     # the forcing norm overflows, so the threshold is not finite: the gate
-    # must fail, not pass every residual
+    # must fail, not pass every residual; on [0, 2]^2 the L2 norm of this
+    # forcing is 1.19 times its largest value, beyond the float range
     cfg = tmp_path / "huge.cfg"
     cfg.write_text((CONFIGS / "trig.cfg").read_text().replace(
-        "z = sin(x) * sin(y)", "z = 1e300 * sin(x) * sin(y)"))
+        "z = sin(x) * sin(y)", "z = 1.7e308 * sin(x) * sin(y)").replace(
+        "h1 = 1.0\nh2 = 1.0", "h1 = 2.0\nh2 = 2.0"))
     out = run_fresh(["solve", "--config", cfg, "--out", tmp_path / "out"])
     report = read_report(tmp_path / "out")
+    assert report["forcing_norm"] == "inf"
     assert report["residual_threshold"] == "inf"
     assert report["residual_pass"] is False
     # the gate's line goes to stderr, alone, and not to stdout
     assert out.returncode == 4
     assert out.stderr.splitlines() == [
-        f"solver failure: residual gate failed (pde {fmt(report['residual_pde'])}, threshold inf)"]
+        f"solver failure: residual gate failed (pde {fmt(float(report['residual_pde']))}, "
+        "threshold inf)"]
     assert "residual gate" not in out.stdout
+
+
+def test_overflowing_data_norm_fails_the_gate(tmp_path, capsys):
+    # u = 1.7e308 x is held exactly, with every residual 0, but three of its
+    # scalar data sum past the float range: no finite threshold, so no pass
+    cfg = tmp_path / "huge.cfg"
+    text = (CONFIGS / "zero.cfg").read_text()
+    for key in ("ux00", "u10", "ux01"):
+        text = text.replace(f"\n{key} = 0\n", f"\n{key} = 1.7e308\n")
+    cfg.write_text(text)
+    assert run(["solve", "--config", cfg, "--out", tmp_path / "out"]) == 4
+    report = read_report(tmp_path / "out")
+    assert report["data_norm_value"] == report["residual_threshold"] == "inf"
+    assert report["residual_pde"] == 0 and not any(report["residual_bc"].values())
+    assert report["residual_pass"] is False
+    assert capsys.readouterr().err == "solver failure: residual gate failed (pde 0, threshold inf)\n"
+
+
+def test_huge_forcing_reports_finite_norms(tmp_path):
+    # |forcing|^2 overflows node by node, but the norm of a 1e300 forcing is
+    # finite, and so are the solution norm, the ratio and the threshold
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text((CONFIGS / "trig.cfg").read_text().replace(
+        "z = sin(x) * sin(y)", "z = 1e300 * sin(x) * sin(y)"))
+    assert run(["solve", "--config", cfg, "--out", tmp_path / "out"]) == 0
+    report = read_report(tmp_path / "out")
+    for key in ("forcing_norm", "solution_norm", "stability_ratio", "residual_threshold"):
+        assert isinstance(report[key], float) and math.isfinite(report[key]), key
+    assert 1e299 < report["forcing_norm"] < 1e300
+    assert report["residual_pass"] is True
+    assert all(math.isfinite(v) for v in json_numbers(report))
 
 
 def test_unknown_method_exits_two(tmp_path, capsys):

@@ -125,6 +125,29 @@ def test_cumulative_rejects_mismatched_axis():
         grid.ax.cumulative(np.zeros(5), 1)
 
 
+@pytest.mark.parametrize("name", CUMULATIVE_AXES)
+def test_cumulative_into_given_out_keeps_the_bits(name):
+    grid = CUMULATIVE_AXES[name]
+    f = np.random.default_rng(7).standard_normal(grid.shape)
+    for ax, axis in ((grid.ax, 0), (grid.ay, 1)):
+        out = (np.full(f.shape, np.nan), np.full(f.shape, np.nan))
+        got = ax.cumulative(f, axis, out=out)
+        assert got[0] is out[0] and got[1] is out[1]
+        for a, b in zip(got, ax.cumulative(f, axis)):
+            assert np.array_equal(a, b)
+
+
+def test_cumulative_refuses_an_out_that_aliases_f_or_has_the_wrong_shape():
+    grid = build_grid(Domain(1.0, 1.0), 5, 6)
+    f = np.ones(grid.shape)
+    spare = np.empty(grid.shape)
+    for out in ((f, spare), (spare, f[:, :]), (spare, spare), (spare, np.empty((6, 5))),
+                (spare, np.empty((5, 6), dtype=np.float32)), (spare,)):
+        with pytest.raises(ValueError):
+            grid.ax.cumulative(f, 0, out=out)
+    assert np.all(f == 1.0)
+
+
 @pytest.mark.parametrize("axis", [0, 1])
 def test_cumulative_allocates_only_its_results(axis):
     # the panel increments are formed in the storage of the cum1 result and

@@ -89,3 +89,29 @@ def test_lp_norm_1d(grid):
     f = GridFn1D(grid.ax, grid.x)
     assert lp_norm(f, NormSpec(1.0)) == pytest.approx(0.5, rel=1e-12)
     assert lp_norm(f, NormSpec(math.inf)) == 1.0
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-200])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+def test_lp_norm_of_huge_and_tiny_grids(scale, p):
+    # |v|^p of 1e300 overflows and of 1e-200 underflows; the norm is then
+    # taken of v over its node max, times that max
+    grid = build_grid(Domain(1.0, 1.0), 9, 9)
+    spec = NormSpec(p)
+    for ones, f in ((GridFn2D(grid, np.ones(grid.shape)), GridFn2D(grid, np.full(grid.shape, scale))),
+                    (GridFn1D(grid.ax, np.ones(9)), GridFn1D(grid.ax, np.full(9, -scale)))):
+        assert lp_norm(f, spec) == pytest.approx(scale * lp_norm(ones, spec), rel=1e-14)
+
+
+def test_lp_norm_keeps_the_plain_sum_where_it_is_finite_and_nonzero():
+    grid = build_grid(Domain(2.0, 0.5), 11, 7, x_breakpoints=[0.3])
+    w = np.outer(grid.wx, grid.wy)
+    v = np.random.default_rng(4).standard_normal(grid.shape) * 1e20
+    for p in (1.0, 2.0, 3.5):
+        assert lp_norm(GridFn2D(grid, v), NormSpec(p)) == float(
+            np.sum(w * np.abs(v) ** p) ** (1.0 / p))
+    assert lp_norm(GridFn2D(grid, np.zeros(grid.shape))) == 0.0
+    for bad, want in ((math.inf, math.inf), (math.nan, math.nan)):
+        v[2, 3] = bad
+        got = lp_norm(GridFn2D(grid, v))
+        assert got == want or (math.isnan(got) and math.isnan(want))

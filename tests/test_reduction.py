@@ -9,10 +9,11 @@ from mangeron import (Coefficients, Domain, Field2D, GridFn2D, NonclassicalData,
                       const2d, random_coefficients, random_forward_problem,
                       reduced_rhs, sample_data, sample_problem, solve_problem)
 from mangeron import reduction, solver as solver_mod
-from mangeron.reduction import CUM0, CUM1, IDENT, MOM, DenseLimitError, Term, far_edge
+from mangeron.reduction import (CUM0, CUM1, IDENT, MOM, TILE_ROWS, DenseLimitError, Term,
+                                far_edge)
 from mangeron.mms import (biquadratic_solution, exact_bundle, make_mms, sep_poly,
                           SeparableSolution)
-from quadrature_oracle import panel_tables
+from quadrature_oracle import panel_tables, whole_grid_matvec
 
 DOM = Domain(1.0, 1.0)
 
@@ -334,6 +335,67 @@ def test_matvec_linearity():
     np.testing.assert_allclose(op.matvec(a * u + b * v),
                                a * op.matvec(u) + b * op.matvec(v),
                                rtol=1e-12, atol=1e-12)
+
+
+# grids whose row counts fall below one tile, on it, one past it and one
+# past two tiles, square or not, with and without breakpoints on both axes
+TILED_GRIDS = {
+    "below": ((DOM, TILE_ROWS - 1, 20, None, None), TILE_ROWS - 1),
+    "one-tile": ((DOM, TILE_ROWS, TILE_ROWS + 15, None, None), TILE_ROWS),
+    "one-past": ((DOM, TILE_ROWS + 1, 9, None, None), TILE_ROWS + 1),
+    "two-past": ((DOM, 2 * TILE_ROWS + 1, 2 * TILE_ROWS + 1, None, None), 2 * TILE_ROWS + 1),
+    "one-tile-breakpoints": ((Domain(2.0, 0.5), TILE_ROWS - 1, 11, [0.7], [0.2]), TILE_ROWS),
+    "two-past-breakpoints": ((Domain(2.0, 0.5), 2 * TILE_ROWS, 17, [0.7], [0.2]),
+                             2 * TILE_ROWS + 1),
+}
+
+
+@pytest.mark.parametrize("seed, case", list(enumerate(TILED_GRIDS)), ids=list(TILED_GRIDS))
+def test_tiled_matvec_is_the_whole_grid_product_bit_for_bit(seed, case):
+    (dom, n1, n2, xb, yb), rows = TILED_GRIDS[case]
+    grid = build_grid(dom, n1, n2, x_breakpoints=xb, y_breakpoints=yb)
+    assert grid.shape[0] == rows
+    rng = np.random.default_rng(300 + seed)
+    prob, _ = random_forward_problem(rng, grid, random_coefficients(rng))
+    op = assemble_eliminated(sample_problem(prob, grid))
+    out = np.full(grid.shape, np.nan)
+    for _ in range(2):      # the second call reuses the operator's work grids
+        v = rng.standard_normal(grid.shape)
+        want = whole_grid_matvec(op, v)
+        assert np.array_equal(op.matvec(v), want)
+        assert op.matvec(v, out=out) is out
+        assert np.array_equal(out, want)
+    frozen = op.g       # read-only, as the solver hands it in
+    assert np.array_equal(op.matvec(frozen, out=out), whole_grid_matvec(op, frozen))
+
+
+def test_matvec_refuses_an_out_that_is_not_a_separate_grid():
+    grid = build_grid(DOM, 9, 7)
+    op = assemble_eliminated(sample_problem(PdeProblem(DOM, Coefficients()), grid))
+    v = np.ones(grid.shape)
+    for out in (v, v[:, :], v.T.T, np.zeros((7, 9)), np.zeros(grid.shape, dtype=np.float32)):
+        with pytest.raises(ValueError):
+            op.matvec(v, out=out)
+    assert np.all(v == 1.0)
+
+
+def test_warm_matvec_into_given_out_allocates_less_than_a_grid():
+    # the x-side running integrals go into the operator's two work grids,
+    # made on the first call; the rest works in row tiles
+    rng = np.random.default_rng(8)
+    grid = build_grid(DOM, 257, 257)
+    prob, _ = random_forward_problem(rng, grid, random_coefficients(rng))
+    op = assemble_eliminated(sample_problem(prob, grid))
+    v = rng.standard_normal(grid.shape)
+    out = np.empty(grid.shape)
+    op.matvec(v, out=out)
+    tracemalloc.start()
+    try:
+        op.matvec(v, out=out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < v.nbytes
 
 
 def test_eliminated_equation_matches_bundle_route():

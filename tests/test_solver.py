@@ -544,8 +544,9 @@ def test_gate_on_solve_peak_memory(monkeypatch):
 
 
 def test_gate_off_solve_peak_memory():
-    # the operator is dropped after the route block, matvec frees each
-    # x-kind's y-ladders before the next, the core, the bundle sums and the
+    # the operator is dropped after the route block, matvec works in two
+    # x-side grids that it reuses and applies the y side in row tiles, the
+    # iterates swap between reused buffers, the core, the bundle sums and the
     # residual are adopted, not copied, and a running integral makes no grid
     # besides its two results: at most 26 grids at the peak
     rng = np.random.default_rng(21)
