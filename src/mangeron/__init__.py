@@ -25,10 +25,20 @@ from .solver import (ResidualReport, SolutionBundle, SolveReport, SolveResult, S
                      StabilityEstimate, assemble_solution, calibrate_residual_threshold,
                      estimate_stability_ratio, residual_report, solve_dense, solve_neumann,
                      solve_problem)
-from .mms import (ConvergenceTable, MmsCase, SeparableSolution, bilinear_solution,
-                  biquadratic_solution, bicubic_solution, convergence_study,
-                  exact_bundle, fd_oracle, forward_problem, make_mms, named_cases,
-                  random_coefficients, random_forward_problem, random_solution,
-                  trig_solution)
 
 __version__ = "0.1.0"
+
+#: names of the verification module `mms`, which is imported on their first
+#: access (PEP 562), so that a solve loads neither it nor numpy.polynomial
+_MMS_NAMES = frozenset({
+    "ConvergenceTable", "MmsCase", "SeparableSolution", "bilinear_solution",
+    "biquadratic_solution", "bicubic_solution", "convergence_study", "exact_bundle",
+    "fd_oracle", "forward_problem", "make_mms", "named_cases", "random_coefficients",
+    "random_forward_problem", "random_solution", "trig_solution"})
+
+
+def __getattr__(name):
+    if name in _MMS_NAMES:
+        from . import mms
+        return getattr(mms, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

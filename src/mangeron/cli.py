@@ -29,7 +29,6 @@ from . import exprlang
 from .config import (CLASSICAL_TRACES, ConfigError, RunConfig, build_classical,
                      build_grid_from, build_nonclassical, build_problem, evaluate_expr,
                      load_config, norm_exponent, solve_method)
-from .mms import convergence_study, named_cases
 from .problem import (CORNER_TOL_SAMPLED, DERIVATIVES, DataConsistencyError,
                       NonclassicalData, check_data_constraints, check_matching,
                       classical_to_nonclassical, nonclassical_to_classical, sample_data,
@@ -249,6 +248,8 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"unknown suite {args.suite!r} "
                           f"(available: {', '.join(sorted(VERIFY_SUITES))})")
     _check_out_dir(args.out)
+    from .mms import convergence_study, named_cases     # loaded only to verify
+
     case_names, sizes, min_order = VERIFY_SUITES[args.suite]
     cases = named_cases()
     summary = {"suite": args.suite, "cases": {}, "passed": True}

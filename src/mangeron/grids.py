@@ -25,6 +25,16 @@ import numpy as np
 #: relative tolerance for matching a coordinate against a grid node
 NODE_MATCH_RTOL = 1e-12
 
+#: rows of a grid that the row-tiled passes (`row_tiles`) take at a time
+TILE_ROWS = 32
+
+
+def row_tiles(n: int):
+    """Yield the row slices of an n-row grid, TILE_ROWS rows at a time; the
+    last may be shorter."""
+    for start in range(0, n, TILE_ROWS):
+        yield slice(start, start + TILE_ROWS)
+
 
 def _frozen(a) -> np.ndarray:
     """`a` as a read-only float array: adopted if it already is one that owns

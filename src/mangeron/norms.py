@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid2D, GridFn1D, GridFn2D
+from .grids import Grid2D, GridFn1D, GridFn2D, row_tiles
 from .problem import DERIVATIVES, NonclassicalData, trace_axis
 
 INF = math.inf
@@ -36,26 +36,40 @@ class NormSpec:
         return math.isinf(self.p)
 
 
+def _weighted_power_sum(t: np.ndarray, f: GridFn1D | GridFn2D, p: float) -> float:
+    """The quadrature sum of t^p for a C-ordered grid `t` of f's shape, which
+    it overwrites: t^p in place, then weighted in place, on a 2-D grid in
+    row tiles, each by the tile's rows of the tensor-product weights, so no
+    full weight grid is made.  Each node has the bits of w * t^p, and the
+    sum those of the whole-grid sum."""
+    with np.errstate(over="ignore"):
+        t **= p
+        if isinstance(f, GridFn1D):
+            t *= f.axis.weights
+        else:
+            for rows in row_tiles(len(t)):
+                t[rows] *= np.outer(f.grid.wx[rows], f.grid.wy)
+        return np.sum(t)
+
+
 def lp_norm(f: GridFn1D | GridFn2D, spec: NormSpec = NormSpec()) -> float:
     """Quadrature L_p norm of a grid function (node max for p = inf).
 
-    When the sum of w |v|^p overflows to inf or underflows to 0 while the
-    node max m of |v| is finite and nonzero, the norm is taken as m times
-    that of v / m instead; every other sum keeps its plain bits.
+    The sum of w |v|^p is formed in one grid of |v| by `_weighted_power_sum`.
+    When it overflows to inf or underflows to 0 while the node max m of |v|
+    is finite and nonzero, the norm is taken as m times that of v / m
+    instead, formed the same way; every other sum keeps its plain bits.
     """
     v = f.values
     if spec.is_sup:
         return float(np.max(np.abs(v)))
-    if isinstance(f, GridFn1D):
-        w = f.axis.weights
-    else:
-        w = np.outer(f.grid.wx, f.grid.wy)
-    with np.errstate(over="ignore"):
-        total = np.sum(w * np.abs(v) ** spec.p)
+    total = _weighted_power_sum(np.abs(v, order="C"), f, spec.p)
     if total == 0.0 or total == INF:
         m = np.max(np.abs(v))
         if 0.0 < m < INF:
-            return float(m * np.sum(w * (np.abs(v) / m) ** spec.p) ** (1.0 / spec.p))
+            t = np.abs(v, order="C")
+            t /= m
+            return float(m * _weighted_power_sum(t, f, spec.p) ** (1.0 / spec.p))
     return float(total ** (1.0 / spec.p))
 
 

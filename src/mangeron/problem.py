@@ -375,6 +375,10 @@ class SampledProblem:
 
 
 def sample_problem(problem: PdeProblem, grid: Grid2D) -> SampledProblem:
-    """Sample the coefficients, the forcing and the boundary data on `grid`."""
-    return SampledProblem(grid, problem.coeffs.sample_all(grid),
-                          problem.forcing.sample(grid), sample_data(problem.data, grid))
+    """Sample the coefficients, the forcing and the boundary data on `grid`.
+    The forcing grid is read-only, so a grid function adopts it without a
+    copy (`grids`)."""
+    coeffs = problem.coeffs.sample_all(grid)
+    forcing = problem.forcing.sample(grid)
+    forcing.flags.writeable = False
+    return SampledProblem(grid, coeffs, forcing, sample_data(problem.data, grid))

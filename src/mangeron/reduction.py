@@ -15,10 +15,10 @@ system (I + K) core = g.  The matrix-free product, the dense matrix and both
 blocks of the coupled system read K's term list; the product applies A and B
 by running sums (`Axis.cumulative`) in O(n1 n2), and the dense assemblies
 apply the same code to the identity.  The product runs the x side over the
-whole grid, into work grids that it reuses, and the y side in tiles of
-`TILE_ROWS` rows, except each y-side moment average, which stays one
-whole-grid product so that BLAS sums it as before; its bits are those of
-the whole-grid form.
+whole grid, into its output and one work grid that it reuses, and the y
+side in row tiles (`grids.row_tiles`), except each y-side moment average,
+which stays one whole-grid product so that BLAS sums it as before; its bits
+are those of the whole-grid form.
 """
 
 from __future__ import annotations
@@ -28,15 +28,11 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .grids import Axis, Grid2D
+from .grids import TILE_ROWS, Axis, Grid2D, row_tiles
 from .problem import DERIVATIVES, Coefficients, SampledData, SampledProblem
 
 #: largest node count for which the dense kernel matrix may be materialized
 DENSE_NODE_LIMIT = 70 * 70
-
-#: rows of the grid to which `DiscreteOperator.matvec` applies the y side
-#: at a time
-TILE_ROWS = 32
 
 #: largest 1-norm condition number a direct solve accepts; a system above it,
 #: or whose condition number is not finite, is numerically singular
@@ -132,21 +128,37 @@ def _sum(parts):
     return total
 
 
+def _unknowns_under(grid: Grid2D, quadruple):
+    """(under, core_x) for `representation`: every unknown of the quadruple
+    under each pair of its operators (term, A, B), except the core, which is
+    kept under each x-side operator A alone; the base terms carry none."""
+    under = {(term, IDENT, IDENT): None for term in BASE}   # (term, A, B) -> unknown under A, B
+    core_x = {}
+    for term, w in zip([t for t in REPRESENTATION if t not in BASE], quadruple):
+        fx, fy = REPRESENTATION[term]
+        if np.ndim(w) == 1:                 # an edge trace, constant across the domain
+            w = w[:, None] if fx == LADDER else w[None, :]
+        xs = _ladder(grid.ax, w, 0) if fx == LADDER else {IDENT: w}
+        if fx == fy == LADDER:
+            core_x = xs
+        else:
+            for a, wa in xs.items():
+                for b, wab in (_ladder(grid.ay, wa, 1) if fy == LADDER else {IDENT: wa}).items():
+                    under[term, a, b] = wab
+    return under, core_x
+
+
 def representation(sd: SampledData, grid: Grid2D, quadruple=()):
     """Yield (name, grid) for the nine derivative grids of u, each the sum of
     its `REPRESENTATION` terms in table order: a term's vectors, x by y, times
     its unknown under its operators, x first.  `quadruple` is (corner, edge_x,
     edge_y, core); without it these are the base part's grids, broadcast from
-    1-D (None where they vanish).  A grid of the core under two operators
-    serves one derivative grid and is freed once that grid is summed."""
-    under = {(term, IDENT, IDENT): None for term in BASE}   # (term, A, B) -> unknown under A, B
-    for term, w in zip([t for t in REPRESENTATION if t not in BASE], quadruple):
-        fx, fy = REPRESENTATION[term]
-        if np.ndim(w) == 1:                 # an edge trace, constant across the domain
-            w = w[:, None] if fx == LADDER else w[None, :]
-        for a, wa in (_ladder(grid.ax, w, 0) if fx == LADDER else {IDENT: w}).items():
-            for b, wab in (_ladder(grid.ay, wa, 1) if fy == LADDER else {IDENT: wa}).items():
-                under[term, a, b] = wab
+    1-D (None where they vanish).  The grids come grouped by their x order,
+    so by the core's x-side operator: the core's y-side running integrals
+    are taken for one x-side partial at a time, when its three grids are
+    summed, and each grid of the core under two operators is freed once the
+    grid it serves is summed."""
+    under, core_x = _unknowns_under(grid, quadruple)
 
     def terms_at(i, j):
         for term, (fx, fy) in REPRESENTATION.items():
@@ -155,8 +167,13 @@ def representation(sd: SampledData, grid: Grid2D, quadruple=()):
                 yield _times(_vector(fx[i], grid, 0, sd), _vector(fy[j], grid, 1, sd),
                              under.pop(key) if fx == fy == LADDER else under[key])
 
-    for name, (i, j) in DERIVATIVES.items():
-        yield name, _sum(terms_at(i, j))
+    for i, a in enumerate(LADDER):
+        if a in core_x:
+            under.update({("core", a, b): v
+                          for b, v in _ladder(grid.ay, core_x.pop(a), 1).items()})
+        for name, (ni, j) in DERIVATIVES.items():
+            if ni == i:
+                yield name, _sum(terms_at(i, j))
 
 
 def reduced_rhs(sp: SampledProblem) -> np.ndarray:
@@ -234,7 +251,7 @@ class DiscreteOperator:
 
     K is held as its term table; `matvec` applies it matrix-free and `dense`
     materializes it (allowed up to DENSE_NODE_LIMIT nodes).  `matvec` reuses
-    the operator's work grids, so an operator serves one matvec at a time.
+    the operator's work grid, so an operator serves one matvec at a time.
     """
 
     def __init__(self, sp: SampledProblem):
@@ -264,51 +281,56 @@ class DiscreteOperator:
         return {**_ladder(self.grid.ay, v, 1), MOM: (v @ self.m2y)[:, None]}
 
     @cached_property
-    def _work(self) -> tuple[np.ndarray, np.ndarray]:
-        """The two grids that receive the core's x-side running integrals,
+    def _work(self) -> np.ndarray:
+        """The grid that receives the core's second x-side running integral,
         made on the first matvec and reused by every later one."""
-        return np.empty(self.grid.shape), np.empty(self.grid.shape)
+        return np.empty(self.grid.shape)
 
     def matvec(self, core: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Apply K to a core array of shape (n1, n2), into `out` if given.
 
-        The x side runs over the whole grid once: the core's running
-        integrals go into the operator's two work grids, and its moment
-        average is one row.  The y-side moment average of each x-side
-        partial is one whole-grid product, because a product over fewer
-        rows may sum in another order under BLAS and change the last bits.
-        The rest runs TILE_ROWS rows at a time: each partial's y-side running
-        integrals, then every term coef * (A core B^T) added into the rows of
-        `out` in K's term order.  So each node gets the bits of the
+        The x side runs over the whole grid once: the core's first running
+        integral goes into `out` itself and its second into the operator's
+        work grid, and its moment average is one row.  The y-side moment
+        average of each x-side partial is one whole-grid product, because a
+        product over fewer rows may sum in another order under BLAS and
+        change the last bits.  The rest runs TILE_ROWS rows at a time: the
+        tile's rows of the first running integral are copied out of `out`,
+        which is then zeroed there, each partial's y-side running integrals
+        are taken, and every term coef * (A core B^T) is added into the rows
+        of `out` in K's term order.  So each node gets the bits of the
         whole-grid sum, and a call makes only O(TILE_ROWS n2) of work arrays.
-        `out` must be a float (n1, n2) array that shares no memory with
-        `core`; it is returned.
+        `out` must be a C-contiguous float (n1, n2) array that shares no
+        memory with `core`; its values on entry are not read, and it is
+        returned.
         """
         shape = self.grid.shape
         core = np.asarray(core, dtype=float)
         if out is None:
             out = np.empty(shape)
-        elif type(out) is not np.ndarray or out.shape != shape or out.dtype != np.float64:
-            raise ValueError(f"out must be a float array of shape {shape}")
+        elif (type(out) is not np.ndarray or out.shape != shape or out.dtype != np.float64
+              or not out.flags.c_contiguous):
+            raise ValueError(f"out must be a C-contiguous float array of shape {shape}")
         elif np.shares_memory(out, core):
             raise ValueError("out must share no memory with core")
-        x0, x1 = self.grid.ax.cumulative(core, 0, out=self._work)
+        x0, x1 = self.grid.ax.cumulative(core, 0, out=(out, self._work))
         parts = {IDENT: core, CUM0: x0, CUM1: x1}
         moms = {kind: v @ self.m2y for kind, v in parts.items()}
         row = self._along_y((self.m1x @ core)[None])    # the x-side mom: one row
         n1, n2 = shape
         rows = min(TILE_ROWS, n1)
-        y0, y1, prod = np.empty((rows, n2)), np.empty((rows, n2)), np.empty((rows, n2))
-        for start in range(0, n1, TILE_ROWS):
-            tile = slice(start, start + TILE_ROWS)
+        x0t, y0, y1, prod = (np.empty((rows, n2)) for _ in range(4))
+        for tile in row_tiles(n1):
             acc = out[tile]
             m = len(acc)
+            x0t[:m] = acc       # the tile's rows of x0, read before they are zeroed
+            tiles = {IDENT: core[tile], CUM0: x0t[:m], CUM1: x1[tile]}
             acc[...] = 0.0      # a sum from zero, as over the whole grid (-0.0 included)
             for kind in (IDENT, CUM0, CUM1, MOM):
                 if kind == MOM:
                     sides = row
                 else:
-                    v = parts[kind][tile]
+                    v = tiles[kind]
                     c0, c1 = self.grid.ay.cumulative(v, 1, out=(y0[:m], y1[:m]))
                     sides = {IDENT: v, CUM0: c0, CUM1: c1, MOM: moms[kind][tile, None]}
                 for t in self.terms:

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .fields import Field2D
-from .grids import Domain, Grid2D, GridFn2D
+from .grids import TILE_ROWS, Domain, Grid2D, GridFn2D, row_tiles
 from .norms import NormSpec, data_norm, lp_norm, sobolev_norm
 from .problem import (Coefficients, ConstraintError, NonclassicalData, PdeProblem,
                       SampledData, SampledProblem, check_data_constraints, sample_problem,
@@ -96,6 +96,16 @@ class NeumannInfo:
         return u[-1] / u[-2]
 
 
+def _sup_distance(a: np.ndarray, b: np.ndarray, buf: np.ndarray) -> float:
+    """max |a - b| over the nodes, formed TILE_ROWS rows at a time in `buf`:
+    the max of the tile maxima, so a NaN or inf in any tile is kept."""
+    maxima = []
+    for rows in row_tiles(len(a)):
+        d = buf[:len(a[rows])]
+        maxima.append(np.max(np.abs(np.subtract(a[rows], b[rows], out=d), out=d)))
+    return float(np.max(maxima))
+
+
 def solve_neumann(op: DiscreteOperator, tol: float = 1e-10,
                   max_iter: int = 200) -> tuple[np.ndarray, NeumannInfo]:
     """Successive approximations b <- g - K b started from b = g.
@@ -104,8 +114,9 @@ def solve_neumann(op: DiscreteOperator, tol: float = 1e-10,
     consecutive growing updates, a non-finite iterate, or exhaustion of
     `max_iter`) is a reported state, not an exception; the last finite
     iterate is returned so a dense fallback can be compared against it.
-    The iterate, the next one and their difference live in three buffers
-    made once; the first two swap roles on every pass.
+    The iterate and the next one live in two buffers made once, which swap
+    roles on every pass; the update norm is taken TILE_ROWS rows at a time
+    in one tile buffer, and a NaN or inf in any tile is its value.
     """
     g = op.g
     b = g.copy()
@@ -114,11 +125,12 @@ def solve_neumann(op: DiscreteOperator, tol: float = 1e-10,
         # zero data: fixed point is zero regardless of K
         info.converged = True
         return b, info
-    nxt, diff = np.empty_like(g), np.empty_like(g)
+    nxt = np.empty_like(g)
+    diff = np.empty((min(TILE_ROWS, len(g)), g.shape[1]))
     grows = 0
     for _ in range(max_iter):
         np.subtract(g, op.matvec(b, out=nxt), out=nxt)
-        upd = float(np.max(np.abs(np.subtract(nxt, b, out=diff), out=diff)))
+        upd = _sup_distance(nxt, b, diff)
         info.update_norms.append(upd)
         if not math.isfinite(upd):
             info.diverged = True

@@ -286,7 +286,7 @@ def test_blocked_output_path_exits_before_solving(tmp_path, monkeypatch, command
         raise AssertionError("solved although the output path is blocked")
 
     monkeypatch.setattr(cli, "solve_problem", refuse)
-    monkeypatch.setattr(cli, "convergence_study", refuse)
+    monkeypatch.setattr("mangeron.mms.convergence_study", refuse)
     blocker = tmp_path / "file"
     blocker.write_text("")
     assert run(command + ["--out", blocker / "sub"]) == 2
@@ -545,6 +545,20 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_import_leaves_mms_unloaded():
+    # the verification module and numpy.polynomial load on first use only
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, mangeron.cli; "
+            "print(sorted(m for m in ('mangeron.mms', 'numpy.polynomial') if m in sys.modules)); "
+            "from mangeron import named_cases; print(sorted(named_cases()))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out[0] == "[]"
+    assert "trig" in out[1]
 
 
 def test_gate_on_solve_leaves_scipy_unloaded(tmp_path):

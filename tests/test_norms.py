@@ -7,6 +7,7 @@ from mangeron import (Domain, GridFn1D, GridFn2D, NonclassicalData, NormSpec,
                       build_grid, const1d, data_norm, lp_norm, sample_data,
                       sobolev_norm)
 from mangeron.mms import bilinear_solution, exact_bundle
+from mangeron.grids import TILE_ROWS
 
 
 @pytest.fixture
@@ -115,3 +116,38 @@ def test_lp_norm_keeps_the_plain_sum_where_it_is_finite_and_nonzero():
         v[2, 3] = bad
         got = lp_norm(GridFn2D(grid, v))
         assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def whole_grid_lp_norm(v, w, p):
+    """`lp_norm` as it was formed over the whole grid, with a full weight
+    grid `w` (or the axis weights of a 1-D grid function)."""
+    with np.errstate(over="ignore"):
+        total = np.sum(w * np.abs(v) ** p)
+    if total == 0.0 or total == math.inf:
+        m = np.max(np.abs(v))
+        if 0.0 < m < math.inf:
+            return float(m * np.sum(w * (np.abs(v) / m) ** p) ** (1.0 / p))
+    return float(total ** (1.0 / p))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200, 1e300])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 7.25])
+def test_tiled_lp_norm_is_the_whole_grid_sum_bit_for_bit(scale, p):
+    # rows over two tiles and a partial one, breakpoints on both axes; at
+    # the three large and tiny scales, every p from 2 on overflows or
+    # underflows and takes the rescale path
+    grid = build_grid(Domain(2.0, 0.5), 2 * TILE_ROWS + 5, 23,
+                      x_breakpoints=[0.7], y_breakpoints=[0.2])
+    assert grid.shape[0] % TILE_ROWS != 0
+    w = np.outer(grid.wx, grid.wy)
+    rng = np.random.default_rng(int(p * 4))
+    v = scale * rng.standard_normal(grid.shape)
+    v[3, 4] = -0.0
+    for values in (v, np.asfortranarray(v), v[0]):
+        f = GridFn2D(grid, values) if values.ndim == 2 else GridFn1D(grid.ay, values)
+        assert f.values.flags.f_contiguous == values.flags.f_contiguous
+        want = whole_grid_lp_norm(values, w if values.ndim == 2 else grid.wy, p)
+        assert lp_norm(f, NormSpec(p)) == want
+    v[-1, -2] = math.nan                # in the last, partial tile
+    assert math.isnan(lp_norm(GridFn2D(grid, v), NormSpec(p)))
+    assert math.isnan(whole_grid_lp_norm(v, w, p))

@@ -369,19 +369,36 @@ def test_tiled_matvec_is_the_whole_grid_product_bit_for_bit(seed, case):
     assert np.array_equal(op.matvec(frozen, out=out), whole_grid_matvec(op, frozen))
 
 
+@pytest.mark.parametrize("fill", [np.nan, np.inf, -0.0])
+def test_matvec_reads_nothing_of_out(fill):
+    # out is the x-side scratch of the first running integral: whatever it
+    # holds on entry, every call gives the whole-grid product's bits
+    grid = build_grid(DOM, 2 * TILE_ROWS + 5, 19)
+    rng = np.random.default_rng(12)
+    prob, _ = random_forward_problem(rng, grid, random_coefficients(rng))
+    op = assemble_eliminated(sample_problem(prob, grid))
+    out = np.empty(grid.shape)
+    for _ in range(2):
+        v = rng.standard_normal(grid.shape)
+        out.fill(fill)
+        assert op.matvec(v, out=out) is out
+        assert np.array_equal(out, whole_grid_matvec(op, v))
+
+
 def test_matvec_refuses_an_out_that_is_not_a_separate_grid():
     grid = build_grid(DOM, 9, 7)
     op = assemble_eliminated(sample_problem(PdeProblem(DOM, Coefficients()), grid))
     v = np.ones(grid.shape)
-    for out in (v, v[:, :], v.T.T, np.zeros((7, 9)), np.zeros(grid.shape, dtype=np.float32)):
+    for out in (v, v[:, :], v.T.T, np.zeros((7, 9)), np.zeros(grid.shape, dtype=np.float32),
+                np.zeros(grid.shape, order="F"), np.zeros((9, 14))[:, ::2]):
         with pytest.raises(ValueError):
             op.matvec(v, out=out)
     assert np.all(v == 1.0)
 
 
 def test_warm_matvec_into_given_out_allocates_less_than_a_grid():
-    # the x-side running integrals go into the operator's two work grids,
-    # made on the first call; the rest works in row tiles
+    # the x-side running integrals go into `out` and the operator's work
+    # grid, made on the first call; the rest works in row tiles
     rng = np.random.default_rng(8)
     grid = build_grid(DOM, 257, 257)
     prob, _ = random_forward_problem(rng, grid, random_coefficients(rng))

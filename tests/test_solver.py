@@ -18,6 +18,7 @@ from mangeron import reduction, solver as solver_mod
 from mangeron.cli import main as cli_main
 from mangeron.mms import (bilinear_solution, biquadratic_solution, make_mms,
                           trig_solution)
+from mangeron.grids import TILE_ROWS
 from mangeron.reduction import CoupledSystem, DiscreteOperator, far_edge
 from quadrature_oracle import panel_tables
 
@@ -106,6 +107,35 @@ def test_neumann_stops_at_a_non_finite_update():
     assert info.iterations == 2
     assert math.isfinite(info.update_norms[0]) and not math.isfinite(info.final_update_norm)
     assert np.all(np.isfinite(core)) and np.array_equal(core, expected)
+
+
+class HalvingOperator:
+    """K b = b / 2, whose `bad_pass`-th product holds `bad` at its last node."""
+
+    def __init__(self, g, bad_pass, bad):
+        self.g, self.bad_pass, self.bad, self.calls = g, bad_pass, bad, 0
+
+    def matvec(self, b, out):
+        np.multiply(b, 0.5, out=out)
+        self.calls += 1
+        if self.calls == self.bad_pass:
+            out[-1, -1] = self.bad
+        return out
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_neumann_stops_at_a_non_finite_node_in_the_last_partial_tile(bad):
+    # the update norm is taken in row tiles; a NaN or inf only in the last,
+    # partial tile still ends the iteration, with the last finite iterate
+    g = np.random.default_rng(6).standard_normal((2 * TILE_ROWS + 5, 9))
+    g.flags.writeable = False
+    core, info = solve_neumann(HalvingOperator(g, 3, bad))
+    first, second = g - 0.5 * g, g - 0.5 * (g - 0.5 * g)
+    assert info.update_norms[:2] == [float(np.max(np.abs(first - g))),
+                                     float(np.max(np.abs(second - first)))]
+    assert info.diverged and not info.converged and info.iterations == 3
+    assert not math.isfinite(info.final_update_norm)
+    assert np.array_equal(core, second)
 
 
 def test_neumann_exhausting_max_iter_is_divergence():
@@ -512,6 +542,14 @@ def test_grid_and_data_arrays_are_frozen():
         result.bundle.u.values[0, 0] = 7.0
 
 
+def test_sampled_forcing_is_adopted_without_a_copy():
+    # the forcing norm of a solve reads the sampled forcing itself
+    grid = build_grid(DOM, 9, 9)
+    sp = sample_problem(make_mms(trig_solution(), Coefficients(), DOM).problem, grid)
+    assert not sp.forcing.flags.writeable
+    assert GridFn2D(grid, sp.forcing).values is sp.forcing
+
+
 def test_neumann_route_builds_no_weight_table():
     # the matrix-free route integrates by running sums, gate on or off
     grid = build_grid(DOM, 33, 33)
@@ -544,11 +582,11 @@ def test_gate_on_solve_peak_memory(monkeypatch):
 
 
 def test_gate_off_solve_peak_memory():
-    # the operator is dropped after the route block, matvec works in two
-    # x-side grids that it reuses and applies the y side in row tiles, the
-    # iterates swap between reused buffers, the core, the bundle sums and the
-    # residual are adopted, not copied, and a running integral makes no grid
-    # besides its two results: at most 26 grids at the peak
+    # the operator is dropped after the route block, matvec works in one
+    # x-side grid that it reuses and in `out`, and applies the y side in row
+    # tiles, the iterates swap between reused buffers, the core, the bundle
+    # sums and the residual are adopted, not copied, and a running integral
+    # makes no grid besides its two results: at most 26 grids at the peak
     rng = np.random.default_rng(21)
     grid = build_grid(DOM, 129, 129)
     prob, _ = random_forward_problem(rng, grid, random_coefficients(rng))
@@ -560,6 +598,41 @@ def test_gate_off_solve_peak_memory():
         tracemalloc.stop()
     assert report.converged
     assert peak <= 26 * grid.shape[0] * grid.shape[1] * 8
+
+
+def test_large_gate_off_solve_peaks_in_the_neumann_loop():
+    # no full-grid scratch besides the loop's own: matvec's one work grid,
+    # the two iterates and row tiles; the update norm, the bundle sums and
+    # the norms work in row tiles or in place, and the forcing is adopted
+    rng = np.random.default_rng(21)
+    grid = build_grid(DOM, 257, 257)
+    prob, _ = random_forward_problem(rng, grid, random_coefficients(rng))
+    tracemalloc.start()
+    try:
+        report = solve_problem(prob, grid, method="neumann", residual_gate=False).report
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.converged
+    assert peak <= 21.5 * grid.shape[0] * grid.shape[1] * 8
+
+
+def test_assemble_solution_peak_memory():
+    # the core's y-side running integrals are taken for one x-side partial
+    # at a time: the eight new grids of the bundle (nine with the copied,
+    # writeable core) and little more
+    rng = np.random.default_rng(22)
+    grid = build_grid(DOM, 257, 257)
+    sd = sample_data(random_forward_problem(rng, grid, random_coefficients(rng))[0].data, grid)
+    quadruple = (0.3, rng.standard_normal(257), rng.standard_normal(257),
+                 rng.standard_normal(grid.shape))
+    tracemalloc.start()
+    try:
+        assemble_solution(sd, grid, quadruple)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.6 * grid.shape[0] * grid.shape[1] * 8
 
 
 def test_in_place_work_leaves_caller_arrays_alone(monkeypatch):
