@@ -19,7 +19,7 @@ from .problem import (DERIVATIVES, BoundaryTrace, CheckReport, ClassicalData, Co
                       check_matching, classical_to_nonclassical, constraint_tolerance,
                       nonclassical_to_classical, sample_data, sample_problem,
                       solution_data, trace_axis)
-from .reduction import (CoupledSystem, DiscreteOperator, apply_pde_operator, assemble_coupled,
+from .reduction import (CoupledSystem, DiscreteOperator, apply_pde_operator,
                         assemble_eliminated, reduced_rhs)
 from .solver import (ResidualReport, SolutionBundle, SolveReport, SolveResult, SolverError,
                      StabilityEstimate, assemble_solution, calibrate_residual_threshold,

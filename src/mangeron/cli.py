@@ -11,8 +11,9 @@ grid or is not finite there, domain sides that are not positive and
 finite, grid breakpoints that are not numbers, and an output directory that
 cannot be created), 3 data-consistency failure (including classical edges
 that disagree at a corner), 4 solver failure (including a failed residual
-gate or gate calibration, a failed verify suite, and a dense or coupled
-solve refused above the dense limit or as numerically singular).
+gate or gate calibration, a failed verify suite, a dense solve refused
+above the dense limit or as numerically singular, and a run that asks for
+more memory than it can get).
 """
 
 from __future__ import annotations
@@ -335,6 +336,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except MemoryError as exc:
+        print(f"solver failure: out of memory ({exc})", file=sys.stderr)
         return EXIT_SOLVER
 
 

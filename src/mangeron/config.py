@@ -96,7 +96,7 @@ def norm_exponent(text) -> float:
 def solve_method(text: str) -> str:
     """Solve route from config or command-line text: one of `METHODS`."""
     if text not in METHODS:
-        raise ConfigError(f"unknown solver method {text!r}")
+        raise ConfigError(f"unknown solver method {text!r} (available: {', '.join(METHODS)})")
     return text
 
 

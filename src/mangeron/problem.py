@@ -375,9 +375,11 @@ class SampledProblem:
 
 
 def sample_problem(problem: PdeProblem, grid: Grid2D) -> SampledProblem:
-    """Sample the coefficients, the forcing and the boundary data on `grid`.
-    The forcing grid is read-only, so a grid function adopts it without a
-    copy (`grids`)."""
+    """Sample the coefficients, the forcing and the boundary data on `grid`,
+    which must lie on the problem's domain.  The forcing grid is read-only,
+    so a grid function adopts it without a copy (`grids`)."""
+    if grid.domain != problem.domain:
+        raise ValueError(f"grid on {grid.domain}, but the problem is posed on {problem.domain}")
     coeffs = problem.coeffs.sample_all(grid)
     forcing = problem.forcing.sample(grid)
     forcing.flags.writeable = False

@@ -9,12 +9,14 @@ unknown u_xxyy(x,y).  The derivative grids (`representation`), the base part
 of the right-hand side (`reduced_rhs`) and the 15 terms coef(i,j) * (A core
 B^T)(i,j) of K (`kernel_terms`) are read off that table.  Collocating the
 equation at the grid nodes, every integral by the shared trapezoid rule,
-yields a coupled square system in the quadruple or, with the lower unknowns
+yields a coupled square system in the quadruple and, with the lower unknowns
 eliminated by the far-edge conditions (`far_edge`), a single second-kind
-system (I + K) core = g.  The matrix-free product, the dense matrix and both
-blocks of the coupled system read K's term list; the product applies A and B
-by running sums (`Axis.cumulative`) in O(n1 n2), and the dense assemblies
-apply the same code to the identity.  The product runs the x side over the
+system (I + K) core = g.  The solver solves the second-kind system; the
+coupled system (`CoupledSystem`) is the reference it is held to in the
+tests.  The matrix-free product, the dense matrix and both blocks of the
+coupled system read K's term list; the product applies A and B by running
+sums (`Axis.cumulative`) in O(n1 n2), and the dense assemblies apply the
+same code to the identity.  The product runs the x side over the
 whole grid, into its output and one work grid that it reuses, and the y
 side in row tiles (`grids.row_tiles`), except each y-side moment average,
 which stays one whole-grid product so that BLAS sums it as before; its bits
@@ -33,10 +35,6 @@ from .problem import DERIVATIVES, Coefficients, SampledData, SampledProblem
 
 #: largest node count for which the dense kernel matrix may be materialized
 DENSE_NODE_LIMIT = 70 * 70
-
-#: largest 1-norm condition number a direct solve accepts; a system above it,
-#: or whose condition number is not finite, is numerically singular
-SINGULAR_CONDITION = 1e15
 
 # operator kinds of a kernel term, on either axis
 CUM0, CUM1, IDENT, MOM = "cum0", "cum1", "I", "mom"
@@ -397,7 +395,8 @@ def assemble_eliminated(sp: SampledProblem) -> DiscreteOperator:
 
 class CoupledSystem:
     """Square dense system in the full unknown quadruple, as one 4 x 4 block
-    matrix.
+    matrix: the reference that the eliminated system is held to, solved by
+    no route of the solver.
 
     Columns: the corner, the n1 bottom-edge nodes, the n2 left-edge nodes and
     the n1*n2 core nodes (row-major).  Rows, with m_x, m_y the moment weights
@@ -439,24 +438,8 @@ class CoupledSystem:
                                    sd.uyy_right - sd.uyy_left, reduced_rhs(sp).ravel()])
 
     def solve(self):
-        """Direct solve; returns (corner, edge_x, edge_y, core, cond estimate).
-
-        A numerically singular system (`SINGULAR_CONDITION`) raises LinAlgError.
-        """
-        cond = float(np.linalg.cond(self.matrix, 1))
-        if not cond <= SINGULAR_CONDITION:
-            raise np.linalg.LinAlgError(
-                f"coupled system numerically singular (cond ~ {cond:.3e})")
-        try:
-            sol = np.linalg.solve(self.matrix, self.rhs)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                f"coupled system singular (cond ~ {cond:.3e})") from exc
+        """Direct solve; returns (corner, edge_x, edge_y, core)."""
+        sol = np.linalg.solve(self.matrix, self.rhs)
         n1, n2 = self.grid.shape
         corner, edge_x, edge_y, core = np.split(sol, np.cumsum([1, n1, n2]))
-        return float(corner[0]), edge_x, edge_y, core.reshape(n1, n2), cond
-
-
-def assemble_coupled(sp: SampledProblem) -> CoupledSystem:
-    """Assemble the coupled square system over the full unknown quadruple."""
-    return CoupledSystem(sp)
+        return float(corner[0]), edge_x, edge_y, core.reshape(n1, n2)

@@ -2,11 +2,11 @@
 
 The core unknown u_xxyy is obtained either by successive approximations on
 the second-kind system (Neumann iteration, matrix-free) or by a dense LU
-solve; the coupled square system is available as a cross-checking route.
-The three lower unknowns then follow by the far-edge conditions
-(`reduction.far_edge`), and the nine derivative grids are read off the
-integral representation (`reduction.representation`), never by differencing
-u; the bundle is the whole solution, the quadruple included (`SolutionBundle`).
+solve of that system.  The three lower unknowns then follow by the far-edge
+conditions (`reduction.far_edge`), and the nine derivative grids are read
+off the integral representation (`reduction.representation`), never by
+differencing u; the bundle is the whole solution, the quadruple included
+(`SolutionBundle`).
 
 Solves are single-threaded at the API level and deterministic for a fixed
 BLAS thread count; identical inputs produce identical reports.
@@ -25,15 +25,18 @@ from .norms import NormSpec, data_norm, lp_norm, sobolev_norm
 from .problem import (Coefficients, ConstraintError, NonclassicalData, PdeProblem,
                       SampledData, SampledProblem, check_data_constraints, sample_problem,
                       solution_data)
-from .reduction import (SINGULAR_CONDITION, DenseLimitError, DiscreteOperator,
-                        apply_pde_operator, assemble_coupled, assemble_eliminated, far_edge,
-                        representation)
+from .reduction import (DenseLimitError, DiscreteOperator, apply_pde_operator,
+                        assemble_eliminated, far_edge, representation)
 
 #: consecutive growing updates before the iteration is declared divergent
 DIVERGENCE_PATIENCE = 5
 
 #: solve routes accepted by `solve_problem`, the config and the command line
-METHODS = ("auto", "neumann", "dense", "coupled")
+METHODS = ("auto", "neumann", "dense")
+
+#: largest 1-norm condition number the dense solve accepts; a system above it,
+#: or whose condition number is not finite, is numerically singular
+SINGULAR_CONDITION = 1e15
 
 
 class SolverError(RuntimeError):
@@ -155,8 +158,8 @@ def solve_dense(op: DiscreteOperator) -> tuple[np.ndarray, float]:
     condition number.
 
     A grid over the dense limit, one whose matrices do not fit in memory, and
-    a numerically singular system (`SINGULAR_CONDITION`, the coupled route's
-    rule too) are each a SolverError.
+    a numerically singular system (`SINGULAR_CONDITION`) are each a
+    SolverError.
     """
     try:
         a = op.dense()                      # I + K, built in place
@@ -302,13 +305,12 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
     """End-to-end solve: gate, assemble, solve, reconstruct, verify.
 
     method: "auto" tries successive approximations and falls back to the
-    dense solve on divergence; "neumann", "dense" and "coupled" select one
-    route explicitly.  The route is decided in one block that keeps the
-    core, the Neumann record (`NeumannInfo`; a direct route makes no
-    iteration, so its record is the empty one) and the condition number of
-    a direct solve; the report's `method`, `converged` and `warning` are
-    derived from the last two.  Both direct routes refuse a numerically
-    singular system by one rule (`SINGULAR_CONDITION`).
+    dense solve on divergence; "neumann" and "dense" select one route
+    explicitly.  The route is decided in one block that keeps the core, the
+    Neumann record (`NeumannInfo`; the dense route makes no iteration, so
+    its record is the empty one) and the condition number of
+    the dense solve; the report's `method`, `converged` and `warning` are
+    derived from the last two.
 
     Data failing the two scalar constraints is refused unless `force` is
     set; the residuals are reported either way.  The problem is sampled on
@@ -331,32 +333,23 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
 
     info = NeumannInfo()
     cond: float | None = None
-    if method == "coupled":
+    op = assemble_eliminated(sp)
+    if method in ("auto", "neumann"):
+        core, info = solve_neumann(op, tol=tol, max_iter=max_iter)
+    if method == "dense" or (method == "auto" and info.diverged):
         try:
-            _, _, _, core, cond = assemble_coupled(sp).solve()
-        except (DenseLimitError, MemoryError) as exc:
-            raise SolverError(f"coupled solve refused: {exc}") from exc
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(str(exc)) from exc
-    else:
-        op = assemble_eliminated(sp)
-        if method in ("auto", "neumann"):
-            core, info = solve_neumann(op, tol=tol, max_iter=max_iter)
-        if method == "dense" or (method == "auto" and info.diverged):
-            try:
-                core, cond = solve_dense(op)
-            except SolverError as exc:
-                if not info.diverged:
-                    raise
-                raise SolverError("successive approximations diverged after "
-                                  f"{info.iterations} iterations and the dense "
-                                  f"fallback failed: {exc}") from exc
-        del op                  # K's grids and g are freed before reconstruction
+            core, cond = solve_dense(op)
+        except SolverError as exc:
+            if not info.diverged:
+                raise
+            raise SolverError("successive approximations diverged after "
+                              f"{info.iterations} iterations and the dense "
+                              f"fallback failed: {exc}") from exc
+    del op                  # K's grids and g are freed before reconstruction
     core.flags.writeable = False    # the bundle adopts the core without a copy
 
     converged = info.converged or cond is not None
-    method_used = ("coupled-dense" if method == "coupled"
-                   else "neumann" if cond is None else "dense")
+    method_used = "neumann" if cond is None else "dense"
     warning = None
     if info.diverged:
         outcome = ("dense fallback used" if cond is not None

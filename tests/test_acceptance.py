@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from mangeron import (Coefficients, ConstraintError, Domain, Field2D, GridFn2D,
-                      NonclassicalData, NormSpec, PdeProblem, assemble_coupled,
+from mangeron import (Coefficients, ConstraintError, CoupledSystem, Domain, Field2D,
+                      GridFn2D, NonclassicalData, NormSpec, PdeProblem,
                       assemble_eliminated, build_grid, check_data_constraints,
                       check_matching, classical_to_nonclassical, const2d,
                       convergence_study, estimate_stability_ratio, fd_oracle,
@@ -59,7 +59,7 @@ def test_criterion_02_coupled_vs_eliminated_equivalence():
     for _ in range(10):
         coeffs = random_coefficients(rng, magnitude=0.5)
         prob, _ = random_forward_problem(rng, grid, coeffs)
-        _, _, _, core_coupled, _ = assemble_coupled(sample_problem(prob, grid)).solve()
+        _, _, _, core_coupled = CoupledSystem(sample_problem(prob, grid)).solve()
         core_elim, _ = solve_dense(assemble_eliminated(sample_problem(prob, grid)))
         scale = float(np.max(np.abs(core_elim)))
         rel = float(np.max(np.abs(core_coupled - core_elim))) / scale

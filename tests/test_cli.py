@@ -2,6 +2,7 @@ import filecmp
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -25,13 +26,15 @@ def read_report(out_dir):
         return json.load(fh)
 
 
-def run_fresh(args):
-    """`main(args)` in a fresh interpreter, so that stderr is what a user sees."""
+def run_fresh(args, **kwargs):
+    """`main(args)` in a fresh interpreter, so that stderr is what a user sees;
+    `kwargs` go to `subprocess.run`."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = f"import sys; from mangeron.cli import main; sys.exit(main({[str(a) for a in args]!r}))"
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          **kwargs)
 
 
 def test_solve_zero_config(tmp_path):
@@ -226,15 +229,20 @@ def test_huge_forcing_reports_finite_norms(tmp_path):
 
 
 def test_unknown_method_exits_two(tmp_path, capsys):
-    # one rule on the command line and under [solver] in the config
-    assert run(["solve", "--config", CONFIGS / "zero.cfg", "--out", tmp_path / "a",
-                "--method", "bogus"]) == 2
-    assert capsys.readouterr().err == "config error: unknown solver method 'bogus'\n"
-    cfg = tmp_path / "m.cfg"
-    cfg.write_text((CONFIGS / "zero.cfg").read_text().replace("method = auto", "method = bogus"))
-    assert run(["solve", "--config", cfg, "--out", tmp_path / "b"]) == 2
-    assert capsys.readouterr().err == "config error: unknown solver method 'bogus'\n"
-    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+    # one rule on the command line and under [solver] in the config;
+    # `CoupledSystem` is no route, so `coupled` is unknown like any other name
+    for k, method in enumerate(("bogus", "coupled")):
+        message = (f"config error: unknown solver method {method!r} "
+                   "(available: auto, neumann, dense)\n")
+        assert run(["solve", "--config", CONFIGS / "zero.cfg", "--out", tmp_path / f"a{k}",
+                    "--method", method]) == 2
+        assert capsys.readouterr().err == message
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text((CONFIGS / "zero.cfg").read_text().replace("method = auto",
+                                                                  f"method = {method}"))
+        assert run(["solve", "--config", cfg, "--out", tmp_path / f"b{k}"]) == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / f"a{k}").exists() and not (tmp_path / f"b{k}").exists()
 
 
 def test_uncovered_piecewise_expression_exits_two(tmp_path, capsys):
@@ -527,13 +535,27 @@ def test_solve_gate_on_above_dense_limit(tmp_path):
 @pytest.mark.parametrize("config,extra", [
     ("trig.cfg", ["--grid", "101x101", "--method", "dense"]),
     ("stiff.cfg", ["--grid", "101x101"]),
-    ("trig.cfg", ["--grid", "71x71", "--method", "coupled"]),
-], ids=["dense", "auto-fallback", "coupled"])
+], ids=["dense", "auto-fallback"])
 def test_dense_limit_refusal_exits_four(tmp_path, capsys, config, extra):
     assert run(["solve", "--config", CONFIGS / config, "--out", tmp_path, *extra]) == 4
     err = capsys.readouterr().err
     assert err.startswith("solver failure: ")
     assert "dense assembly limited" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_out_of_memory_exits_four(tmp_path):
+    # a grid whose arrays cannot be allocated is a solver failure, not a
+    # traceback; the address space is capped so that the refusal does not
+    # depend on how the host overcommits memory
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    proc = run_fresh(["solve", "--config", CONFIGS / "trig.cfg", "--out", tmp_path,
+                      "--grid", "1000000x1000000"], preexec_fn=cap_address_space)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("solver failure: out of memory (")
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
     assert not (tmp_path / "report.json").exists()
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import mangeron
+from mangeron.solver import METHODS
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -55,9 +56,17 @@ def _has(owner, attr: str) -> bool:
 
 
 def test_readme_cites_package_names():
-    assert "reduction.SINGULAR_CONDITION" in NAMES
+    assert "solver.SINGULAR_CONDITION" in NAMES
     assert "SolutionBundle.boundary_values" in NAMES
     assert "report.json" not in NAMES
+
+
+def test_readme_route_lists_are_the_solver_methods():
+    # the `--method` flag text and the config comment, with or without spaces
+    lists = re.findall(r"\bauto(?:\s*\|\s*\w+)+", README)
+    assert len(lists) >= 2
+    for text in lists:
+        assert re.sub(r"\s", "", text) == "|".join(METHODS), text
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -3,11 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mangeron import (Coefficients, Domain, Field2D, GridFn2D, NonclassicalData, PdeProblem,
-                      apply_pde_operator, assemble_coupled,
-                      assemble_eliminated, assemble_solution, build_grid, const1d,
-                      const2d, random_coefficients, random_forward_problem,
-                      reduced_rhs, sample_data, sample_problem, solve_problem)
+from mangeron import (Coefficients, CoupledSystem, Domain, Field2D, GridFn2D, NonclassicalData,
+                      PdeProblem, apply_pde_operator, assemble_eliminated, assemble_solution,
+                      build_grid, const1d, const2d, random_coefficients, random_forward_problem,
+                      reduced_rhs, sample_data, sample_problem, solve_dense, solve_problem)
 from mangeron import reduction, solver as solver_mod
 from mangeron.reduction import (CUM0, CUM1, IDENT, MOM, TILE_ROWS, DenseLimitError, Term,
                                 far_edge)
@@ -462,13 +461,12 @@ def test_eliminated_assembly_peak_memory():
 
 def test_coupled_zero_problem():
     grid = build_grid(DOM, 5, 5)
-    system = assemble_coupled(sample_problem(PdeProblem(DOM, Coefficients()), grid))
-    corner, edge_x, edge_y, core, cond = system.solve()
+    system = CoupledSystem(sample_problem(PdeProblem(DOM, Coefficients()), grid))
+    corner, edge_x, edge_y, core = system.solve()
     assert corner == 0.0
     np.testing.assert_allclose(edge_x, 0.0, atol=1e-15)
     np.testing.assert_allclose(edge_y, 0.0, atol=1e-15)
     np.testing.assert_allclose(core, 0.0, atol=1e-15)
-    assert np.isfinite(cond)
 
 
 def test_coupled_corner_row_hand_case():
@@ -476,7 +474,7 @@ def test_coupled_corner_row_hand_case():
     # other unknown stays zero
     grid = build_grid(DOM, 5, 5)
     prob = PdeProblem(DOM, Coefficients(), data=NonclassicalData(uy10=1.0))
-    corner, edge_x, edge_y, core, _ = assemble_coupled(sample_problem(prob, grid)).solve()
+    corner, edge_x, edge_y, core = CoupledSystem(sample_problem(prob, grid)).solve()
     assert corner == pytest.approx(1.0, abs=1e-13)
     np.testing.assert_allclose(edge_x, 0.0, atol=1e-13)
     np.testing.assert_allclose(edge_y, 0.0, atol=1e-13)
@@ -489,22 +487,8 @@ def test_coupled_reproduces_constant_core_mms():
                            (sep_poly(0, 0, 1), sep_poly(0, 0, 1))))
     case = make_mms(u, const_coeffs(c_xy=1.0), DOM)
     grid = build_grid(DOM, 9, 9)
-    _, _, _, core, _ = assemble_coupled(sample_problem(case.problem, grid)).solve()
+    _, _, _, core = CoupledSystem(sample_problem(case.problem, grid)).solve()
     np.testing.assert_allclose(core, 4.0, atol=1e-10)
-
-
-def test_coupled_and_eliminated_agree_on_core():
-    rng = np.random.default_rng(16)
-    for _ in range(3):
-        grid = build_grid(DOM, 7, 6)
-        coeffs = random_coefficients(rng)
-        prob, _ = random_forward_problem(rng, grid, coeffs)
-        _, _, _, core_coupled, _ = assemble_coupled(sample_problem(prob, grid)).solve()
-        op = assemble_eliminated(sample_problem(prob, grid))
-        from mangeron import solve_dense
-        core_elim, _ = solve_dense(op)
-        scale = max(1e-30, float(np.max(np.abs(core_elim))))
-        assert np.max(np.abs(core_coupled - core_elim)) / scale <= 1e-8
 
 
 def test_coupled_collocation_rows_match_brute_force():
@@ -513,7 +497,7 @@ def test_coupled_collocation_rows_match_brute_force():
     grid = build_grid(dom, 5, 4, x_breakpoints=[0.37], y_breakpoints=[0.5])
     assert grid.shape[0] != grid.shape[1]     # nonsquare to catch index transposition
     prob = PdeProblem(dom, random_coefficients(rng))
-    system = assemble_coupled(sample_problem(prob, grid))
+    system = CoupledSystem(sample_problem(prob, grid))
     n_core = grid.shape[0] * grid.shape[1]
     np.testing.assert_allclose(system.matrix[-n_core:],
                                brute_collocation_rows(prob, grid), atol=1e-12)
@@ -527,12 +511,12 @@ def test_coupled_system_holds_the_forward_quadruple():
     grid = build_grid(dom, 6, 5, x_breakpoints=[0.37], y_breakpoints=[0.5])
     assert grid.shape == (7, 6)
     prob, bundle = random_forward_problem(rng, grid, random_coefficients(rng))
-    system = assemble_coupled(sample_problem(prob, grid))
+    system = CoupledSystem(sample_problem(prob, grid))
     z = np.concatenate([[bundle.uxy.values[0, 0]], bundle.uxxy.values[:, 0],
                         bundle.uxyy.values[0, :], bundle.uxxyy.values.ravel()])
     scale = np.abs(system.matrix) @ np.abs(z) + np.abs(system.rhs)
     assert np.max(np.abs(system.matrix @ z - system.rhs) / scale) <= 1e-14
-    corner, edge_x, edge_y, core, _ = system.solve()
+    corner, edge_x, edge_y, core = system.solve()
     np.testing.assert_allclose(np.concatenate([[corner], edge_x, edge_y, core.ravel()]), z,
                                rtol=1e-10, atol=1e-10)
     assert edge_x.shape == (7,) and edge_y.shape == (6,) and core.shape == (7, 6)
@@ -546,7 +530,7 @@ def test_coupled_assembly_peak_memory():
     sp = sample_problem(prob, grid)
     tracemalloc.start()
     try:
-        system = assemble_coupled(sp)
+        system = CoupledSystem(sp)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -570,7 +554,7 @@ def test_coupled_assembly_makes_no_unused_right_hand_side(monkeypatch):
     monkeypatch.setattr(reduction, "reduced_rhs", counted("reduced_rhs", reduction.reduced_rhs))
     monkeypatch.setattr(reduction.DiscreteOperator, "lower",
                         counted("lower", reduction.DiscreteOperator.lower))
-    assemble_coupled(sp)
+    CoupledSystem(sp)
     assert calls == {"reduced_rhs": 1, "lower": 19}
 
 
@@ -579,7 +563,7 @@ def test_coupled_size_guard_refuses_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(DenseLimitError, match="dense assembly limited to 4900 nodes"):
-            assemble_coupled(sample_problem(PdeProblem(DOM, Coefficients()), grid))
+            CoupledSystem(sample_problem(PdeProblem(DOM, Coefficients()), grid))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -684,7 +668,7 @@ def test_representation_table_reproduces_the_hand_written_terms(monkeypatch, see
     prob, _ = random_forward_problem(rng, grid, random_coefficients(rng))
     sp = sample_problem(prob, grid)
     op = assemble_eliminated(sp)
-    system = assemble_coupled(sp)
+    system = CoupledSystem(sp)
 
     oracle = oracle_labelled_terms(sp.coeffs, grid)
     assert [(t.x, t.y) for t in op.terms] == [(o.x, o.y) for _, o in oracle]
@@ -716,7 +700,7 @@ def test_representation_table_reproduces_the_hand_written_terms(monkeypatch, see
         assert np.array_equal(getattr(bundle, name).values, values), name
 
 
-@pytest.mark.parametrize("method", ["neumann", "dense", "coupled"])
+@pytest.mark.parametrize("method", ["neumann", "dense"])
 @pytest.mark.parametrize("seed, case", list(enumerate(ORACLE_GRIDS)), ids=list(ORACLE_GRIDS))
 def test_bundle_carries_the_reduced_unknowns(monkeypatch, seed, case, method):
     # the bundle is the solution: its near-edge values are the quadruple that
@@ -740,6 +724,24 @@ def test_bundle_carries_the_reduced_unknowns(monkeypatch, seed, case, method):
     assert np.array_equal(bundle.uxxy.values[:, 0], edge_x)
     assert np.array_equal(bundle.uxyy.values[0, :], edge_y)
     assert np.array_equal(bundle.uxxyy.values, core)
-    # adopted where the solver owns it; the direct routes' core is a view
+    # adopted where the solver owns it; the dense route's core is a view
     assert (bundle.uxxyy.values is core) == (method == "neumann")
     assert result.report.uxy00_route_gap == abs(corner - corner_alt)
+
+
+def test_coupled_and_eliminated_agree_on_core():
+    # the coupled system is the reference: its core is the dense solve's, and
+    # its lower unknowns are the far-edge conditions of its own core
+    rng = np.random.default_rng(16)
+    for dom, n1, n2, xb, yb in ORACLE_GRIDS.values():
+        grid = build_grid(dom, n1, n2, x_breakpoints=xb, y_breakpoints=yb)
+        prob, _ = random_forward_problem(rng, grid, random_coefficients(rng))
+        sp = sample_problem(prob, grid)
+        corner, edge_x, edge_y, core_coupled = CoupledSystem(sp).solve()
+        core_elim, _ = solve_dense(assemble_eliminated(sp))
+        scale = max(1e-30, float(np.max(np.abs(core_elim))))
+        assert np.max(np.abs(core_coupled - core_elim)) / scale <= 1e-8
+        far_corner, far_x, far_y, _ = far_edge(sp.data, grid, core_coupled)
+        lower = np.concatenate([[corner], edge_x, edge_y])
+        far = np.concatenate([[far_corner], far_x, far_y])
+        assert np.max(np.abs(lower - far)) <= 1e-13 * max(1.0, float(np.max(np.abs(lower))))

@@ -19,7 +19,7 @@ from mangeron.cli import main as cli_main
 from mangeron.mms import (bilinear_solution, biquadratic_solution, make_mms,
                           trig_solution)
 from mangeron.grids import TILE_ROWS
-from mangeron.reduction import CoupledSystem, DiscreteOperator, far_edge
+from mangeron.reduction import DiscreteOperator, far_edge
 from quadrature_oracle import panel_tables
 
 DOM = Domain(1.0, 1.0)
@@ -409,7 +409,6 @@ def test_solver_report_methods():
     case = make_mms(trig_solution(), Coefficients(), DOM)
     assert solve_problem(case.problem, grid, method="neumann").report.method == "neumann"
     assert solve_problem(case.problem, grid, method="dense").report.method == "dense"
-    assert solve_problem(case.problem, grid, method="coupled").report.method == "coupled-dense"
     with pytest.raises(ValueError):
         solve_problem(case.problem, grid, method="bogus")
 
@@ -421,12 +420,10 @@ DIVERGED = "successive approximations diverged after 8 iterations; "
     (0.1, "auto", "neumann", True, False, True, False, None),
     (0.1, "neumann", "neumann", True, False, True, False, None),
     (0.1, "dense", "dense", True, False, False, True, None),
-    (0.1, "coupled", "coupled-dense", True, False, False, True, None),
     (50.0, "auto", "dense", True, True, True, True, DIVERGED + "dense fallback used"),
     (50.0, "neumann", "neumann", False, True, True, False,
      DIVERGED + "partial iterate returned, consider method='dense'"),
     (50.0, "dense", "dense", True, False, False, True, None),
-    (50.0, "coupled", "coupled-dense", True, False, False, True, None),
 ])
 def test_route_outcomes(c, method, used, converged, diverged, iterated, cond, warning):
     grid = build_grid(DOM, 9, 9)
@@ -451,36 +448,27 @@ def test_auto_fallback_failure_message():
         "use the matrix-free matvec")
 
 
-def nearly_dependent(a, identity=0.0):
-    """`a`, changed in place so that row 1 of the system identity * I + a is
-    row 0 plus 1e-20 times row 1: a nearly dependent row."""
-    e = np.eye(len(a))
-    system = a + identity * e
-    a[1] = system[0] + 1e-20 * system[1] - identity * e[1]
-    return a
+def nearly_dependent(k):
+    """`k`, changed in place so that row 1 of the system I + k is row 0 plus
+    1e-20 times row 1: a nearly dependent row."""
+    e = np.eye(len(k))
+    system = k + e
+    k[1] = system[0] + 1e-20 * system[1] - e[1]
+    return k
 
 
-@pytest.mark.parametrize("method, message", [
-    ("dense", "second-kind system numerically singular"),
-    ("coupled", "coupled system numerically singular"),
-])
-def test_direct_routes_refuse_a_singular_system(method, message, monkeypatch, tmp_path, capsys):
-    dense, coupled = DiscreteOperator.dense, CoupledSystem.__init__
-
-    def singular_coupled(self, sp):
-        coupled(self, sp)
-        nearly_dependent(self.matrix)
-
-    monkeypatch.setattr(DiscreteOperator, "dense", lambda self: nearly_dependent(dense(self), 1.0))
-    monkeypatch.setattr(CoupledSystem, "__init__", singular_coupled)
+def test_dense_route_refuses_a_singular_system(monkeypatch, tmp_path, capsys):
+    message = "second-kind system numerically singular"
+    dense = DiscreteOperator.dense
+    monkeypatch.setattr(DiscreteOperator, "dense", lambda self: nearly_dependent(dense(self)))
     grid = build_grid(DOM, 9, 9)
     case = make_mms(trig_solution(), const_coeffs(c_xy=0.1), DOM)
     with pytest.raises(SolverError, match=message):
-        solve_problem(case.problem, grid, method=method, residual_gate=False)
+        solve_problem(case.problem, grid, method="dense", residual_gate=False)
     config = Path(__file__).resolve().parent.parent / "configs" / "trig.cfg"
     capsys.readouterr()
     assert cli_main(["solve", "--config", str(config), "--out", str(tmp_path),
-                     "--grid", "9x9", "--method", method]) == 4
+                     "--grid", "9x9", "--method", "dense"]) == 4
     err = capsys.readouterr().err
     assert err.startswith(f"solver failure: {message} (cond ~ ")
     assert err.count("\n") == 1
@@ -498,7 +486,6 @@ def counting(f, counts, key):
 @pytest.mark.parametrize("method, c, used", [
     ("neumann", 0.1, "neumann"),
     ("auto", 50.0, "dense"),          # stiff: the iteration diverges, dense LU runs
-    ("coupled", 0.1, "coupled-dense"),
 ])
 def test_each_field_is_sampled_once_per_solve(method, c, used):
     grid = build_grid(DOM, 9, 9)
@@ -548,6 +535,16 @@ def test_sampled_forcing_is_adopted_without_a_copy():
     sp = sample_problem(make_mms(trig_solution(), Coefficients(), DOM).problem, grid)
     assert not sp.forcing.flags.writeable
     assert GridFn2D(grid, sp.forcing).values is sp.forcing
+
+
+def test_a_grid_off_the_problems_domain_is_refused():
+    # a grid on another rectangle would solve another problem and report a pass
+    case = make_mms(trig_solution(), Coefficients(), Domain(1, 1))
+    grid = build_grid(Domain(2, 2), 17, 17)
+    for solve in (sample_problem, solve_problem):
+        with pytest.raises(ValueError, match="the problem is posed on"):
+            solve(case.problem, grid)
+    assert solve_problem(case.problem, build_grid(Domain(1.0, 1.0), 17, 17)).report.residual_pass
 
 
 def test_neumann_route_builds_no_weight_table():
