@@ -8,11 +8,11 @@ solutions, a finite-difference oracle, convergence studies) and a config
 driven CLI are included.
 """
 
-from .grids import (Axis, Domain, Grid2D, GridFn1D, GridFn2D, build_grid,
-                    fd_derivatives, trapezoid_error_bound)
+from .grids import (Axis, Domain, Grid2D, GridFn2D, build_grid, fd_derivatives,
+                    trapezoid_error_bound)
 from .fields import (Field1D, Field2D, Piece2D, Segment1D, const1d, const2d,
                      piecewise1d, piecewise2d, samples1d, samples2d)
-from .norms import INF, NormSpec, data_norm, lp_norm, sobolev_norm
+from .norms import NormSpec, data_norm, lp_norm, sobolev_norm
 from .problem import (DERIVATIVES, BoundaryTrace, CheckReport, ClassicalData, Coefficients,
                       ConstraintError, CornerMismatchError, DataConsistencyError,
                       NonclassicalData, PdeProblem, check_data_constraints,

@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -319,6 +320,13 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(message: str, code: int) -> int:
+    """Print a mapped failure as one stderr line, each line break in it and
+    the blanks around the break folded to one space; return `code`."""
+    print(re.sub(r"\s*\n\s*", " ", message), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
@@ -329,17 +337,13 @@ def main(argv=None) -> int:
     except (ConfigError, exprlang.ExprError) as exc:
         # an expression error surfaces when a config expression is evaluated,
         # for example a piecewise expression that leaves a node uncovered
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(f"config error: {exc}", EXIT_CONFIG)
     except DataConsistencyError as exc:
-        print(f"data-consistency failure: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _fail(f"data-consistency failure: {exc}", EXIT_DATA)
     except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return _fail(f"solver failure: {exc}", EXIT_SOLVER)
     except MemoryError as exc:
-        print(f"solver failure: out of memory ({exc})", file=sys.stderr)
-        return EXIT_SOLVER
+        return _fail(f"solver failure: out of memory ({exc})", EXIT_SOLVER)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from .fields import Field1D, Field2D, validate_tiling
 from .grids import Domain, Grid2D, build_grid
 from .norms import NormSpec
 from .problem import (BoundaryTrace, ClassicalData, Coefficients, NonclassicalData,
-                      PdeProblem, trace_axis)
+                      PdeProblem, classical_to_nonclassical, trace_axis)
 from .solver import METHODS
 
 
@@ -275,8 +275,6 @@ def build_problem(cfg: RunConfig, grid: Grid2D):
     Returns (problem, classical_data_or_None).  Corner mismatches in
     classical data propagate as CornerMismatchError.
     """
-    from .problem import classical_to_nonclassical
-
     coeffs = build_coefficients(cfg)
     forcing = _field2d(cfg.forcing_expr, "forcing.z")
     classical = None

@@ -123,20 +123,22 @@ def validate_tiling(boxes: Sequence[Sequence[float]], extents: Sequence[float]):
     """Refuse boxes (lo0, hi0, lo1, hi1, ...) that do not tile the domain
     [0, extents[0]] x [0, extents[1]] x ...: each box must be nondegenerate
     and inside the domain, no two may overlap on a set of positive measure,
-    and their measures must add up to the domain's."""
+    and their measures must add up to the domain's.  Every tolerance is
+    relative to the domain's side along its coordinate, and the measures
+    are taken in units of the sides, so no product of tiny sides underflows."""
     sides = [tuple(zip(box[::2], box[1::2])) for box in boxes]
     for box, s in zip(boxes, sides):
         if not all(lo < hi for lo, hi in s):
             raise ValueError(f"degenerate piece {tuple(box)}")
-        if any(lo < -1e-12 or hi > h + 1e-12 for (lo, hi), h in zip(s, extents)):
+        if any(lo < -1e-12 * h or hi > h + 1e-12 * h for (lo, hi), h in zip(s, extents)):
             raise ValueError(f"piece {tuple(box)} extends outside the domain")
     for (a, sa), (b, sb) in itertools.combinations(zip(boxes, sides), 2):
-        if all(min(ah, bh) - max(al, bl) > 1e-12 for (al, ah), (bl, bh) in zip(sa, sb)):
+        if all(min(ah, bh) - max(al, bl) > 1e-12 * h
+               for (al, ah), (bl, bh), h in zip(sa, sb, extents)):
             raise ValueError(f"pieces {tuple(a)} and {tuple(b)} overlap on a set of "
                              "positive measure")
-    measure = sum(math.prod(hi - lo for lo, hi in s) for s in sides)
-    volume = math.prod(extents)
-    if abs(measure - volume) > 1e-10 * max(1.0, volume):
+    measure = sum(math.prod((hi - lo) / h for (lo, hi), h in zip(s, extents)) for s in sides)
+    if abs(measure - 1.0) > 1e-10:
         raise ValueError("pieces do not tile the domain (gap detected)")
 
 
@@ -148,17 +150,20 @@ def evaluate_pieces(pieces: Sequence[tuple[Sequence[float], Callable]], coords: 
     give a closed box, one (lo, hi) per coordinate, and fn maps the
     coordinates of the points given to it to their values.  Pieces are
     tried in lexicographic order of their origin (lo0, lo1, ...), widened
-    by 1e-14, and the first whose box contains a point wins it.  A point
-    that no box contains raises `error`, naming the point.
+    by 1e-14 times the pieces' extent along each coordinate, and the first
+    whose box contains a point wins it.  A point that no box contains
+    raises `error`, naming the point.
     """
     coords = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in coords))
     shape = coords[0].shape if coords else ()
     out = np.empty(shape)
     done = np.zeros(shape, dtype=bool)
+    lows, highs = zip(*(b[::2] for b, _ in pieces)), zip(*(b[1::2] for b, _ in pieces))
+    slack = [1e-14 * (max(hi) - min(lo)) for lo, hi in zip(lows, highs)]
     for bounds, fn in sorted(pieces, key=lambda p: p[0][::2]):
         m = ~done
-        for c, lo, hi in zip(coords, bounds[::2], bounds[1::2]):
-            m &= (c >= lo - 1e-14) & (c <= hi + 1e-14)
+        for c, lo, hi, tol in zip(coords, bounds[::2], bounds[1::2], slack):
+            m &= (c >= lo - tol) & (c <= hi + tol)
         if np.any(m):
             values = np.asarray(fn(*(c[m] for c in coords)), dtype=float)
             out[m] = np.broadcast_to(values, (np.count_nonzero(m),))

@@ -8,12 +8,13 @@ sums in O(n) per line; this is the only definition of the cumulative rule,
 and the dense assemblies read its matrix entries by applying it to the
 identity.
 
-All node and weight arrays are frozen; grids and grid functions are safe to
-share across threads, and every operation here is a pure function of its
-inputs.  Freezing follows one rule: a read-only float array that owns its
-memory is adopted as it is, and anything else (a writeable array, a view, a
-list, another dtype) is copied.  An owner that marks its array read-only
-hands it over; whoever holds it afterwards only reads it.
+All node and weight arrays are frozen, and so are the values of a
+`GridFn2D`, the type of a solution bundle's grids; grids and grid functions
+are safe to share across threads, and every operation here is a pure
+function of its inputs.  Freezing follows one rule: a read-only float array
+that owns its memory is adopted as it is, and anything else (a writeable
+array, a view, a list, another dtype) is copied.  An owner that marks its
+array read-only hands it over; whoever holds it afterwards only reads it.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ class Grid2D:
         self.ax = Axis(x_nodes)
         self.ay = Axis(y_nodes)
         for axis, h in ((self.ax, domain.h1), (self.ay, domain.h2)):
-            if abs(axis.length - h) > NODE_MATCH_RTOL * max(1.0, h):
+            if abs(axis.length - h) > NODE_MATCH_RTOL * h:
                 raise ValueError(f"last node {axis.length} does not match side length {h}")
 
     @property
@@ -168,14 +169,6 @@ class Grid2D:
     @property
     def y(self) -> np.ndarray:
         return self.ay.nodes
-
-    @property
-    def wx(self) -> np.ndarray:
-        return self.ax.weights
-
-    @property
-    def wy(self) -> np.ndarray:
-        return self.ay.weights
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -198,7 +191,7 @@ def _axis_nodes(length: float, n: int, breakpoints) -> np.ndarray:
             b = float(b)
             if not (0.0 < b < length):
                 raise ValueError(f"breakpoint {b} outside open interval (0, {length})")
-            if np.min(np.abs(nodes - b)) > NODE_MATCH_RTOL * max(1.0, length):
+            if np.min(np.abs(nodes - b)) > NODE_MATCH_RTOL * length:
                 extra.append(b)
         if extra:
             nodes = np.sort(np.concatenate([nodes, extra]))
@@ -215,18 +208,6 @@ def build_grid(domain: Domain, n1: int, n2: int,
     return Grid2D(domain,
                   _axis_nodes(domain.h1, n1, x_breakpoints),
                   _axis_nodes(domain.h2, n2, y_breakpoints))
-
-
-class GridFn1D:
-    """Real values attached to the nodes of one axis; read-only values that
-    own their memory are adopted, anything else is copied (`_frozen`)."""
-
-    def __init__(self, axis: Axis, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (axis.n,):
-            raise ValueError(f"value shape {values.shape} does not match axis ({axis.n},)")
-        self.axis = axis
-        self.values = _frozen(values)
 
 
 class GridFn2D:

@@ -238,8 +238,9 @@ def difference_matrices(nodes: np.ndarray) -> tuple[sparse.csr_matrix, sparse.cs
     return d1, d2
 
 
-def fd_oracle(problem: PdeProblem, grid: Grid2D) -> GridFn2D:
-    """Independent finite-difference solve with classical Dirichlet rows.
+def fd_oracle(problem: PdeProblem, grid: Grid2D) -> np.ndarray:
+    """Independent finite-difference solve with classical Dirichlet rows; the
+    node values of u, an (n1, n2) array.
 
     The nonclassical data is first converted to classical edge functions
     (exercising the conversion on a second path); the operator is
@@ -282,7 +283,7 @@ def fd_oracle(problem: PdeProblem, grid: Grid2D) -> GridFn2D:
     sol = spsolve(op.tocsc(), rhs.ravel())
     if not np.all(np.isfinite(sol)):
         raise RuntimeError("finite-difference system produced non-finite solution")
-    return GridFn2D(grid, sol.reshape(n1, n2))
+    return sol.reshape(n1, n2)
 
 
 @dataclass
@@ -330,7 +331,7 @@ def convergence_study(case: MmsCase, sizes: Sequence[int],
             result = solve_problem(case.problem, grid)
             u_num = result.bundle.u.values
         elif solver == "fd":
-            u_num = fd_oracle(case.problem, grid).values
+            u_num = fd_oracle(case.problem, grid)
         else:
             raise ValueError(f"unknown solver {solver!r}")
         xx, yy = grid.meshgrid()

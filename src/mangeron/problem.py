@@ -377,7 +377,7 @@ class SampledProblem:
 def sample_problem(problem: PdeProblem, grid: Grid2D) -> SampledProblem:
     """Sample the coefficients, the forcing and the boundary data on `grid`,
     which must lie on the problem's domain.  The forcing grid is read-only,
-    so a grid function adopts it without a copy (`grids`)."""
+    because every stage of a solve reads this one sample."""
     if grid.domain != problem.domain:
         raise ValueError(f"grid on {grid.domain}, but the problem is posed on {problem.domain}")
     coeffs = problem.coeffs.sample_all(grid)

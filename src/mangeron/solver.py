@@ -206,11 +206,9 @@ def residual_report(sp: SampledProblem, bundle: SolutionBundle,
     `SolutionBundle.boundary_values`: at a corner node, or as the node
     maximum along a trace's edge.
     """
-    grid = bundle.grid
     v = apply_pde_operator(sp.coeffs, bundle)
     v -= sp.forcing
-    v.flags.writeable = False       # adopted by the grid function, not copied
-    pde = lp_norm(GridFn2D(grid, v), spec)
+    pde = lp_norm(v, (bundle.grid.ax, bundle.grid.ay), spec)
     bc = {key: float(np.max(np.abs(value - getattr(sp.data, key))))
           for key, value in bundle.boundary_values().items()}
     return ResidualReport(pde=float(pde), bc=bc)
@@ -363,7 +361,7 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
 
     solution_norm = sobolev_norm(bundle, spec)
     dnorm = data_norm(sp.data, grid, spec)
-    fnorm = lp_norm(GridFn2D(grid, sp.forcing), spec)
+    fnorm = lp_norm(sp.forcing, (grid.ax, grid.ay), spec)
     denom = dnorm + fnorm
     if denom == 0.0:
         ratio = 0.0 if solution_norm == 0.0 else math.inf

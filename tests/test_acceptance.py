@@ -351,7 +351,7 @@ def test_criterion_10_fd_oracle_cross_check():
                           name="random")):
         truth = case.u_star.eval_deriv(0, 0, xx, yy)
         ie = solve_problem(case.problem, grid).bundle.u.values
-        fd = fd_oracle(case.problem, grid).values
+        fd = fd_oracle(case.problem, grid)
         lhs = np.abs(ie - fd)
         rhs = np.abs(ie - truth) + np.abs(fd - truth)
         assert np.all(lhs <= rhs + 1e-12)

@@ -113,6 +113,46 @@ def test_malformed_config_exit_two(tmp_path):
     assert run(["solve", "--config", cfg, "--out", tmp_path]) == 2
 
 
+CONFIG_ERRORS = {
+    # case: config (None: no file), text replaced, its replacement, part of the message
+    "missing-file": (None, "", "", "cannot read config"),
+    "no-section-header": ("trig.cfg", "[domain]\n", "", "malformed config"),
+    "stray-line": ("trig.cfg", "[grid]\n", "[grid]\ngarbage line\n", "malformed config"),
+    "unknown-coefficient": ("trig.cfg", "[forcing]\n",
+                            "[coefficients]\nc_zz = 1\n\n[forcing]\n",
+                            "unknown coefficient 'c_zz'"),
+    "forcing-without-z": ("trig.cfg", "z = sin(x) * sin(y)\n", "",
+                          "section [forcing] must define z"),
+    "both-data-sections": ("plane_classical.cfg", "[data.classical]\n",
+                           "[data.nonclassical]\n\n[data.classical]\n",
+                           "exactly one of [data.nonclassical] or [data.classical]"),
+    "unknown-nonclassical": ("trig.cfg", "u00 = 0\n", "u00 = 0\nu99 = 0\n",
+                             "unknown data component 'u99'"),
+    "unknown-classical": ("plane_classical.cfg", "top = 1 + x\n", "top = 1 + x\nmiddle = x\n",
+                          "unknown data component 'middle'"),
+    "classical-without-top": ("plane_classical.cfg", "top = 1 + x\n", "",
+                              "data.classical must define 'top'"),
+    "tol-not-a-number": ("trig.cfg", "method = auto\n", "method = auto\ntol = abc\n",
+                         "bad [solver] values"),
+    "too-few-nodes": ("trig.cfg", "n1 = 21\n", "n1 = 2\n", "bad grid: need at least 3 nodes"),
+}
+
+
+@pytest.mark.parametrize("config, old, new, message", CONFIG_ERRORS.values(),
+                         ids=list(CONFIG_ERRORS))
+def test_config_error_exits_two_with_one_line(tmp_path, capsys, config, old, new, message):
+    # configparser's messages span lines; a failure still prints exactly one
+    cfg = tmp_path / "c.cfg"
+    if config is not None:
+        text = (CONFIGS / config).read_text()
+        assert old in text
+        cfg.write_text(text.replace(old, new))
+    assert run(["solve", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("p", ["0.5", "nan", "abc"])
 def test_invalid_norm_exponent_exits_two(tmp_path, capsys, p):
     # on the command line

@@ -69,6 +69,22 @@ def test_piecewise1d_segments():
         piecewise1d([Segment1D(0.0, 0.6, lambda t: t), Segment1D(0.2, 0.6, lambda t: t)], 1.0)
 
 
+def test_piece_tolerances_scale_with_the_domain():
+    h = 1e-13
+    for bounds in ((0.0, 0.8 * h, 0.2 * h, h), (0.0, 0.3 * h, 0.6 * h, h)):
+        with pytest.raises(ValueError, match="overlap|gap"):
+            piecewise1d([Segment1D(*bounds[:2], lambda t: t),
+                         Segment1D(*bounds[2:], lambda t: t)], h)
+    f = piecewise1d([Segment1D(0.0, 0.5 * h, lambda t: 1.0),
+                     Segment1D(0.5 * h, h, lambda t: 2.0)], h)
+    assert f.eval(np.array([0.4 * h, 0.5 * h, 0.6 * h])).tolist() == [1.0, 1.0, 2.0]
+    # a gap on a square of side 1e-200, whose area underflows to 0
+    tiny = 1e-200
+    with pytest.raises(ValueError, match="gap"):
+        piecewise2d([Piece2D(0.0, 0.3 * tiny, 0.0, tiny, lambda x, y: x),
+                     Piece2D(0.6 * tiny, tiny, 0.0, tiny, lambda x, y: x)], tiny, tiny)
+
+
 def test_field2d_sample_matches_meshgrid_eval():
     grid = build_grid(Domain(1.0, 1.0), 4, 7)
     f = Field2D(lambda x, y: np.sin(x) + y)

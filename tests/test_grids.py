@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mangeron import (Axis, Domain, Grid2D, GridFn1D, GridFn2D, build_grid,
+from mangeron import (Axis, Domain, Grid2D, GridFn2D, build_grid,
                       fd_derivatives, trapezoid_error_bound)
 from quadrature_oracle import panel_tables
 
@@ -28,7 +28,7 @@ def test_domain_validation():
 def test_uniform_three_node_grid():
     grid = build_grid(Domain(1.0, 1.0), 3, 3)
     np.testing.assert_allclose(grid.x, [0.0, 0.5, 1.0])
-    np.testing.assert_allclose(grid.wx, [0.25, 0.5, 0.25])
+    np.testing.assert_allclose(grid.ax.weights, [0.25, 0.5, 0.25])
 
 
 def test_too_few_nodes_rejected():
@@ -39,8 +39,8 @@ def test_too_few_nodes_rejected():
 def test_breakpoint_inserted_and_weights_sum():
     grid = build_grid(Domain(1.0, 1.0), 5, 5, x_breakpoints=[0.3])
     assert np.any(np.isclose(grid.x, 0.3))
-    assert abs(np.sum(grid.wx) - 1.0) <= 1e-13
-    np.testing.assert_allclose(grid.wx, panel_weights(grid.x), rtol=1e-14)
+    assert abs(np.sum(grid.ax.weights) - 1.0) <= 1e-13
+    np.testing.assert_allclose(grid.ax.weights, panel_weights(grid.x), rtol=1e-14)
 
 
 def test_breakpoint_outside_interval_rejected():
@@ -59,9 +59,9 @@ def test_weights_nonnegative_and_sum_to_length():
         by = sorted(rng.uniform(0.05 * h2, 0.95 * h2, rng.integers(0, 4)))
         grid = build_grid(Domain(h1, h2), int(rng.integers(3, 12)),
                           int(rng.integers(3, 12)), bx, by)
-        assert np.all(grid.wx >= 0) and np.all(grid.wy >= 0)
-        assert abs(np.sum(grid.wx) - h1) <= 1e-13 * max(1.0, h1)
-        assert abs(np.sum(grid.wy) - h2) <= 1e-13 * max(1.0, h2)
+        assert np.all(grid.ax.weights >= 0) and np.all(grid.ay.weights >= 0)
+        assert abs(np.sum(grid.ax.weights) - h1) <= 1e-13 * max(1.0, h1)
+        assert abs(np.sum(grid.ay.weights) - h2) <= 1e-13 * max(1.0, h2)
 
 
 def test_axis_node_validation():
@@ -168,7 +168,7 @@ def test_cumulative_allocates_only_its_results(axis):
 def test_gridfn_shape_validation():
     grid = build_grid(Domain(1.0, 1.0), 4, 5)
     with pytest.raises(ValueError):
-        GridFn1D(grid.ax, np.zeros(5))
+        GridFn2D(grid, np.zeros(5))
     with pytest.raises(ValueError):
         GridFn2D(grid, np.zeros((5, 4)))
 
@@ -181,9 +181,9 @@ def test_gridfn_adopts_only_read_only_arrays_that_own_their_memory():
     view = owned.T.T
     ints = np.zeros((4, 5), dtype=int)
     ints.flags.writeable = False
-    writeable = np.zeros(4)
+    writeable = np.zeros((4, 5))
     for values, fn in ((view, GridFn2D(grid, view)), (ints, GridFn2D(grid, ints)),
-                       (writeable, GridFn1D(grid.ax, writeable))):
+                       (writeable, GridFn2D(grid, writeable))):
         assert not np.shares_memory(fn.values, values)
         assert not fn.values.flags.writeable and np.array_equal(fn.values, values)
     assert writeable.flags.writeable
@@ -295,3 +295,13 @@ def test_trapezoid_error_bound_covers_actual_error():
 def test_grid_requires_matching_side_lengths():
     with pytest.raises(ValueError):
         Grid2D(Domain(1.0, 1.0), np.linspace(0, 2.0, 5), np.linspace(0, 1.0, 5))
+
+
+def test_node_matching_scales_with_the_side():
+    # on a side of 1e-13 a breakpoint 5e-15 from a node is a node of its
+    # own, and a last node 1e-14 past the side is refused
+    h = 1e-13
+    grid = build_grid(Domain(h, h), 5, 5, x_breakpoints=[3e-14])
+    assert 3e-14 in grid.x and grid.shape == (6, 5)
+    with pytest.raises(ValueError, match="does not match side length"):
+        Grid2D(Domain(h, h), np.linspace(0.0, 1.1 * h, 5), np.linspace(0.0, h, 5))

@@ -224,8 +224,8 @@ def brute_dense_eliminated(problem, grid):
     x, y = grid.x, grid.y
     (c0x, _), (c0y, _) = panel_tables(grid.x), panel_tables(grid.y)
     h1, h2 = grid.domain.h1, grid.domain.h2
-    m1x = grid.wx * (h1 - x) / h1
-    m2y = grid.wy * (h2 - y) / h2
+    m1x = grid.ax.weights * (h1 - x) / h1
+    m2y = grid.ay.weights * (h2 - y) / h2
     cf = problem.coeffs
     out = np.zeros((n1 * n2, n1 * n2))
     for i in range(n1):
@@ -272,8 +272,8 @@ def test_constant_cxy_dense_matches_hand_factorization():
     prob = PdeProblem(DOM, const_coeffs(c_xy=c))
     op = assemble_eliminated(sample_problem(prob, grid))
     (c0x, _), (c0y, _) = panel_tables(grid.x), panel_tables(grid.y)
-    m1x = grid.wx * (1.0 - grid.x)
-    m2y = grid.wy * (1.0 - grid.y)
+    m1x = grid.ax.weights * (1.0 - grid.x)
+    m2y = grid.ay.weights * (1.0 - grid.y)
     expect = np.zeros((9, 9))
     for i in range(3):
         for j in range(3):

@@ -179,8 +179,8 @@ def test_dense_three_node_case_matches_direct_elimination():
     # independent route: assemble the same 9x9 system from the hand
     # factorization of the constant-coefficient kernel and solve it directly
     (c0x, _), (c0y, _) = panel_tables(grid.x), panel_tables(grid.y)
-    m1x = grid.wx * (1.0 - grid.x)
-    m2y = grid.wy * (1.0 - grid.y)
+    m1x = grid.ax.weights * (1.0 - grid.x)
+    m2y = grid.ay.weights * (1.0 - grid.y)
     k = np.zeros((9, 9))
     for i in range(3):
         for j in range(3):
@@ -380,6 +380,19 @@ def test_stability_excludes_a_trial_that_fails_the_gate():
     est = estimate_stability_ratio(lambda k: (good, bad)[k], grid, 2)
     assert len(est.ratios) == 1 and est.excluded == 1
     assert est.max_ratio == solve_problem(good, grid).report.stability_ratio
+
+
+def test_stability_excludes_refused_and_failed_trials():
+    # one trial violates a corner constraint; the other diverges on a grid
+    # above the dense limit, so its dense fallback is refused
+    grid = build_grid(DOM, 71, 71)
+    good = make_mms(trig_solution(), Coefficients(), DOM).problem
+    refused = dataclasses.replace(good, data=dataclasses.replace(good.data, u10=1.0))
+    failed = make_mms(trig_solution(), const_coeffs(c_xy=50.0), DOM).problem
+    est = estimate_stability_ratio(lambda k: (refused, good, failed)[k], grid, 3)
+    assert len(est.ratios) == 1 and est.excluded == 2
+    with pytest.raises(SolverError, match="no trial produced a usable solve"):
+        estimate_stability_ratio(lambda k: (refused, failed)[k], grid, 2)
 
 
 # ------------------------------------------------------------- linearity
