@@ -4,14 +4,15 @@ The fourth-order pseudoparabolic equation with nonsmooth coefficients is
 reduced to second-kind integral equations, discretized by a Nystrom scheme
 on composite trapezoid quadrature, and solved by successive approximations
 with a dense direct fallback.  Verification utilities (manufactured
-solutions, a finite-difference oracle, convergence studies) and a config
-driven CLI are included.
+solutions, a finite-difference oracle, convergence studies) live in
+`mangeron.mms`, which the package does not import, so a solve loads
+neither it nor numpy.polynomial; a config driven CLI is included.
 """
 
 from .grids import (Axis, Domain, Grid2D, GridFn2D, build_grid, fd_derivatives,
                     trapezoid_error_bound)
-from .fields import (Field1D, Field2D, Piece2D, Segment1D, const1d, const2d,
-                     piecewise1d, piecewise2d, samples1d, samples2d)
+from .fields import (Field1D, Field2D, const1d, const2d, piecewise1d, piecewise2d,
+                     samples1d, samples2d)
 from .norms import NormSpec, data_norm, lp_norm, sobolev_norm
 from .problem import (DERIVATIVES, BoundaryTrace, CheckReport, ClassicalData, Coefficients,
                       ConstraintError, CornerMismatchError, DataConsistencyError,
@@ -27,18 +28,3 @@ from .solver import (ResidualReport, SolutionBundle, SolveReport, SolveResult, S
                      solve_problem)
 
 __version__ = "0.1.0"
-
-#: names of the verification module `mms`, which is imported on their first
-#: access (PEP 562), so that a solve loads neither it nor numpy.polynomial
-_MMS_NAMES = frozenset({
-    "ConvergenceTable", "MmsCase", "SeparableSolution", "bilinear_solution",
-    "biquadratic_solution", "bicubic_solution", "convergence_study", "exact_bundle",
-    "fd_oracle", "forward_problem", "make_mms", "named_cases", "random_coefficients",
-    "random_forward_problem", "random_solution", "trig_solution"})
-
-
-def __getattr__(name):
-    if name in _MMS_NAMES:
-        from . import mms
-        return getattr(mms, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

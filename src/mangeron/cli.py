@@ -5,7 +5,8 @@ node, y varying in the outer loop) and JSON reports; all floating-point
 output carries 17 significant digits so identical runs produce byte
 identical files.
 
-Exit codes: 0 success, 2 configuration error (including piecewise pieces
+Exit codes: 0 success, 2 configuration error (including a command line
+that names an unknown option or leaves out a required one, piecewise pieces
 that do not tile the domain, an expression that fails to evaluate on the
 grid or is not finite there, domain sides that are not positive and
 finite, grid breakpoints that are not numbers, and an output directory that
@@ -115,22 +116,23 @@ def _out_path(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
+def _load(args) -> RunConfig:
+    """The config of `--config`, with the grid of `--grid` if one is given."""
+    cfg = load_config(args.config)
     if args.grid:
         try:
-            n1, n2 = (int(t) for t in args.grid.lower().split("x"))
+            cfg.n1, cfg.n2 = (int(t) for t in args.grid.lower().split("x"))
         except ValueError as exc:
             raise ConfigError(f"--grid expects N1xN2, got {args.grid!r}") from exc
-        cfg.n1, cfg.n2 = n1, n2
-    if args.method:
-        cfg.solver.method = solve_method(args.method)
-    if args.p:
-        cfg.solver.p = norm_exponent(args.p)
     return cfg
 
 
 def cmd_solve(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = _load(args)
+    if args.method:
+        cfg.solver.method = solve_method(args.method)
+    if args.p:
+        cfg.solver.p = norm_exponent(args.p)
     _check_out_dir(args.out)
     grid = build_grid_from(cfg)
     problem, _ = build_problem(cfg, grid)
@@ -168,7 +170,7 @@ def _trace_payload(axis_nodes: np.ndarray, values: np.ndarray, expr: str | None 
 
 
 def cmd_convert(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = _load(args)
     grid = build_grid_from(cfg)
 
     if args.direction == "to-nonclassical":
@@ -210,7 +212,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = _load(args)
     grid = build_grid_from(cfg)
     if cfg.data_kind == "classical":
         cd = build_classical(cfg)
@@ -281,23 +283,29 @@ def cmd_verify(args) -> int:
     return EXIT_OK if summary["passed"] else EXIT_SOLVER
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a refused command line as a `ConfigError`, so that `main`
+    reports it as one line, with no usage text."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mangeron",
-        description="Dirichlet solver for the generalized Mangeron equation")
+    parser = _Parser(prog="mangeron",
+                     description="Dirichlet solver for the generalized Mangeron equation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        if config_required:
-            p.add_argument("--config", required=True, help="path to a config file")
+    def common(p):
+        p.add_argument("--config", required=True, help="path to a config file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--grid", default=None, help="override grid as N1xN2")
-        p.add_argument("--method", default=None,
-                       help=f"override solver method ({'|'.join(METHODS)})")
-        p.add_argument("--p", default=None, help="norm exponent (a number >= 1 or 'inf')")
 
     p = sub.add_parser("solve", help="solve the configured problem")
     common(p)
+    p.add_argument("--method", default=None,
+                   help=f"override solver method ({'|'.join(METHODS)})")
+    p.add_argument("--p", default=None, help="norm exponent (a number >= 1 or 'inf')")
     p.add_argument("--force", action="store_true",
                    help="proceed even if the data constraints fail")
     p.set_defaults(fn=cmd_solve)
@@ -328,11 +336,10 @@ def _fail(message: str, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     # overflow and invalid values are reported by the explicit checks, never as numpy warnings
     try:
         with np.errstate(all="ignore"):
+            args = make_parser().parse_args(argv)
             return args.fn(args)
     except (ConfigError, exprlang.ExprError) as exc:
         # an expression error surfaces when a config expression is evaluated,

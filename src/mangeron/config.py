@@ -31,8 +31,6 @@ class ConfigError(ValueError):
     """Missing, malformed or inconsistent configuration input."""
 
 
-COEFF_KEYS = Coefficients.KEYS
-
 NONCLASSICAL_TRACES = {key: "xy"[trace_axis(key)] for key in NonclassicalData.TRACE_KEYS}
 CLASSICAL_TRACES = {"left": "y", "right": "y", "bottom": "x", "top": "x"}
 
@@ -135,9 +133,9 @@ def load_config(path: str) -> RunConfig:
     coeff_exprs = {}
     if cp.has_section("coefficients"):
         for key, text in cp["coefficients"].items():
-            if key not in COEFF_KEYS:
+            if key not in Coefficients.KEYS:
                 raise ConfigError(f"unknown coefficient {key!r} "
-                                  f"(expected one of {COEFF_KEYS})")
+                                  f"(expected one of {Coefficients.KEYS})")
             coeff_exprs[key] = _parse_expr(text, xy, f"coefficients.{key}")
 
     if "z" not in cp["forcing"]:

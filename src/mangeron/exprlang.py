@@ -16,8 +16,8 @@ For two-variable expressions the bounds are x0, x1, y0, y1 of an
 axis-aligned rectangle; for one-variable expressions they are t0, t1 of a
 segment.  Pieces are evaluated by `fields.evaluate_pieces`: on a shared
 edge the piece with the lexicographically smallest origin (x0, y0) wins.
-Expressions support exact symbolic differentiation, except powers with a
-non-constant exponent.
+Expressions support exact symbolic differentiation, except powers whose
+exponent holds a variable or a piecewise node.
 """
 
 from __future__ import annotations
@@ -289,11 +289,12 @@ def diff(node, var: str):
             num = Bin("-", Bin("*", da, node.b), Bin("*", node.a, db))
             return Bin("/", num, Bin("^", node.b, Num(2.0)))
         if node.op == "^":
-            if isinstance(node.b, Num):
-                p = node.b.value
-                return Bin("*", Bin("*", Num(p), Bin("^", node.a, Num(p - 1.0))), da)
-            raise ExprError("derivative of a power with non-constant exponent "
-                            "is not supported")
+            # a piecewise node varies with the coordinates though it names none
+            if any(isinstance(sub, (Var, Piecewise)) for sub in walk(node.b)):
+                raise ExprError("derivative of a power with non-constant exponent "
+                                "is not supported")
+            p = float(evaluate(node.b, {}))
+            return Bin("*", Bin("*", Num(p), Bin("^", node.a, Num(p - 1.0))), da)
     if isinstance(node, Piecewise):
         return Piecewise(tuple((b, diff(sub, var)) for b, sub in node.pieces))
     raise ExprError(f"cannot differentiate node {node!r}")

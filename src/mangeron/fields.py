@@ -1,11 +1,13 @@
 """Evaluable scalar fields on the rectangle and on its axes.
 
 A field is a total evaluator: a closure, analytic or piecewise, or an
-interpolant of grid samples (`samples1d`, `samples2d`).  Piecewise
-fields over axis-aligned boxes must tile the domain (`validate_tiling`) and
-are evaluated deterministically by `evaluate_pieces`; both are the one
-piecewise rule of the package, which the config language uses too.  On a
-shared edge the piece with the lexicographically smallest origin wins.
+interpolant of grid samples (`samples1d`, `samples2d`).  A piecewise field
+is given by (bounds, fn) pairs, the form the config language's `Piecewise`
+node holds too: bounds (x0, x1, y0, y1) of a rectangle, or (t0, t1) of a
+segment.  The boxes must tile the domain (`validate_tiling`) and are
+evaluated deterministically by `evaluate_pieces`; both are the one piecewise
+rule of the package.  On a shared edge the piece with the lexicographically
+smallest origin wins.
 """
 
 from __future__ import annotations
@@ -62,12 +64,12 @@ class Field2D:
 
 def const1d(c: float) -> Field1D:
     c = float(c)
-    return Field1D(lambda t, _c=c: np.full(np.shape(t), _c))
+    return Field1D(lambda t, _c=c: _c)
 
 
 def const2d(c: float) -> Field2D:
     c = float(c)
-    return Field2D(lambda x, y, _c=c: np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), _c))
+    return Field2D(lambda x, y, _c=c: _c)
 
 
 ZERO_1D = const1d(0.0)
@@ -106,17 +108,6 @@ def samples2d(grid: Grid2D, values) -> Field2D:
                 + (1 - tx) * ty * _v[i, j + 1] + tx * ty * _v[i + 1, j + 1])
 
     return Field2D(fn)
-
-
-@dataclass(frozen=True)
-class Piece2D:
-    """One closed subrectangle [x0, x1] x [y0, y1] with its own evaluator."""
-
-    x0: float
-    x1: float
-    y0: float
-    y1: float
-    fn: Callable
 
 
 def validate_tiling(boxes: Sequence[Sequence[float]], extents: Sequence[float]):
@@ -175,24 +166,18 @@ def evaluate_pieces(pieces: Sequence[tuple[Sequence[float], Callable]], coords: 
     return out
 
 
-def piecewise2d(pieces: Sequence[Piece2D], h1: float, h2: float) -> Field2D:
-    """Piecewise field over axis-aligned rectangles tiling [0,h1] x [0,h2],
-    evaluated by `evaluate_pieces`."""
-    table = tuple(((p.x0, p.x1, p.y0, p.y1), p.fn) for p in pieces)
+def piecewise2d(pieces: Sequence[tuple[Sequence[float], Callable]], h1: float,
+                h2: float) -> Field2D:
+    """Piecewise field from ((x0, x1, y0, y1), fn) pairs whose rectangles tile
+    [0, h1] x [0, h2], evaluated by `evaluate_pieces`."""
+    table = tuple(pieces)
     validate_tiling([b for b, _ in table], (h1, h2))
     return Field2D(lambda x, y, _t=table: evaluate_pieces(_t, (x, y)))
 
 
-@dataclass(frozen=True)
-class Segment1D:
-    t0: float
-    t1: float
-    fn: Callable
-
-
-def piecewise1d(segments: Sequence[Segment1D], h: float) -> Field1D:
-    """Piecewise field over segments tiling [0, h], evaluated by
-    `evaluate_pieces`."""
-    table = tuple(((s.t0, s.t1), s.fn) for s in segments)
+def piecewise1d(pieces: Sequence[tuple[Sequence[float], Callable]], h: float) -> Field1D:
+    """Piecewise field from ((t0, t1), fn) pairs whose segments tile [0, h],
+    evaluated by `evaluate_pieces`."""
+    table = tuple(pieces)
     validate_tiling([b for b, _ in table], (h,))
     return Field1D(lambda t, _t=table: evaluate_pieces(_t, (t,)))

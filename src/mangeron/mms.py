@@ -9,6 +9,11 @@ integral-equation pipeline except the grid.  `forward_problem` goes the
 other way: it picks the unknown quadruple first and reads the data off the
 bundle the solver's own reconstruction builds from it, which any correct
 solve must reproduce to roundoff.
+
+A manufactured solution is a sum of separable terms f(x) g(y), each factor
+an (f, f', f'') triple.  Import these names from `mangeron.mms`: the
+package does not import this module, so a solve loads neither it nor
+numpy.polynomial.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .fields import Field2D, Piece2D, piecewise2d, samples1d, samples2d
+from .fields import Field2D, piecewise2d, samples1d, samples2d
 from .grids import Domain, Grid2D, GridFn2D, build_grid
 from .problem import (DERIVATIVES, Coefficients, NonclassicalData, PdeProblem,
                       nonclassical_to_classical, sample_data, solution_data, trace_axis)
@@ -34,19 +39,11 @@ if TYPE_CHECKING:
 EXACT_TOL = 1e-11
 
 
-@dataclass(frozen=True)
-class Sep1D:
-    """One separable factor with its first two derivatives."""
-
-    f: Callable
-    d1: Callable
-    d2: Callable
-
-    def order(self, k: int) -> Callable:
-        return (self.f, self.d1, self.d2)[k]
+#: one separable factor as (f, f', f''), each elementwise in t
+Factor = tuple[Callable, Callable, Callable]
 
 
-def sep_poly(*coeffs) -> Sep1D:
+def sep_poly(*coeffs) -> Factor:
     """Polynomial factor; coefficients from constant term upward."""
     c0 = np.array(coeffs, dtype=float)
     c1 = npoly.polyder(c0)
@@ -56,45 +53,43 @@ def sep_poly(*coeffs) -> Sep1D:
         return lambda t, _c=c: npoly.polyval(np.asarray(t, dtype=float), _c) \
             if len(_c) else np.zeros(np.shape(t))
 
-    return Sep1D(ev(c0), ev(c1), ev(c2))
+    return ev(c0), ev(c1), ev(c2)
 
 
-def sep_sin(a: float = 1.0) -> Sep1D:
-    return Sep1D(lambda t: np.sin(a * np.asarray(t)),
-                 lambda t: a * np.cos(a * np.asarray(t)),
-                 lambda t: -a * a * np.sin(a * np.asarray(t)))
+def sep_sin(a: float = 1.0) -> Factor:
+    return (lambda t: np.sin(a * np.asarray(t)),
+            lambda t: a * np.cos(a * np.asarray(t)),
+            lambda t: -a * a * np.sin(a * np.asarray(t)))
 
 
-def sep_cos(a: float = 1.0) -> Sep1D:
-    return Sep1D(lambda t: np.cos(a * np.asarray(t)),
-                 lambda t: -a * np.sin(a * np.asarray(t)),
-                 lambda t: -a * a * np.cos(a * np.asarray(t)))
+def sep_cos(a: float = 1.0) -> Factor:
+    return (lambda t: np.cos(a * np.asarray(t)),
+            lambda t: -a * np.sin(a * np.asarray(t)),
+            lambda t: -a * a * np.cos(a * np.asarray(t)))
 
 
-def sep_exp(a: float = 1.0) -> Sep1D:
-    return Sep1D(lambda t: np.exp(a * np.asarray(t)),
-                 lambda t: a * np.exp(a * np.asarray(t)),
-                 lambda t: a * a * np.exp(a * np.asarray(t)))
+def sep_exp(a: float = 1.0) -> Factor:
+    return (lambda t: np.exp(a * np.asarray(t)),
+            lambda t: a * np.exp(a * np.asarray(t)),
+            lambda t: a * a * np.exp(a * np.asarray(t)))
 
 
-def sep_scale(s: Sep1D, c: float) -> Sep1D:
-    return Sep1D(lambda t: c * np.asarray(s.f(t)),
-                 lambda t: c * np.asarray(s.d1(t)),
-                 lambda t: c * np.asarray(s.d2(t)))
+def sep_scale(s: Factor, c: float) -> Factor:
+    return tuple(lambda t, _d=d: c * np.asarray(_d(t)) for d in s)
 
 
 @dataclass(frozen=True)
 class SeparableSolution:
     """Sum of separable terms f(x) g(y), differentiable twice in each variable."""
 
-    terms: tuple[tuple[Sep1D, Sep1D], ...]
+    terms: tuple[tuple[Factor, Factor], ...]
 
     def eval_deriv(self, i: int, j: int, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
         for fx, gy in self.terms:
-            out = out + np.asarray(fx.order(i)(x)) * np.asarray(gy.order(j)(y))
+            out = out + np.asarray(fx[i](x)) * np.asarray(gy[j](y))
         return out
 
 
@@ -356,8 +351,8 @@ def named_cases(domain: Domain | None = None) -> dict[str, MmsCase]:
     one = Field2D(lambda x, y: np.ones(np.broadcast_shapes(np.shape(x), np.shape(y))))
     mid = dom.h1 / 2.0
     jump = piecewise2d(
-        [Piece2D(0.0, mid, 0.0, dom.h2, lambda x, y: np.ones(np.shape(x))),
-         Piece2D(mid, dom.h1, 0.0, dom.h2, lambda x, y: 2.0 * np.ones(np.shape(x)))],
+        [((0.0, mid, 0.0, dom.h2), lambda x, y: np.ones(np.shape(x))),
+         ((mid, dom.h1, 0.0, dom.h2), lambda x, y: 2.0 * np.ones(np.shape(x)))],
         dom.h1, dom.h2)
     return {
         "bilinear": make_mms(bilinear_solution(), Coefficients(), dom, name="bilinear"),

@@ -257,8 +257,6 @@ class DiscreteOperator:
         self.sp = sp
         self.grid = grid
         self.terms = kernel_terms(sp.coeffs, grid)
-        self.m1x = grid.ax.moment_avg
-        self.m2y = grid.ay.moment_avg
 
     @cached_property
     def g(self) -> np.ndarray:
@@ -272,11 +270,11 @@ class DiscreteOperator:
 
     def _along_x(self, v: np.ndarray) -> dict[str, np.ndarray]:
         """A v for every x-side operator A; v is indexed by x first."""
-        return {**_ladder(self.grid.ax, v, 0), MOM: (self.m1x @ v)[None]}
+        return {**_ladder(self.grid.ax, v, 0), MOM: (self.grid.ax.moment_avg @ v)[None]}
 
     def _along_y(self, v: np.ndarray) -> dict[str, np.ndarray]:
         """v B^T for every y-side operator B; v is indexed by y last."""
-        return {**_ladder(self.grid.ay, v, 1), MOM: (v @ self.m2y)[:, None]}
+        return {**_ladder(self.grid.ay, v, 1), MOM: (v @ self.grid.ay.moment_avg)[:, None]}
 
     @cached_property
     def _work(self) -> np.ndarray:
@@ -313,8 +311,8 @@ class DiscreteOperator:
             raise ValueError("out must share no memory with core")
         x0, x1 = self.grid.ax.cumulative(core, 0, out=(out, self._work))
         parts = {IDENT: core, CUM0: x0, CUM1: x1}
-        moms = {kind: v @ self.m2y for kind, v in parts.items()}
-        row = self._along_y((self.m1x @ core)[None])    # the x-side mom: one row
+        moms = {kind: v @ self.grid.ay.moment_avg for kind, v in parts.items()}
+        row = self._along_y((self.grid.ax.moment_avg @ core)[None])  # the x-side mom: one row
         n1, n2 = shape
         rows = min(TILE_ROWS, n1)
         x0t, y0, y1, prod = (np.empty((rows, n2)) for _ in range(4))

@@ -14,13 +14,13 @@ from mangeron import (Coefficients, ConstraintError, CoupledSystem, Domain, Fiel
                       GridFn2D, NonclassicalData, NormSpec, PdeProblem,
                       assemble_eliminated, build_grid, check_data_constraints,
                       check_matching, classical_to_nonclassical, const2d,
-                      convergence_study, estimate_stability_ratio, fd_oracle,
-                      named_cases, nonclassical_to_classical, random_coefficients,
-                      random_forward_problem, residual_report, sample_data,
-                      sample_problem, solve_dense, solve_neumann, solve_problem,
-                      trace_axis, trapezoid_error_bound)
-from mangeron.mms import (SeparableSolution, bilinear_solution, make_mms,
-                          random_solution, sep_exp, sep_sin, trig_solution)
+                      estimate_stability_ratio, nonclassical_to_classical,
+                      residual_report, sample_data, sample_problem, solve_dense,
+                      solve_neumann, solve_problem, trace_axis, trapezoid_error_bound)
+from mangeron.mms import (SeparableSolution, bilinear_solution, convergence_study,
+                          fd_oracle, make_mms, named_cases, random_coefficients,
+                          random_forward_problem, random_solution, sep_exp, sep_sin,
+                          trig_solution)
 
 DOM = Domain(1.0, 1.0)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mangeron import solver as solver_mod
+from mangeron import NonclassicalData, exprlang, solver as solver_mod, trace_axis
 from mangeron.cli import fmt, main
 from mangeron.solver import METHODS
 
@@ -285,6 +285,33 @@ def test_unknown_method_exits_two(tmp_path, capsys):
         assert not (tmp_path / f"a{k}").exists() and not (tmp_path / f"b{k}").exists()
 
 
+def test_usage_error_is_one_line_and_help_goes_to_stdout():
+    proc = run_fresh(["solve"], timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("config error: ")
+    assert "--config" in proc.stderr
+    proc = run_fresh(["solve", "--help"], timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("usage: mangeron solve")
+
+
+@pytest.mark.parametrize("command", [["check"], ["convert", "--direction", "to-nonclassical"]])
+@pytest.mark.parametrize("flag", [["--method", "dense"], ["--p", "3"]])
+def test_only_solve_takes_method_and_p(tmp_path, capsys, command, flag):
+    assert run([*command, "--config", CONFIGS / "plane_classical.cfg",
+                "--out", tmp_path, *flag]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and flag[0] in err and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+def test_bad_grid_override_exits_two(tmp_path, capsys):
+    assert run(["solve", "--config", CONFIGS / "zero.cfg", "--out", tmp_path / "out",
+                "--grid", "9by9"]) == 2
+    assert capsys.readouterr().err == "config error: --grid expects N1xN2, got '9by9'\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_uncovered_piecewise_expression_exits_two(tmp_path, capsys):
     # pieces that leave a gap, overlap, stick out of the domain or are
     # degenerate are refused when the config is loaded, naming the key
@@ -379,6 +406,73 @@ def test_convert_round_trip_between_plane_configs(tmp_path):
 def test_convert_direction_mismatch_is_config_error(tmp_path):
     assert run(["convert", "--config", CONFIGS / "plane_classical.cfg",
                 "--direction", "to-classical", "--out", tmp_path]) == 2
+
+
+def classical_config(tmp_path, name, n, forcing, edges, reference=None):
+    lines = ["[domain]", "h1 = 1.0", "h2 = 1.0", "[grid]", f"n1 = {n}", f"n2 = {n}",
+             "[forcing]", f"z = {forcing}", "[data.classical]"]
+    lines += [f"{key} = {text}" for key, text in edges.items()]
+    if reference is not None:
+        lines += ["[reference]", f"u = {reference}"]
+    path = tmp_path / f"{name}.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def convert_to_nonclassical(config, out):
+    assert run(["convert", "--config", config, "--direction", "to-nonclassical",
+                "--out", out]) == 0
+    with open(Path(out) / "converted_data.json") as fh:
+        return json.load(fh)
+
+
+def test_constant_exponents_are_differentiated(tmp_path):
+    # u* = 1/((1+x)(1+y)): an edge spelled with a constant negative power
+    # converts exactly, like the same edge spelled as a quotient
+    spellings = {"power": ("(1+y)^(-1)", "(1+x)^-1"), "quotient": ("1/(1+y)", "1/(1+x)")}
+    errors = {}
+    for name, (in_y, in_x) in spellings.items():
+        cfg = classical_config(tmp_path, name, 17, "4 / ((1+x)^3 * (1+y)^3)",
+                               {"left": in_y, "right": f"0.5 * {in_y}",
+                                "bottom": in_x, "top": f"0.5 * {in_x}"},
+                               reference="1 / ((1+x) * (1+y))")
+        assert run(["solve", "--config", cfg, "--out", tmp_path / name]) == 0
+        errors[name] = read_report(tmp_path / name)["sup_error_vs_reference"]
+        data = convert_to_nonclassical(cfg, tmp_path / f"{name}-c")
+        assert data["ux00"] == -1.0
+        assert all("expression" in data[key] for key in NonclassicalData.TRACE_KEYS)
+    assert errors["power"] == pytest.approx(errors["quotient"], abs=1e-12)
+
+
+def test_convert_renders_derivatives_of_negations_cosines_and_pieces(tmp_path):
+    edges = {"left": "-cos(y)", "right": "-cos(y) + 0.25",
+             "bottom": "piecewise((0, 0.5): -1; (0.5, 1): -1 + (x - 0.5)^2)",
+             "top": "-cos(1) + 0.25 * x^2"}
+    data = convert_to_nonclassical(classical_config(tmp_path, "pieces", 21, "zero", edges),
+                                   tmp_path)
+    second = {"uxx_bottom": lambda x: np.where(x > 0.5, 2.0, 0.0),
+              "uyy_left": np.cos, "uyy_right": np.cos,
+              "uxx_top": lambda x: np.full_like(x, 0.5)}
+    for key, want in second.items():
+        var = "xy"[trace_axis(key)]
+        nodes = np.asarray(data[key]["nodes"])
+        node = exprlang.parse(data[key]["expression"], (var,))
+        got = np.broadcast_to(exprlang.evaluate(node, {var: nodes}), nodes.shape)
+        np.testing.assert_allclose(got, want(nodes), rtol=1e-12, atol=1e-12, err_msg=key)
+        np.testing.assert_allclose(data[key]["values"], want(nodes), rtol=1e-12, atol=1e-12,
+                                   err_msg=key)
+
+
+def test_convert_differences_an_edge_with_a_variable_exponent(tmp_path):
+    # 2^x has no symbolic derivative here: its traces come from grid differencing
+    edges = {"left": "y", "right": "1 + y", "bottom": "2^x - 1", "top": "1 + 2^x - 1"}
+    data = convert_to_nonclassical(classical_config(tmp_path, "var", 33, "zero", edges),
+                                   tmp_path)
+    assert "expression" not in data["uxx_bottom"] and "expression" not in data["uxx_top"]
+    assert "expression" in data["uyy_left"]
+    x = np.asarray(data["uxx_bottom"]["nodes"])
+    np.testing.assert_allclose(data["uxx_bottom"]["values"], math.log(2) ** 2 * 2 ** x,
+                               atol=1e-3)
 
 
 def test_check_passes_for_consistent_data(tmp_path):
@@ -616,7 +710,7 @@ def test_cli_import_leaves_mms_unloaded():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, mangeron.cli; "
             "print(sorted(m for m in ('mangeron.mms', 'numpy.polynomial') if m in sys.modules)); "
-            "from mangeron import named_cases; print(sorted(named_cases()))")
+            "from mangeron.mms import named_cases; print(sorted(named_cases()))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout.splitlines()
     assert out[0] == "[]"

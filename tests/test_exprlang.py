@@ -46,12 +46,19 @@ def test_unknown_names_rejected():
         parse("1 + * 2", ())
     with pytest.raises(ExprError):
         parse("x $ 2", ("x",))
+    with pytest.raises(ExprError, match="trailing input starting at '2'"):
+        parse("1 2", ())
+    with pytest.raises(ExprError, match="expected ';' or '\\)' in piecewise, found ','"):
+        parse("piecewise((0, 1): 1, (1, 2): 2)", ("x",))
 
 
 def test_piecewise_one_variable():
     f = parse("piecewise((0, 0.5): 1; (0.5, 1): 3)", ("x",))
     x = np.array([0.1, 0.5, 0.9])
     np.testing.assert_allclose(evaluate(f, {"x": x}), [1.0, 1.0, 3.0])
+    f = parse("piecewise((-1, 0): x; (0, 1): 1)", ("x",))
+    assert f.pieces[0][0] == (-1.0, 0.0)
+    np.testing.assert_allclose(evaluate(f, {"x": np.array([-0.5, 0.5])}), [-0.5, 1.0])
 
 
 def test_piecewise_two_variables():
@@ -81,13 +88,23 @@ def test_derivatives():
     np.testing.assert_allclose(evaluate(d2, {"x": x, "y": 3.0}), 6.0, rtol=1e-12)
 
 
+@pytest.mark.parametrize("text, p", [("(1+x)^(-1)", -1.0), ("(1+x)^-2", -2.0),
+                                     ("(1+x)^(1/2)", 0.5), ("(1+x)^(2*pi)", 2 * np.pi)])
+def test_derivative_of_constant_power(text, p):
+    # an exponent that holds no variable is a constant, however it is written
+    x = np.linspace(0.0, 1.0, 7)
+    d = diff(parse(text, ("x",)), "x")
+    np.testing.assert_allclose(evaluate(d, {"x": x}), p * (1 + x) ** (p - 1), rtol=1e-12)
+
+
 def test_derivative_of_general_power_rejected():
-    with pytest.raises(ExprError):
-        diff(parse("x^x", ("x",)), "x")
+    for text in ("x^x", "2^x", "(1+x)^piecewise((0, 0.5): 1; (0.5, 1): 2)"):
+        with pytest.raises(ExprError, match="non-constant exponent"):
+            diff(parse(text, ("x",)), "x")
 
 
 def test_round_trip_through_to_string():
-    for text in ("1 + x*y - sin(x)^2", "piecewise((0,1,0,1): exp(x)+y)"):
+    for text in ("1 + x*y - sin(x)^2", "piecewise((0,1,0,1): exp(x)+y)", "-x^-1.5 - -y"):
         node = parse(text, ("x", "y"))
         again = parse(to_string(node), ("x", "y"))
         x = np.array([0.2, 0.7])

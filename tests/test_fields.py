@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mangeron import (Domain, Field2D, Piece2D, Segment1D, build_grid,
-                      const1d, const2d, piecewise1d, piecewise2d, samples1d, samples2d)
+from mangeron import (Domain, Field2D, build_grid, const1d, const2d, piecewise1d,
+                      piecewise2d, samples1d, samples2d)
 from mangeron.config import ConfigError, build_coefficients, load_config
 
 
@@ -35,8 +35,8 @@ def test_samples2d_bilinear_exact_for_bilinear():
 
 def test_piecewise2d_tiles_and_lex_priority():
     pieces = [
-        Piece2D(0.5, 1.0, 0.0, 1.0, lambda x, y: 2.0 * np.ones(np.shape(x))),
-        Piece2D(0.0, 0.5, 0.0, 1.0, lambda x, y: np.ones(np.shape(x))),
+        ((0.5, 1.0, 0.0, 1.0), lambda x, y: 2.0 * np.ones(np.shape(x))),
+        ((0.0, 0.5, 0.0, 1.0), lambda x, y: np.ones(np.shape(x))),
     ]
     f = piecewise2d(pieces, 1.0, 1.0)
     assert f.eval(np.array(0.25), np.array(0.5)) == 1.0
@@ -47,42 +47,42 @@ def test_piecewise2d_tiles_and_lex_priority():
 
 def test_piecewise2d_rejects_gaps_and_overlaps():
     with pytest.raises(ValueError):
-        piecewise2d([Piece2D(0.0, 0.4, 0.0, 1.0, lambda x, y: x)], 1.0, 1.0)
+        piecewise2d([((0.0, 0.4, 0.0, 1.0), lambda x, y: x)], 1.0, 1.0)
     with pytest.raises(ValueError):
-        piecewise2d([Piece2D(0.0, 0.7, 0.0, 1.0, lambda x, y: x),
-                     Piece2D(0.3, 1.0, 0.0, 1.0, lambda x, y: x)], 1.0, 1.0)
+        piecewise2d([((0.0, 0.7, 0.0, 1.0), lambda x, y: x),
+                     ((0.3, 1.0, 0.0, 1.0), lambda x, y: x)], 1.0, 1.0)
     with pytest.raises(ValueError):
-        piecewise2d([Piece2D(0.0, 1.2, 0.0, 1.0, lambda x, y: x)], 1.0, 1.0)
+        piecewise2d([((0.0, 1.2, 0.0, 1.0), lambda x, y: x)], 1.0, 1.0)
     with pytest.raises(ValueError, match="degenerate"):
-        piecewise2d([Piece2D(0.0, 1.0, 0.0, 1.0, lambda x, y: x),
-                     Piece2D(0.5, 0.5, 0.0, 1.0, lambda x, y: x)], 1.0, 1.0)
+        piecewise2d([((0.0, 1.0, 0.0, 1.0), lambda x, y: x),
+                     ((0.5, 0.5, 0.0, 1.0), lambda x, y: x)], 1.0, 1.0)
 
 
 def test_piecewise1d_segments():
-    f = piecewise1d([Segment1D(0.0, 0.5, lambda t: np.ones(np.shape(t))),
-                     Segment1D(0.5, 1.0, lambda t: 3.0 * np.ones(np.shape(t)))], 1.0)
+    f = piecewise1d([((0.0, 0.5), lambda t: np.ones(np.shape(t))),
+                     ((0.5, 1.0), lambda t: 3.0 * np.ones(np.shape(t)))], 1.0)
     np.testing.assert_allclose(f.eval(np.array([0.2, 0.5, 0.8])), [1.0, 1.0, 3.0])
     with pytest.raises(ValueError):
-        piecewise1d([Segment1D(0.0, 0.5, lambda t: t)], 1.0)
+        piecewise1d([((0.0, 0.5), lambda t: t)], 1.0)
     # lengths add up to 1, but the segments overlap and leave (0.6, 1] uncovered
     with pytest.raises(ValueError, match="overlap"):
-        piecewise1d([Segment1D(0.0, 0.6, lambda t: t), Segment1D(0.2, 0.6, lambda t: t)], 1.0)
+        piecewise1d([((0.0, 0.6), lambda t: t), ((0.2, 0.6), lambda t: t)], 1.0)
 
 
 def test_piece_tolerances_scale_with_the_domain():
     h = 1e-13
     for bounds in ((0.0, 0.8 * h, 0.2 * h, h), (0.0, 0.3 * h, 0.6 * h, h)):
         with pytest.raises(ValueError, match="overlap|gap"):
-            piecewise1d([Segment1D(*bounds[:2], lambda t: t),
-                         Segment1D(*bounds[2:], lambda t: t)], h)
-    f = piecewise1d([Segment1D(0.0, 0.5 * h, lambda t: 1.0),
-                     Segment1D(0.5 * h, h, lambda t: 2.0)], h)
+            piecewise1d([(bounds[:2], lambda t: t),
+                         (bounds[2:], lambda t: t)], h)
+    f = piecewise1d([((0.0, 0.5 * h), lambda t: 1.0),
+                     ((0.5 * h, h), lambda t: 2.0)], h)
     assert f.eval(np.array([0.4 * h, 0.5 * h, 0.6 * h])).tolist() == [1.0, 1.0, 2.0]
     # a gap on a square of side 1e-200, whose area underflows to 0
     tiny = 1e-200
     with pytest.raises(ValueError, match="gap"):
-        piecewise2d([Piece2D(0.0, 0.3 * tiny, 0.0, tiny, lambda x, y: x),
-                     Piece2D(0.6 * tiny, tiny, 0.0, tiny, lambda x, y: x)], tiny, tiny)
+        piecewise2d([((0.0, 0.3 * tiny, 0.0, tiny), lambda x, y: x),
+                     ((0.6 * tiny, tiny, 0.0, tiny), lambda x, y: x)], tiny, tiny)
 
 
 def test_field2d_sample_matches_meshgrid_eval():
@@ -154,9 +154,9 @@ def test_field2d_sample_bit_identical_to_meshgrid_eval(tmp_path):
         "config c_xy": coeffs.c_xy,
         "config c_x": coeffs.c_x,
         "piecewise2d": piecewise2d(
-            [Piece2D(0.0, 0.3, 0.0, 2.0, lambda x, y: np.cos(x + y)),
-             Piece2D(0.3, 1.0, 0.0, 1.0, lambda x, y: x - y),
-             Piece2D(0.3, 1.0, 1.0, 2.0, lambda x, y: np.ones(np.shape(x)))], 1.0, 2.0),
+            [((0.0, 0.3, 0.0, 2.0), lambda x, y: np.cos(x + y)),
+             ((0.3, 1.0, 0.0, 1.0), lambda x, y: x - y),
+             ((0.3, 1.0, 1.0, 2.0), lambda x, y: np.ones(np.shape(x)))], 1.0, 2.0),
         "samples2d": samples2d(build_grid(Domain(1.0, 2.0), 5, 6),
                                rng.standard_normal((5, 6))),
     }
@@ -190,9 +190,9 @@ def test_config_piecewise_agrees_with_piecewise2d_on_shared_edges(tmp_path):
     cfg_path = tmp_path / "pieces.cfg"
     cfg_path.write_text(CONFIG_PIECES)
     from_config = build_coefficients(load_config(str(cfg_path))).c_u
-    direct = piecewise2d([Piece2D(0.0, 0.5, 0.5, 1.0, lambda x, y: 1 + x),
-                          Piece2D(0.0, 1.0, 0.0, 0.5, lambda x, y: 2 + y),
-                          Piece2D(0.5, 1.0, 0.5, 1.0, lambda x, y: 3 + x * y)], 1.0, 1.0)
+    direct = piecewise2d([((0.0, 0.5, 0.5, 1.0), lambda x, y: 1 + x),
+                          ((0.0, 1.0, 0.0, 0.5), lambda x, y: 2 + y),
+                          ((0.5, 1.0, 0.5, 1.0), lambda x, y: 3 + x * y)], 1.0, 1.0)
     grid = build_grid(Domain(1.0, 1.0), 9, 9)
     assert np.array_equal(from_config.sample(grid), direct.sample(grid))
     assert from_config.eval(0.25, 0.5) == 2.5

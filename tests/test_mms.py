@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from mangeron import (Coefficients, Domain, build_grid, check_data_constraints,
-                      const2d, convergence_study, fd_oracle, named_cases,
-                      random_coefficients, random_forward_problem, residual_report,
-                      sample_data, sample_problem, solve_problem)
-from mangeron.mms import (SeparableSolution, biquadratic_solution, exact_bundle,
-                          make_mms, random_solution, sep_poly, trig_solution)
+                      const2d, residual_report, sample_data, sample_problem, solve_problem)
+from mangeron.mms import (SeparableSolution, biquadratic_solution, convergence_study,
+                          exact_bundle, fd_oracle, make_mms, named_cases,
+                          random_coefficients, random_forward_problem, random_solution,
+                          sep_poly, trig_solution)
 
 DOM = Domain(1.0, 1.0)
 

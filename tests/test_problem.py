@@ -8,13 +8,13 @@ from mangeron import (DERIVATIVES, BoundaryTrace, ClassicalData, Coefficients,
                       CornerMismatchError, Domain, Field1D, NonclassicalData,
                       SolutionBundle, build_grid,
                       check_data_constraints, check_matching, classical_to_nonclassical,
-                      const1d, nonclassical_to_classical, random_forward_problem,
-                      sample_data, solution_data, solve_problem, trace_axis,
+                      const1d, nonclassical_to_classical, sample_data, solution_data,
+                      solve_problem, trace_axis,
                       trapezoid_error_bound)
 from mangeron.cli import CSV_COLUMNS
 from mangeron.problem import CORNER_TOL_ANALYTIC, CORNER_TOL_SAMPLED
 from mangeron.reduction import far_edge
-from mangeron.mms import make_mms, random_solution
+from mangeron.mms import make_mms, random_forward_problem, random_solution
 
 
 def plane_classical():

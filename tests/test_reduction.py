@@ -5,12 +5,13 @@ import pytest
 
 from mangeron import (Coefficients, CoupledSystem, Domain, Field2D, GridFn2D, NonclassicalData,
                       PdeProblem, apply_pde_operator, assemble_eliminated, assemble_solution,
-                      build_grid, const1d, const2d, random_coefficients, random_forward_problem,
-                      reduced_rhs, sample_data, sample_problem, solve_dense, solve_problem)
+                      build_grid, const1d, const2d, reduced_rhs, sample_data, sample_problem,
+                      solve_dense, solve_problem)
 from mangeron import reduction, solver as solver_mod
 from mangeron.reduction import (CUM0, CUM1, IDENT, MOM, TILE_ROWS, DenseLimitError, Term,
                                 far_edge)
-from mangeron.mms import (biquadratic_solution, exact_bundle, make_mms, sep_poly,
+from mangeron.mms import (biquadratic_solution, exact_bundle, make_mms,
+                          random_coefficients, random_forward_problem, sep_poly,
                           SeparableSolution)
 from quadrature_oracle import panel_tables, whole_grid_matvec
 

@@ -9,15 +9,14 @@ import pytest
 from mangeron import (Coefficients, ConstraintError, Domain, Field2D, GridFn2D,
                       NonclassicalData, NormSpec, PdeProblem, assemble_eliminated,
                       assemble_solution, build_grid, const1d, const2d,
-                      estimate_stability_ratio, random_coefficients,
-                      random_forward_problem, residual_report,
+                      estimate_stability_ratio, residual_report,
                       sample_data, sample_problem, SolverError,
                       calibrate_residual_threshold, solve_dense, solve_neumann,
                       solve_problem)
 from mangeron import reduction, solver as solver_mod
 from mangeron.cli import main as cli_main
 from mangeron.mms import (bilinear_solution, biquadratic_solution, make_mms,
-                          trig_solution)
+                          random_coefficients, random_forward_problem, trig_solution)
 from mangeron.grids import TILE_ROWS
 from mangeron.reduction import DiscreteOperator, far_edge
 from quadrature_oracle import panel_tables
@@ -329,7 +328,7 @@ def test_nan_datum_fails_every_pass_rule(key):
 def test_residual_gate_passes_good_solves():
     grid = build_grid(DOM, 17, 17)
     for case_name in ("bilinear", "biquadratic", "trig"):
-        from mangeron import named_cases
+        from mangeron.mms import named_cases
         result = solve_problem(named_cases(DOM)[case_name].problem, grid)
         assert result.report.residual_pass, case_name
 
