@@ -7,14 +7,16 @@ exactly one of [data.nonclassical] (seven scalars, plus `uxx_bottom`,
 `uxx_top` in x and `uyy_left`, `uyy_right` in y) or [data.classical]
 (`left`, `right` in y and `bottom`, `top` in x); optional [solver] method,
 tol, max_iter, p; optional [reference] u for error reporting against a
-known solution.  All function values use the expression mini-language.
+known solution.  `SECTIONS` lists these keys and refuses any other, and
+any [DEFAULT] key.  Values use the expression mini-language; a breakpoint,
+like a data scalar or a piecewise bound, is an `exprlang.constant`.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,6 +43,19 @@ class SolverOptions:
     tol: float = 1e-10
     max_iter: int = 200
     p: float = 2.0
+
+
+#: section -> (what one of its keys is called, the keys it may hold)
+SECTIONS = {
+    "domain": ("key", ("h1", "h2")),
+    "grid": ("key", ("n1", "n2", "x_breakpoints", "y_breakpoints")),
+    "coefficients": ("coefficient", Coefficients.KEYS),
+    "forcing": ("key", ("z",)),
+    "data.nonclassical": ("data component", NonclassicalData.PLACES),
+    "data.classical": ("data component", CLASSICAL_TRACES),
+    "solver": ("key", tuple(f.name for f in fields(SolverOptions))),
+    "reference": ("key", ("u",)),
+}
 
 
 @dataclass
@@ -71,16 +86,11 @@ def _parse_expr(text: str, extents: dict[str, float], where: str):
     return node
 
 
-def _scalar(text: str, where: str) -> float:
-    node = _parse_expr(text, {}, where)
+def _constant(text: str, where: str) -> float:
     try:
-        with np.errstate(all="ignore"):
-            value = float(exprlang.evaluate(node, {}))
-    except Exception as exc:
-        raise ConfigError(f"{where}: not a constant expression") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"{where}: value {value} is not finite")
-    return value
+        return exprlang.constant(exprlang.parse(text, ()))
+    except exprlang.ExprError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def norm_exponent(text) -> float:
@@ -100,10 +110,23 @@ def solve_method(text: str) -> str:
 
 def _breakpoints(grid_section, key: str) -> tuple[float, ...]:
     text = grid_section.get(key, "").strip()
-    try:
-        return tuple(float(t) for t in text.split(",")) if text else ()
-    except ValueError as exc:
-        raise ConfigError(f"bad [grid] {key} = {text!r}: {exc}") from exc
+    where = f"bad [grid] {key} = {text!r}"
+    return tuple(_constant(t, where) for t in text.split(",")) if text else ()
+
+
+def _check_keys(cp: configparser.ConfigParser):
+    """Refuse a section or a key that `SECTIONS` does not list.  [DEFAULT]
+    may hold no key, since configparser would copy it into every section."""
+    listed = {cp.default_section: ("key", ()), **SECTIONS}
+    for name, section in cp.items():
+        if name not in listed:
+            raise ConfigError(f"unknown section [{name}] "
+                              f"(a config holds {', '.join(f'[{s}]' for s in SECTIONS)})")
+        noun, keys = listed[name]
+        for key in section:
+            if key not in keys:
+                raise ConfigError(f"unknown {noun} {key!r} in [{name}] "
+                                  f"([{name}] holds {', '.join(keys) or 'no key'})")
 
 
 def load_config(path: str) -> RunConfig:
@@ -117,6 +140,7 @@ def load_config(path: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
+    _check_keys(cp)
     for section in ("domain", "grid", "forcing"):
         if not cp.has_section(section):
             raise ConfigError(f"missing required section [{section}]")
@@ -130,13 +154,9 @@ def load_config(path: str) -> RunConfig:
     xb = _breakpoints(cp["grid"], "x_breakpoints")
     yb = _breakpoints(cp["grid"], "y_breakpoints")
 
-    coeff_exprs = {}
-    if cp.has_section("coefficients"):
-        for key, text in cp["coefficients"].items():
-            if key not in Coefficients.KEYS:
-                raise ConfigError(f"unknown coefficient {key!r} "
-                                  f"(expected one of {Coefficients.KEYS})")
-            coeff_exprs[key] = _parse_expr(text, xy, f"coefficients.{key}")
+    coeff_exprs = ({key: _parse_expr(text, xy, f"coefficients.{key}")
+                    for key, text in cp["coefficients"].items()}
+                   if cp.has_section("coefficients") else {})
 
     if "z" not in cp["forcing"]:
         raise ConfigError("section [forcing] must define z")
@@ -152,13 +172,10 @@ def load_config(path: str) -> RunConfig:
         data_kind = "nonclassical"
         sec = cp["data.nonclassical"]
         for key in NonclassicalData.SCALAR_KEYS:
-            data_exprs[key] = _scalar(sec.get(key, "0"), f"data.nonclassical.{key}")
+            data_exprs[key] = _constant(sec.get(key, "0"), f"data.nonclassical.{key}")
         for key, var in NONCLASSICAL_TRACES.items():
             text = sec.get(key, "zero")
             data_exprs[key] = _parse_expr(text, {var: xy[var]}, f"data.nonclassical.{key}")
-        for key in sec:
-            if key not in NonclassicalData.PLACES:
-                raise ConfigError(f"unknown data component {key!r}")
     else:
         data_kind = "classical"
         sec = cp["data.classical"]
@@ -167,9 +184,6 @@ def load_config(path: str) -> RunConfig:
                 raise ConfigError(f"data.classical must define {key!r}")
             data_exprs[key] = _parse_expr(sec[key], {var: xy[var]},
                                          f"data.classical.{key}")
-        for key in sec:
-            if key not in CLASSICAL_TRACES:
-                raise ConfigError(f"unknown data component {key!r}")
 
     solver = SolverOptions()
     if cp.has_section("solver"):
@@ -214,19 +228,13 @@ def evaluate_expr(node, env: dict, where: str):
     return values
 
 
-def _field2d(node, where: str) -> Field2D:
-    def fn(x, y, _n=node):
-        return evaluate_expr(_n, {"x": np.asarray(x, dtype=float),
-                                  "y": np.asarray(y, dtype=float)}, where)
+def _field(node, variables: str, where: str):
+    """A `Field2D` of an expression in "xy", or a `Field1D` of one in "x" or "y"."""
+    def fn(*coords):
+        return evaluate_expr(node, {v: np.asarray(c, dtype=float)
+                                    for v, c in zip(variables, coords)}, where)
 
-    return Field2D(fn)
-
-
-def _field1d(node, var: str, where: str) -> Field1D:
-    def fn(t, _n=node, _v=var):
-        return evaluate_expr(_n, {_v: np.asarray(t, dtype=float)}, where)
-
-    return Field1D(fn)
+    return (Field2D if len(variables) == 2 else Field1D)(fn)
 
 
 def build_grid_from(cfg: RunConfig) -> Grid2D:
@@ -239,13 +247,13 @@ def build_grid_from(cfg: RunConfig) -> Grid2D:
 
 
 def build_coefficients(cfg: RunConfig) -> Coefficients:
-    return Coefficients(**{key: _field2d(node, f"coefficients.{key}")
+    return Coefficients(**{key: _field(node, "xy", f"coefficients.{key}")
                            for key, node in cfg.coeff_exprs.items()})
 
 
 def build_nonclassical(cfg: RunConfig) -> NonclassicalData:
     e = cfg.data_exprs
-    traces = {key: _field1d(e[key], var, f"data.nonclassical.{key}")
+    traces = {key: _field(e[key], var, f"data.nonclassical.{key}")
               for key, var in NONCLASSICAL_TRACES.items()}
     return NonclassicalData(**{key: e[key] for key in NonclassicalData.SCALAR_KEYS},
                             **traces)
@@ -254,16 +262,13 @@ def build_nonclassical(cfg: RunConfig) -> NonclassicalData:
 def build_classical(cfg: RunConfig) -> ClassicalData:
     traces = {}
     for key, var in CLASSICAL_TRACES.items():
-        node = cfg.data_exprs[key]
-        where = f"data.classical.{key}"
-        value = _field1d(node, var, where)
+        node, where = cfg.data_exprs[key], f"data.classical.{key}"
         try:
             d1_node = exprlang.diff(node, var)
-            d2_node = exprlang.diff(d1_node, var)
-            d1, d2 = _field1d(d1_node, var, where), _field1d(d2_node, var, where)
+            d1, d2 = (_field(n, var, where) for n in (d1_node, exprlang.diff(d1_node, var)))
         except exprlang.ExprError:
             d1 = d2 = None  # fall back to grid differencing downstream
-        traces[key] = BoundaryTrace(value, d1, d2)
+        traces[key] = BoundaryTrace(_field(node, var, where), d1, d2)
     return ClassicalData(**traces)
 
 
@@ -274,7 +279,7 @@ def build_problem(cfg: RunConfig, grid: Grid2D):
     classical data propagate as CornerMismatchError.
     """
     coeffs = build_coefficients(cfg)
-    forcing = _field2d(cfg.forcing_expr, "forcing.z")
+    forcing = _field(cfg.forcing_expr, "xy", "forcing.z")
     classical = None
     if cfg.data_kind == "classical":
         classical = build_classical(cfg)

@@ -11,17 +11,21 @@ Grammar (deliberately small, no general scripting):
     fn        := 'sin' | 'cos' | 'exp'
     piecewise := 'piecewise' '(' piece (';' piece)* ')'
     piece     := '(' bounds ')' ':' expr
+    bounds    := expr (',' expr)*
 
 For two-variable expressions the bounds are x0, x1, y0, y1 of an
 axis-aligned rectangle; for one-variable expressions they are t0, t1 of a
 segment.  Pieces are evaluated by `fields.evaluate_pieces`: on a shared
 edge the piece with the lexicographically smallest origin (x0, y0) wins.
-Expressions support exact symbolic differentiation, except powers whose
-exponent holds a variable or a piecewise node.
+The bounds, like an exponent that is differentiated, are constants
+(`constant`): expressions such as `1/3` or `pi/4`, with no variable and no
+piecewise node.  Expressions support exact symbolic differentiation, except
+powers whose exponent is not a constant.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -71,6 +75,10 @@ class Piecewise:
 
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+_NAMED = {"pi": float(np.pi), "zero": 0.0}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": np.divide,   # 1/0 is inf, as on arrays, not ZeroDivisionError
+           "^": np.power}
 _TOKEN_RE = re.compile(r"""
     (?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
   | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
@@ -89,11 +97,7 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
         pos = m.end()
         if m.lastgroup == "ws":
             continue
-        val = m.group()
-        kind = m.lastgroup
-        if kind == "op" and val == "**":
-            val = "^"
-        tokens.append((kind, val))
+        tokens.append((m.lastgroup, "^" if m.group() == "**" else m.group()))
     tokens.append(("end", ""))
     return tokens
 
@@ -150,16 +154,6 @@ class _Parser:
             node = Bin("^", node, self.unary())
         return node
 
-    def number(self) -> float:
-        neg = False
-        if self.peek()[1] == "-":
-            self.next()
-            neg = True
-        kind, val = self.next()
-        if kind != "num":
-            raise ExprError(f"expected a number, found {val!r}")
-        return -float(val) if neg else float(val)
-
     def atom(self):
         kind, val = self.next()
         if kind == "num":
@@ -169,10 +163,8 @@ class _Parser:
             self.expect(")")
             return node
         if kind == "name":
-            if val == "pi":
-                return Num(float(np.pi))
-            if val == "zero":
-                return Num(0.0)
+            if val in _NAMED:
+                return Num(_NAMED[val])
             if val in _FUNCTIONS:
                 self.expect("(")
                 node = self.expr()
@@ -191,10 +183,10 @@ class _Parser:
         pieces = []
         while True:
             self.expect("(")
-            bounds = [self.number()]
+            bounds = [constant(self.expr())]
             for _ in range(nb - 1):
                 self.expect(",")
-                bounds.append(self.number())
+                bounds.append(constant(self.expr()))
             self.expect(")")
             self.expect(":")
             pieces.append((tuple(bounds), self.expr()))
@@ -225,18 +217,7 @@ def evaluate(node, env: dict[str, np.ndarray]):
     if isinstance(node, Fun):
         return _FUNCTIONS[node.name](evaluate(node.a, env))
     if isinstance(node, Bin):
-        a = evaluate(node.a, env)
-        b = evaluate(node.b, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return np.divide(a, b)   # 1/0 is inf, as on arrays, not ZeroDivisionError
-        if node.op == "^":
-            return np.power(a, b)
+        return _BINARY[node.op](evaluate(node.a, env), evaluate(node.b, env))
     if isinstance(node, Piecewise):
         return _eval_piecewise(node, env)
     raise ExprError(f"cannot evaluate node {node!r}")
@@ -247,6 +228,18 @@ def _eval_piecewise(node: Piecewise, env: dict[str, np.ndarray]):
     pieces = [(bounds, lambda *vals, _sub=sub: evaluate(_sub, dict(zip(names, vals))))
               for bounds, sub in node.pieces]
     return evaluate_pieces(pieces, [env[n] for n in names], error=ExprError)
+
+
+def constant(node) -> float:
+    """Finite value of an expression with no variable and no piecewise node
+    (which varies with the coordinates though it names none)."""
+    if any(isinstance(sub, (Var, Piecewise)) for sub in walk(node)):
+        raise ExprError(f"not a constant: {to_string(node)}")
+    with np.errstate(all="ignore"):
+        value = float(evaluate(node, {}))
+    if not np.isfinite(value):
+        raise ExprError(f"value {value} is not finite")
+    return value
 
 
 def walk(node):
@@ -263,10 +256,8 @@ def walk(node):
 
 def diff(node, var: str):
     """Exact derivative of an AST with respect to `var`."""
-    if isinstance(node, Num):
-        return Num(0.0)
-    if isinstance(node, Var):
-        return Num(1.0) if node.name == var else Num(0.0)
+    if isinstance(node, (Num, Var)):
+        return Num(1.0 if node == Var(var) else 0.0)
     if isinstance(node, Neg):
         return Neg(diff(node.a, var))
     if isinstance(node, Fun):
@@ -277,24 +268,22 @@ def diff(node, var: str):
             return Neg(Bin("*", Fun("sin", node.a), inner))
         if node.name == "exp":
             return Bin("*", Fun("exp", node.a), inner)
+    if isinstance(node, Bin) and node.op == "^":
+        try:
+            p = constant(node.b)
+        except ExprError as exc:
+            raise ExprError("derivative of a power with non-constant exponent "
+                            f"is not supported ({exc})") from exc
+        return Bin("*", Bin("*", Num(p), Bin("^", node.a, Num(p - 1.0))), diff(node.a, var))
     if isinstance(node, Bin):
         da, db = diff(node.a, var), diff(node.b, var)
-        if node.op == "+":
-            return Bin("+", da, db)
-        if node.op == "-":
-            return Bin("-", da, db)
+        if node.op in ("+", "-"):
+            return Bin(node.op, da, db)
         if node.op == "*":
             return Bin("+", Bin("*", da, node.b), Bin("*", node.a, db))
         if node.op == "/":
             num = Bin("-", Bin("*", da, node.b), Bin("*", node.a, db))
             return Bin("/", num, Bin("^", node.b, Num(2.0)))
-        if node.op == "^":
-            # a piecewise node varies with the coordinates though it names none
-            if any(isinstance(sub, (Var, Piecewise)) for sub in walk(node.b)):
-                raise ExprError("derivative of a power with non-constant exponent "
-                                "is not supported")
-            p = float(evaluate(node.b, {}))
-            return Bin("*", Bin("*", Num(p), Bin("^", node.a, Num(p - 1.0))), da)
     if isinstance(node, Piecewise):
         return Piecewise(tuple((b, diff(sub, var)) for b, sub in node.pieces))
     raise ExprError(f"cannot differentiate node {node!r}")
@@ -313,9 +302,6 @@ def to_string(node) -> str:
     if isinstance(node, Bin):
         return f"({to_string(node.a)} {node.op} {to_string(node.b)})"
     if isinstance(node, Piecewise):
-        parts = []
-        for bounds, sub in node.pieces:
-            bs = ", ".join(repr(b) for b in bounds)
-            parts.append(f"({bs}): {to_string(sub)}")
-        return "piecewise(" + "; ".join(parts) + ")"
+        return "piecewise(" + "; ".join(f"({', '.join(map(repr, bounds))}): {to_string(sub)}"
+                                        for bounds, sub in node.pieces) + ")"
     raise ExprError(f"cannot render node {node!r}")

@@ -376,11 +376,17 @@ class SampledProblem:
 
 def sample_problem(problem: PdeProblem, grid: Grid2D) -> SampledProblem:
     """Sample the coefficients, the forcing and the boundary data on `grid`,
-    which must lie on the problem's domain.  The forcing grid is read-only,
-    because every stage of a solve reads this one sample."""
+    which must lie on the problem's domain.  A coefficient or forcing sample
+    that is not finite is refused, naming its field and node.  The forcing
+    grid is read-only, because every stage of a solve reads this one sample."""
     if grid.domain != problem.domain:
         raise ValueError(f"grid on {grid.domain}, but the problem is posed on {problem.domain}")
     coeffs = problem.coeffs.sample_all(grid)
     forcing = problem.forcing.sample(grid)
+    for name, values in (*coeffs.items(), ("forcing", forcing)):
+        if not np.isfinite(values).all():
+            i, j = np.unravel_index(np.argmin(np.isfinite(values)), values.shape)
+            raise ValueError(f"{name} is {values[i, j]} at node ({i}, {j}), "
+                             f"(x, y) = ({float(grid.x[i])!r}, {float(grid.y[j])!r}): not finite")
     forcing.flags.writeable = False
     return SampledProblem(grid, coeffs, forcing, sample_data(problem.data, grid))

@@ -194,6 +194,61 @@ def test_invalid_grid_or_domain_values_exit_two(tmp_path, capsys, old, new, mess
     assert not (tmp_path / "out").exists()
 
 
+UNKNOWN_KEYS = {
+    # case: text of trig.cfg replaced, its replacement, the message
+    "domain": ("h2 = 1.0\n", "h2 = 1.0\nh3 = 1.0\n", "unknown key 'h3' in [domain]"),
+    "grid": ("n2 = 21\n", "n2 = 21\nx_breakpoint = 0.5\n",
+             "unknown key 'x_breakpoint' in [grid]"),
+    "forcing": ("z = sin(x) * sin(y)\n", "z = sin(x) * sin(y)\nf = 1\n",
+                "unknown key 'f' in [forcing]"),
+    "solver": ("method = auto\n", "mehtod = dense\n", "unknown key 'mehtod' in [solver]"),
+    "reference": ("[reference]\n", "[reference]\nv = x\n", "unknown key 'v' in [reference]"),
+    "section": ("[solver]\n", "[solve]\n", "unknown section [solve]"),
+    "default": ("[domain]\n", "[DEFAULT]\nn1 = 9\n\n[domain]\n",
+                "unknown key 'n1' in [DEFAULT]"),
+}
+
+
+@pytest.mark.parametrize("old, new, message", UNKNOWN_KEYS.values(), ids=list(UNKNOWN_KEYS))
+def test_unknown_section_or_key_exits_two(tmp_path, capsys, old, new, message):
+    # a misspelt key is refused, not dropped for its default
+    cfg = tmp_path / "k.cfg"
+    text = (CONFIGS / "trig.cfg").read_text()
+    assert old in text
+    cfg.write_text(text.replace(old, new))
+    assert run(["solve", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message} (") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_third_written_as_an_expression_is_the_literal(tmp_path):
+    # a breakpoint and the piecewise bounds it aligns read one constant rule
+    text = (CONFIGS / "piecewise.cfg").read_text()
+    cfg = tmp_path / "third.cfg"
+    outputs = [tmp_path / "expression", tmp_path / "literal"]
+    for third, out in zip(("1/3", "0.3333333333333333"), outputs):
+        cfg.write_text(text.replace("0.5", third))
+        assert run(["solve", "--config", cfg, "--out", out]) == 0
+    for name in ("report.json", "solution.csv"):
+        assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("bound, message", [
+    ("x", "coefficients.c_u: not a constant: x"),
+    ("piecewise((0, 1, 0, 1): 0.5)", "coefficients.c_u: not a constant: piecewise("),
+    ("1/0", "coefficients.c_u: value inf is not finite"),
+])
+def test_piecewise_bound_that_is_not_a_constant_exits_two(tmp_path, capsys, bound, message):
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text((CONFIGS / "piecewise.cfg").read_text().replace(
+        "c_u = piecewise((0, 0.5,", f"c_u = piecewise((0, {bound},"))
+    assert run(["solve", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("h1", ["1e-200", "1e-320"])
 def test_tiny_domain_solves_quietly(tmp_path, h1):
     # positive finite sides are admitted, so a tiny one must solve: the data
@@ -627,33 +682,7 @@ def test_verify_unknown_suite(tmp_path):
 def test_solve_with_piecewise_coefficient_config(tmp_path):
     # jump coefficient expressed in the config mini-language, with the jump
     # line node-aligned through a breakpoint
-    cfg = tmp_path / "pw.cfg"
-    cfg.write_text("""
-[domain]
-h1 = 1.0
-h2 = 1.0
-
-[grid]
-n1 = 17
-n2 = 17
-x_breakpoints = 0.5
-
-[coefficients]
-c_u = piecewise((0, 0.5, 0, 1): 1; (0.5, 1, 0, 1): 2)
-
-[forcing]
-z = piecewise((0, 0.5, 0, 1): sin(x)*sin(y) + sin(x)*sin(y); (0.5, 1, 0, 1): sin(x)*sin(y) + 2*sin(x)*sin(y))
-
-[data.nonclassical]
-uy10 = sin(1)
-uyy_right = -sin(1) * sin(y)
-ux01 = sin(1)
-uxx_top = -sin(x) * sin(1)
-
-[reference]
-u = sin(x) * sin(y)
-""")
-    assert run(["solve", "--config", cfg, "--out", tmp_path]) == 0
+    assert run(["solve", "--config", CONFIGS / "piecewise.cfg", "--out", tmp_path]) == 0
     report = read_report(tmp_path)
     assert report["sup_error_vs_reference"] <= 5e-3
 

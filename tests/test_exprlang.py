@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mangeron.exprlang import ExprError, diff, evaluate, parse, to_string
+from mangeron.exprlang import ExprError, constant, diff, evaluate, parse, to_string
 
 
 def ev(text, variables=("x", "y"), **env):
@@ -101,6 +101,20 @@ def test_derivative_of_general_power_rejected():
     for text in ("x^x", "2^x", "(1+x)^piecewise((0, 0.5): 1; (0.5, 1): 2)"):
         with pytest.raises(ExprError, match="non-constant exponent"):
             diff(parse(text, ("x",)), "x")
+
+
+def test_constant_reads_bounds_and_exponents():
+    # a bound is a constant expression, read to the double its literal gives
+    node = parse("piecewise((0, 1/3): 1; (1/3, -(-2)/2): 2)", ("x",))
+    assert [bounds for bounds, _ in node.pieces] == [(0.0, 0.3333333333333333), (1 / 3, 1.0)]
+    assert constant(parse("2^-1 * 3 + cos(pi)", ())) == 0.5
+    for text, message in (("x + 1", r"not a constant: \(x \+ 1\.0\)"),
+                          ("piecewise((0, 1): 1)", r"not a constant: piecewise\("),
+                          ("1/0", "value inf is not finite")):
+        with pytest.raises(ExprError, match=f"^{message}"):
+            constant(parse(text, ("x",)))
+    with pytest.raises(ExprError, match="non-constant exponent .*value inf is not finite"):
+        diff(parse("x^(1/0)", ("x",)), "x")
 
 
 def test_round_trip_through_to_string():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mangeron import (DERIVATIVES, BoundaryTrace, ClassicalData, Coefficients,
-                      CornerMismatchError, Domain, Field1D, NonclassicalData,
+                      CornerMismatchError, Domain, Field1D, Field2D, NonclassicalData,
                       SolutionBundle, build_grid,
                       check_data_constraints, check_matching, classical_to_nonclassical,
                       const1d, nonclassical_to_classical, sample_data, solution_data,
@@ -340,3 +340,24 @@ def test_sampled_data_derived_slopes():
     assert corner_alt == pytest.approx((1.5 - 0.5) / 0.5, abs=1e-14)
     np.testing.assert_allclose(edge_x, (2.0 - 1.0) / 0.5, rtol=1e-15)
     np.testing.assert_allclose(edge_y, 0.0, atol=0.0)
+
+
+@pytest.mark.parametrize("method", ["auto", "neumann"])
+def test_non_finite_coefficient_or_forcing_sample_is_refused(method):
+    # one inf node once gave a singular dense system or an all-NaN Neumann
+    # solution; the sample is refused by field and node before either runs
+    grid = build_grid(Domain(1.0, 1.0), 17, 17)
+    problem = make_mms(random_solution(np.random.default_rng(3)), Coefficients(),
+                       grid.domain).problem
+
+    def spike(x, y):
+        values = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
+        values[3, 5] = np.inf
+        return values
+
+    for field, changes in (("c_u", {"coeffs": Coefficients(c_u=Field2D(spike))}),
+                           ("forcing", {"forcing": Field2D(spike)})):
+        with pytest.raises(ValueError, match=rf"^{field} is inf at node \(3, 5\), "
+                                             r"\(x, y\) = \(0\.1875, 0\.3125\): not finite$"):
+            solve_problem(dataclasses.replace(problem, **changes), grid, method=method,
+                          residual_gate=False)
