@@ -5,17 +5,8 @@ node, y varying in the outer loop) and JSON reports; all floating-point
 output carries 17 significant digits so identical runs produce byte
 identical files.
 
-Exit codes: 0 success, 2 configuration error (including a command line
-that names an unknown option or leaves out a required one, a config section
-or key that `config.SECTIONS` does not list, piecewise pieces that do not
-tile the domain, an expression that fails to evaluate on the grid or is
-not finite there, domain sides that are not positive and finite, grid
-breakpoints or piecewise bounds that are not finite constants, and an
-output directory that cannot be created), 3 data-consistency failure
-(including classical edges that disagree at a corner), 4 solver failure
-(including a failed residual gate or gate calibration, a failed verify
-suite, a dense solve refused above the dense limit or as numerically
-singular, and a run that asks for more memory than it can get).
+Exit codes: 0 success, 2 configuration error, 3 data-consistency failure,
+4 solver failure; the README's CLI section lists what each one covers.
 """
 
 from __future__ import annotations

@@ -8,14 +8,13 @@ exactly one of [data.nonclassical] (seven scalars, plus `uxx_bottom`,
 (`left`, `right` in y and `bottom`, `top` in x); optional [solver] method,
 tol, max_iter, p; optional [reference] u for error reporting against a
 known solution.  `SECTIONS` lists these keys and refuses any other, and
-any [DEFAULT] key.  Values use the expression mini-language; a breakpoint,
-like a data scalar or a piecewise bound, is an `exprlang.constant`.
+any [DEFAULT] key.  Values use the expression mini-language; the sides,
+breakpoints, `tol`, data scalars and piecewise bounds are constants.
 """
 
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -93,6 +92,11 @@ def _constant(text: str, where: str) -> float:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _setting(section, key: str, default: str = "") -> float:
+    text = section.get(key, default)
+    return _constant(text, f"[{section.name}] {key} = {text!r}")
+
+
 def norm_exponent(text) -> float:
     """Norm exponent p from config or command-line text: a number >= 1, or inf."""
     try:
@@ -144,8 +148,9 @@ def load_config(path: str) -> RunConfig:
     for section in ("domain", "grid", "forcing"):
         if not cp.has_section(section):
             raise ConfigError(f"missing required section [{section}]")
+    h1, h2 = (_setting(cp["domain"], key) for key in ("h1", "h2"))
     try:
-        domain = Domain(float(cp["domain"]["h1"]), float(cp["domain"]["h2"]))
+        domain = Domain(h1, h2)
         n1 = int(cp["grid"]["n1"])
         n2 = int(cp["grid"]["n2"])
     except (KeyError, ValueError) as exc:
@@ -189,14 +194,14 @@ def load_config(path: str) -> RunConfig:
     if cp.has_section("solver"):
         sec = cp["solver"]
         solver.method = solve_method(sec.get("method", solver.method))
+        solver.tol = _setting(sec, "tol", repr(solver.tol))
         try:
-            solver.tol = float(sec.get("tol", solver.tol))
             solver.max_iter = int(sec.get("max_iter", solver.max_iter))
         except ValueError as exc:
             raise ConfigError(f"bad [solver] values: {exc}") from exc
         if solver.max_iter < 1:
             raise ConfigError(f"[solver] max_iter must be at least 1, got {solver.max_iter}")
-        if not (math.isfinite(solver.tol) and solver.tol > 0.0):
+        if not solver.tol > 0.0:
             raise ConfigError(f"[solver] tol must be finite and positive, got {solver.tol}")
         solver.p = norm_exponent(sec.get("p", solver.p))
 

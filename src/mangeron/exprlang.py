@@ -17,10 +17,10 @@ For two-variable expressions the bounds are x0, x1, y0, y1 of an
 axis-aligned rectangle; for one-variable expressions they are t0, t1 of a
 segment.  Pieces are evaluated by `fields.evaluate_pieces`: on a shared
 edge the piece with the lexicographically smallest origin (x0, y0) wins.
-The bounds, like an exponent that is differentiated, are constants
-(`constant`): expressions such as `1/3` or `pi/4`, with no variable and no
-piecewise node.  Expressions support exact symbolic differentiation, except
-powers whose exponent is not a constant.
+The parser folds an operation on numbers to its number and reads `-a` as
+`-1 * a`, so a constant (`constant`: no variable and no piecewise node, such
+as `1/3` or `pi/4`) is a number.  The bounds are constants, and so is any
+exponent that `diff` differentiates; `diff` folds what it builds.
 """
 
 from __future__ import annotations
@@ -59,11 +59,6 @@ class Bin:
 
 
 @dataclass(frozen=True)
-class Neg:
-    a: object
-
-
-@dataclass(frozen=True)
 class Fun:
     name: str
     a: object
@@ -74,6 +69,7 @@ class Piecewise:
     pieces: tuple[tuple[tuple[float, ...], object], ...]
 
 
+_ZERO, _ONE, _MINUS_ONE = Num(0.0), Num(1.0), Num(-1.0)
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _NAMED = {"pi": float(np.pi), "zero": 0.0}
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
@@ -128,30 +124,29 @@ class _Parser:
         return node
 
     def expr(self):
-        node = self.term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            node = Bin(op, node, self.term())
-        return node
+        return self.chain(("+", "-"), self.term)
 
     def term(self):
-        node = self.unary()
-        while self.peek()[1] in ("*", "/"):
+        return self.chain(("*", "/"), self.unary)
+
+    def chain(self, ops, operand):
+        node = operand()
+        while self.peek()[1] in ops:
             op = self.next()[1]
-            node = Bin(op, node, self.unary())
+            node = _fold(Bin(op, node, operand()))
         return node
 
     def unary(self):
         if self.peek()[1] == "-":
             self.next()
-            return Neg(self.unary())
+            return _fold(Bin("*", _MINUS_ONE, self.unary()))
         return self.power()
 
     def power(self):
         node = self.atom()
         if self.peek()[1] == "^":
             self.next()
-            node = Bin("^", node, self.unary())
+            node = _fold(Bin("^", node, self.unary()))
         return node
 
     def atom(self):
@@ -169,7 +164,7 @@ class _Parser:
                 self.expect("(")
                 node = self.expr()
                 self.expect(")")
-                return Fun(val, node)
+                return _fold(Fun(val, node))
             if val == "piecewise":
                 return self.piecewise()
             if val in self.variables:
@@ -178,14 +173,12 @@ class _Parser:
         raise ExprError(f"unexpected token {val or 'end of input'!r}")
 
     def piecewise(self):
-        nb = 2 * len(self.variables)
         self.expect("(")
         pieces = []
         while True:
-            self.expect("(")
-            bounds = [constant(self.expr())]
-            for _ in range(nb - 1):
-                self.expect(",")
+            bounds = []
+            for sep in "(" + "," * (2 * len(self.variables) - 1):
+                self.expect(sep)
                 bounds.append(constant(self.expr()))
             self.expect(")")
             self.expect(":")
@@ -212,8 +205,6 @@ def evaluate(node, env: dict[str, np.ndarray]):
         return node.value
     if isinstance(node, Var):
         return env[node.name]
-    if isinstance(node, Neg):
-        return -evaluate(node.a, env)
     if isinstance(node, Fun):
         return _FUNCTIONS[node.name](evaluate(node.a, env))
     if isinstance(node, Bin):
@@ -230,16 +221,22 @@ def _eval_piecewise(node: Piecewise, env: dict[str, np.ndarray]):
     return evaluate_pieces(pieces, [env[n] for n in names], error=ExprError)
 
 
+def _fold(node):
+    """A `Bin` or `Fun` node, or the `Num` of the value `evaluate` gives it if
+    its operands are `Num`s.  The parser and `diff` build every such node here."""
+    if isinstance(node.a, Num) and isinstance(getattr(node, "b", node.a), Num):
+        with np.errstate(all="ignore"):
+            return Num(float(evaluate(node, {})))
+    return node
+
+
 def constant(node) -> float:
-    """Finite value of an expression with no variable and no piecewise node
-    (which varies with the coordinates though it names none)."""
-    if any(isinstance(sub, (Var, Piecewise)) for sub in walk(node)):
+    """Finite value of a constant, which the parser has folded to a `Num`."""
+    if not isinstance(node, Num):
         raise ExprError(f"not a constant: {to_string(node)}")
-    with np.errstate(all="ignore"):
-        value = float(evaluate(node, {}))
-    if not np.isfinite(value):
-        raise ExprError(f"value {value} is not finite")
-    return value
+    if not np.isfinite(node.value):
+        raise ExprError(f"value {node.value} is not finite")
+    return node.value
 
 
 def walk(node):
@@ -254,36 +251,54 @@ def walk(node):
             stack.extend(getattr(node, k) for k in ("a", "b") if hasattr(node, k))
 
 
+def _sum(a, op: str, b):
+    """`a op b` for `op` "+" or "-": a zero term is dropped, and 0 - b is -1 * b."""
+    if b == _ZERO:
+        return a
+    if a == _ZERO:
+        return b if op == "+" else _product(_MINUS_ONE, b)
+    return _fold(Bin(op, a, b))
+
+
+def _product(a, b):
+    """`a * b`: a unit factor is dropped, a zero factor gives zero, and -1
+    times a product `c * r` of a number c is `(-c) * r`, which has its bits."""
+    if _ZERO in (a, b):
+        return _ZERO
+    if _ONE in (a, b):
+        return b if a == _ONE else a
+    if a == _MINUS_ONE and isinstance(b, Bin) and b.op == "*" and isinstance(b.a, Num):
+        return _product(Num(-b.a.value), b.b)
+    return _fold(Bin("*", a, b))
+
+
 def diff(node, var: str):
-    """Exact derivative of an AST with respect to `var`."""
+    """Derivative of an AST with respect to `var`, folded as it is built: the
+    value of the unfolded rules up to the sign of a zero, except zero where a
+    dropped zero factor multiplied a value that is not finite (0 * inf)."""
     if isinstance(node, (Num, Var)):
-        return Num(1.0 if node == Var(var) else 0.0)
-    if isinstance(node, Neg):
-        return Neg(diff(node.a, var))
+        return _ONE if node == Var(var) else _ZERO
     if isinstance(node, Fun):
         inner = diff(node.a, var)
-        if node.name == "sin":
-            return Bin("*", Fun("cos", node.a), inner)
         if node.name == "cos":
-            return Neg(Bin("*", Fun("sin", node.a), inner))
-        if node.name == "exp":
-            return Bin("*", Fun("exp", node.a), inner)
+            return _product(_MINUS_ONE, _product(_fold(Fun("sin", node.a)), inner))
+        return _product(node if node.name == "exp" else _fold(Fun("cos", node.a)), inner)
     if isinstance(node, Bin) and node.op == "^":
         try:
             p = constant(node.b)
         except ExprError as exc:
             raise ExprError("derivative of a power with non-constant exponent "
                             f"is not supported ({exc})") from exc
-        return Bin("*", Bin("*", Num(p), Bin("^", node.a, Num(p - 1.0))), diff(node.a, var))
+        return _product(_product(Num(p), _fold(Bin("^", node.a, Num(p - 1.0)))), diff(node.a, var))
     if isinstance(node, Bin):
         da, db = diff(node.a, var), diff(node.b, var)
         if node.op in ("+", "-"):
-            return Bin(node.op, da, db)
+            return _sum(da, node.op, db)
         if node.op == "*":
-            return Bin("+", Bin("*", da, node.b), Bin("*", node.a, db))
+            return _sum(_product(da, node.b), "+", _product(node.a, db))
         if node.op == "/":
-            num = Bin("-", Bin("*", da, node.b), Bin("*", node.a, db))
-            return Bin("/", num, Bin("^", node.b, Num(2.0)))
+            num = _sum(_product(da, node.b), "-", _product(node.a, db))
+            return _fold(Bin("/", num, _fold(Bin("^", node.b, Num(2.0)))))
     if isinstance(node, Piecewise):
         return Piecewise(tuple((b, diff(sub, var)) for b, sub in node.pieces))
     raise ExprError(f"cannot differentiate node {node!r}")
@@ -292,15 +307,17 @@ def diff(node, var: str):
 def to_string(node) -> str:
     """Render an AST back to parsable text."""
     if isinstance(node, Num):
-        return repr(node.value)
+        v = node.value  # inf, -inf and nan render as 1/0, -1/0 and 0/0
+        return repr(v) if np.isfinite(v) else f"({np.nan_to_num(np.sign(v)):.1f} / 0.0)"
     if isinstance(node, Var):
         return node.name
-    if isinstance(node, Neg):
-        return f"(-{to_string(node.a)})"
     if isinstance(node, Fun):
         return f"{node.name}({to_string(node.a)})"
     if isinstance(node, Bin):
-        return f"({to_string(node.a)} {node.op} {to_string(node.b)})"
+        a = to_string(node.a)
+        if node.op == "^" and a.startswith("-"):  # -2.0 ^ x would read as -(2.0 ^ x)
+            a = f"({a})"
+        return f"({a} {node.op} {to_string(node.b)})"
     if isinstance(node, Piecewise):
         return "piecewise(" + "; ".join(f"({', '.join(map(repr, bounds))}): {to_string(sub)}"
                                         for bounds, sub in node.pieces) + ")"

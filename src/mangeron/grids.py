@@ -191,7 +191,7 @@ def _axis_nodes(length: float, n: int, breakpoints) -> np.ndarray:
             b = float(b)
             if not (0.0 < b < length):
                 raise ValueError(f"breakpoint {b} outside open interval (0, {length})")
-            if np.min(np.abs(nodes - b)) > NODE_MATCH_RTOL * length:
+            if np.min(np.abs(np.append(nodes, extra) - b)) > NODE_MATCH_RTOL * length:
                 extra.append(b)
         if extra:
             nodes = np.sort(np.concatenate([nodes, extra]))

@@ -81,6 +81,16 @@ def test_solve_classical_config(tmp_path):
     assert read_report(tmp_path)["sup_error_vs_reference"] <= 1e-10
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_solve_rational_classical_config_within_h_squared(tmp_path, method):
+    # u = (1 + y) / (1 + x) on 21 x 21 nodes: the trapezoid error is O(h^2)
+    assert run(["solve", "--config", CONFIGS / "rational_classical.cfg", "--out", tmp_path,
+                "--method", method]) == 0
+    report = read_report(tmp_path)
+    assert report["residual_pass"] is True
+    assert report["sup_error_vs_reference"] <= (1 / 20) ** 2
+
+
 def test_solve_divergent_case_falls_back_and_succeeds(tmp_path):
     assert run(["solve", "--config", CONFIGS / "stiff.cfg", "--out", tmp_path]) == 0
     report = read_report(tmp_path)
@@ -133,7 +143,9 @@ CONFIG_ERRORS = {
     "classical-without-top": ("plane_classical.cfg", "top = 1 + x\n", "",
                               "data.classical must define 'top'"),
     "tol-not-a-number": ("trig.cfg", "method = auto\n", "method = auto\ntol = abc\n",
-                         "bad [solver] values"),
+                         "[solver] tol = 'abc'"),
+    "max-iter-not-an-integer": ("trig.cfg", "method = auto\n", "method = auto\nmax_iter = 1e3\n",
+                                "bad [solver] values"),
     "too-few-nodes": ("trig.cfg", "n1 = 21\n", "n1 = 2\n", "bad grid: need at least 3 nodes"),
 }
 
@@ -183,7 +195,8 @@ def test_invalid_solver_options_exit_two(tmp_path, capsys, setting):
 @pytest.mark.parametrize("old, new, message", [
     ("[grid]", "[grid]\nx_breakpoints = abc", "[grid] x_breakpoints = 'abc'"),
     ("[grid]", "[grid]\ny_breakpoints = 0.5,,0.7", "[grid] y_breakpoints = '0.5,,0.7'"),
-    ("h1 = 1.0", "h1 = inf", "side lengths must be positive and finite"),
+    ("h1 = 1.0", "h1 = inf", "[domain] h1 = 'inf'"),
+    ("h1 = 1.0", "h1 = 0", "side lengths must be positive and finite"),
 ])
 def test_invalid_grid_or_domain_values_exit_two(tmp_path, capsys, old, new, message):
     cfg = tmp_path / "g.cfg"
@@ -192,6 +205,37 @@ def test_invalid_grid_or_domain_values_exit_two(tmp_path, capsys, old, new, mess
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def same_outputs(tmp_path, config, old, spellings):
+    """Solve `config` with `old` replaced by each spelling in turn; whether
+    every spelling writes the bytes of the first."""
+    tmp_path.mkdir(exist_ok=True)
+    text = (CONFIGS / config).read_text()
+    assert old in text
+    outputs = []
+    for k, new in enumerate(spellings):
+        cfg = tmp_path / f"s{k}.cfg"
+        cfg.write_text(text.replace(old, new))
+        assert run(["solve", "--config", cfg, "--out", tmp_path / f"out{k}"]) == 0
+        outputs.append([(tmp_path / f"out{k}" / name).read_bytes()
+                        for name in ("report.json", "solution.csv")])
+    return all(out == outputs[0] for out in outputs)
+
+
+def test_sides_and_tolerance_are_constants(tmp_path):
+    # a side, like a breakpoint, reads the constant rule: 2*pi is the literal
+    assert same_outputs(tmp_path / "h1", "zero.cfg", "h1 = 1.0",
+                        ["h1 = 2*pi", "h1 = 6.283185307179586"])
+    assert same_outputs(tmp_path / "tol", "trig.cfg", "method = auto",
+                        ["method = auto\ntol = 10^-8", "method = auto\ntol = 1e-08"])
+
+
+def test_a_breakpoint_given_twice_is_one_node(tmp_path):
+    # 1/3 and its literal are one double, so the grid holds it once
+    assert same_outputs(tmp_path, "trig.cfg", "[grid]\n",
+                        ["[grid]\nx_breakpoints = 1/3, 0.3333333333333333\n",
+                         "[grid]\nx_breakpoints = 1/3\n"])
 
 
 UNKNOWN_KEYS = {
@@ -461,6 +505,26 @@ def test_convert_round_trip_between_plane_configs(tmp_path):
 def test_convert_direction_mismatch_is_config_error(tmp_path):
     assert run(["convert", "--config", CONFIGS / "plane_classical.cfg",
                 "--direction", "to-classical", "--out", tmp_path]) == 2
+
+
+@pytest.mark.parametrize("config", ["plane_classical.cfg", "rational_classical.cfg"])
+def test_converted_expressions_reparse_to_their_values(tmp_path, config):
+    # each folded second derivative renders as text that the expression
+    # language reads back to the values written beside it
+    data = convert_to_nonclassical(CONFIGS / config, tmp_path)
+    for key in NonclassicalData.TRACE_KEYS:
+        var = "xy"[trace_axis(key)]
+        nodes = np.asarray(data[key]["nodes"])
+        node = exprlang.parse(data[key]["expression"], (var,))
+        got = np.broadcast_to(exprlang.evaluate(node, {var: nodes}), nodes.shape)
+        np.testing.assert_array_equal(got, data[key]["values"], err_msg=key)
+
+
+def test_converted_rational_edges_are_folded(tmp_path):
+    data = convert_to_nonclassical(CONFIGS / "rational_classical.cfg", tmp_path)
+    assert data["uyy_left"]["expression"] == data["uyy_right"]["expression"] == "0.0"
+    assert data["uxx_bottom"]["expression"] == (
+        "((2.0 * ((1.0 + x) ^ 1.0)) / (((1.0 + x) ^ 2.0) ^ 2.0))")
 
 
 def classical_config(tmp_path, name, n, forcing, edges, reference=None):

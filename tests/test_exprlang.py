@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mangeron.exprlang import ExprError, constant, diff, evaluate, parse, to_string
+from mangeron.exprlang import (Bin, ExprError, Num, Var, constant, diff, evaluate, parse,
+                               to_string)
+from unfolded_diff import unfolded_diff
 
 
 def ev(text, variables=("x", "y"), **env):
@@ -125,3 +128,78 @@ def test_round_trip_through_to_string():
         y = np.array([0.4, 0.9])
         np.testing.assert_allclose(evaluate(again, {"x": x, "y": y}),
                                    evaluate(node, {"x": x, "y": y}), rtol=1e-15)
+
+
+def test_parser_folds_numbers_only():
+    assert parse("2 * 3 + x", ("x",)) == Bin("+", Num(6.0), Var("x"))
+    assert parse("sin(pi / 2) - -1", ()) == Num(2.0)
+    # 0 * x keeps its meaning: nan at x = inf
+    assert parse("0 * x", ("x",)) == Bin("*", Num(0.0), Var("x"))
+    # a constant is a number; no tree is evaluated to find one
+    with pytest.raises(ExprError, match=r"^not a constant: \(1\.0 \+ 2\.0\)$"):
+        constant(Bin("+", Num(1.0), Num(2.0)))
+
+
+def test_negation_is_ieee_negation():
+    node = parse("-x", ("x",))
+    assert node == Bin("*", Num(-1.0), Var("x"))
+    x = np.array([0.0, -0.0, np.inf, -np.inf, 1.5, -2.0, 5e-324, 1.7976931348623157e308])
+    got = evaluate(node, {"x": x})
+    assert got.tobytes() == np.negative(x).tobytes()
+    assert to_string(node) == "(-1.0 * x)"
+    assert parse(to_string(node), ("x",)) == node
+    assert parse("-0", ()).value.hex() == "-0x0.0p+0"
+
+
+def test_renderings_of_numbers_parse_back():
+    # a value that is not finite, and a negative base, re-parse to themselves
+    for text in ("1/(x + 1/0)", "x - 1/0", "(-2)^x", "x^-1.5"):
+        node = parse(text, ("x",))
+        assert parse(to_string(node), ("x",)) == node, text
+    again = parse(to_string(parse("x * (0/0)", ("x",))), ("x",))
+    assert np.isnan(again.b.value)
+
+
+@pytest.mark.parametrize("text, var, rendered", [
+    ("1/(1+x)", "x", "((2.0 * ((1.0 + x) ^ 1.0)) / (((1.0 + x) ^ 2.0) ^ 2.0))"),
+    ("(1 + y) / 2", "y", "0.0"),
+    ("-cos(y)", "y", "cos(y)"),
+])
+def test_second_derivatives_are_folded(text, var, rendered):
+    # unfolded, the first two render in 233 and 207 characters
+    node = parse(text, (var,))
+    assert to_string(diff(diff(node, var), var)) == rendered
+
+
+# the grammar in x: numbers (0, 1 and -1 among them), + - * /, constant
+# powers, sin, cos, exp and prefix minus
+NUMBERS = st.sampled_from(["0", "1", "-1", "2", "0.5", "3", "pi"])
+EXPONENTS = st.sampled_from(["0", "1", "2", "3", "-1", "-2", "0.5", "(1/3)"])
+
+
+def _compound(sub):
+    return st.one_of(
+        st.tuples(sub, st.sampled_from("+-*/"), sub).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(sub, EXPONENTS).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(st.sampled_from(["sin", "cos", "exp"]), sub).map(lambda t: f"{t[0]}({t[1]})"),
+        sub.map(lambda s: f"-{s}"))
+
+
+EXPRESSIONS = st.recursive(st.one_of(st.just("x"), NUMBERS), _compound, max_leaves=10)
+POINTS = np.array([-2.0, -1.0, -0.5, 0.0, 1e-3, 0.25, 0.5, 1.0, 1.5, 3.0])
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(EXPRESSIONS)
+def test_folded_derivatives_equal_the_unfolded_ones(text):
+    # equal wherever the unfolded derivative is finite, up to the sign of a
+    # zero; and each folded derivative renders as text that reads back to it
+    folded = unfolded = parse(text, ("x",))
+    for _ in range(2):
+        folded, unfolded = diff(folded, "x"), unfolded_diff(unfolded, "x")
+        with np.errstate(all="ignore"):
+            got, want, again = (np.broadcast_to(evaluate(n, {"x": POINTS}), POINTS.shape)
+                                for n in (folded, unfolded, parse(to_string(folded), ("x",))))
+        finite = np.isfinite(want)
+        np.testing.assert_array_equal(got[finite], want[finite], err_msg=text)
+        np.testing.assert_array_equal(again, got, err_msg=text)
