@@ -4,15 +4,14 @@ The fourth-order pseudoparabolic equation with nonsmooth coefficients is
 reduced to second-kind integral equations, discretized by a Nystrom scheme
 on composite trapezoid quadrature, and solved by successive approximations
 with a dense direct fallback.  Verification utilities (manufactured
-solutions, a finite-difference oracle, convergence studies) live in
-`mangeron.mms`, which the package does not import, so a solve loads
-neither it nor numpy.polynomial; a config driven CLI is included.
+solutions, convergence studies) live in `mangeron.mms`, which the package
+does not import, so a solve loads neither it nor numpy.polynomial; a config
+driven CLI is included.
 """
 
 from .grids import (Axis, Domain, Grid2D, GridFn2D, build_grid, fd_derivatives,
                     trapezoid_error_bound)
-from .fields import (Field1D, Field2D, const1d, const2d, piecewise1d, piecewise2d,
-                     samples1d, samples2d)
+from .fields import Field1D, Field2D, const1d, const2d, piecewise2d, samples1d, samples2d
 from .norms import NormSpec, data_norm, lp_norm, sobolev_norm
 from .problem import (DERIVATIVES, BoundaryTrace, CheckReport, ClassicalData, Coefficients,
                       ConstraintError, CornerMismatchError, DataConsistencyError,
@@ -23,8 +22,7 @@ from .problem import (DERIVATIVES, BoundaryTrace, CheckReport, ClassicalData, Co
 from .reduction import (CoupledSystem, DiscreteOperator, apply_pde_operator,
                         assemble_eliminated, reduced_rhs)
 from .solver import (ResidualReport, SolutionBundle, SolveReport, SolveResult, SolverError,
-                     StabilityEstimate, assemble_solution, calibrate_residual_threshold,
-                     estimate_stability_ratio, residual_report, solve_dense, solve_neumann,
-                     solve_problem)
+                     assemble_solution, calibrate_residual_threshold, residual_report,
+                     solve_dense, solve_neumann, solve_problem)
 
 __version__ = "0.1.0"

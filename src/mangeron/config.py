@@ -9,7 +9,9 @@ exactly one of [data.nonclassical] (seven scalars, plus `uxx_bottom`,
 tol, max_iter, p; optional [reference] u for error reporting against a
 known solution.  `SECTIONS` lists these keys and refuses any other, and
 any [DEFAULT] key.  Values use the expression mini-language; the sides,
-breakpoints, `tol`, data scalars and piecewise bounds are constants.
+breakpoints, `tol`, data scalars and piecewise bounds are constants, and
+`n1`, `n2` and `max_iter` are integers.  A refused scalar names its place,
+as in `[grid] n1 = '2.5': not an integer`.
 """
 
 from __future__ import annotations
@@ -85,16 +87,40 @@ def _parse_expr(text: str, extents: dict[str, float], where: str):
     return node
 
 
-def _constant(text: str, where: str) -> float:
+def _constant(text: str) -> float:
+    return exprlang.constant(exprlang.parse(text, ()))
+
+
+def _positive(text: str) -> float:
+    value = _constant(text)
+    if not value > 0.0:
+        raise ValueError("must be positive")
+    return value
+
+
+def _integer(text: str) -> int:
     try:
-        return exprlang.constant(exprlang.parse(text, ()))
-    except exprlang.ExprError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        return int(text)
+    except ValueError:
+        raise ValueError("not an integer") from None
 
 
-def _setting(section, key: str, default: str = "") -> float:
+def _constant_list(text: str) -> tuple[float, ...]:
+    """Comma-separated constants; none for an empty text."""
+    return tuple(_constant(t) for t in text.split(",")) if text.strip() else ()
+
+
+def _setting(section, key: str, default: str | None = None, read=_constant):
+    """`key` of `section`, or `default`, read by `read`; a missing key with
+    no default, or a value `read` refuses, raises a `ConfigError` that
+    names the section and the key: `[section] key = 'text': reason`."""
     text = section.get(key, default)
-    return _constant(text, f"[{section.name}] {key} = {text!r}")
+    if text is None:
+        raise ConfigError(f"[{section.name}] must define {key}")
+    try:
+        return read(text)
+    except ValueError as exc:
+        raise ConfigError(f"[{section.name}] {key} = {text!r}: {exc}") from exc
 
 
 def norm_exponent(text) -> float:
@@ -110,12 +136,6 @@ def solve_method(text: str) -> str:
     if text not in METHODS:
         raise ConfigError(f"unknown solver method {text!r} (available: {', '.join(METHODS)})")
     return text
-
-
-def _breakpoints(grid_section, key: str) -> tuple[float, ...]:
-    text = grid_section.get(key, "").strip()
-    where = f"bad [grid] {key} = {text!r}"
-    return tuple(_constant(t, where) for t in text.split(",")) if text else ()
 
 
 def _check_keys(cp: configparser.ConfigParser):
@@ -148,16 +168,11 @@ def load_config(path: str) -> RunConfig:
     for section in ("domain", "grid", "forcing"):
         if not cp.has_section(section):
             raise ConfigError(f"missing required section [{section}]")
-    h1, h2 = (_setting(cp["domain"], key) for key in ("h1", "h2"))
-    try:
-        domain = Domain(h1, h2)
-        n1 = int(cp["grid"]["n1"])
-        n2 = int(cp["grid"]["n2"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad [domain]/[grid] values: {exc}") from exc
+    domain = Domain(*(_setting(cp["domain"], key, read=_positive) for key in ("h1", "h2")))
+    n1, n2 = (_setting(cp["grid"], key, read=_integer) for key in ("n1", "n2"))
     xy = {"x": domain.h1, "y": domain.h2}
-    xb = _breakpoints(cp["grid"], "x_breakpoints")
-    yb = _breakpoints(cp["grid"], "y_breakpoints")
+    xb, yb = (_setting(cp["grid"], key, "", read=_constant_list)
+              for key in ("x_breakpoints", "y_breakpoints"))
 
     coeff_exprs = ({key: _parse_expr(text, xy, f"coefficients.{key}")
                     for key, text in cp["coefficients"].items()}
@@ -177,7 +192,7 @@ def load_config(path: str) -> RunConfig:
         data_kind = "nonclassical"
         sec = cp["data.nonclassical"]
         for key in NonclassicalData.SCALAR_KEYS:
-            data_exprs[key] = _constant(sec.get(key, "0"), f"data.nonclassical.{key}")
+            data_exprs[key] = _setting(sec, key, "0")
         for key, var in NONCLASSICAL_TRACES.items():
             text = sec.get(key, "zero")
             data_exprs[key] = _parse_expr(text, {var: xy[var]}, f"data.nonclassical.{key}")
@@ -194,15 +209,10 @@ def load_config(path: str) -> RunConfig:
     if cp.has_section("solver"):
         sec = cp["solver"]
         solver.method = solve_method(sec.get("method", solver.method))
-        solver.tol = _setting(sec, "tol", repr(solver.tol))
-        try:
-            solver.max_iter = int(sec.get("max_iter", solver.max_iter))
-        except ValueError as exc:
-            raise ConfigError(f"bad [solver] values: {exc}") from exc
+        solver.tol = _setting(sec, "tol", repr(solver.tol), read=_positive)
+        solver.max_iter = _setting(sec, "max_iter", str(solver.max_iter), read=_integer)
         if solver.max_iter < 1:
             raise ConfigError(f"[solver] max_iter must be at least 1, got {solver.max_iter}")
-        if not solver.tol > 0.0:
-            raise ConfigError(f"[solver] tol must be finite and positive, got {solver.tol}")
         solver.p = norm_exponent(sec.get("p", solver.p))
 
     reference_expr = None

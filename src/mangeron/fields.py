@@ -173,11 +173,3 @@ def piecewise2d(pieces: Sequence[tuple[Sequence[float], Callable]], h1: float,
     table = tuple(pieces)
     validate_tiling([b for b, _ in table], (h1, h2))
     return Field2D(lambda x, y, _t=table: evaluate_pieces(_t, (x, y)))
-
-
-def piecewise1d(pieces: Sequence[tuple[Sequence[float], Callable]], h: float) -> Field1D:
-    """Piecewise field from ((t0, t1), fn) pairs whose segments tile [0, h],
-    evaluated by `evaluate_pieces`."""
-    table = tuple(pieces)
-    validate_tiling([b for b, _ in table], (h,))
-    return Field1D(lambda t, _t=table: evaluate_pieces(_t, (t,)))

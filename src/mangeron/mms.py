@@ -1,11 +1,8 @@
-"""Manufactured solutions and independent cross-checking oracles.
+"""Manufactured solutions and convergence studies.
 
-Two verification routes live here.  `make_mms` derives a complete problem
-from a chosen solution with analytic derivatives, so the solver's output
-can be compared against truth.  `fd_oracle` solves the same problem by a
-plain finite-difference discretization fed with classical edge data (built
-through the nonclassical-to-classical conversion), sharing nothing with the
-integral-equation pipeline except the grid.  `forward_problem` goes the
+`make_mms` derives a complete problem from a chosen solution with analytic
+derivatives, so the solver's output can be compared against truth, and
+`convergence_study` sweeps it over grid sizes.  `forward_problem` goes the
 other way: it picks the unknown quadruple first and reads the data off the
 bundle the solver's own reconstruction builds from it, which any correct
 solve must reproduce to roundoff.
@@ -20,20 +17,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .fields import Field2D, piecewise2d, samples1d, samples2d
-from .grids import Domain, Grid2D, GridFn2D, build_grid
-from .problem import (DERIVATIVES, Coefficients, NonclassicalData, PdeProblem,
-                      nonclassical_to_classical, sample_data, solution_data, trace_axis)
+from .grids import Domain, Grid2D, build_grid
+from .problem import (DERIVATIVES, Coefficients, NonclassicalData, PdeProblem, sample_data,
+                      solution_data, trace_axis)
 from .reduction import apply_pde_operator
-from .solver import SolutionBundle, assemble_solution, solve_problem
-
-if TYPE_CHECKING:
-    from scipy import sparse
+from .solver import assemble_solution, solve_problem
 
 #: sup errors below this are reported as exact-at-nodes in convergence tables
 EXACT_TOL = 1e-11
@@ -155,13 +149,6 @@ def make_mms(u_star: SeparableSolution, coeffs: Coefficients, domain: Domain,
                    x_breakpoints=tuple(x_breakpoints))
 
 
-def exact_bundle(u_star: SeparableSolution, grid: Grid2D) -> SolutionBundle:
-    """All nine derivative grids of a known solution, sampled at the nodes."""
-    xx, yy = grid.meshgrid()
-    return SolutionBundle(**{key: GridFn2D(grid, u_star.eval_deriv(i, j, xx, yy))
-                             for key, (i, j) in DERIVATIVES.items()})
-
-
 def forward_problem(grid: Grid2D, coeffs: Coefficients,
                     u00: float, ux00: float, uy00: float,
                     uxx_bottom: np.ndarray, uyy_left: np.ndarray,
@@ -210,77 +197,6 @@ def random_forward_problem(rng: np.random.Generator, grid: Grid2D, coeffs: Coeff
         edge_x=smooth1(x), edge_y=smooth1(y), core=core)
 
 
-def difference_matrices(nodes: np.ndarray) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    """Sparse first/second central-difference matrices, interior rows only.
-
-    Boundary rows are zero; the oracle replaces them with identity rows
-    carrying the Dirichlet values, so one-sided stencils are never needed.
-    """
-    # scipy is imported here, not at module level, so the solve path never loads it
-    from scipy import sparse
-
-    n = len(nodes)
-    hm = nodes[1:-1] - nodes[:-2]
-    hp = nodes[2:] - nodes[1:-1]
-    rows = np.repeat(np.arange(1, n - 1), 3)
-    cols = np.concatenate([[i - 1, i, i + 1] for i in range(1, n - 1)])
-    d1_data = np.column_stack([
-        -hp / (hm * (hm + hp)), (hp - hm) / (hm * hp), hm / (hp * (hm + hp))]).ravel()
-    d2_data = np.column_stack([
-        2.0 / (hm * (hm + hp)), -2.0 / (hm * hp), 2.0 / (hp * (hm + hp))]).ravel()
-    d1 = sparse.csr_matrix((d1_data, (rows, cols)), shape=(n, n))
-    d2 = sparse.csr_matrix((d2_data, (rows, cols)), shape=(n, n))
-    return d1, d2
-
-
-def fd_oracle(problem: PdeProblem, grid: Grid2D) -> np.ndarray:
-    """Independent finite-difference solve with classical Dirichlet rows; the
-    node values of u, an (n1, n2) array.
-
-    The nonclassical data is first converted to classical edge functions
-    (exercising the conversion on a second path); the operator is
-    discretized by central differences on the tensor grid, and boundary
-    nodes carry identity rows with the edge values.
-    """
-    from scipy import sparse
-    from scipy.sparse.linalg import spsolve
-
-    cd = nonclassical_to_classical(problem.data, grid)
-    n1, n2 = grid.shape
-    dx = (sparse.identity(n1, format="csr"),) + difference_matrices(grid.x)
-    dy = (sparse.identity(n2, format="csr"),) + difference_matrices(grid.y)
-    c = problem.coeffs.sample_all(grid)
-
-    def dia(vals):
-        return sparse.diags(vals.ravel())
-
-    def term(name):
-        i, j = DERIVATIVES[name]
-        return sparse.kron(dx[i], dy[j])
-
-    op = term("uxxyy")
-    for key, name in Coefficients.MULTIPLIES.items():
-        op = op + dia(c[key]) @ term(name)
-
-    rhs = problem.forcing.sample(grid).astype(float)
-    boundary = np.zeros((n1, n2), dtype=bool)
-    boundary[0, :] = boundary[-1, :] = True
-    boundary[:, 0] = boundary[:, -1] = True
-    vals = np.zeros((n1, n2))
-    vals[:, 0] = cd.bottom.value.sample(grid.ax)
-    vals[:, -1] = cd.top.value.sample(grid.ax)
-    vals[0, :] = cd.left.value.sample(grid.ay)
-    vals[-1, :] = cd.right.value.sample(grid.ay)
-    rhs[boundary] = vals[boundary]
-
-    interior = dia((~boundary).astype(float))
-    op = interior @ op + dia(boundary.astype(float))
-    sol = spsolve(op.tocsc(), rhs.ravel())
-    if not np.all(np.isfinite(sol)):
-        raise RuntimeError("finite-difference system produced non-finite solution")
-    return sol.reshape(n1, n2)
-
-
 @dataclass
 class ConvergenceRow:
     n: int
@@ -292,7 +208,6 @@ class ConvergenceRow:
 @dataclass
 class ConvergenceTable:
     case: str
-    solver: str
     rows: list[ConvergenceRow]
     monotone: bool
 
@@ -305,12 +220,9 @@ class ConvergenceTable:
         return all(r.exact for r in self.rows)
 
 
-def convergence_study(case: MmsCase, sizes: Sequence[int],
-                      solver: str = "integral") -> ConvergenceTable:
-    """Sup errors against the known solution over a sweep of grid sizes.
-
-    `solver` is "integral" (`solve_problem` on its default route) or "fd"
-    (`fd_oracle`).
+def convergence_study(case: MmsCase, sizes: Sequence[int]) -> ConvergenceTable:
+    """Sup errors of `solve_problem` on its default route against the known
+    solution over a sweep of grid sizes.
 
     Orders come from consecutive error ratios; errors at roundoff level are
     flagged exact and excluded from order estimates.  A non-monotone error
@@ -322,13 +234,7 @@ def convergence_study(case: MmsCase, sizes: Sequence[int],
     hs = []
     for n in sizes:
         grid = build_grid(case.domain, n, n, x_breakpoints=case.x_breakpoints)
-        if solver == "integral":
-            result = solve_problem(case.problem, grid)
-            u_num = result.bundle.u.values
-        elif solver == "fd":
-            u_num = fd_oracle(case.problem, grid)
-        else:
-            raise ValueError(f"unknown solver {solver!r}")
+        u_num = solve_problem(case.problem, grid).bundle.u.values
         xx, yy = grid.meshgrid()
         u_true = case.u_star.eval_deriv(0, 0, xx, yy)
         errors.append(float(np.max(np.abs(u_num - u_true))))
@@ -342,7 +248,7 @@ def convergence_study(case: MmsCase, sizes: Sequence[int],
                                    exact=errors[k] <= EXACT_TOL))
     monotone = all(errors[k + 1] <= errors[k] * (1 + 1e-9) or errors[k + 1] <= EXACT_TOL
                    for k in range(len(errors) - 1))
-    return ConvergenceTable(case=case.name, solver=solver, rows=rows, monotone=monotone)
+    return ConvergenceTable(case=case.name, rows=rows, monotone=monotone)
 
 
 def named_cases(domain: Domain | None = None) -> dict[str, MmsCase]:

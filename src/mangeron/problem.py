@@ -104,25 +104,6 @@ class NonclassicalData:
     SCALAR_KEYS = tuple(k for k, (_, px, py) in PLACES.items() if None not in (px, py))
     TRACE_KEYS = tuple(k for k, (_, px, py) in PLACES.items() if None in (px, py))
 
-    def _map(self, op, *others: "NonclassicalData") -> "NonclassicalData":
-        """Apply `op` componentwise to this element and `others`."""
-        parts = {}
-        for key in self.PLACES:
-            values = [getattr(d, key) for d in (self, *others)]
-            if key in self.SCALAR_KEYS:
-                parts[key] = op(*values)
-            else:
-                fns = [f.fn for f in values]
-                parts[key] = Field1D(lambda t, _fns=fns: op(*(np.asarray(f(t)) for f in _fns)))
-        return NonclassicalData(**parts)
-
-    def scaled(self, factor: float) -> "NonclassicalData":
-        """Data multiplied by a scalar (the whole element is a vector)."""
-        return self._map(lambda a: factor * a)
-
-    def plus(self, other: "NonclassicalData") -> "NonclassicalData":
-        return self._map(lambda a, b: a + b, other)
-
 
 def trace_axis(key: str) -> int:
     """The axis a trace of `NonclassicalData` runs along: 0 for x, 1 for y."""
@@ -247,19 +228,15 @@ def check_matching(cd: ClassicalData, domain: Domain,
     return CheckReport(res, tol)
 
 
-def _trace_derivatives(trace: BoundaryTrace, axis: Axis | None):
+def _trace_derivatives(trace: BoundaryTrace, axis: Axis):
     """Derivative evaluators of an edge function, differencing if absent.
 
     Returns (d1_at_0, d2_field).  Analytic evaluators are used verbatim;
-    otherwise samples on the supplied axis are differenced (second order,
-    one-sided at the endpoints) and the second derivative is returned as a
-    sampled field.
+    otherwise samples on `axis` are differenced (second order, one-sided at
+    the endpoints) and the second derivative is returned as a sampled field.
     """
     if trace.d1 is not None and trace.d2 is not None:
         return float(trace.d1.eval(0.0)), trace.d2
-    if axis is None:
-        raise ValueError("trace lacks derivative evaluators; a grid is required "
-                         "to difference it")
     vals = trace.value.sample(axis)
     d1, d2 = fd_derivatives(axis.nodes, vals)
     d1_at_0 = float(trace.d1.eval(0.0)) if trace.d1 is not None else float(d1[0])
@@ -267,10 +244,10 @@ def _trace_derivatives(trace: BoundaryTrace, axis: Axis | None):
     return d1_at_0, d2_field
 
 
-def classical_to_nonclassical(cd: ClassicalData, domain: Domain,
-                              grid: Grid2D | None = None,
+def classical_to_nonclassical(cd: ClassicalData, domain: Domain, grid: Grid2D,
                               corner_tol: float = CORNER_TOL_ANALYTIC) -> NonclassicalData:
-    """Extract the 11 nonclassical components from classical edge data.
+    """Extract the 11 nonclassical components from classical edge data; an
+    edge without derivative evaluators is differenced on `grid`.
 
     The edge values must agree at all four corners within `corner_tol`, as
     measured by `check_matching` (see there for edges built by quadrature);
@@ -283,12 +260,10 @@ def classical_to_nonclassical(cd: ClassicalData, domain: Domain,
             raise CornerMismatchError(f"edge values disagree at {name}: "
                                       f"|difference| {r} > {matching.tolerance}")
 
-    x_axis = grid.ax if grid is not None else None
-    y_axis = grid.ay if grid is not None else None
-    ux00, uxx_bottom = _trace_derivatives(cd.bottom, x_axis)
-    uy00, uyy_left = _trace_derivatives(cd.left, y_axis)
-    uy10, uyy_right = _trace_derivatives(cd.right, y_axis)
-    ux01, uxx_top = _trace_derivatives(cd.top, x_axis)
+    ux00, uxx_bottom = _trace_derivatives(cd.bottom, grid.ax)
+    uy00, uyy_left = _trace_derivatives(cd.left, grid.ay)
+    uy10, uyy_right = _trace_derivatives(cd.right, grid.ay)
+    ux01, uxx_top = _trace_derivatives(cd.top, grid.ax)
 
     return NonclassicalData(
         u00=float(cd.left.value.eval(0.0)), ux00=ux00, uy00=uy00,

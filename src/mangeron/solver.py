@@ -397,35 +397,3 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
         data_norm_value=dnorm,
         forcing_norm=fnorm)
     return SolveResult(problem, grid, bundle, report)
-
-
-@dataclass
-class StabilityEstimate:
-    max_ratio: float
-    ratios: list[float]
-    excluded: int
-
-
-def estimate_stability_ratio(make_problem, grid: Grid2D, trials: int) -> StabilityEstimate:
-    """Empirical bound sup ||u|| / (||data|| + ||forcing||) over a family.
-
-    `make_problem(k)` supplies the k-th trial problem, solved on the default
-    route ("auto") with the 2-norm.  Trials whose solve fails, diverges or
-    fails the residual gate are excluded from the maximum and counted.
-    """
-    ratios = []
-    excluded = 0
-    for k in range(trials):
-        prob = make_problem(k)
-        try:
-            result = solve_problem(prob, grid)
-        except (SolverError, ConstraintError):
-            excluded += 1
-            continue
-        if not result.report.residual_pass:    # a pass implies convergence
-            excluded += 1
-            continue
-        ratios.append(result.report.stability_ratio)
-    if not ratios:
-        raise SolverError("no trial produced a usable solve")
-    return StabilityEstimate(max_ratio=max(ratios), ratios=ratios, excluded=excluded)

@@ -14,13 +14,15 @@ from mangeron import (Coefficients, ConstraintError, CoupledSystem, Domain, Fiel
                       GridFn2D, NonclassicalData, NormSpec, PdeProblem,
                       assemble_eliminated, build_grid, check_data_constraints,
                       check_matching, classical_to_nonclassical, const2d,
-                      estimate_stability_ratio, nonclassical_to_classical,
+                      nonclassical_to_classical,
                       residual_report, sample_data, sample_problem, solve_dense,
                       solve_neumann, solve_problem, trace_axis, trapezoid_error_bound)
 from mangeron.mms import (SeparableSolution, bilinear_solution, convergence_study,
-                          fd_oracle, make_mms, named_cases, random_coefficients,
+                          make_mms, named_cases, random_coefficients,
                           random_forward_problem, random_solution, sep_exp, sep_sin,
                           trig_solution)
+from fd_oracle import fd_oracle
+from helpers import combine, estimate_stability_ratio
 
 DOM = Domain(1.0, 1.0)
 
@@ -273,7 +275,7 @@ def test_criterion_08_well_posedness_surrogate():
         DOM, coeffs,
         Field2D(lambda x, y, _f=p1.forcing, _g=p2.forcing:
                 a * _f.eval(x, y) + b * _g.eval(x, y)),
-        p1.data.scaled(a).plus(p2.data.scaled(b)))
+        combine((a, p1.data), (b, p2.data)))
     r1 = solve_problem(p1, grid, method="dense")
     r2 = solve_problem(p2, grid, method="dense")
     rc = solve_problem(combo, grid, method="dense")
@@ -284,7 +286,7 @@ def test_criterion_08_well_posedness_surrogate():
 
     doubled = PdeProblem(DOM, p1.coeffs,
                          Field2D(lambda x, y, _f=p1.forcing: 2.0 * _f.eval(x, y)),
-                         p1.data.scaled(2.0))
+                         combine((2.0, p1.data)))
     ratio1 = r1.report.stability_ratio
     ratio2 = solve_problem(doubled, grid, method="dense").report.stability_ratio
     assert ratio2 == pytest.approx(ratio1, rel=1e-10)

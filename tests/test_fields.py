@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mangeron import (Domain, Field2D, build_grid, const1d, const2d, piecewise1d,
-                      piecewise2d, samples1d, samples2d)
+from mangeron import (Domain, Field2D, build_grid, const1d, const2d, piecewise2d, samples1d,
+                      samples2d)
+from mangeron.fields import evaluate_pieces, validate_tiling
 from mangeron.config import ConfigError, build_coefficients, load_config
 
 
@@ -58,26 +59,28 @@ def test_piecewise2d_rejects_gaps_and_overlaps():
                      ((0.5, 0.5, 0.0, 1.0), lambda x, y: x)], 1.0, 1.0)
 
 
-def test_piecewise1d_segments():
-    f = piecewise1d([((0.0, 0.5), lambda t: np.ones(np.shape(t))),
-                     ((0.5, 1.0), lambda t: 3.0 * np.ones(np.shape(t)))], 1.0)
-    np.testing.assert_allclose(f.eval(np.array([0.2, 0.5, 0.8])), [1.0, 1.0, 3.0])
-    with pytest.raises(ValueError):
-        piecewise1d([((0.0, 0.5), lambda t: t)], 1.0)
+def test_segments_tile_and_evaluate():
+    pieces = [((0.0, 0.5), lambda t: np.ones(np.shape(t))),
+              ((0.5, 1.0), lambda t: 3.0 * np.ones(np.shape(t)))]
+    validate_tiling([b for b, _ in pieces], (1.0,))
+    np.testing.assert_allclose(evaluate_pieces(pieces, (np.array([0.2, 0.5, 0.8]),)),
+                               [1.0, 1.0, 3.0])
+    with pytest.raises(ValueError, match="gap"):
+        validate_tiling([(0.0, 0.5)], (1.0,))
     # lengths add up to 1, but the segments overlap and leave (0.6, 1] uncovered
     with pytest.raises(ValueError, match="overlap"):
-        piecewise1d([((0.0, 0.6), lambda t: t), ((0.2, 0.6), lambda t: t)], 1.0)
+        validate_tiling([(0.0, 0.6), (0.2, 0.6)], (1.0,))
 
 
 def test_piece_tolerances_scale_with_the_domain():
     h = 1e-13
     for bounds in ((0.0, 0.8 * h, 0.2 * h, h), (0.0, 0.3 * h, 0.6 * h, h)):
         with pytest.raises(ValueError, match="overlap|gap"):
-            piecewise1d([(bounds[:2], lambda t: t),
-                         (bounds[2:], lambda t: t)], h)
-    f = piecewise1d([((0.0, 0.5 * h), lambda t: 1.0),
-                     ((0.5 * h, h), lambda t: 2.0)], h)
-    assert f.eval(np.array([0.4 * h, 0.5 * h, 0.6 * h])).tolist() == [1.0, 1.0, 2.0]
+            validate_tiling([bounds[:2], bounds[2:]], (h,))
+    pieces = [((0.0, 0.5 * h), lambda t: 1.0), ((0.5 * h, h), lambda t: 2.0)]
+    validate_tiling([b for b, _ in pieces], (h,))
+    points = np.array([0.4 * h, 0.5 * h, 0.6 * h])
+    assert evaluate_pieces(pieces, (points,)).tolist() == [1.0, 1.0, 2.0]
     # a gap on a square of side 1e-200, whose area underflows to 0
     tiny = 1e-200
     with pytest.raises(ValueError, match="gap"):

@@ -6,8 +6,9 @@ import pytest
 from mangeron import (Domain, GridFn2D, NonclassicalData, NormSpec,
                       build_grid, const1d, data_norm, lp_norm, sample_data,
                       sobolev_norm)
-from mangeron.mms import bilinear_solution, exact_bundle
+from mangeron.mms import bilinear_solution
 from mangeron.grids import TILE_ROWS
+from helpers import exact_bundle
 
 
 @pytest.fixture

@@ -15,6 +15,7 @@ from mangeron.cli import CSV_COLUMNS
 from mangeron.problem import CORNER_TOL_ANALYTIC, CORNER_TOL_SAMPLED
 from mangeron.reduction import far_edge
 from mangeron.mms import make_mms, random_forward_problem, random_solution
+from helpers import combine
 
 
 def plane_classical():
@@ -55,15 +56,6 @@ def test_plane_conversion_differenced():
     for key, val in PLANE_EXPECTED.items():
         assert getattr(data, key) == pytest.approx(val, abs=1e-10)
     np.testing.assert_allclose(data.uxx_top.sample(grid.ax), 0.0, atol=1e-9)
-
-
-def test_conversion_requires_grid_when_underivable():
-    dom = Domain(1.0, 1.0)
-    cd = plane_classical()
-    bare = ClassicalData(left=BoundaryTrace(cd.left.value), right=cd.right,
-                         bottom=cd.bottom, top=cd.top)
-    with pytest.raises(ValueError):
-        classical_to_nonclassical(bare, dom)
 
 
 def test_corner_mismatch_detected():
@@ -315,7 +307,7 @@ def test_conversion_is_linear_in_the_data():
     c1 = make_mms(random_solution(rng), Coefficients(), dom).problem.data
     c2 = make_mms(random_solution(rng), Coefficients(), dom).problem.data
     a, b = 0.7, -1.3
-    combo = c1.scaled(a).plus(c2.scaled(b))
+    combo = combine((a, c1), (b, c2))
     cd_combo = nonclassical_to_classical(combo, grid)
     cd1 = nonclassical_to_classical(c1, grid)
     cd2 = nonclassical_to_classical(c2, grid)

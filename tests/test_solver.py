@@ -8,8 +8,7 @@ import pytest
 
 from mangeron import (Coefficients, ConstraintError, Domain, Field2D, GridFn2D,
                       NonclassicalData, NormSpec, PdeProblem, assemble_eliminated,
-                      assemble_solution, build_grid, const1d, const2d,
-                      estimate_stability_ratio, residual_report,
+                      assemble_solution, build_grid, const1d, const2d, residual_report,
                       sample_data, sample_problem, SolverError,
                       calibrate_residual_threshold, solve_dense, solve_neumann,
                       solve_problem)
@@ -19,6 +18,7 @@ from mangeron.mms import (bilinear_solution, biquadratic_solution, make_mms,
                           random_coefficients, random_forward_problem, trig_solution)
 from mangeron.grids import TILE_ROWS
 from mangeron.reduction import DiscreteOperator, far_edge
+from helpers import combine, estimate_stability_ratio
 from quadrature_oracle import panel_tables
 
 DOM = Domain(1.0, 1.0)
@@ -351,7 +351,7 @@ def test_stability_ratio_scale_invariant():
     doubled = PdeProblem(
         DOM, prob.coeffs,
         Field2D(lambda x, y, _f=prob.forcing: 2.0 * _f.eval(x, y)),
-        prob.data.scaled(2.0))
+        combine((2.0, prob.data)))
     r1 = solve_problem(prob, grid).report.stability_ratio
     r2 = solve_problem(doubled, grid).report.stability_ratio
     assert r2 == pytest.approx(r1, rel=1e-10)
@@ -407,7 +407,7 @@ def test_full_pipeline_superposition():
         DOM, coeffs,
         Field2D(lambda x, y, _f=p1.forcing, _g=p2.forcing:
                 a * _f.eval(x, y) + b * _g.eval(x, y)),
-        p1.data.scaled(a).plus(p2.data.scaled(b)))
+        combine((a, p1.data), (b, p2.data)))
     r1 = solve_problem(p1, grid, method="dense")
     r2 = solve_problem(p2, grid, method="dense")
     rc = solve_problem(combo, grid, method="dense")
