@@ -23,7 +23,7 @@ import numpy as np
 from . import exprlang
 from .config import (CLASSICAL_TRACES, ConfigError, RunConfig, build_classical,
                      build_grid_from, build_nonclassical, build_problem, evaluate_expr,
-                     load_config, norm_exponent, solve_method)
+                     load_config, node_count, norm_exponent, read_value, solve_method)
 from .problem import (CORNER_TOL_SAMPLED, DERIVATIVES, DataConsistencyError,
                       NonclassicalData, check_data_constraints, check_matching,
                       classical_to_nonclassical, nonclassical_to_classical, sample_data,
@@ -112,10 +112,11 @@ def _load(args) -> RunConfig:
     """The config of `--config`, with the grid of `--grid` if one is given."""
     cfg = load_config(args.config)
     if args.grid:
-        try:
-            cfg.n1, cfg.n2 = (int(t) for t in args.grid.lower().split("x"))
-        except ValueError as exc:
-            raise ConfigError(f"--grid expects N1xN2, got {args.grid!r}") from exc
+        sizes = args.grid.lower().split("x")
+        if len(sizes) != 2:
+            raise ConfigError(f"--grid expects N1xN2, got {args.grid!r}")
+        cfg.n1, cfg.n2 = (read_value(f"--grid {name}", text, node_count)
+                          for name, text in zip(("N1", "N2"), sizes))
     return cfg
 
 
@@ -124,7 +125,7 @@ def cmd_solve(args) -> int:
     if args.method:
         cfg.solver.method = solve_method(args.method)
     if args.p:
-        cfg.solver.p = norm_exponent(args.p)
+        cfg.solver.p = read_value("--p", args.p, norm_exponent)
     _check_out_dir(args.out)
     grid = build_grid_from(cfg)
     problem, _ = build_problem(cfg, grid)

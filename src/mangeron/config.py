@@ -10,8 +10,9 @@ tol, max_iter, p; optional [reference] u for error reporting against a
 known solution.  `SECTIONS` lists these keys and refuses any other, and
 any [DEFAULT] key.  Values use the expression mini-language; the sides,
 breakpoints, `tol`, data scalars and piecewise bounds are constants, and
-`n1`, `n2` and `max_iter` are integers.  A refused scalar names its place,
-as in `[grid] n1 = '2.5': not an integer`.
+`n1`, `n2` (at least `grids.MIN_NODES`) and `max_iter` (at least 1) are
+integers, and `p` is a number >= 1 or inf.  A refused scalar names its place, as in
+`[grid] n1 = '2.5': not an integer`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import exprlang
 from .fields import Field1D, Field2D, validate_tiling
-from .grids import Domain, Grid2D, build_grid
+from .grids import MIN_NODES, Domain, Grid2D, build_grid
 from .norms import NormSpec
 from .problem import (BoundaryTrace, ClassicalData, Coefficients, NonclassicalData,
                       PdeProblem, classical_to_nonclassical, trace_axis)
@@ -98,16 +99,38 @@ def _positive(text: str) -> float:
     return value
 
 
-def _integer(text: str) -> int:
+def _integer(text: str, minimum: int = 1) -> int:
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise ValueError("not an integer") from None
+    if value < minimum:
+        raise ValueError(f"must be at least {minimum}")
+    return value
+
+
+def node_count(text: str) -> int:
+    """Nodes along one grid axis: an integer of at least `grids.MIN_NODES`."""
+    return _integer(text, MIN_NODES)
+
+
+def norm_exponent(text: str) -> float:
+    """Norm exponent p: a number >= 1, or inf (the rule of `NormSpec`)."""
+    return NormSpec(float(text)).p
 
 
 def _constant_list(text: str) -> tuple[float, ...]:
     """Comma-separated constants; none for an empty text."""
     return tuple(_constant(t) for t in text.split(",")) if text.strip() else ()
+
+
+def read_value(lead: str, text: str, read):
+    """`text` read by `read`; a value `read` refuses raises a `ConfigError`
+    that names where the text came from: `lead = 'text': reason`."""
+    try:
+        return read(text)
+    except ValueError as exc:
+        raise ConfigError(f"{lead} = {text!r}: {exc}") from exc
 
 
 def _setting(section, key: str, default: str | None = None, read=_constant):
@@ -117,18 +140,7 @@ def _setting(section, key: str, default: str | None = None, read=_constant):
     text = section.get(key, default)
     if text is None:
         raise ConfigError(f"[{section.name}] must define {key}")
-    try:
-        return read(text)
-    except ValueError as exc:
-        raise ConfigError(f"[{section.name}] {key} = {text!r}: {exc}") from exc
-
-
-def norm_exponent(text) -> float:
-    """Norm exponent p from config or command-line text: a number >= 1, or inf."""
-    try:
-        return NormSpec(float(str(text).strip())).p
-    except ValueError as exc:
-        raise ConfigError(f"bad norm exponent p = {text!r}: {exc}") from exc
+    return read_value(f"[{section.name}] {key}", text, read)
 
 
 def solve_method(text: str) -> str:
@@ -169,7 +181,7 @@ def load_config(path: str) -> RunConfig:
         if not cp.has_section(section):
             raise ConfigError(f"missing required section [{section}]")
     domain = Domain(*(_setting(cp["domain"], key, read=_positive) for key in ("h1", "h2")))
-    n1, n2 = (_setting(cp["grid"], key, read=_integer) for key in ("n1", "n2"))
+    n1, n2 = (_setting(cp["grid"], key, read=node_count) for key in ("n1", "n2"))
     xy = {"x": domain.h1, "y": domain.h2}
     xb, yb = (_setting(cp["grid"], key, "", read=_constant_list)
               for key in ("x_breakpoints", "y_breakpoints"))
@@ -211,9 +223,7 @@ def load_config(path: str) -> RunConfig:
         solver.method = solve_method(sec.get("method", solver.method))
         solver.tol = _setting(sec, "tol", repr(solver.tol), read=_positive)
         solver.max_iter = _setting(sec, "max_iter", str(solver.max_iter), read=_integer)
-        if solver.max_iter < 1:
-            raise ConfigError(f"[solver] max_iter must be at least 1, got {solver.max_iter}")
-        solver.p = norm_exponent(sec.get("p", solver.p))
+        solver.p = _setting(sec, "p", repr(solver.p), read=norm_exponent)
 
     reference_expr = None
     if cp.has_section("reference") and "u" in cp["reference"]:

@@ -1,7 +1,7 @@
 """Evaluable scalar fields on the rectangle and on its axes.
 
-A field is a total evaluator: a closure, analytic or piecewise, or an
-interpolant of grid samples (`samples1d`, `samples2d`).  A piecewise field
+A field is a total evaluator: a closure, analytic or piecewise, or the
+linear interpolant of samples along one axis (`samples1d`).  A piecewise field
 is given by (bounds, fn) pairs, the form the config language's `Piecewise`
 node holds too: bounds (x0, x1, y0, y1) of a rectangle, or (t0, t1) of a
 segment.  The boxes must tile the domain (`validate_tiling`) and are
@@ -87,27 +87,6 @@ def samples1d(nodes, values) -> Field1D:
         return np.interp(np.clip(t, _n[0], _n[-1]), _n, _v)
 
     return Field1D(fn)
-
-
-def samples2d(grid: Grid2D, values) -> Field2D:
-    """Field defined by grid samples; bilinear interpolation off the nodes."""
-    values = np.array(values, dtype=float)
-    if values.shape != grid.shape:
-        raise ValueError(f"value shape {values.shape} does not match grid {grid.shape}")
-    xn, yn = grid.x, grid.y
-
-    def fn(x, y, _xn=xn, _yn=yn, _v=values):
-        x = np.clip(np.asarray(x, dtype=float), _xn[0], _xn[-1])
-        y = np.clip(np.asarray(y, dtype=float), _yn[0], _yn[-1])
-        x, y = np.broadcast_arrays(x, y)
-        i = np.clip(np.searchsorted(_xn, x, side="right") - 1, 0, len(_xn) - 2)
-        j = np.clip(np.searchsorted(_yn, y, side="right") - 1, 0, len(_yn) - 2)
-        tx = (x - _xn[i]) / (_xn[i + 1] - _xn[i])
-        ty = (y - _yn[j]) / (_yn[j + 1] - _yn[j])
-        return ((1 - tx) * (1 - ty) * _v[i, j] + tx * (1 - ty) * _v[i + 1, j]
-                + (1 - tx) * ty * _v[i, j + 1] + tx * ty * _v[i + 1, j + 1])
-
-    return Field2D(fn)
 
 
 def validate_tiling(boxes: Sequence[Sequence[float]], extents: Sequence[float]):

@@ -26,6 +26,9 @@ import numpy as np
 #: relative tolerance for matching a coordinate against a grid node
 NODE_MATCH_RTOL = 1e-12
 
+#: fewest nodes along one axis of a grid
+MIN_NODES = 3
+
 #: rows of a grid that the row-tiled passes (`row_tiles`) take at a time
 TILE_ROWS = 32
 
@@ -84,8 +87,8 @@ class Axis:
 
     def __init__(self, nodes):
         nodes = np.asarray(nodes, dtype=float)
-        if nodes.ndim != 1 or len(nodes) < 3:
-            raise ValueError("axis needs at least 3 nodes")
+        if nodes.ndim != 1 or len(nodes) < MIN_NODES:
+            raise ValueError(f"axis needs at least {MIN_NODES} nodes")
         if nodes[0] != 0.0:
             raise ValueError("first node must be 0")
         if np.any(np.diff(nodes) <= 0):
@@ -182,8 +185,8 @@ class Grid2D:
 
 
 def _axis_nodes(length: float, n: int, breakpoints) -> np.ndarray:
-    if n < 3:
-        raise ValueError(f"need at least 3 nodes per axis, got {n}")
+    if n < MIN_NODES:
+        raise ValueError(f"need at least {MIN_NODES} nodes per axis, got {n}")
     nodes = np.linspace(0.0, length, n)
     if breakpoints:
         extra = []

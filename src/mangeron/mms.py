@@ -2,10 +2,8 @@
 
 `make_mms` derives a complete problem from a chosen solution with analytic
 derivatives, so the solver's output can be compared against truth, and
-`convergence_study` sweeps it over grid sizes.  `forward_problem` goes the
-other way: it picks the unknown quadruple first and reads the data off the
-bundle the solver's own reconstruction builds from it, which any correct
-solve must reproduce to roundoff.
+`convergence_study` sweeps it over grid sizes; `named_cases` are the fixed
+cases that `mangeron verify` runs.
 
 A manufactured solution is a sum of separable terms f(x) g(y), each factor
 an (f, f', f'') triple.  Import these names from `mangeron.mms`: the
@@ -22,12 +20,10 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .fields import Field2D, piecewise2d, samples1d, samples2d
-from .grids import Domain, Grid2D, build_grid
-from .problem import (DERIVATIVES, Coefficients, NonclassicalData, PdeProblem, sample_data,
-                      solution_data, trace_axis)
-from .reduction import apply_pde_operator
-from .solver import assemble_solution, solve_problem
+from .fields import Field2D, piecewise2d
+from .grids import Domain, build_grid
+from .problem import DERIVATIVES, Coefficients, PdeProblem, solution_data
+from .solver import solve_problem
 
 #: sup errors below this are reported as exact-at-nodes in convergence tables
 EXACT_TOL = 1e-11
@@ -54,22 +50,6 @@ def sep_sin(a: float = 1.0) -> Factor:
     return (lambda t: np.sin(a * np.asarray(t)),
             lambda t: a * np.cos(a * np.asarray(t)),
             lambda t: -a * a * np.sin(a * np.asarray(t)))
-
-
-def sep_cos(a: float = 1.0) -> Factor:
-    return (lambda t: np.cos(a * np.asarray(t)),
-            lambda t: -a * np.sin(a * np.asarray(t)),
-            lambda t: -a * a * np.cos(a * np.asarray(t)))
-
-
-def sep_exp(a: float = 1.0) -> Factor:
-    return (lambda t: np.exp(a * np.asarray(t)),
-            lambda t: a * np.exp(a * np.asarray(t)),
-            lambda t: a * a * np.exp(a * np.asarray(t)))
-
-
-def sep_scale(s: Factor, c: float) -> Factor:
-    return tuple(lambda t, _d=d: c * np.asarray(_d(t)) for d in s)
 
 
 @dataclass(frozen=True)
@@ -103,38 +83,17 @@ def trig_solution() -> SeparableSolution:
     return SeparableSolution(((sep_sin(), sep_sin()),))
 
 
-def random_solution(rng: np.random.Generator) -> SeparableSolution:
-    """Random smooth solution: cubic x cubic plus a scaled trig term."""
-    t1 = (sep_poly(*rng.uniform(-1.0, 1.0, 4)), sep_poly(*rng.uniform(-1.0, 1.0, 4)))
-    a = rng.uniform(0.5, 2.0)
-    b = rng.uniform(0.5, 2.0)
-    t2 = (sep_scale(sep_sin(a), rng.uniform(-1.0, 1.0)), sep_cos(b))
-    return SeparableSolution((t1, t2))
-
-
-def random_coefficients(rng: np.random.Generator, magnitude: float = 0.3) -> Coefficients:
-    """Smooth random coefficient fields of bounded size."""
-    def one() -> Field2D:
-        c = rng.uniform(-magnitude, magnitude, 4)
-        return Field2D(lambda x, y, _c=c: _c[0] + _c[1] * np.asarray(x)
-                       + _c[2] * np.asarray(y) + _c[3] * np.asarray(x) * np.asarray(y))
-    return Coefficients(**{k: one() for k in Coefficients.KEYS})
-
-
 @dataclass(frozen=True)
 class MmsCase:
     """A manufactured problem together with its known solution."""
 
-    name: str
     u_star: SeparableSolution
-    coeffs: Coefficients
-    domain: Domain
     problem: PdeProblem
     x_breakpoints: tuple[float, ...] = ()
 
 
 def make_mms(u_star: SeparableSolution, coeffs: Coefficients, domain: Domain,
-             name: str = "mms", x_breakpoints: Sequence[float] = ()) -> MmsCase:
+             x_breakpoints: Sequence[float] = ()) -> MmsCase:
     """Derive forcing and all 11 data components from a known solution."""
     d = u_star.eval_deriv
 
@@ -145,56 +104,7 @@ def make_mms(u_star: SeparableSolution, coeffs: Coefficients, domain: Domain,
         return out
 
     problem = PdeProblem(domain, coeffs, Field2D(forcing_fn), solution_data(d, domain))
-    return MmsCase(name, u_star, coeffs, domain, problem,
-                   x_breakpoints=tuple(x_breakpoints))
-
-
-def forward_problem(grid: Grid2D, coeffs: Coefficients,
-                    u00: float, ux00: float, uy00: float,
-                    uxx_bottom: np.ndarray, uyy_left: np.ndarray,
-                    corner: float, edge_x: np.ndarray, edge_y: np.ndarray,
-                    core: np.ndarray):
-    """Manufacture a problem on `grid.domain` from near data and unknowns.
-
-    The near data (origin corner, bottom and left traces) and the quadruple
-    are assembled into a bundle by the solver's reconstruction; the 11 data
-    components are that bundle's `boundary_values`, and the forcing is the
-    operator applied to it.  So the bundle's boundary and constraint
-    residuals are exactly zero, and a solve on the same grid must reproduce
-    the quadruple to linear-solver roundoff.  Returns (problem, bundle); the
-    bundle holds the quadruple (`SolutionBundle`).
-    """
-    ax, ay = grid.ax, grid.ay
-    near = NonclassicalData(u00=u00, ux00=ux00, uy00=uy00,
-                            uxx_bottom=samples1d(ax.nodes, uxx_bottom),
-                            uyy_left=samples1d(ay.nodes, uyy_left))
-    bundle = assemble_solution(sample_data(near, grid), grid, (corner, edge_x, edge_y, core))
-    data = NonclassicalData(**{
-        key: samples1d((ax, ay)[trace_axis(key)].nodes, value)
-        if key in NonclassicalData.TRACE_KEYS else float(value)
-        for key, value in bundle.boundary_values().items()})
-    forcing = samples2d(grid, apply_pde_operator(coeffs.sample_all(grid), bundle))
-    return PdeProblem(grid.domain, coeffs, forcing, data), bundle
-
-
-def random_forward_problem(rng: np.random.Generator, grid: Grid2D, coeffs: Coefficients):
-    """Random admissible problem on `grid.domain` via the forward construction."""
-    x, y = grid.x, grid.y
-
-    def smooth1(t):
-        c = rng.uniform(-1.0, 1.0, 3)
-        return c[0] + c[1] * t + c[2] * np.sin(t)
-
-    xx, yy = grid.meshgrid()
-    c = rng.uniform(-1.0, 1.0, 4)
-    core = c[0] + c[1] * xx + c[2] * yy + c[3] * np.sin(xx) * np.cos(yy)
-    return forward_problem(
-        grid, coeffs,
-        u00=float(rng.uniform(-1, 1)), ux00=float(rng.uniform(-1, 1)),
-        uy00=float(rng.uniform(-1, 1)),
-        uxx_bottom=smooth1(x), uyy_left=smooth1(y),
-        corner=float(rng.uniform(-1, 1)),
-        edge_x=smooth1(x), edge_y=smooth1(y), core=core)
+    return MmsCase(u_star, problem, x_breakpoints=tuple(x_breakpoints))
 
 
 @dataclass
@@ -207,7 +117,6 @@ class ConvergenceRow:
 
 @dataclass
 class ConvergenceTable:
-    case: str
     rows: list[ConvergenceRow]
     monotone: bool
 
@@ -233,7 +142,7 @@ def convergence_study(case: MmsCase, sizes: Sequence[int]) -> ConvergenceTable:
     errors = []
     hs = []
     for n in sizes:
-        grid = build_grid(case.domain, n, n, x_breakpoints=case.x_breakpoints)
+        grid = build_grid(case.problem.domain, n, n, x_breakpoints=case.x_breakpoints)
         u_num = solve_problem(case.problem, grid).bundle.u.values
         xx, yy = grid.meshgrid()
         u_true = case.u_star.eval_deriv(0, 0, xx, yy)
@@ -248,7 +157,7 @@ def convergence_study(case: MmsCase, sizes: Sequence[int]) -> ConvergenceTable:
                                    exact=errors[k] <= EXACT_TOL))
     monotone = all(errors[k + 1] <= errors[k] * (1 + 1e-9) or errors[k + 1] <= EXACT_TOL
                    for k in range(len(errors) - 1))
-    return ConvergenceTable(case=case.name, rows=rows, monotone=monotone)
+    return ConvergenceTable(rows=rows, monotone=monotone)
 
 
 def named_cases(domain: Domain | None = None) -> dict[str, MmsCase]:
@@ -261,11 +170,10 @@ def named_cases(domain: Domain | None = None) -> dict[str, MmsCase]:
          ((mid, dom.h1, 0.0, dom.h2), lambda x, y: 2.0 * np.ones(np.shape(x)))],
         dom.h1, dom.h2)
     return {
-        "bilinear": make_mms(bilinear_solution(), Coefficients(), dom, name="bilinear"),
-        "biquadratic": make_mms(biquadratic_solution(), Coefficients(c_u=one), dom,
-                                name="biquadratic"),
-        "bicubic": make_mms(bicubic_solution(), Coefficients(c_u=one), dom, name="bicubic"),
-        "trig": make_mms(trig_solution(), Coefficients(), dom, name="trig"),
+        "bilinear": make_mms(bilinear_solution(), Coefficients(), dom),
+        "biquadratic": make_mms(biquadratic_solution(), Coefficients(c_u=one), dom),
+        "bicubic": make_mms(bicubic_solution(), Coefficients(c_u=one), dom),
+        "trig": make_mms(trig_solution(), Coefficients(), dom),
         "piecewise": make_mms(trig_solution(), Coefficients(c_u=jump), dom,
-                              name="piecewise", x_breakpoints=(mid,)),
+                              x_breakpoints=(mid,)),
     }

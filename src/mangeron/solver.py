@@ -291,7 +291,6 @@ class SolveReport:
 
 @dataclass
 class SolveResult:
-    problem: PdeProblem
     grid: Grid2D
     bundle: SolutionBundle
     report: SolveReport
@@ -396,4 +395,4 @@ def solve_problem(problem: PdeProblem, grid: Grid2D, method: str = "auto",
         solution_norm=solution_norm,
         data_norm_value=dnorm,
         forcing_norm=fnorm)
-    return SolveResult(problem, grid, bundle, report)
+    return SolveResult(grid, bundle, report)

@@ -148,7 +148,14 @@ CONFIG_ERRORS = {
     "max-iter-not-an-integer": ("trig.cfg", "method = auto\n", "method = auto\nmax_iter = 1e3\n",
                                 "[solver] max_iter = '1e3': not an integer"),
     "n1-missing": ("trig.cfg", "n1 = 21\n", "", "[grid] must define n1"),
-    "too-few-nodes": ("trig.cfg", "n1 = 21\n", "n1 = 2\n", "bad grid: need at least 3 nodes"),
+    "too-few-nodes": ("trig.cfg", "n1 = 21\n", "n1 = 2\n",
+                      "[grid] n1 = '2': must be at least 3"),
+    "max-iter-zero": ("trig.cfg", "method = auto\n", "method = auto\nmax_iter = 0\n",
+                      "[solver] max_iter = '0': must be at least 1"),
+    "p-below-one": ("trig.cfg", "method = auto\n", "method = auto\np = 0.5\n",
+                    "[solver] p = '0.5': p must be >= 1, got 0.5"),
+    "breakpoint-outside-domain": ("trig.cfg", "n1 = 21\n", "n1 = 21\nx_breakpoints = 1.5\n",
+                                  "bad grid: breakpoint 1.5 outside open interval (0, 1.0)"),
 }
 
 
@@ -413,6 +420,11 @@ def test_bad_grid_override_exits_two(tmp_path, capsys):
     assert run(["solve", "--config", CONFIGS / "zero.cfg", "--out", tmp_path / "out",
                 "--grid", "9by9"]) == 2
     assert capsys.readouterr().err == "config error: --grid expects N1xN2, got '9by9'\n"
+    assert not (tmp_path / "out").exists()
+    # each size is read as `[grid] n1` is, under the flag's name
+    assert run(["solve", "--config", CONFIGS / "zero.cfg", "--out", tmp_path / "out",
+                "--grid", "9x2"]) == 2
+    assert capsys.readouterr().err == "config error: --grid N2 = '2': must be at least 3\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from mangeron import (Domain, Field2D, build_grid, const1d, const2d, piecewise2d, samples1d,
-                      samples2d)
+from mangeron import Domain, Field2D, build_grid, const1d, const2d, piecewise2d, samples1d
 from mangeron.fields import evaluate_pieces, validate_tiling
 from mangeron.config import ConfigError, build_coefficients, load_config
 
@@ -21,17 +20,6 @@ def test_samples1d_linear_interpolation():
     f = samples1d(nodes, 2.0 * nodes)
     np.testing.assert_allclose(f.eval(nodes), 2.0 * nodes, rtol=1e-15)
     assert f.eval(np.array(0.125)) == pytest.approx(0.25)
-
-
-def test_samples2d_bilinear_exact_for_bilinear():
-    grid = build_grid(Domain(1.0, 2.0), 5, 6)
-    xx, yy = grid.meshgrid()
-    vals = 1.0 + 2.0 * xx - yy + 0.5 * xx * yy
-    f = samples2d(grid, vals)
-    xs = np.array([0.1, 0.62, 0.99])
-    ys = np.array([0.05, 1.3, 1.97])
-    expect = 1.0 + 2.0 * xs - ys + 0.5 * xs * ys
-    np.testing.assert_allclose(f.eval(xs, ys), expect, rtol=1e-12)
 
 
 def test_piecewise2d_tiles_and_lex_priority():
@@ -149,7 +137,6 @@ def test_field2d_sample_bit_identical_to_meshgrid_eval(tmp_path):
     coeffs = build_coefficients(load_config(str(cfg_path)))
     grid = build_grid(Domain(1.0, 2.0), 9, 13, x_breakpoints=[0.3])
     xx, yy = grid.meshgrid()
-    rng = np.random.default_rng(6)
     fields = {
         "analytic": Field2D(lambda x, y: np.sin(3.0 * x) * np.exp(-y) + x * y),
         "constant": const2d(-1.5),
@@ -160,8 +147,6 @@ def test_field2d_sample_bit_identical_to_meshgrid_eval(tmp_path):
             [((0.0, 0.3, 0.0, 2.0), lambda x, y: np.cos(x + y)),
              ((0.3, 1.0, 0.0, 1.0), lambda x, y: x - y),
              ((0.3, 1.0, 1.0, 2.0), lambda x, y: np.ones(np.shape(x)))], 1.0, 2.0),
-        "samples2d": samples2d(build_grid(Domain(1.0, 2.0), 5, 6),
-                               rng.standard_normal((5, 6))),
     }
     for name, f in fields.items():
         assert np.array_equal(f.sample(grid), f.eval(xx, yy)), name

@@ -4,10 +4,9 @@ import pytest
 from mangeron import (Coefficients, Domain, build_grid, check_data_constraints,
                       const2d, residual_report, sample_data, sample_problem, solve_problem)
 from mangeron.mms import (SeparableSolution, biquadratic_solution, convergence_study,
-                          make_mms, named_cases, random_coefficients, random_forward_problem,
-                          random_solution, sep_poly, trig_solution)
+                          make_mms, named_cases, sep_poly, trig_solution)
 from fd_oracle import fd_oracle
-from helpers import exact_bundle
+from helpers import exact_bundle, random_coefficients, random_forward_problem, random_solution
 
 DOM = Domain(1.0, 1.0)
 

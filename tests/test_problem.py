@@ -14,8 +14,8 @@ from mangeron import (DERIVATIVES, BoundaryTrace, ClassicalData, Coefficients,
 from mangeron.cli import CSV_COLUMNS
 from mangeron.problem import CORNER_TOL_ANALYTIC, CORNER_TOL_SAMPLED
 from mangeron.reduction import far_edge
-from mangeron.mms import make_mms, random_forward_problem, random_solution
-from helpers import combine
+from mangeron.mms import make_mms
+from helpers import combine, random_forward_problem, random_solution
 
 
 def plane_classical():
@@ -106,7 +106,7 @@ def test_boundary_table_places_every_component():
     # the residual report has one entry per component, in the table's order
     case = make_mms(random_solution(np.random.default_rng(3)), Coefficients(),
                     Domain(1.0, 0.5))
-    grid = build_grid(case.domain, 9, 7)
+    grid = build_grid(case.problem.domain, 9, 7)
     report = solve_problem(case.problem, grid, residual_gate=False).report
     assert tuple(report.residual_bc) == tuple(places)
 

@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.MULTILINE | re.DOTALL)
 
-#: backticked dotted names, alone or called (`mms.forward_problem(...)`), whose
+#: backticked dotted names, alone or called (`mms.make_mms(...)`), whose
 #: head is the package, one of its submodules or a name the package exports;
 #: `report.json` and the like name no part of the package
 SUBMODULES = {m.name for m in pkgutil.iter_modules(mangeron.__path__)}

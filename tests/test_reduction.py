@@ -10,9 +10,8 @@ from mangeron import (Coefficients, CoupledSystem, Domain, Field2D, GridFn2D, No
 from mangeron import reduction, solver as solver_mod
 from mangeron.reduction import (CUM0, CUM1, IDENT, MOM, TILE_ROWS, DenseLimitError, Term,
                                 far_edge)
-from mangeron.mms import (biquadratic_solution, make_mms, random_coefficients,
-                          random_forward_problem, sep_poly, SeparableSolution)
-from helpers import exact_bundle
+from mangeron.mms import biquadratic_solution, make_mms, sep_poly, SeparableSolution
+from helpers import exact_bundle, random_coefficients, random_forward_problem
 from quadrature_oracle import panel_tables, whole_grid_matvec
 
 DOM = Domain(1.0, 1.0)

@@ -14,11 +14,11 @@ from mangeron import (Coefficients, ConstraintError, Domain, Field2D, GridFn2D,
                       solve_problem)
 from mangeron import reduction, solver as solver_mod
 from mangeron.cli import main as cli_main
-from mangeron.mms import (bilinear_solution, biquadratic_solution, make_mms,
-                          random_coefficients, random_forward_problem, trig_solution)
+from mangeron.mms import bilinear_solution, biquadratic_solution, make_mms, trig_solution
 from mangeron.grids import TILE_ROWS
 from mangeron.reduction import DiscreteOperator, far_edge
-from helpers import combine, estimate_stability_ratio
+from helpers import (combine, estimate_stability_ratio, random_coefficients,
+                     random_forward_problem)
 from quadrature_oracle import panel_tables
 
 DOM = Domain(1.0, 1.0)

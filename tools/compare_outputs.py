@@ -13,7 +13,8 @@ repository's `configs/`:
 - `convert` of each config, in the direction its boundary data allows;
 - the three `verify` suites.
 
-Each run is a fresh interpreter.  A run writes into the same output
+Each run is a fresh interpreter that writes no bytecode, so both trees are
+left as they were.  A run writes into the same output
 directory on both sides, emptied before each run, so its path reads the
 same in both stdouts.  Two runs agree when their exit codes, stdout, stderr
 and every file they write are identical.  The runs that differ are listed
@@ -55,7 +56,8 @@ def outcome(src: Path, args: list[str], out: Path):
     """(exit code, stdout, stderr, {file name: bytes}) of one run of the tree
     at `src`, writing into `out`."""
     shutil.rmtree(out, ignore_errors=True)
-    env = dict(os.environ, PYTHONPATH=str(src))
+    # no run writes a __pycache__ into either compared tree
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-c", ENTRY, *args, "--out", str(out)],
                           cwd=out.parent, env=env, capture_output=True)
     files = {path.relative_to(out).as_posix(): path.read_bytes()
