@@ -7,24 +7,28 @@ exactly one of [data.nonclassical] (seven scalars, plus `uxx_bottom`,
 `uxx_top` in x and `uyy_left`, `uyy_right` in y) or [data.classical]
 (`left`, `right` in y and `bottom`, `top` in x); optional [solver] method,
 tol, max_iter, p; optional [reference] u for error reporting against a
-known solution.  `SECTIONS` lists these keys and refuses any other, and
-any [DEFAULT] key.  Values use the expression mini-language; the sides,
-breakpoints, `tol`, data scalars and piecewise bounds are constants, and
-`n1`, `n2` (at least `grids.MIN_NODES`) and `max_iter` (at least 1) are
-integers, and `p` is a number >= 1 or inf.  A refused scalar names its place, as in
-`[grid] n1 = '2.5': not an integer`.
+known solution.  `SECTIONS` states this format once: every key with the
+reader of its text and its default.  Any other section or key, and any
+[DEFAULT] key, is refused.  Values use the expression mini-language; the
+sides, breakpoints, `tol`, data scalars and piecewise bounds are constants,
+and `n1`, `n2` (at least `grids.MIN_NODES`, as distinct floats on their
+side) and `max_iter` (at least 1) are integers, and `p` is a number >= 1 or
+inf.  Every refusal names its place, as in `[grid] n1 = '2.5': not an
+integer`, and an expression that fails to evaluate names its key, as in
+`[forcing] z: value inf is not finite at (x = 0.0, y = 0.0)`.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import exprlang
 from .fields import Field1D, Field2D, validate_tiling
-from .grids import MIN_NODES, Domain, Grid2D, build_grid
+from .grids import MIN_NODES, Domain, Grid2D, build_grid, check_breakpoint, uniform_nodes
 from .norms import NormSpec
 from .problem import (BoundaryTrace, ClassicalData, Coefficients, NonclassicalData,
                       PdeProblem, classical_to_nonclassical, trace_axis)
@@ -38,68 +42,30 @@ class ConfigError(ValueError):
 NONCLASSICAL_TRACES = {key: "xy"[trace_axis(key)] for key in NonclassicalData.TRACE_KEYS}
 CLASSICAL_TRACES = {"left": "y", "right": "y", "bottom": "x", "top": "x"}
 
-
-@dataclass
-class SolverOptions:
-    method: str = "auto"
-    tol: float = 1e-10
-    max_iter: int = 200
-    p: float = 2.0
+#: the [domain] key of the side that each variable runs along
+SIDES = {"x": "h1", "y": "h2"}
 
 
-#: section -> (what one of its keys is called, the keys it may hold)
-SECTIONS = {
-    "domain": ("key", ("h1", "h2")),
-    "grid": ("key", ("n1", "n2", "x_breakpoints", "y_breakpoints")),
-    "coefficients": ("coefficient", Coefficients.KEYS),
-    "forcing": ("key", ("z",)),
-    "data.nonclassical": ("data component", NonclassicalData.PLACES),
-    "data.classical": ("data component", CLASSICAL_TRACES),
-    "solver": ("key", tuple(f.name for f in fields(SolverOptions))),
-    "reference": ("key", ("u",)),
-}
+def key_lead(section: str, key: str) -> str:
+    """How a refusal names a config key: ``[section] key``."""
+    return f"[{section}] {key}"
 
 
-@dataclass
-class RunConfig:
-    domain: Domain
-    n1: int
-    n2: int
-    x_breakpoints: tuple[float, ...]
-    y_breakpoints: tuple[float, ...]
-    coeff_exprs: dict
-    forcing_expr: object
-    data_kind: str                    # "nonclassical" | "classical"
-    data_exprs: dict
-    solver: SolverOptions
-    reference_expr: object | None
+# Readers: each takes a key's text and the domain (None for [domain]'s own
+# keys) and returns the value, or raises a ValueError that says why not.
 
-
-def _parse_expr(text: str, extents: dict[str, float], where: str):
-    """Parse an expression in the variables of `extents`; the pieces of every
-    piecewise node in it must tile [0, extent] along each variable."""
-    try:
-        node = exprlang.parse(text, tuple(extents))
-        for sub in exprlang.walk(node):
-            if isinstance(sub, exprlang.Piecewise):
-                validate_tiling([bounds for bounds, _ in sub.pieces], tuple(extents.values()))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    return node
-
-
-def _constant(text: str) -> float:
+def _constant(text: str, domain: Domain | None = None) -> float:
     return exprlang.constant(exprlang.parse(text, ()))
 
 
-def _positive(text: str) -> float:
+def _positive(text: str, domain: Domain | None = None) -> float:
     value = _constant(text)
     if not value > 0.0:
         raise ValueError("must be positive")
     return value
 
 
-def _integer(text: str, minimum: int = 1) -> int:
+def _integer(text: str, domain: Domain | None = None, minimum: int = 1) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -109,45 +75,118 @@ def _integer(text: str, minimum: int = 1) -> int:
     return value
 
 
-def node_count(text: str) -> int:
-    """Nodes along one grid axis: an integer of at least `grids.MIN_NODES`."""
-    return _integer(text, MIN_NODES)
+def node_count(var: str):
+    """Reader of the node count along `var`'s axis: an integer of at least
+    `grids.MIN_NODES` whose uniform nodes are distinct floats on the side."""
+    def read(text: str, domain: Domain) -> int:
+        n = _integer(text, minimum=MIN_NODES)
+        uniform_nodes(getattr(domain, SIDES[var]), n)
+        return n
+    return read
 
 
-def norm_exponent(text: str) -> float:
+def _breakpoints(var: str):
+    """Reader of comma-separated constants inside the side of `var` (none for
+    an empty text), by the range rule of `grids.check_breakpoint`."""
+    def read(text: str, domain: Domain) -> tuple[float, ...]:
+        values = tuple(_constant(t) for t in text.split(",")) if text.strip() else ()
+        side = getattr(domain, SIDES[var])
+        for b in values:
+            check_breakpoint(b, side)
+        return values
+    return read
+
+
+def _expression(variables: str):
+    """Reader of an expression in `variables` ("xy", "x" or "y"); the pieces
+    of every piecewise node in it must tile the domain along them."""
+    def read(text: str, domain: Domain):
+        node = exprlang.parse(text, tuple(variables))
+        extents = tuple(getattr(domain, SIDES[v]) for v in variables)
+        for sub in exprlang.walk(node):
+            if isinstance(sub, exprlang.Piecewise):
+                validate_tiling([bounds for bounds, _ in sub.pieces], extents)
+        return node
+    return read
+
+
+def solve_method(text: str, domain: Domain | None = None) -> str:
+    """Solve route: one of `METHODS`."""
+    if text not in METHODS:
+        raise ValueError(f"not one of {', '.join(METHODS)}")
+    return text
+
+
+def norm_exponent(text: str, domain: Domain | None = None) -> float:
     """Norm exponent p: a number >= 1, or inf (the rule of `NormSpec`)."""
     return NormSpec(float(text)).p
 
 
-def _constant_list(text: str) -> tuple[float, ...]:
-    """Comma-separated constants; none for an empty text."""
-    return tuple(_constant(t) for t in text.split(",")) if text.strip() else ()
+#: section -> (what one of its keys is called, {key: (reader, default)}); the
+#: default is the text read when the config does not give the key: None marks
+#: a key the config must give, and "" one that is then left out
+SECTIONS = {
+    "domain": ("key", {"h1": (_positive, None), "h2": (_positive, None)}),
+    "grid": ("key", {"n1": (node_count("x"), None), "n2": (node_count("y"), None),
+                     "x_breakpoints": (_breakpoints("x"), ""),
+                     "y_breakpoints": (_breakpoints("y"), "")}),
+    "coefficients": ("coefficient", {key: (_expression("xy"), "") for key in Coefficients.KEYS}),
+    "forcing": ("key", {"z": (_expression("xy"), None)}),
+    "data.nonclassical": ("data component", {
+        key: (_expression(NONCLASSICAL_TRACES[key]), "zero") if key in NONCLASSICAL_TRACES
+        else (_constant, "0") for key in NonclassicalData.PLACES}),
+    "data.classical": ("data component", {key: (_expression(var), None)
+                                          for key, var in CLASSICAL_TRACES.items()}),
+    "solver": ("key", {"method": (solve_method, "auto"), "tol": (_positive, "1e-10"),
+                       "max_iter": (_integer, "200"), "p": (norm_exponent, "2")}),
+    "reference": ("key", {"u": (_expression("xy"), "")}),
+}
 
 
-def read_value(lead: str, text: str, read):
-    """`text` read by `read`; a value `read` refuses raises a `ConfigError`
-    that names where the text came from: `lead = 'text': reason`."""
+@dataclass
+class SolverOptions:
+    method: str
+    tol: float
+    max_iter: int
+    p: float
+
+
+@dataclass
+class RunConfig:
+    domain: Domain
+    n1: int
+    n2: int
+    coeff_exprs: dict
+    forcing_expr: object
+    data_kind: str                    # "nonclassical" | "classical"
+    data_exprs: dict
+    solver: SolverOptions
+    reference_expr: object | None
+    x_breakpoints: tuple[float, ...] = ()
+    y_breakpoints: tuple[float, ...] = ()
+
+
+def read_value(lead: str, text: str, read, domain: Domain | None = None):
+    """`text` read by `read` with `domain`; a value `read` refuses raises a
+    `ConfigError` that names where the text came from: `lead = 'text': reason`."""
     try:
-        return read(text)
+        return read(text, domain)
     except ValueError as exc:
         raise ConfigError(f"{lead} = {text!r}: {exc}") from exc
 
 
-def _setting(section, key: str, default: str | None = None, read=_constant):
-    """`key` of `section`, or `default`, read by `read`; a missing key with
-    no default, or a value `read` refuses, raises a `ConfigError` that
-    names the section and the key: `[section] key = 'text': reason`."""
-    text = section.get(key, default)
-    if text is None:
-        raise ConfigError(f"[{section.name}] must define {key}")
-    return read_value(f"[{section.name}] {key}", text, read)
-
-
-def solve_method(text: str) -> str:
-    """Solve route from config or command-line text: one of `METHODS`."""
-    if text not in METHODS:
-        raise ConfigError(f"unknown solver method {text!r} (available: {', '.join(METHODS)})")
-    return text
+def _read_section(cp: configparser.ConfigParser, name: str, domain: Domain | None = None):
+    """The keys of section `name` by `SECTIONS`, each the config's text or its
+    default, read with `domain`; a missing required key is refused."""
+    given = cp[name] if cp.has_section(name) else {}
+    values = {}
+    for key, (read, default) in SECTIONS[name][1].items():
+        text = given.get(key, default)
+        if text is None:
+            raise ConfigError(f"[{name}] must define {key}")
+        if key in given or default:
+            values[key] = read_value(key_lead(name, key), text, read, domain)
+    return values
 
 
 def _check_keys(cp: configparser.ConfigParser):
@@ -177,68 +216,22 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
     _check_keys(cp)
-    for section in ("domain", "grid", "forcing"):
-        if not cp.has_section(section):
-            raise ConfigError(f"missing required section [{section}]")
-    domain = Domain(*(_setting(cp["domain"], key, read=_positive) for key in ("h1", "h2")))
-    n1, n2 = (_setting(cp["grid"], key, read=node_count) for key in ("n1", "n2"))
-    xy = {"x": domain.h1, "y": domain.h2}
-    xb, yb = (_setting(cp["grid"], key, "", read=_constant_list)
-              for key in ("x_breakpoints", "y_breakpoints"))
-
-    coeff_exprs = ({key: _parse_expr(text, xy, f"coefficients.{key}")
-                    for key, text in cp["coefficients"].items()}
-                   if cp.has_section("coefficients") else {})
-
-    if "z" not in cp["forcing"]:
-        raise ConfigError("section [forcing] must define z")
-    forcing_expr = _parse_expr(cp["forcing"]["z"], xy, "forcing.z")
-
-    has_nc = cp.has_section("data.nonclassical")
-    has_cl = cp.has_section("data.classical")
-    if has_nc == has_cl:
+    kinds = [kind for kind in ("nonclassical", "classical") if cp.has_section(f"data.{kind}")]
+    if len(kinds) != 1:
         raise ConfigError("exactly one of [data.nonclassical] or [data.classical] "
                           "must be present")
-    data_exprs: dict[str, object] = {}
-    if has_nc:
-        data_kind = "nonclassical"
-        sec = cp["data.nonclassical"]
-        for key in NonclassicalData.SCALAR_KEYS:
-            data_exprs[key] = _setting(sec, key, "0")
-        for key, var in NONCLASSICAL_TRACES.items():
-            text = sec.get(key, "zero")
-            data_exprs[key] = _parse_expr(text, {var: xy[var]}, f"data.nonclassical.{key}")
-    else:
-        data_kind = "classical"
-        sec = cp["data.classical"]
-        for key, var in CLASSICAL_TRACES.items():
-            if key not in sec:
-                raise ConfigError(f"data.classical must define {key!r}")
-            data_exprs[key] = _parse_expr(sec[key], {var: xy[var]},
-                                         f"data.classical.{key}")
-
-    solver = SolverOptions()
-    if cp.has_section("solver"):
-        sec = cp["solver"]
-        solver.method = solve_method(sec.get("method", solver.method))
-        solver.tol = _setting(sec, "tol", repr(solver.tol), read=_positive)
-        solver.max_iter = _setting(sec, "max_iter", str(solver.max_iter), read=_integer)
-        solver.p = _setting(sec, "p", repr(solver.p), read=norm_exponent)
-
-    reference_expr = None
-    if cp.has_section("reference") and "u" in cp["reference"]:
-        reference_expr = _parse_expr(cp["reference"]["u"], xy, "reference.u")
-
-    return RunConfig(domain=domain, n1=n1, n2=n2, x_breakpoints=xb, y_breakpoints=yb,
-                     coeff_exprs=coeff_exprs, forcing_expr=forcing_expr,
-                     data_kind=data_kind, data_exprs=data_exprs, solver=solver,
-                     reference_expr=reference_expr)
+    domain = Domain(**_read_section(cp, "domain"))
+    read = partial(_read_section, cp, domain=domain)
+    return RunConfig(domain=domain, **read("grid"), coeff_exprs=read("coefficients"),
+                     forcing_expr=read("forcing")["z"], data_kind=kinds[0],
+                     data_exprs=read(f"data.{kinds[0]}"), solver=SolverOptions(**read("solver")),
+                     reference_expr=read("reference").get("u"))
 
 
 def evaluate_expr(node, env: dict, where: str):
     """Evaluate a config expression; an evaluation error, or a value that is
     not finite at some point, names its config key `where`, such as
-    ``coefficients.c_u``, and the point."""
+    ``[coefficients] c_u`` (`key_lead`), and the point."""
     try:
         with np.errstate(all="ignore"):
             values = np.asarray(exprlang.evaluate(node, env), dtype=float)
@@ -263,22 +256,18 @@ def _field(node, variables: str, where: str):
 
 
 def build_grid_from(cfg: RunConfig) -> Grid2D:
-    try:
-        return build_grid(cfg.domain, cfg.n1, cfg.n2,
-                          x_breakpoints=cfg.x_breakpoints,
-                          y_breakpoints=cfg.y_breakpoints)
-    except ValueError as exc:
-        raise ConfigError(f"bad grid: {exc}") from exc
+    return build_grid(cfg.domain, cfg.n1, cfg.n2,
+                      x_breakpoints=cfg.x_breakpoints, y_breakpoints=cfg.y_breakpoints)
 
 
 def build_coefficients(cfg: RunConfig) -> Coefficients:
-    return Coefficients(**{key: _field(node, "xy", f"coefficients.{key}")
+    return Coefficients(**{key: _field(node, "xy", key_lead("coefficients", key))
                            for key, node in cfg.coeff_exprs.items()})
 
 
 def build_nonclassical(cfg: RunConfig) -> NonclassicalData:
     e = cfg.data_exprs
-    traces = {key: _field(e[key], var, f"data.nonclassical.{key}")
+    traces = {key: _field(e[key], var, key_lead("data.nonclassical", key))
               for key, var in NONCLASSICAL_TRACES.items()}
     return NonclassicalData(**{key: e[key] for key in NonclassicalData.SCALAR_KEYS},
                             **traces)
@@ -287,7 +276,7 @@ def build_nonclassical(cfg: RunConfig) -> NonclassicalData:
 def build_classical(cfg: RunConfig) -> ClassicalData:
     traces = {}
     for key, var in CLASSICAL_TRACES.items():
-        node, where = cfg.data_exprs[key], f"data.classical.{key}"
+        node, where = cfg.data_exprs[key], key_lead("data.classical", key)
         try:
             d1_node = exprlang.diff(node, var)
             d1, d2 = (_field(n, var, where) for n in (d1_node, exprlang.diff(d1_node, var)))
@@ -304,11 +293,11 @@ def build_problem(cfg: RunConfig, grid: Grid2D):
     classical data propagate as CornerMismatchError.
     """
     coeffs = build_coefficients(cfg)
-    forcing = _field(cfg.forcing_expr, "xy", "forcing.z")
+    forcing = _field(cfg.forcing_expr, "xy", key_lead("forcing", "z"))
     classical = None
     if cfg.data_kind == "classical":
         classical = build_classical(cfg)
-        data = classical_to_nonclassical(classical, cfg.domain, grid)
+        data = classical_to_nonclassical(classical, grid)
     else:
         data = build_nonclassical(cfg)
     return PdeProblem(cfg.domain, coeffs, forcing, data), classical

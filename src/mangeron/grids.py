@@ -184,16 +184,28 @@ class Grid2D:
         return f"Grid2D({self.ax.n}x{self.ay.n} on [0,{self.domain.h1}]x[0,{self.domain.h2}])"
 
 
-def _axis_nodes(length: float, n: int, breakpoints) -> np.ndarray:
-    if n < MIN_NODES:
-        raise ValueError(f"need at least {MIN_NODES} nodes per axis, got {n}")
+def uniform_nodes(length: float, n: int) -> np.ndarray:
+    """`n` equally spaced nodes from 0 to `length`; a side too short to hold
+    them as distinct floats is refused."""
     nodes = np.linspace(0.0, length, n)
+    if np.any(np.diff(nodes) <= 0):
+        raise ValueError(f"{n} nodes on a side of {length!r} are not distinct floats")
+    return nodes
+
+
+def check_breakpoint(b: float, length: float):
+    """Refuse a breakpoint outside the open interval (0, length)."""
+    if not 0.0 < b < length:
+        raise ValueError(f"breakpoint {b} outside open interval (0, {length})")
+
+
+def _axis_nodes(length: float, n: int, breakpoints) -> np.ndarray:
+    nodes = uniform_nodes(length, n)
     if breakpoints:
         extra = []
         for b in breakpoints:
             b = float(b)
-            if not (0.0 < b < length):
-                raise ValueError(f"breakpoint {b} outside open interval (0, {length})")
+            check_breakpoint(b, length)
             if np.min(np.abs(np.append(nodes, extra) - b)) > NODE_MATCH_RTOL * length:
                 extra.append(b)
         if extra:

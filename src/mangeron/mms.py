@@ -26,7 +26,7 @@ from .problem import DERIVATIVES, Coefficients, PdeProblem, solution_data
 from .solver import solve_problem
 
 #: sup errors below this are reported as exact-at-nodes in convergence tables
-EXACT_TOL = 1e-11
+EXACT_TOL = 1e-12
 
 
 #: one separable factor as (f, f', f''), each elementwise in t

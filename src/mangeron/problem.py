@@ -244,7 +244,7 @@ def _trace_derivatives(trace: BoundaryTrace, axis: Axis):
     return d1_at_0, d2_field
 
 
-def classical_to_nonclassical(cd: ClassicalData, domain: Domain, grid: Grid2D,
+def classical_to_nonclassical(cd: ClassicalData, grid: Grid2D,
                               corner_tol: float = CORNER_TOL_ANALYTIC) -> NonclassicalData:
     """Extract the 11 nonclassical components from classical edge data; an
     edge without derivative evaluators is differenced on `grid`.
@@ -254,7 +254,7 @@ def classical_to_nonclassical(cd: ClassicalData, domain: Domain, grid: Grid2D,
     the first corner that disagrees, a NaN residual included, raises
     CornerMismatchError naming it.
     """
-    matching = check_matching(cd, domain, corner_tol)
+    matching = check_matching(cd, grid.domain, corner_tol)
     for name, r in matching.residuals:
         if not r <= matching.tolerance:
             raise CornerMismatchError(f"edge values disagree at {name}: "

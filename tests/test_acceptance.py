@@ -189,7 +189,7 @@ def test_criterion_06_round_trip_second_order():
         grid = build_grid(DOM, n, n)
         ctol = 100.0 * float(np.max(np.diff(grid.x))) ** 2
         back = classical_to_nonclassical(
-            nonclassical_to_classical(data, grid), DOM, grid, corner_tol=ctol)
+            nonclassical_to_classical(data, grid), grid, corner_tol=ctol)
         err = 0.0
         for key in NonclassicalData.SCALAR_KEYS:
             err = max(err, abs(getattr(back, key) - getattr(data, key)))
@@ -201,7 +201,7 @@ def test_criterion_06_round_trip_second_order():
 
         cd = nonclassical_to_classical(data, grid)   # exact anchor traces
         again = nonclassical_to_classical(
-            classical_to_nonclassical(cd, DOM, grid, corner_tol=ctol), grid)
+            classical_to_nonclassical(cd, grid, corner_tol=ctol), grid)
         err = 0.0
         for name, axis in (("left", grid.ay), ("right", grid.ay),
                            ("bottom", grid.ax), ("top", grid.ax)):

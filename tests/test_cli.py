@@ -132,8 +132,7 @@ CONFIG_ERRORS = {
     "unknown-coefficient": ("trig.cfg", "[forcing]\n",
                             "[coefficients]\nc_zz = 1\n\n[forcing]\n",
                             "unknown coefficient 'c_zz'"),
-    "forcing-without-z": ("trig.cfg", "z = sin(x) * sin(y)\n", "",
-                          "section [forcing] must define z"),
+    "forcing-without-z": ("trig.cfg", "z = sin(x) * sin(y)\n", "", "[forcing] must define z"),
     "both-data-sections": ("plane_classical.cfg", "[data.classical]\n",
                            "[data.nonclassical]\n\n[data.classical]\n",
                            "exactly one of [data.nonclassical] or [data.classical]"),
@@ -142,7 +141,7 @@ CONFIG_ERRORS = {
     "unknown-classical": ("plane_classical.cfg", "top = 1 + x\n", "top = 1 + x\nmiddle = x\n",
                           "unknown data component 'middle'"),
     "classical-without-top": ("plane_classical.cfg", "top = 1 + x\n", "",
-                              "data.classical must define 'top'"),
+                              "[data.classical] must define top"),
     "tol-not-a-number": ("trig.cfg", "method = auto\n", "method = auto\ntol = abc\n",
                          "[solver] tol = 'abc'"),
     "max-iter-not-an-integer": ("trig.cfg", "method = auto\n", "method = auto\nmax_iter = 1e3\n",
@@ -155,7 +154,11 @@ CONFIG_ERRORS = {
     "p-below-one": ("trig.cfg", "method = auto\n", "method = auto\np = 0.5\n",
                     "[solver] p = '0.5': p must be >= 1, got 0.5"),
     "breakpoint-outside-domain": ("trig.cfg", "n1 = 21\n", "n1 = 21\nx_breakpoints = 1.5\n",
-                                  "bad grid: breakpoint 1.5 outside open interval (0, 1.0)"),
+                                  "[grid] x_breakpoints = '1.5': "
+                                  "breakpoint 1.5 outside open interval (0, 1.0)"),
+    "side-too-small-for-its-nodes": ("trig.cfg", "h1 = 1.0\n", "h1 = 5e-324\n",
+                                     "[grid] n1 = '21': 21 nodes on a side of 5e-324 "
+                                     "are not distinct floats"),
 }
 
 
@@ -290,18 +293,20 @@ def test_a_third_written_as_an_expression_is_the_literal(tmp_path):
         assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
 
 
-@pytest.mark.parametrize("bound, message", [
-    ("x", "coefficients.c_u: not a constant: x"),
-    ("piecewise((0, 1, 0, 1): 0.5)", "coefficients.c_u: not a constant: piecewise("),
-    ("1/0", "coefficients.c_u: value inf is not finite"),
-])
-def test_piecewise_bound_that_is_not_a_constant_exits_two(tmp_path, capsys, bound, message):
+@pytest.mark.parametrize("bound, reason", [
+    ("x", "not a constant: x"),
+    ("piecewise((0, 1, 0, 1): 0.5)", "not a constant: piecewise("),
+    ("1/0", "value inf is not finite"),
+], ids=["x", "piecewise", "1/0"])
+def test_piecewise_bound_that_is_not_a_constant_exits_two(tmp_path, capsys, bound, reason):
     cfg = tmp_path / "b.cfg"
+    c_u = f"piecewise((0, {bound}, 0, 1): 1; (0.5, 1, 0, 1): 2)"
     cfg.write_text((CONFIGS / "piecewise.cfg").read_text().replace(
-        "c_u = piecewise((0, 0.5,", f"c_u = piecewise((0, {bound},"))
+        "c_u = piecewise((0, 0.5, 0, 1): 1; (0.5, 1, 0, 1): 2)", f"c_u = {c_u}"))
     assert run(["solve", "--config", cfg, "--out", tmp_path / "out"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+    assert err.startswith(f"config error: [coefficients] c_u = {c_u!r}: {reason}")
+    assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -317,14 +322,18 @@ def test_tiny_domain_solves_quietly(tmp_path, h1):
 
 
 def test_overflowing_domain_fails_with_one_line(tmp_path):
-    # the quadrature overflows; the calibration check reports it, and no
-    # numpy warning precedes its line
-    cfg = tmp_path / "huge.cfg"
-    cfg.write_text((CONFIGS / "zero.cfg").read_text().replace("h1 = 1.0", "h1 = 1e308"))
-    out = run_fresh(["solve", "--config", cfg, "--out", tmp_path / "out"])
-    assert out.returncode == 4
-    assert out.stderr.splitlines() == [
-        "solver failure: residual-gate calibration gave a non-finite residual (nan)"]
+    # the quadrature overflows, or the reference forcing sin(x) exp(y) of the
+    # calibration does; the calibration check reports it, and no numpy
+    # warning precedes its line
+    for old, new in (("h1 = 1.0", "h1 = 1e308"), ("h2 = 1.0", "h2 = 710"),
+                     ("h2 = 1.0", "h2 = 1e300")):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text((CONFIGS / "zero.cfg").read_text().replace(old, new))
+        out = run_fresh(["solve", "--config", cfg, "--out", tmp_path / "out"])
+        assert out.returncode == 4, new
+        assert out.stderr.splitlines() == [
+            "solver failure: residual-gate calibration gave a non-finite residual (nan)"], new
+        assert not (tmp_path / "out").exists()
 
 
 def test_overflowing_forcing_fails_the_gate(tmp_path):
@@ -383,16 +392,15 @@ def test_unknown_method_exits_two(tmp_path, capsys):
     # one rule on the command line and under [solver] in the config;
     # `CoupledSystem` is no route, so `coupled` is unknown like any other name
     for k, method in enumerate(("bogus", "coupled")):
-        message = (f"config error: unknown solver method {method!r} "
-                   "(available: auto, neumann, dense)\n")
+        reason = f" = {method!r}: not one of auto, neumann, dense\n"
         assert run(["solve", "--config", CONFIGS / "zero.cfg", "--out", tmp_path / f"a{k}",
                     "--method", method]) == 2
-        assert capsys.readouterr().err == message
+        assert capsys.readouterr().err == f"config error: --method{reason}"
         cfg = tmp_path / "m.cfg"
         cfg.write_text((CONFIGS / "zero.cfg").read_text().replace("method = auto",
                                                                   f"method = {method}"))
         assert run(["solve", "--config", cfg, "--out", tmp_path / f"b{k}"]) == 2
-        assert capsys.readouterr().err == message
+        assert capsys.readouterr().err == f"config error: [solver] method{reason}"
         assert not (tmp_path / f"a{k}").exists() and not (tmp_path / f"b{k}").exists()
 
 
@@ -426,6 +434,13 @@ def test_bad_grid_override_exits_two(tmp_path, capsys):
                 "--grid", "9x2"]) == 2
     assert capsys.readouterr().err == "config error: --grid N2 = '2': must be at least 3\n"
     assert not (tmp_path / "out").exists()
+    # and on the config's side: 41 nodes on 1e-322 repeat a float, 9 do not
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text((CONFIGS / "zero.cfg").read_text().replace("h1 = 1.0", "h1 = 1e-322"))
+    assert run(["solve", "--config", cfg, "--out", tmp_path / "out", "--grid", "41x9"]) == 2
+    assert capsys.readouterr().err == ("config error: --grid N1 = '41': 41 nodes on a side "
+                                       "of 1e-322 are not distinct floats\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_uncovered_piecewise_expression_exits_two(tmp_path, capsys):
@@ -455,7 +470,7 @@ def test_uncovered_piecewise_expression_exits_two(tmp_path, capsys):
         assert run(["solve", "--config", cfg, "--out", tmp_path / "out"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
-        assert f"{section}.{key}: " in err and message in err
+        assert err.startswith(f"config error: [{section}] {key} = ") and message in err
         assert not (tmp_path / "out").exists()
 
 
@@ -659,13 +674,13 @@ NON_FINITE_VALUES = (
     # a 0/0 at y = h2 in a classical edge, at x = 0 in a nonclassical trace,
     # a scalar inf - inf, and a constant forcing 1/0
     ("plane_classical.cfg", "left = y", "left = y * (y - 1) / (y - 1)",
-     "data.classical.left: value nan is not finite at (y = 1.0)"),
+     "[data.classical] left: value nan is not finite at (y = 1.0)"),
     ("plane_nonclassical.cfg", "uxx_top = zero", "uxx_top = x / x - 1",
-     "data.nonclassical.uxx_top: value nan is not finite at (x = 0.0)"),
+     "[data.nonclassical] uxx_top: value nan is not finite at (x = 0.0)"),
     ("plane_nonclassical.cfg", "ux01 = 1", "ux01 = exp(1000) - exp(1000)",
      "[data.nonclassical] ux01 = 'exp(1000) - exp(1000)': value nan is not finite"),
     ("zero.cfg", "z = zero", "z = 1 / 0",
-     "forcing.z: value inf is not finite at (x = 0.0, y = 0.0)"),
+     "[forcing] z: value inf is not finite at (x = 0.0, y = 0.0)"),
 )
 
 
@@ -675,7 +690,7 @@ def test_non_finite_config_value_exits_two(tmp_path, capsys, config, old, new, m
     bad.write_text((CONFIGS / config).read_text().replace(old, new))
     direction = "to-nonclassical" if config == "plane_classical.cfg" else "to-classical"
     commands = [["solve"]]
-    if message.startswith(("data.", "[data.")):   # check and convert read only the data
+    if message.startswith("[data."):   # check and convert read only the data
         commands += [["check"], ["convert", "--direction", direction]]
     for command in commands:
         assert run([*command, "--config", bad, "--out", tmp_path / command[0]]) == 2

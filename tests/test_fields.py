@@ -126,7 +126,8 @@ def test_config_pieces_tile_the_extent_of_their_variable(tmp_path):
     cfg_path.write_text(CONFIG_FIELDS + "uyy_left = piecewise((0, 1): 1; (1, 2): 2)\n")
     load_config(str(cfg_path))
     cfg_path.write_text(CONFIG_FIELDS + "uxx_bottom = piecewise((0, 1): 1; (1, 2): 2)\n")
-    with pytest.raises(ConfigError, match=r"^data\.nonclassical\.uxx_bottom: piece "
+    with pytest.raises(ConfigError, match=r"^\[data\.nonclassical\] uxx_bottom = "
+                                          r"'piecewise\(\(0, 1\): 1; \(1, 2\): 2\)': piece "
                                           r"\(1\.0, 2\.0\) extends outside the domain$"):
         load_config(str(cfg_path))
 

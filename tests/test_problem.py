@@ -36,7 +36,7 @@ PLANE_EXPECTED = dict(u00=0.0, ux00=1.0, uy00=1.0, u10=1.0, uy10=1.0, u01=1.0, u
 def test_plane_conversion_analytic():
     dom = Domain(1.0, 1.0)
     grid = build_grid(dom, 9, 9)
-    data = classical_to_nonclassical(plane_classical(), dom, grid)
+    data = classical_to_nonclassical(plane_classical(), grid)
     for key, val in PLANE_EXPECTED.items():
         assert getattr(data, key) == pytest.approx(val, abs=1e-12)
     for key in NonclassicalData.TRACE_KEYS:
@@ -52,7 +52,7 @@ def test_plane_conversion_differenced():
     lin = lambda c: Field1D(lambda t, _c=c: _c + np.asarray(t, dtype=float))
     cd = ClassicalData(left=BoundaryTrace(lin(0.0)), right=BoundaryTrace(lin(1.0)),
                        bottom=BoundaryTrace(lin(0.0)), top=BoundaryTrace(lin(1.0)))
-    data = classical_to_nonclassical(cd, dom, grid)
+    data = classical_to_nonclassical(cd, grid)
     for key, val in PLANE_EXPECTED.items():
         assert getattr(data, key) == pytest.approx(val, abs=1e-10)
     np.testing.assert_allclose(data.uxx_top.sample(grid.ax), 0.0, atol=1e-9)
@@ -65,13 +65,13 @@ def test_corner_mismatch_detected():
     bad = ClassicalData(left=BoundaryTrace(const1d(1.0), const1d(0.0), const1d(0.0)),
                         right=cd.right, bottom=cd.bottom, top=cd.top)
     with pytest.raises(CornerMismatchError):
-        classical_to_nonclassical(bad, dom, grid)
+        classical_to_nonclassical(bad, grid)
     # top = 1 + 3x disagrees with the other edges only at (h1, h2)
     top = BoundaryTrace(Field1D(lambda t: 1.0 + 3.0 * np.asarray(t, dtype=float)),
                         const1d(3.0), const1d(0.0))
     bad = ClassicalData(left=cd.left, right=cd.right, bottom=cd.bottom, top=top)
     with pytest.raises(CornerMismatchError, match=r"corner\(h1,h2\)"):
-        classical_to_nonclassical(bad, dom, grid)
+        classical_to_nonclassical(bad, grid)
 
 
 def test_equation_tables_name_the_grids_and_coefficients():
@@ -137,7 +137,7 @@ def test_nan_corner_fails_matching_wherever_it_is_listed():
     assert math.isnan(report.max_residual)
     assert report.passed is False
     with pytest.raises(CornerMismatchError, match=r"corner\(0,h2\)"):
-        classical_to_nonclassical(bad, dom, build_grid(dom, 9, 9))
+        classical_to_nonclassical(bad, build_grid(dom, 9, 9))
 
 
 def test_nonclassical_to_classical_simple_cases():
@@ -258,7 +258,7 @@ def test_round_trip_nonclassical_second_order():
         grid = build_grid(dom, n, n)
         ctol = 100.0 * max(np.max(np.diff(grid.x)), np.max(np.diff(grid.y))) ** 2
         back = classical_to_nonclassical(
-            nonclassical_to_classical(data, grid), dom, grid,
+            nonclassical_to_classical(data, grid), grid,
             corner_tol=ctol)
         errors.append(_data_sup_distance(data, back, grid))
     orders = [np.log2(errors[k] / errors[k + 1]) for k in range(2)]
@@ -288,7 +288,7 @@ def test_round_trip_classical_second_order():
     for n in (9, 17, 33):
         grid = build_grid(dom, n, n)
         back = nonclassical_to_classical(
-            classical_to_nonclassical(cd, dom, grid), grid)
+            classical_to_nonclassical(cd, grid), grid)
         err = 0.0
         for name, axis in (("left", grid.ay), ("right", grid.ay),
                            ("bottom", grid.ax), ("top", grid.ax)):
