@@ -2,15 +2,14 @@
 
 The fourth-order pseudoparabolic equation with nonsmooth coefficients is
 reduced to second-kind integral equations, discretized by a Nystrom scheme
-on composite trapezoid quadrature, and solved by successive approximations
-with a dense direct fallback.  What `mangeron verify` runs (manufactured
-solutions, the named cases, convergence studies) lives in `mangeron.mms`,
-which the package does not import, so a solve loads neither it nor
-numpy.polynomial; a config driven CLI is included.
+on the quadrature rule of `grids.Axis`, and solved by successive
+approximations with a dense direct fallback.  What `mangeron verify` runs
+(manufactured solutions, the named cases, convergence studies) lives in
+`mangeron.mms`, which the package does not import, so a solve loads neither
+it nor numpy.polynomial; a config driven CLI is included.
 """
 
-from .grids import (Axis, Domain, Grid2D, GridFn2D, build_grid, fd_derivatives,
-                    trapezoid_error_bound)
+from .grids import Axis, Domain, Grid2D, GridFn2D, build_grid, fd_derivatives
 from .fields import Field1D, Field2D, const1d, const2d, piecewise2d, samples1d
 from .norms import NormSpec, data_norm, lp_norm, sobolev_norm
 from .problem import (DERIVATIVES, BoundaryTrace, CheckReport, ClassicalData, Coefficients,

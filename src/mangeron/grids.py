@@ -2,11 +2,11 @@
 
 The whole discretization is built on one rule: composite trapezoid weights
 on a (possibly nonuniform) node set that always contains both interval
-endpoints.  Partial integrals from 0 up to a node, and their first-moment
-variants with kernel (x - t), are applied by `Axis.cumulative` as running
-sums in O(n) per line; this is the only definition of the cumulative rule,
-and the dense assemblies read its matrix entries by applying it to the
-identity.
+endpoints, stated only by `Axis` from its panel widths: the full-interval
+weights, the partial integrals from 0 up to a node and their first-moment
+variants with kernel (x - t) as running sums in O(n) per line
+(`Axis.cumulative`, which the dense assemblies apply to the identity), and
+the rule's error bound (`Axis.error_bound`).
 
 All node and weight arrays are frozen, and so are the values of a
 `GridFn2D`, the type of a solution bundle's grids; grids and grid functions
@@ -63,15 +63,6 @@ class Domain:
             raise ValueError(f"side lengths must be positive and finite, got {self.h1, self.h2}")
 
 
-def trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
-    """Composite trapezoid weights for a strictly increasing node vector."""
-    d = np.diff(nodes)
-    w = np.zeros(len(nodes))
-    w[:-1] += 0.5 * d
-    w[1:] += 0.5 * d
-    return w
-
-
 class Axis:
     """One quadrature axis: nodes from 0 to `length` plus derived weights.
 
@@ -82,7 +73,8 @@ class Axis:
     moments : (n,) full-interval first-moment weights, ``moments @ f`` =
         integral of (length - t) f(t)
     moment_avg : (n,) ``moments / length``, the weights of the moment average
-        (1/length) * integral of (length - t) f(t)
+        (1/length) * integral of (length - t) f(t); finite on any side, where
+        `moments` overflows above a side of about 1e154
     """
 
     def __init__(self, nodes):
@@ -96,10 +88,14 @@ class Axis:
         self.nodes = _frozen(nodes)
         self.n = len(nodes)
         self.length = float(nodes[-1])
-        self.weights = _frozen(trapezoid_weights(nodes))
-        self.moments = _frozen(self.weights * (self.length - nodes))
-        self.moment_avg = _frozen(self.moments / self.length)
         self._steps = _frozen(np.diff(nodes))
+        self._halves = _frozen(0.5 * self._steps)
+        self.weights = _frozen(np.append(self._halves, 0.0) + np.insert(self._halves, 0, 0.0))
+        with np.errstate(over="ignore"):
+            self.moments = _frozen(self.weights * (self.length - nodes))
+        finite = np.all(np.isfinite(self.moments))
+        self.moment_avg = _frozen(self.moments / self.length if finite
+                                  else self.weights * ((self.length - nodes) / self.length))
 
     def cumulative(self, f, axis: int = 0, out=None) -> tuple[np.ndarray, np.ndarray]:
         """``(cum0 f, cum1 f)`` along `axis` of f, in O(f.size) by running sums.
@@ -133,8 +129,8 @@ class Axis:
             if (np.shares_memory(c0, c1) or np.shares_memory(c0, f)
                     or np.shares_memory(c1, f)):
                 raise ValueError("out arrays must share no memory with f or each other")
-        step = self._steps.reshape((-1,) + (1,) * (f.ndim - 1 - axis))
-        half = 0.5 * step
+        shape = (-1,) + (1,) * (f.ndim - 1 - axis)
+        step, half = self._steps.reshape(shape), self._halves.reshape(shape)
         head = (slice(None),) * axis + (slice(0, 1),)
         lo = (slice(None),) * axis + (slice(None, -1),)
         hi = (slice(None),) * axis + (slice(1, None),)
@@ -149,6 +145,16 @@ class Axis:
         panel *= step
         np.cumsum(panel, axis=axis, out=panel)
         return c0, c1
+
+    def error_bound(self, f) -> float:
+        """Classical composite-trapezoid error bound length h^2/12 max|f''| of
+        the samples `f`, h the largest step.  f'' is estimated from the
+        samples, so the bound is reliable for resolved integrands and only
+        sizes tolerances.  Differencing in units of h gives h^2 f'' directly,
+        so no step is squared or cubed on a very small or very large side."""
+        h = float(np.max(self._steps))
+        _, h2_d2 = fd_derivatives(self.nodes / h, f)
+        return self.length / 12.0 * float(np.max(np.abs(h2_d2)))
 
     def __repr__(self):
         return f"Axis(n={self.n}, length={self.length})"
@@ -278,17 +284,3 @@ def fd_derivatives(nodes: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, n
         d2[end] = inner[a] + slope * (nodes[end] - centroid[a])
     return d1, d2
 
-
-def trapezoid_error_bound(nodes: np.ndarray, integrand: np.ndarray) -> float:
-    """Classical composite-trapezoid error bound (b-a) h^2/12 max|f''|.
-
-    The curvature is estimated from the samples themselves, so the bound is
-    reliable for resolved integrands and is used only to size tolerances.
-    The samples are differenced in units of the largest step h, which gives
-    h^2 f'' directly, so no step is squared or cubed on a very small or very
-    large interval.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    h = float(np.max(np.diff(nodes)))
-    _, h2_d2 = fd_derivatives(nodes / h, integrand)
-    return (nodes[-1] - nodes[0]) / 12.0 * float(np.max(np.abs(h2_d2)))

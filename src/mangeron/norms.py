@@ -2,8 +2,8 @@
 by the solver.
 
 `lp_norm` takes an array of node values and one `grids.Axis` per dimension,
-and weights each node by the product of the axes' trapezoid weights.  The
-solution norm sums the L_p norms of all nine derivative grids of a
+and weights each node by the product of the axes' weights (`Axis.weights`).
+The solution norm sums the L_p norms of all nine derivative grids of a
 solution bundle; the data norm sums the absolute values of the seven scalar
 boundary components and the L_p norms of the four edge-trace functions
 (`NonclassicalData.SCALAR_KEYS` and `TRACE_KEYS`).

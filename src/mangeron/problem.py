@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import Field1D, Field2D, ZERO_1D, ZERO_2D, samples1d
-from .grids import Axis, Domain, Grid2D, fd_derivatives, trapezoid_error_bound
+from .grids import Axis, Domain, Grid2D, fd_derivatives
 
 
 class DataConsistencyError(ValueError):
@@ -277,7 +277,7 @@ def nonclassical_to_classical(data: NonclassicalData, grid: Grid2D) -> Classical
 
     Each edge function is the second antiderivative of its edge trace,
     anchored by the corner value and first derivative; the integrals are
-    realized by first-moment trapezoid quadrature on the grid axes, so the
+    the grid axes' first-moment running sums (`Axis.cumulative`), so the
     result is a grid-sampled trace (derivatives, if needed later, come from
     differencing).
     """
@@ -300,13 +300,13 @@ def nonclassical_to_classical(data: NonclassicalData, grid: Grid2D) -> Classical
 def constraint_tolerance(sd: SampledData, grid: Grid2D) -> float:
     """Grid-aware tolerance for the two scalar data constraints.
 
-    Ten times the composite-trapezoid error bound of the two moment
-    integrals involved, plus a small floor proportional to the data scale.
+    Ten times the quadrature error bound (`Axis.error_bound`) of the two
+    moment integrals, plus a small floor proportional to the data scale.
     """
     ax, ay = grid.ax, grid.ay
     h1, h2 = grid.domain.h1, grid.domain.h2
-    b1 = trapezoid_error_bound(ax.nodes, (h1 - ax.nodes) * sd.uxx_bottom)
-    b2 = trapezoid_error_bound(ay.nodes, (h2 - ay.nodes) * sd.uyy_left)
+    b1 = ax.error_bound((h1 - ax.nodes) * sd.uxx_bottom)
+    b2 = ay.error_bound((h2 - ay.nodes) * sd.uyy_left)
     scale = max(1.0, abs(sd.u00), abs(sd.ux00), abs(sd.uy00), abs(sd.u10), abs(sd.u01),
                 float(np.max(np.abs(sd.uxx_bottom), initial=0.0)),
                 float(np.max(np.abs(sd.uyy_left), initial=0.0)))

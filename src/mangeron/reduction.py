@@ -8,7 +8,7 @@ derivative u_xy(0,0), the edge traces u_xxy(x,0) and u_xyy(0,y) and the core
 unknown u_xxyy(x,y).  The derivative grids (`representation`), the base part
 of the right-hand side (`reduced_rhs`) and the 15 terms coef(i,j) * (A core
 B^T)(i,j) of K (`kernel_terms`) are read off that table.  Collocating the
-equation at the grid nodes, every integral by the shared trapezoid rule,
+equation at the grid nodes, every integral by the axes' one rule (`Axis`),
 yields a coupled square system in the quadruple and, with the lower unknowns
 eliminated by the far-edge conditions (`far_edge`), a single second-kind
 system (I + K) core = g.  The solver solves the second-kind system; the
@@ -60,13 +60,6 @@ BASE = ("base_x", "base_y")
 
 class DenseLimitError(ValueError):
     """A dense assembly refused because the grid exceeds DENSE_NODE_LIMIT."""
-
-
-def _check_dense_limit(n_nodes: int):
-    """Refuse a dense assembly over more than DENSE_NODE_LIMIT grid nodes."""
-    if n_nodes > DENSE_NODE_LIMIT:
-        raise DenseLimitError(f"dense assembly limited to {DENSE_NODE_LIMIT} nodes; "
-                              "use the matrix-free matvec")
 
 
 def apply_pde_operator(c: dict[str, np.ndarray], bundle) -> np.ndarray:
@@ -358,10 +351,13 @@ class DiscreteOperator:
         operator A: each group forms C[i,j,l] = sum of coef(i,j) B(j,l) and
         adds A(i,k) C[i,j,l] at [i,j,k,l], one row block i at a time so that
         no temporary as large as K is made; for A = I that is an update of
-        the k = i diagonal.
+        the k = i diagonal.  A grid of more than DENSE_NODE_LIMIT nodes is
+        refused before anything is allocated.
         """
         n1, n2 = self.grid.shape
-        _check_dense_limit(n1 * n2)
+        if n1 * n2 > DENSE_NODE_LIMIT:
+            raise DenseLimitError(f"dense assembly limited to {DENSE_NODE_LIMIT} nodes; "
+                                  "use the matrix-free matvec")
         xs = self._along_x(np.eye(n1))
         ys = {kind: np.ascontiguousarray(b.T)
               for kind, b in self._along_y(np.eye(n2)).items()}
@@ -417,7 +413,6 @@ class CoupledSystem:
         self.grid = grid
         n1, n2 = grid.shape
         n_core = n1 * n2
-        _check_dense_limit(n_core)
         op = DiscreteOperator(sp)
         h1, h2 = grid.domain.h1, grid.domain.h2
         m_x, m_y = grid.ax.moments, grid.ay.moments

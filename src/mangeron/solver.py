@@ -87,13 +87,18 @@ class NeumannInfo:
         return len(self.update_norms)
 
     @property
-    def final_update_norm(self) -> float:
-        return self.update_norms[-1] if self.update_norms else 0.0
+    def final_update_norm(self) -> float | None:
+        """The last finite update norm: 0.0 after no pass, None if no pass
+        produced a finite one."""
+        if not self.update_norms:
+            return 0.0
+        finite = [v for v in self.update_norms if math.isfinite(v)]
+        return finite[-1] if finite else None
 
     @property
     def update_ratio(self) -> float | None:
-        """Last observed geometric ratio of the update norms."""
-        u = [v for v in self.update_norms if v > 0]
+        """Last observed geometric ratio of the finite, positive update norms."""
+        u = [v for v in self.update_norms if 0 < v < math.inf]
         if len(u) < 2:
             return None
         return u[-1] / u[-2]
@@ -270,7 +275,7 @@ class SolveReport:
 
     method: str
     iterations: int
-    final_update_norm: float
+    final_update_norm: float | None
     converged: bool
     neumann_diverged: bool
     residual_pde: float

@@ -16,7 +16,7 @@ from mangeron import (Coefficients, ConstraintError, CoupledSystem, Domain, Fiel
                       check_matching, classical_to_nonclassical, const2d,
                       nonclassical_to_classical,
                       residual_report, sample_data, sample_problem, solve_dense,
-                      solve_neumann, solve_problem, trace_axis, trapezoid_error_bound)
+                      solve_neumann, solve_problem, trace_axis)
 from mangeron.mms import (SeparableSolution, bilinear_solution, convergence_study,
                           make_mms, named_cases, sep_sin, trig_solution)
 from fd_oracle import fd_oracle
@@ -148,10 +148,10 @@ def _matching_bounds(data, grid):
     h1, h2 = grid.domain.h1, grid.domain.h2
     return {
         "corner(0,0)": 0.0,
-        "corner(h1,h2)": (trapezoid_error_bound(grid.y, (h2 - grid.y) * sd.uyy_right)
-                          + trapezoid_error_bound(grid.x, (h1 - grid.x) * sd.uxx_top)),
-        "corner(0,h2)": trapezoid_error_bound(grid.y, (h2 - grid.y) * sd.uyy_left),
-        "corner(h1,0)": trapezoid_error_bound(grid.x, (h1 - grid.x) * sd.uxx_bottom),
+        "corner(h1,h2)": (grid.ay.error_bound((h2 - grid.y) * sd.uyy_right)
+                          + grid.ax.error_bound((h1 - grid.x) * sd.uxx_top)),
+        "corner(0,h2)": grid.ay.error_bound((h2 - grid.y) * sd.uyy_left),
+        "corner(h1,0)": grid.ax.error_bound((h1 - grid.x) * sd.uxx_bottom),
     }
 
 
@@ -236,8 +236,8 @@ def test_criterion_07_corner_route_consistency():
         h1, h2 = DOM.h1, DOM.h2
         d_uxx = (sd.uxx_top - sd.uxx_bottom) / h2
         d_uyy = (sd.uyy_right - sd.uyy_left) / h1
-        allowed = 10.0 * (trapezoid_error_bound(grid.x, (h1 - grid.x) * d_uxx / h1)
-                          + trapezoid_error_bound(grid.y, (h2 - grid.y) * d_uyy / h2)) \
+        allowed = 10.0 * (grid.ax.error_bound((h1 - grid.x) * d_uxx / h1)
+                          + grid.ay.error_bound((h2 - grid.y) * d_uyy / h2)) \
             + 1e-9
         assert result.report.uxy00_route_gap <= allowed
         if allowed > 1e-9:

@@ -24,8 +24,21 @@ ZERO = {"domain": {"h1": "1.0", "h2": "1.0"}, "grid": {"n1": "9", "n2": "9"},
 
 
 def with_values(**changes):
-    """ZERO with the keys of `changes` ({section: {key: text}}) set."""
-    return {name: {**keys, **changes.get(name, {})} for name, keys in ZERO.items()}
+    """ZERO with the keys of `changes` ({section: {key: text}}) set; a
+    section that ZERO lacks is added."""
+    return {name: {**ZERO.get(name, {}), **changes.get(name, {})}
+            for name in {**ZERO, **changes}}
+
+
+def leaves(obj):
+    """Every value of a JSON document that is not an object or an array."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        for v in obj:
+            yield from leaves(v)
+    else:
+        yield obj
 
 
 def expressions(variables):
@@ -99,12 +112,17 @@ def solve(sections):
 @example(with_values(domain={"h1": "5e-324"}, grid={"n1": "21"}))   # nodes repeat a float
 @example(with_values(solver={"method": "bogus"}))
 @example(with_values(solver={"mehtod": "dense"}))  # a misspelt key, not its default
+@example(with_values(domain={"h1": "710"}, grid={"n1": "3", "n2": "16"}, forcing={"z": "1"},
+                     coefficients={"c_xxy": "1.204283135020087e+52"}))  # the iterates overflow
 def test_every_config_exits_with_a_documented_code(sections):
     code, err, report = solve(sections)
     assert code in (0, 2, 3, 4), err
     assert err.count("\n") == (code != 0) and err.endswith("\n" if code else ""), err
     if code == 0:
         assert report["residual_pass"] is True and math.isfinite(report["residual_threshold"])
+        # report.json writes a non-finite number as the string "inf", "-inf" or "nan"
+        assert not [v for v in leaves(report) if v in ("inf", "-inf", "nan")
+                    or isinstance(v, float) and not math.isfinite(v)], report
     if code == 2:
         given = [(name, key) for name, keys in sections.items() for key in keys]
         assert any(err.startswith(f"config error: [{name}] {key}")

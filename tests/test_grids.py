@@ -3,8 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mangeron import (Axis, Domain, Grid2D, GridFn2D, build_grid,
-                      fd_derivatives, trapezoid_error_bound)
+from mangeron import Axis, Domain, Grid2D, GridFn2D, build_grid, fd_derivatives
 from quadrature_oracle import panel_tables
 
 
@@ -72,10 +71,16 @@ def test_axis_node_validation():
 
 
 def test_cumulative_matrix_rows():
-    ax = Axis(np.linspace(0.0, 1.0, 7))
-    cum0, _ = ax.cumulative(np.eye(ax.n))
-    np.testing.assert_allclose(cum0[0], 0.0)
-    np.testing.assert_allclose(cum0[-1], ax.weights, rtol=1e-14)
+    # the rule is stated once: the full-interval weights are the last row of
+    # the running sums applied to the identity, bit for bit, on uniform axes
+    # and on axes with breakpoints
+    for length in (1e-3, 1.0, 44.0, 1e5):
+        for n, breakpoints in ((7, None), (33, None), (20, [0.3 * length]),
+                               (41, [0.111 * length, 0.9 * length])):
+            grid = build_grid(Domain(length, 1.0), n, 3, x_breakpoints=breakpoints)
+            cum0, _ = grid.ax.cumulative(np.eye(grid.ax.n))
+            assert np.all(cum0[0] == 0.0)
+            assert np.array_equal(cum0[-1], grid.ax.weights), (length, n, breakpoints)
 
 
 def test_moment_weights_are_last_row_of_cum1():
@@ -272,24 +277,38 @@ def test_fd_second_derivative_endpoints_exact_for_cubics():
 
 
 @pytest.mark.parametrize("length", [1e-300, 1e-200, 1e-100, 1e100, 1e200, 1e300])
-def test_trapezoid_error_bound_scales_with_the_interval(length):
+def test_error_bound_scales_with_the_interval(length):
     # differenced in units of the step, the bound neither underflows nor
     # overflows: it is (b-a) h^2/12 max|f''| for any length
     t = np.linspace(0.0, 1.0, 9) ** 1.3
     vals = np.sin(3.0 * t)
-    bound = trapezoid_error_bound(t * length, vals)
-    assert bound / length == pytest.approx(trapezoid_error_bound(t, vals), rel=1e-12)
+    bound = Axis(t * length).error_bound(vals)
+    assert bound / length == pytest.approx(Axis(t).error_bound(vals), rel=1e-12)
 
 
-def test_trapezoid_error_bound_covers_actual_error():
+def test_error_bound_covers_actual_error():
     ax = Axis(np.linspace(0.0, 1.0, 11))
     vals = ax.nodes**2
     actual = abs(ax.weights @ vals - 1.0 / 3.0)
     # constant curvature: the bound is attained exactly
-    assert trapezoid_error_bound(ax.nodes, vals) >= actual * (1 - 1e-12)
+    assert ax.error_bound(vals) >= actual * (1 - 1e-12)
     vals = np.exp(ax.nodes)
     actual = abs(ax.weights @ vals - (np.e - 1.0))
-    assert trapezoid_error_bound(ax.nodes, vals) > actual
+    assert ax.error_bound(vals) > actual
+
+
+@pytest.mark.parametrize("length", [1.0, 1e100, 1e160, 1e300])
+def test_moment_average_is_finite_on_any_side(length):
+    # the moment weights overflow above a side of about 1e154; the moment
+    # average does not, and it keeps the bits of moments / length where the
+    # moments are finite
+    t = np.linspace(0.0, 1.0, 9) ** 1.3
+    ax = Axis(t * length)
+    want = Axis(t).moment_avg * length
+    assert np.all(np.isfinite(ax.moment_avg))
+    np.testing.assert_allclose(ax.moment_avg, want, rtol=1e-14)
+    if np.all(np.isfinite(ax.moments)):
+        assert np.array_equal(ax.moment_avg, ax.moments / length)
 
 
 def test_grid_requires_matching_side_lengths():

@@ -9,8 +9,7 @@ from mangeron import (DERIVATIVES, BoundaryTrace, ClassicalData, Coefficients,
                       SolutionBundle, build_grid,
                       check_data_constraints, check_matching, classical_to_nonclassical,
                       const1d, nonclassical_to_classical, sample_data, solution_data,
-                      solve_problem, trace_axis,
-                      trapezoid_error_bound)
+                      solve_problem, trace_axis)
 from mangeron.cli import CSV_COLUMNS
 from mangeron.problem import CORNER_TOL_ANALYTIC, CORNER_TOL_SAMPLED
 from mangeron.reduction import far_edge
@@ -200,10 +199,10 @@ def test_matching_auto_satisfied_for_admissible_data():
         h1, h2 = dom.h1, dom.h2
         bound = {
             "corner(0,0)": 0.0,
-            "corner(h1,h2)": (trapezoid_error_bound(grid.y, (h2 - grid.y) * sd.uyy_right)
-                              + trapezoid_error_bound(grid.x, (h1 - grid.x) * sd.uxx_top)),
-            "corner(0,h2)": trapezoid_error_bound(grid.y, (h2 - grid.y) * sd.uyy_left),
-            "corner(h1,0)": trapezoid_error_bound(grid.x, (h1 - grid.x) * sd.uxx_bottom),
+            "corner(h1,h2)": (grid.ay.error_bound((h2 - grid.y) * sd.uyy_right)
+                              + grid.ax.error_bound((h1 - grid.x) * sd.uxx_top)),
+            "corner(0,h2)": grid.ay.error_bound((h2 - grid.y) * sd.uyy_left),
+            "corner(h1,0)": grid.ax.error_bound((h1 - grid.x) * sd.uxx_bottom),
         }
         for name, res in rep.residuals:
             assert res <= 10.0 * bound[name] + 1e-9

@@ -104,7 +104,8 @@ def test_neumann_stops_at_a_non_finite_update():
         expected = neumann_iterate(op, 1)
     assert info.diverged and not info.converged
     assert info.iterations == 2
-    assert math.isfinite(info.update_norms[0]) and not math.isfinite(info.final_update_norm)
+    assert math.isfinite(info.update_norms[0]) and not math.isfinite(info.update_norms[-1])
+    assert info.final_update_norm == info.update_norms[0]
     assert np.all(np.isfinite(core)) and np.array_equal(core, expected)
 
 
@@ -133,8 +134,18 @@ def test_neumann_stops_at_a_non_finite_node_in_the_last_partial_tile(bad):
     assert info.update_norms[:2] == [float(np.max(np.abs(first - g))),
                                      float(np.max(np.abs(second - first)))]
     assert info.diverged and not info.converged and info.iterations == 3
-    assert not math.isfinite(info.final_update_norm)
+    assert not math.isfinite(info.update_norms[-1])
+    assert info.final_update_norm == info.update_norms[1]
     assert np.array_equal(core, second)
+
+
+def test_neumann_record_reports_only_finite_update_norms():
+    # report.json holds these two: the last finite norm (0.0 after no pass,
+    # None when no pass gave one) and a ratio of finite, positive norms
+    assert solver_mod.NeumannInfo().final_update_norm == 0.0
+    assert solver_mod.NeumannInfo(update_norms=[math.nan]).final_update_norm is None
+    info = solver_mod.NeumannInfo(update_norms=[1.0, 0.0, 0.25, math.inf])
+    assert info.final_update_norm == 0.25 and info.update_ratio == 0.25
 
 
 def test_neumann_exhausting_max_iter_is_divergence():
@@ -458,6 +469,17 @@ def test_auto_fallback_failure_message():
         "successive approximations diverged after 8 iterations and the dense fallback "
         "failed: dense solve refused: dense assembly limited to 4900 nodes; "
         "use the matrix-free matvec")
+
+
+@pytest.mark.parametrize("h1", [1e160, 1e300])
+def test_zero_problem_solves_on_a_side_whose_moment_weights_overflow(h1):
+    # the moment weights are of order h1^2 / n and overflow; the moment
+    # average that K reads does not, so the zero problem solves to u = 0
+    dom = Domain(h1, 1.0)
+    result = solve_problem(PdeProblem(dom, Coefficients()), build_grid(dom, 9, 9),
+                           residual_gate=False)
+    assert result.report.method == "neumann" and result.report.converged
+    assert not np.any(result.bundle.u.values)
 
 
 def nearly_dependent(k):
