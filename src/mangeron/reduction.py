@@ -16,7 +16,10 @@ coupled system (`CoupledSystem`) is the reference it is held to in the
 tests.  The matrix-free product, the dense matrix and both blocks of the
 coupled system read K's term list; the product applies A and B by running
 sums (`Axis.cumulative`) in O(n1 n2), and the dense assemblies apply the
-same code to the identity.  The product runs the x side over the
+same code to the identity.  So does the split of I + K for the direct
+solve (`BlockSystem`): every A but the moment average is lower triangular,
+so with the nodes in x rows I + K is a block lower triangular matrix plus a
+rank-n2 part, the terms whose A is the moment average.  The product runs the x side over the
 whole grid, into its output and one work grid that it reuses, and the y
 side in row tiles (`grids.row_tiles`), except each y-side moment average,
 which stays one whole-grid product so that BLAS sums it as before; its bits
@@ -240,8 +243,9 @@ class DiscreteOperator:
     core-dependent term after substitution; g collects the reduced forcing
     minus all known-data terms.
 
-    K is held as its term table; `matvec` applies it matrix-free and `dense`
-    materializes it (allowed up to DENSE_NODE_LIMIT nodes).  `matvec` reuses
+    K is held as its term table; `matvec` applies it matrix-free, `dense`
+    materializes it and `BlockSystem` splits I + K for the direct solve (both
+    allowed up to DENSE_NODE_LIMIT nodes).  `matvec` reuses
     the operator's work grid, so an operator serves one matvec at a time.
     """
 
@@ -342,32 +346,43 @@ class DiscreteOperator:
                 out -= t.coef * ys[t.y]
         return out
 
-    def assemble(self, terms: list[Term]) -> np.ndarray:
-        """Dense (n1 n2) x (n1 n2) matrix of the sum of `terms`, row-major nodes.
-
-        The (n, n) matrix of every operator kind is read off the code the
-        matvec runs, applied to the identity: A = `_along_x` of I, and B the
-        transpose of `_along_y` of I.  Terms are grouped by their x-side
-        operator A: each group forms C[i,j,l] = sum of coef(i,j) B(j,l) and
-        adds A(i,k) C[i,j,l] at [i,j,k,l], one row block i at a time so that
-        no temporary as large as K is made; for A = I that is an update of
-        the k = i diagonal.  A grid of more than DENSE_NODE_LIMIT nodes is
-        refused before anything is allocated.
-        """
+    def check_dense_limit(self):
+        """Refuse a grid of more than DENSE_NODE_LIMIT nodes for a dense
+        assembly or a direct solve, before anything is allocated."""
         n1, n2 = self.grid.shape
         if n1 * n2 > DENSE_NODE_LIMIT:
             raise DenseLimitError(f"dense assembly limited to {DENSE_NODE_LIMIT} nodes; "
                                   "use the matrix-free matvec")
-        xs = self._along_x(np.eye(n1))
+
+    def x_groups(self, terms: list[Term]):
+        """Yield (kind, C) for each x-side operator kind of `terms`, in the
+        order I, cum0, cum1, mom: C[i, j, l] is the sum of coef(i, j) B(j, l)
+        over the kind's terms, with B the (n2, n2) matrix of the term's y-side
+        operator, the transpose of `_along_y` of the identity.  A term then
+        adds A(i, k) C[i, j, l] at row (i, j) and column (k, l), A the matrix
+        of its x-side operator (`_along_x` of the identity)."""
         ys = {kind: np.ascontiguousarray(b.T)
-              for kind, b in self._along_y(np.eye(n2)).items()}
-        k4 = np.zeros((n1, n2, n1, n2))
-        diag = np.arange(n1)
+              for kind, b in self._along_y(np.eye(self.grid.shape[1])).items()}
         for kind in (IDENT, CUM0, CUM1, MOM):
             group = [t for t in terms if t.x == kind]
-            if not group:
-                continue
-            c = sum(t.coef[:, :, None] * ys[t.y][None] for t in group)
+            if group:
+                yield kind, sum(t.coef[:, :, None] * ys[t.y][None] for t in group)
+
+    def assemble(self, terms: list[Term]) -> np.ndarray:
+        """Dense (n1 n2) x (n1 n2) matrix of the sum of `terms`, row-major nodes.
+
+        Terms are grouped by their x-side operator A (`x_groups`), and each
+        group adds A(i, k) C[i, j, l] at [i, j, k, l], one row block i at a
+        time so that no temporary as large as K is made; for A = I that is an
+        update of the k = i diagonal.  A grid of more than DENSE_NODE_LIMIT
+        nodes is refused before anything is allocated.
+        """
+        self.check_dense_limit()
+        n1, n2 = self.grid.shape
+        xs = self._along_x(np.eye(n1))
+        k4 = np.zeros((n1, n2, n1, n2))
+        diag = np.arange(n1)
+        for kind, c in self.x_groups(terms):
             if kind == IDENT:
                 k4[diag, :, diag, :] += c
                 continue
@@ -380,6 +395,85 @@ class DiscreteOperator:
         """Materialize K as a new (n1 n2) x (n1 n2) matrix, row-major nodes;
         the caller owns it and may modify it in place."""
         return self.assemble(self.terms)
+
+
+class BlockSystem:
+    """I + K split for a direct solve in O(n1 n2^2) memory.
+
+    With the nodes in x rows (row-major), I + K = T + U W^T.  T holds I and
+    the terms whose x-side operator is I, cum0 or cum1; these are lower
+    triangular along x, so T is block lower triangular, with n1 diagonal
+    blocks T_ii of size n2 x n2 (`diag`).  U W^T holds the terms whose
+    x-side operator is the moment average: W^T b = m_x @ b, the x-side
+    moment average of b, and (U v)[i] = U_i v, so it has rank n2.  Every
+    block is read off the term table as `DiscreteOperator.assemble` reads it
+    (`DiscreteOperator.x_groups`): block (i, k) of T is the sum over cum0,
+    cum1 of A(i, k) C_i, plus C_i of I and the identity where k = i, and
+    U_i is C_i of mom.  Nothing of the size of K is made.  The grid is
+    refused above DENSE_NODE_LIMIT nodes, as for the dense matrix.
+    """
+
+    LOWER = (CUM0, CUM1)    # the x-side kinds with blocks below the diagonal
+
+    def __init__(self, op: DiscreteOperator):
+        op.check_dense_limit()
+        n1, n2 = self.shape = op.grid.shape
+        self._a = op._along_x(np.eye(n1))             # A of each x-side kind
+        self._c = dict(op.x_groups(op.terms))         # C of each: every kind has terms in K
+        self.u = self._c[MOM]
+        self.moment = op.grid.ax.moment_avg
+        d, e = np.arange(n1), np.arange(n2)
+        diag = self._c[IDENT].copy()
+        for kind in self.LOWER:
+            diag += self._a[kind][d, d, None, None] * self._c[kind]
+        diag[:, e, e] += 1.0
+        self.diag = diag
+
+    @cached_property
+    def _diag_inv(self) -> np.ndarray:
+        """The inverses of the diagonal blocks, made on the first solve."""
+        return np.linalg.inv(self.diag)
+
+    def solve_lower(self, r: np.ndarray) -> np.ndarray:
+        """z with T z = r by block forward substitution; r is (n1, n2), or
+        (n1, n2, m) for m right-hand sides."""
+        z = np.empty(np.shape(r))
+        for i in range(len(z)):
+            rhs = r[i] - sum(self._c[kind][i] @ np.tensordot(self._a[kind][i, :i], z[:i], 1)
+                             for kind in self.LOWER)
+            z[i] = self._diag_inv[i] @ rhs
+        return z
+
+    def solve_upper(self, r: np.ndarray) -> np.ndarray:
+        """z with T^T z = r by block back substitution; r is (n1, n2).  The
+        products C_i^T z_i of the rows solved so far are kept, one grid per
+        kind."""
+        z = np.empty(np.shape(r))
+        parts = {kind: np.empty(np.shape(r)) for kind in self.LOWER}
+        for i in reversed(range(len(z))):
+            rhs = r[i] - sum(np.tensordot(self._a[kind][i + 1:, i], parts[kind][i + 1:], 1)
+                             for kind in self.LOWER)
+            z[i] = self._diag_inv[i].T @ rhs
+            for kind in self.LOWER:
+                parts[kind][i] = self._c[kind][i].T @ z[i]
+        return z
+
+    def norm1(self) -> float:
+        """The exact 1-norm of I + K, its largest column sum, formed one row
+        block at a time: row block i is the product of the kinds' C_i by
+        their rows A(i, :), plus the identity on its diagonal."""
+        n1, n2 = self.shape
+        kinds = list(self._c)
+        a = np.stack([np.broadcast_to(self._a[kind], (n1, n1)) for kind in kinds], axis=1)
+        e = np.arange(n2)
+        colsum = np.zeros((n2, n1))
+        for i in range(n1):
+            c = np.stack([self._c[kind][i] for kind in kinds], axis=-1)
+            # block[j, l, k]: the entry at row (i, j) and column (k, l)
+            block = (c.reshape(n2 * n2, -1) @ a[i]).reshape(n2, n2, n1)
+            block[e, e, i] += 1.0
+            colsum += np.abs(block, out=block).sum(axis=0)
+        return float(np.max(colsum))
 
 
 def assemble_eliminated(sp: SampledProblem) -> DiscreteOperator:

@@ -114,6 +114,7 @@ def solve(sections):
 @example(with_values(solver={"mehtod": "dense"}))  # a misspelt key, not its default
 @example(with_values(domain={"h1": "710"}, grid={"n1": "3", "n2": "16"}, forcing={"z": "1"},
                      coefficients={"c_xxy": "1.204283135020087e+52"}))  # the iterates overflow
+@example(with_values(coefficients={"c_xy": "55"}, forcing={"z": "1"}))  # a direct solve on auto
 def test_every_config_exits_with_a_documented_code(sections):
     code, err, report = solve(sections)
     assert code in (0, 2, 3, 4), err

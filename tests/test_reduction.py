@@ -724,8 +724,9 @@ def test_bundle_carries_the_reduced_unknowns(monkeypatch, seed, case, method):
     assert np.array_equal(bundle.uxxy.values[:, 0], edge_x)
     assert np.array_equal(bundle.uxyy.values[0, :], edge_y)
     assert np.array_equal(bundle.uxxyy.values, core)
-    # adopted where the solver owns it; the dense route's core is a view
-    assert (bundle.uxxyy.values is core) == (method == "neumann")
+    # adopted without a copy: the Neumann iterate and the core of the
+    # structured direct route are both arrays that the solver owns
+    assert bundle.uxxyy.values is core
     assert result.report.uxy00_route_gap == abs(corner - corner_alt)
 
 

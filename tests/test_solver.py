@@ -8,15 +8,15 @@ import pytest
 
 from mangeron import (Coefficients, ConstraintError, Domain, Field2D, GridFn2D,
                       NonclassicalData, NormSpec, PdeProblem, assemble_eliminated,
-                      assemble_solution, build_grid, const1d, const2d, residual_report,
-                      sample_data, sample_problem, SolverError,
+                      assemble_solution, build_grid, const1d, const2d, piecewise2d,
+                      residual_report, sample_data, sample_problem, SolverError,
                       calibrate_residual_threshold, solve_dense, solve_neumann,
                       solve_problem)
 from mangeron import reduction, solver as solver_mod
 from mangeron.cli import main as cli_main
 from mangeron.mms import bilinear_solution, biquadratic_solution, make_mms, trig_solution
 from mangeron.grids import TILE_ROWS
-from mangeron.reduction import DiscreteOperator, far_edge
+from mangeron.reduction import CUM0, IDENT, MOM, DiscreteOperator, Term, far_edge
 from helpers import (combine, estimate_stability_ratio, random_coefficients,
                      random_forward_problem)
 from quadrature_oracle import panel_tables
@@ -405,6 +405,120 @@ def test_stability_excludes_refused_and_failed_trials():
         estimate_stability_ratio(lambda k: (refused, failed)[k], grid, 2)
 
 
+# ------------------------------------------------ structured direct route
+
+EPS = np.finfo(float).eps
+
+
+def lu_route(op):
+    """I + K made dense, the LU route's core and its exact 1-norm condition
+    number, computed as the LU route computes them."""
+    a = op.dense()
+    a[np.diag_indices_from(a)] += 1.0
+    cond = float(np.linalg.cond(a, 1))
+    return a, np.linalg.solve(a, op.g.ravel()).reshape(op.grid.shape), cond
+
+
+def jump_problem(rng, grid):
+    """A random forward problem whose c_u jumps from 0.2 to 3 at x = 0.5."""
+    jump = piecewise2d([((0.0, 0.5, 0.0, 1.0), lambda x, y: 0.2 + 0.0 * x),
+                        ((0.5, 1.0, 0.0, 1.0), lambda x, y: 3.0 + 0.0 * x)], 1.0, 1.0)
+    return random_forward_problem(rng, grid, Coefficients(c_u=jump, c_xy=const2d(0.1)))[0]
+
+
+def stiff_problem(c):
+    return lambda rng, grid: make_mms(trig_solution(), const_coeffs(c_xy=c), DOM).problem
+
+
+def smooth_problem(magnitude):
+    return lambda rng, grid: random_forward_problem(
+        rng, grid, random_coefficients(rng, magnitude))[0]
+
+
+#: the families the structured route is held to LU on: (grid, problem maker)
+STRUCTURED_FAMILIES = {
+    **{f"stiff-{c:g}": (build_grid(DOM, 21, 21), stiff_problem(c)) for c in (50.0, 55.0, 60.0)},
+    "all-variable": (build_grid(DOM, 17, 17), smooth_problem(1.0)),
+    "13x21": (build_grid(DOM, 13, 21), smooth_problem(0.3)),
+    "21x13": (build_grid(DOM, 21, 13), smooth_problem(0.3)),
+    "breakpoints": (build_grid(Domain(2.0, 0.5), 14, 9, x_breakpoints=[0.3, 1.37],
+                               y_breakpoints=[0.11]), smooth_problem(0.3)),
+    "c_u-jump": (build_grid(DOM, 16, 16, x_breakpoints=[0.5]), jump_problem),
+}
+
+
+@pytest.mark.parametrize("family", list(STRUCTURED_FAMILIES))
+def test_structured_route_agrees_with_lu(family, monkeypatch):
+    grid, make = STRUCTURED_FAMILIES[family]
+    op = assemble_eliminated(sample_problem(make(np.random.default_rng(40), grid), grid))
+    a, lu_core, lu_cond = lu_route(op)
+    monkeypatch.setattr(DiscreteOperator, "dense", lambda self: pytest.fail("LU route taken"))
+    core, cond = solve_dense(op)
+    # a core of backward error at most 16 eps (the route's limit) is within
+    # about 16 cond eps of the exact one, relative; measured: at most 4.6
+    # cond eps for the core and 2.1 for the transposed solve
+    assert np.max(np.abs(core - lu_core)) <= 16 * lu_cond * EPS * np.max(np.abs(lu_core))
+    system = reduction.BlockSystem(op)
+    _, solve_t = solver_mod._structured_inverse(system)
+    x = np.random.default_rng(41).standard_normal(grid.shape)
+    lu_t = np.linalg.solve(a.T, x.ravel()).reshape(grid.shape)
+    assert np.max(np.abs(solve_t(x) - lu_t)) <= 16 * lu_cond * EPS * np.max(np.abs(lu_t))
+    assert system.norm1() == pytest.approx(np.max(np.abs(a).sum(axis=0)), rel=1e-13)
+    # the estimate bounds ||(I + K)^-1||_1 from below, up to roundoff;
+    # measured: 0.87 to 1 of the exact condition number on these families
+    assert 0.7 <= cond / lu_cond <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (7, 7), (9, 5), (49, 49)])
+def test_structured_estimate_is_exactly_one_for_k_zero(shape):
+    grid = build_grid(DOM, *shape)
+    prob = PdeProblem(DOM, Coefficients(), Field2D(lambda x, y: np.cos(x) + y))
+    op = assemble_eliminated(sample_problem(prob, grid))
+    core, cond = solve_dense(op)
+    assert cond == 1.0
+    assert np.array_equal(core, op.g)
+
+
+@pytest.mark.parametrize("magnitude, seed, guard", [
+    (20.0, 1, "condition"),     # cond(C) 1.2e11
+    (5.0, 3, "backward error"),     # cond(C) 860, yet backward error 3.6e-12
+])
+def test_unstable_structured_route_falls_back_to_the_lu_bits(magnitude, seed, guard):
+    # all-variable coefficients of this size can leave the Woodbury core far
+    # from LU's (2.7 relative at scale 20, seed 1; 1.3e-8 at scale 5, seed
+    # 3): the structured route declines, and LU gives the bits it gave before
+    dom = Domain(2.0, 0.5)
+    grid = build_grid(dom, 15, 30)
+    rng = np.random.default_rng(seed)
+    prob, _ = random_forward_problem(rng, grid, random_coefficients(rng, magnitude))
+    op = assemble_eliminated(sample_problem(prob, grid))
+    system = reduction.BlockSystem(op)
+    assert (solver_mod._structured_inverse(system) is None) is (guard == "condition")
+    assert solver_mod._solve_structured(op) is None
+    _, lu_core, lu_cond = lu_route(op)
+    core, cond = solve_dense(op)
+    assert np.array_equal(core, lu_core) and cond == lu_cond
+
+
+def test_structured_route_peak_memory():
+    # the route's pieces are O(n1 n2^2): C_i of four kinds, T_ii, their
+    # inverses and T^-1 U, about 1 MB each at 49 x 49, against K's 46 MB;
+    # measured peak 8.8 MB
+    rng = np.random.default_rng(21)
+    grid = build_grid(DOM, 49, 49)
+    prob, _ = random_forward_problem(rng, grid, random_coefficients(rng))
+    op = assemble_eliminated(sample_problem(prob, grid))
+    op.g                # made before the measurement, as a Neumann pass would
+    tracemalloc.start()
+    try:
+        solve_dense(op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert solver_mod._solve_structured(op) is not None
+    assert peak <= 0.25 * (49 * 49) ** 2 * 8
+
+
 # ------------------------------------------------------------- linearity
 
 def test_full_pipeline_superposition():
@@ -482,31 +596,44 @@ def test_zero_problem_solves_on_a_side_whose_moment_weights_overflow(h1):
     assert not np.any(result.bundle.u.values)
 
 
-def nearly_dependent(k):
-    """`k`, changed in place so that row 1 of the system I + k is row 0 plus
-    1e-20 times row 1: a nearly dependent row."""
-    e = np.eye(len(k))
-    system = k + e
-    k[1] = system[0] + 1e-20 * system[1] - e[1]
-    return k
+#: a term that makes I + K numerically singular, by the part of the
+#: structured route that sees it: "capacitance" cancels I on every core
+#: constant along x, so C is singular and the route leaves the solve to LU;
+#: "triangular" makes each T_ii 0.01 I, well conditioned, while T^-1 grows
+#: as about 200^(n1 - 1), which only the condition estimate sees
+SINGULAR_TERMS = {
+    "capacitance": lambda grid: Term(np.full(grid.shape, -1.0 / np.sum(grid.ax.moment_avg)),
+                                     MOM, IDENT),
+    "triangular": lambda grid: Term(np.full(grid.shape, -1.98 / grid.x[1]), CUM0, IDENT),
+}
 
 
 def test_dense_route_refuses_a_singular_system(monkeypatch, tmp_path, capsys):
+    # both systems reach the structured route: one is refused by the LU route
+    # it falls back to, the other by the structured route's own estimate
     message = "second-kind system numerically singular"
-    dense = DiscreteOperator.dense
-    monkeypatch.setattr(DiscreteOperator, "dense", lambda self: nearly_dependent(dense(self)))
     grid = build_grid(DOM, 9, 9)
-    case = make_mms(trig_solution(), const_coeffs(c_xy=0.1), DOM)
-    with pytest.raises(SolverError, match=message):
-        solve_problem(case.problem, grid, method="dense", residual_gate=False)
-    config = Path(__file__).resolve().parent.parent / "configs" / "trig.cfg"
-    capsys.readouterr()
-    assert cli_main(["solve", "--config", str(config), "--out", str(tmp_path),
-                     "--grid", "9x9", "--method", "dense"]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith(f"solver failure: {message} (cond ~ ")
-    assert err.count("\n") == 1
-    assert not (tmp_path / "report.json").exists()
+    case = make_mms(trig_solution(), Coefficients(), DOM)
+    config = Path(__file__).resolve().parent.parent / "configs" / "trig.cfg"  # K = 0 too
+    kernel_terms, structured = reduction.kernel_terms, solver_mod._solve_structured
+    for name, by_lu in (("capacitance", True), ("triangular", False)):
+        outcomes = []
+        monkeypatch.setattr(reduction, "kernel_terms", lambda c, g, _extra=SINGULAR_TERMS[name]:
+                            kernel_terms(c, g) + [_extra(g)])
+        monkeypatch.setattr(solver_mod, "_solve_structured",
+                            lambda op: outcomes.append(structured(op)) or outcomes[-1])
+        with pytest.raises(SolverError, match=message):
+            solve_problem(case.problem, grid, method="dense", residual_gate=False)
+        (outcome,) = outcomes
+        assert (outcome is None) is by_lu
+        assert by_lu or outcome[1] > solver_mod.SINGULAR_CONDITION
+        capsys.readouterr()
+        assert cli_main(["solve", "--config", str(config), "--out", str(tmp_path),
+                         "--grid", "9x9", "--method", "dense"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"solver failure: {message} (cond ~ ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "report.json").exists()
 
 
 def counting(f, counts, key):

@@ -18,12 +18,18 @@ left as they were.  A run writes into the same output
 directory on both sides, emptied before each run, so its path reads the
 same in both stdouts.  Two runs agree when their exit codes, stdout, stderr
 and every file they write are identical.  The runs that differ are listed
-with what differs; the exit code is 1 if any run differs, else 0.
+with what differs; the exit code is 1 if any run differs, else 0.  For a
+stdout, stderr or file that differs only in its numbers (the CSV cells, the
+numbers of `report.json`, the figures printed), the largest relative
+difference between its numbers is given, so that a change of roundoff size
+shows as one.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -33,6 +39,9 @@ from pathlib import Path
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SUITES = ("smooth-basic", "exact-bilinear", "piecewise")
 ENTRY = "import sys; from mangeron.cli import main; sys.exit(main(sys.argv[1:]))"
+
+#: a decimal number as the outputs write it, sign and exponent included
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def runs():
@@ -65,6 +74,28 @@ def outcome(src: Path, args: list[str], out: Path):
     return proc.returncode, proc.stdout, proc.stderr, files
 
 
+def numeric_difference(a: bytes | None, b: bytes | None) -> str:
+    """How two differing texts differ, where all but their numbers is the
+    same: the largest relative difference between two numbers, and the
+    largest difference over the largest number (normwise), which stays
+    small where a number of roundoff size changes by its own size.
+    Otherwise the text differs."""
+    if a is None or b is None:
+        return "missing" if b is None else "new"
+    na, nb = NUMBER.findall(a), NUMBER.findall(b)
+    if len(na) != len(nb) or NUMBER.sub(b"#", a) != NUMBER.sub(b"#", b):
+        return "text differs"
+    pairs = [(x, y) for x, y in zip(map(float, na), map(float, nb)) if x != y]
+    if not pairs:
+        return "numbers equal, written differently"
+    if not all(math.isfinite(x - y) for x, y in pairs):
+        return "max rel diff inf"
+    relative = max(abs(x - y) / max(abs(x), abs(y)) for x, y in pairs)
+    largest = max(abs(v) for v in map(float, na + nb) if math.isfinite(v))
+    normwise = max(abs(x - y) for x, y in pairs) / largest
+    return f"max rel diff {relative:.1e}, normwise {normwise:.1e}"
+
+
 def differences(parent, change) -> list[str]:
     """What differs between two outcomes, one phrase each."""
     found = []
@@ -72,10 +103,11 @@ def differences(parent, change) -> list[str]:
         found.append(f"exit {parent[0]} -> {change[0]}")
     for part, a, b in (("stdout", parent[1], change[1]), ("stderr", parent[2], change[2])):
         if a != b:
-            found.append(part)
+            found.append(f"{part} ({numeric_difference(a, b)})")
     for name in sorted(parent[3].keys() | change[3].keys()):
-        if parent[3].get(name) != change[3].get(name):
-            found.append(f"file {name}")
+        a, b = parent[3].get(name), change[3].get(name)
+        if a != b:
+            found.append(f"file {name} ({numeric_difference(a, b)})")
     return found
 
 
