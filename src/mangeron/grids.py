@@ -29,15 +29,28 @@ NODE_MATCH_RTOL = 1e-12
 #: fewest nodes along one axis of a grid
 MIN_NODES = 3
 
-#: rows of a grid that the row-tiled passes (`row_tiles`) take at a time
-TILE_ROWS = 32
+#: most nodes in a tile of the row-tiled passes (`row_tiles`): 32 rows of a
+#: 513-node line
+TILE_NODES = 32 * 513
 
 
-def row_tiles(n: int):
-    """Yield the row slices of an n-row grid, TILE_ROWS rows at a time; the
-    last may be shorter."""
-    for start in range(0, n, TILE_ROWS):
-        yield slice(start, start + TILE_ROWS)
+def tile_rows(shape: tuple[int, int]) -> int:
+    """Rows of a tile of a grid of `shape`: the most whole rows that
+    TILE_NODES nodes hold, rounded down to a power of two, at least one and
+    at most the grid's.  So a 65 x 65 grid is one tile, and lines of 257
+    and 513 nodes take 32 rows: rounded down, the work tiles of
+    `reduction.DiscreteOperator.matvec` stay under a grid at 257 x 257."""
+    n1, n2 = shape
+    fit = max(1, TILE_NODES // n2)
+    return min(n1, 1 << (fit.bit_length() - 1))
+
+
+def row_tiles(shape: tuple[int, int]):
+    """Yield the row slices of a grid of `shape`, `tile_rows` rows at a time;
+    the last may be shorter."""
+    rows = tile_rows(shape)
+    for start in range(0, shape[0], rows):
+        yield slice(start, start + rows)
 
 
 def _frozen(a) -> np.ndarray:
@@ -69,6 +82,7 @@ class Axis:
     Attributes
     ----------
     nodes : (n,) strictly increasing, nodes[0] == 0
+    steps : (n - 1,) panel widths, ``steps[i] = nodes[i + 1] - nodes[i]``
     weights : (n,) full-interval trapezoid weights
     moments : (n,) full-interval first-moment weights, ``moments @ f`` =
         integral of (length - t) f(t)
@@ -88,8 +102,8 @@ class Axis:
         self.nodes = _frozen(nodes)
         self.n = len(nodes)
         self.length = float(nodes[-1])
-        self._steps = _frozen(np.diff(nodes))
-        self._halves = _frozen(0.5 * self._steps)
+        self.steps = _frozen(np.diff(nodes))
+        self._halves = _frozen(0.5 * self.steps)
         self.weights = _frozen(np.append(self._halves, 0.0) + np.insert(self._halves, 0, 0.0))
         with np.errstate(over="ignore"):
             self.moments = _frozen(self.weights * (self.length - nodes))
@@ -130,7 +144,7 @@ class Axis:
                     or np.shares_memory(c1, f)):
                 raise ValueError("out arrays must share no memory with f or each other")
         shape = (-1,) + (1,) * (f.ndim - 1 - axis)
-        step, half = self._steps.reshape(shape), self._halves.reshape(shape)
+        step, half = self.steps.reshape(shape), self._halves.reshape(shape)
         head = (slice(None),) * axis + (slice(0, 1),)
         lo = (slice(None),) * axis + (slice(None, -1),)
         hi = (slice(None),) * axis + (slice(1, None),)
@@ -152,7 +166,7 @@ class Axis:
         samples, so the bound is reliable for resolved integrands and only
         sizes tolerances.  Differencing in units of h gives h^2 f'' directly,
         so no step is squared or cubed on a very small or very large side."""
-        h = float(np.max(self._steps))
+        h = float(np.max(self.steps))
         _, h2_d2 = fd_derivatives(self.nodes / h, f)
         return self.length / 12.0 * float(np.max(np.abs(h2_d2)))
 

@@ -49,7 +49,7 @@ def _weighted_power_sum(t: np.ndarray, axes: tuple[Axis, ...], p: float) -> floa
             t *= axes[0].weights
         else:
             wx, wy = (axis.weights for axis in axes)
-            for rows in row_tiles(len(t)):
+            for rows in row_tiles(t.shape):
                 t[rows] *= np.outer(wx[rows], wy)
         return np.sum(t)
 

@@ -33,7 +33,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .grids import TILE_ROWS, Axis, Grid2D, row_tiles
+from .grids import Axis, Grid2D, row_tiles, tile_rows
 from .problem import DERIVATIVES, Coefficients, SampledData, SampledProblem
 
 #: largest node count for which the dense kernel matrix may be materialized
@@ -287,12 +287,13 @@ class DiscreteOperator:
         work grid, and its moment average is one row.  The y-side moment
         average of each x-side partial is one whole-grid product, because a
         product over fewer rows may sum in another order under BLAS and
-        change the last bits.  The rest runs TILE_ROWS rows at a time: the
-        tile's rows of the first running integral are copied out of `out`,
-        which is then zeroed there, each partial's y-side running integrals
-        are taken, and every term coef * (A core B^T) is added into the rows
-        of `out` in K's term order.  So each node gets the bits of the
-        whole-grid sum, and a call makes only O(TILE_ROWS n2) of work arrays.
+        change the last bits.  The rest runs one row tile (`grids.row_tiles`)
+        at a time: the tile's rows of the first running integral are copied
+        out of `out`, which is then zeroed there, each partial's y-side
+        running integrals are taken, and every term coef * (A core B^T) is
+        added into the rows of `out` in K's term order.  So each node gets
+        the bits of the whole-grid sum, and a call makes only four tiles of
+        work arrays.
         `out` must be a C-contiguous float (n1, n2) array that shares no
         memory with `core`; its values on entry are not read, and it is
         returned.
@@ -310,10 +311,8 @@ class DiscreteOperator:
         parts = {IDENT: core, CUM0: x0, CUM1: x1}
         moms = {kind: v @ self.grid.ay.moment_avg for kind, v in parts.items()}
         row = self._along_y((self.grid.ax.moment_avg @ core)[None])  # the x-side mom: one row
-        n1, n2 = shape
-        rows = min(TILE_ROWS, n1)
-        x0t, y0, y1, prod = (np.empty((rows, n2)) for _ in range(4))
-        for tile in row_tiles(n1):
+        x0t, y0, y1, prod = (np.empty((tile_rows(shape), shape[1])) for _ in range(4))
+        for tile in row_tiles(shape):
             acc = out[tile]
             m = len(acc)
             x0t[:m] = acc       # the tile's rows of x0, read before they are zeroed
@@ -411,6 +410,14 @@ class BlockSystem:
     cum1 of A(i, k) C_i, plus C_i of I and the identity where k = i, and
     U_i is C_i of mom.  Nothing of the size of K is made.  The grid is
     refused above DENSE_NODE_LIMIT nodes, as for the dense matrix.
+
+    For N = n1 n2 nodes the pieces (the C_i, the T_ii and their inverses)
+    take O(N n2^2) time to build, and a substitution over T or T^T takes
+    O(N n2) per right-hand side: below the diagonal, A(i, k) of cum0 and
+    cum1 are w_k and w_k (x_i - x_k), w the axis's trapezoid weights, so
+    row i reads two running sums over the rows solved before it.  The
+    exact ||I + K||_1 (`norm1`) forms the blocks on and below the diagonal
+    only, in O(N^2 / 2).
     """
 
     LOWER = (CUM0, CUM1)    # the x-side kinds with blocks below the diagonal
@@ -418,10 +425,12 @@ class BlockSystem:
     def __init__(self, op: DiscreteOperator):
         op.check_dense_limit()
         n1, n2 = self.shape = op.grid.shape
+        ax = op.grid.ax
         self._a = op._along_x(np.eye(n1))             # A of each x-side kind
         self._c = dict(op.x_groups(op.terms))         # C of each: every kind has terms in K
+        self._weights, self._steps = ax.weights, ax.steps
         self.u = self._c[MOM]
-        self.moment = op.grid.ax.moment_avg
+        self.moment = ax.moment_avg
         d, e = np.arange(n1), np.arange(n2)
         diag = self._c[IDENT].copy()
         for kind in self.LOWER:
@@ -430,49 +439,72 @@ class BlockSystem:
         self.diag = diag
 
     @cached_property
-    def _diag_inv(self) -> np.ndarray:
-        """The inverses of the diagonal blocks, made on the first solve."""
+    def diag_inv(self) -> np.ndarray:
+        """The inverses of the diagonal blocks, made once; a singular block
+        raises `np.linalg.LinAlgError`."""
         return np.linalg.inv(self.diag)
+
+    def diag_cond(self) -> np.ndarray:
+        """The 1-norm condition number of each diagonal block,
+        ||T_ii||_1 ||T_ii^-1||_1 from `diag_inv`, the inverses that the
+        substitutions use: the bits of ``np.linalg.cond(diag, 1)`` without a
+        second inversion.  A singular block raises where that gives inf."""
+        inv = self.diag_inv
+        with np.errstate(all="ignore"):
+            return np.linalg.norm(self.diag, 1, (-2, -1)) * np.linalg.norm(inv, 1, (-2, -1))
 
     def solve_lower(self, r: np.ndarray) -> np.ndarray:
         """z with T z = r by block forward substitution; r is (n1, n2), or
-        (n1, n2, m) for m right-hand sides."""
+        (n1, n2, m) for m right-hand sides.  Row i subtracts C_i of cum0
+        times s0 = sum_{k<i} w_k z_k and C_i of cum1 times s1 = sum_{k<i}
+        w_k (x_i - x_k) z_k, which step to the next row by the recurrences
+        of `Axis.cumulative`."""
+        c0, c1, inv = self._c[CUM0], self._c[CUM1], self.diag_inv
         z = np.empty(np.shape(r))
-        for i in range(len(z)):
-            rhs = r[i] - sum(self._c[kind][i] @ np.tensordot(self._a[kind][i, :i], z[:i], 1)
-                             for kind in self.LOWER)
-            z[i] = self._diag_inv[i] @ rhs
+        s0, s1 = np.zeros(z.shape[1:]), np.zeros(z.shape[1:])
+        for i, step in enumerate(self._steps):
+            z[i] = inv[i] @ (r[i] - c0[i] @ s0 - c1[i] @ s1)
+            s0 += self._weights[i] * z[i]
+            s1 += step * s0
+        z[-1] = inv[-1] @ (r[-1] - c0[-1] @ s0 - c1[-1] @ s1)
         return z
 
     def solve_upper(self, r: np.ndarray) -> np.ndarray:
-        """z with T^T z = r by block back substitution; r is (n1, n2).  The
-        products C_i^T z_i of the rows solved so far are kept, one grid per
-        kind."""
+        """z with T^T z = r by block back substitution; r is (n1, n2), or
+        (n1, n2, m).  Row i subtracts w_i times the sum over k > i of
+        C_k^T z_k for cum0 and (x_k - x_i) C_k^T z_k for cum1, kept as
+        running sums from the last row back, with the plain sum of the cum1
+        products beside them."""
+        c0, c1, inv = self._c[CUM0], self._c[CUM1], self.diag_inv
         z = np.empty(np.shape(r))
-        parts = {kind: np.empty(np.shape(r)) for kind in self.LOWER}
-        for i in reversed(range(len(z))):
-            rhs = r[i] - sum(np.tensordot(self._a[kind][i + 1:, i], parts[kind][i + 1:], 1)
-                             for kind in self.LOWER)
-            z[i] = self._diag_inv[i].T @ rhs
-            for kind in self.LOWER:
-                parts[kind][i] = self._c[kind][i].T @ z[i]
+        s, p1 = np.zeros(z.shape[1:]), np.zeros(z.shape[1:])
+        for i in range(len(z) - 1, 0, -1):
+            z[i] = inv[i].T @ (r[i] - self._weights[i] * s)
+            p1 += c1[i].T @ z[i]
+            s += c0[i].T @ z[i] + self._steps[i - 1] * p1
+        z[0] = inv[0].T @ (r[0] - self._weights[0] * s)
         return z
 
     def norm1(self) -> float:
-        """The exact 1-norm of I + K, its largest column sum, formed one row
-        block at a time: row block i is the product of the kinds' C_i by
-        their rows A(i, :), plus the identity on its diagonal."""
+        """The exact 1-norm of I + K, its largest column sum.  Row block i
+        holds in column block k the product of the kinds' C_i by A(i, k),
+        plus the identity where k = i; it is formed for k <= i only, one row
+        block at a time.  Above the diagonal only the moment-average term is
+        left, m_k U_i, so those column sums are m_k (never negative) times
+        the running sum over i < k of the column sums of |U_i|."""
         n1, n2 = self.shape
         kinds = list(self._c)
         a = np.stack([np.broadcast_to(self._a[kind], (n1, n1)) for kind in kinds], axis=1)
         e = np.arange(n2)
         colsum = np.zeros((n2, n1))
+        above = np.cumsum(np.abs(self.u).sum(axis=1)[:-1], axis=0)    # over i < k, k >= 1
+        colsum[:, 1:] = (self.moment[1:, None] * above).T
         for i in range(n1):
             c = np.stack([self._c[kind][i] for kind in kinds], axis=-1)
-            # block[j, l, k]: the entry at row (i, j) and column (k, l)
-            block = (c.reshape(n2 * n2, -1) @ a[i]).reshape(n2, n2, n1)
+            # block[j, l, k]: the entry at row (i, j) and column (k, l), k <= i
+            block = (c.reshape(n2 * n2, -1) @ a[i, :, :i + 1]).reshape(n2, n2, i + 1)
             block[e, e, i] += 1.0
-            colsum += np.abs(block, out=block).sum(axis=0)
+            colsum[:, :i + 1] += np.abs(block, out=block).sum(axis=0)
         return float(np.max(colsum))
 
 

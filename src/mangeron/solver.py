@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .fields import Field2D
-from .grids import TILE_ROWS, Domain, Grid2D, GridFn2D, row_tiles
+from .grids import Domain, Grid2D, GridFn2D, row_tiles, tile_rows
 from .norms import NormSpec, data_norm, lp_norm, sobolev_norm
 from .problem import (Coefficients, ConstraintError, NonclassicalData, PdeProblem,
                       SampledData, SampledProblem, check_data_constraints, sample_problem,
@@ -121,10 +121,10 @@ class NeumannInfo:
 
 
 def _sup_distance(a: np.ndarray, b: np.ndarray, buf: np.ndarray) -> float:
-    """max |a - b| over the nodes, formed TILE_ROWS rows at a time in `buf`:
-    the max of the tile maxima, so a NaN or inf in any tile is kept."""
+    """max |a - b| over the nodes, formed one row tile (`row_tiles`) at a time
+    in `buf`: the max of the tile maxima, so a NaN or inf in any tile is kept."""
     maxima = []
-    for rows in row_tiles(len(a)):
+    for rows in row_tiles(a.shape):
         d = buf[:len(a[rows])]
         maxima.append(np.max(np.abs(np.subtract(a[rows], b[rows], out=d), out=d)))
     return float(np.max(maxima))
@@ -139,7 +139,7 @@ def solve_neumann(op: DiscreteOperator, tol: float = 1e-10,
     `max_iter`) is a reported state, not an exception; the last finite
     iterate is returned so a dense fallback can be compared against it.
     The iterate and the next one live in two buffers made once, which swap
-    roles on every pass; the update norm is taken TILE_ROWS rows at a time
+    roles on every pass; the update norm is taken one row tile at a time
     in one tile buffer, and a NaN or inf in any tile is its value.
     """
     g = op.g
@@ -150,7 +150,7 @@ def solve_neumann(op: DiscreteOperator, tol: float = 1e-10,
         info.converged = True
         return b, info
     nxt = np.empty_like(g)
-    diff = np.empty((min(TILE_ROWS, len(g)), g.shape[1]))
+    diff = np.empty((tile_rows(g.shape), g.shape[1]))
     grows = 0
     for _ in range(max_iter):
         np.subtract(g, op.matvec(b, out=nxt), out=nxt)
@@ -208,14 +208,18 @@ def _inverse_norm1_estimate(solve, solve_t, shape) -> float:
 def _structured_inverse(system: BlockSystem):
     """(solve, solve_t), the products with (I + K)^-1 and (I + K)^-T by the
     Woodbury formula, or None where a diagonal block of T or the capacitance
-    matrix C is above STRUCTURED_CONDITION in condition number.
+    matrix C is above STRUCTURED_CONDITION in condition number, or singular.
 
     With I + K = T + U W^T (`reduction.BlockSystem`), (I + K)^-1 r is
     y - T^-1 U C^-1 W^T y for y = T^-1 r, by block forward substitution, and
     C = I + W^T T^-1 U is n2 x n2; (I + K)^-T r is T^-T (r - W C^-T (T^-1 U)^T r),
-    by block back substitution over T^T.
+    by block back substitution over T^T.  The blocks' condition numbers are
+    read off the inverses that the substitutions use (`BlockSystem.diag_cond`).
     """
-    if not np.max(np.linalg.cond(system.diag, 1)) <= STRUCTURED_CONDITION:
+    try:
+        if not np.max(system.diag_cond()) <= STRUCTURED_CONDITION:
+            return None
+    except np.linalg.LinAlgError:
         return None
     m = system.moment
     t_inv_u = system.solve_lower(system.u)
@@ -273,7 +277,9 @@ def solve_dense(op: DiscreteOperator) -> tuple[np.ndarray, float]:
     condition number.
 
     The structured route runs first (`_solve_structured`): in O(N n2) memory
-    and O(N n2 (n1 + n2)) time for N = n1 n2 nodes, it returns the condition
+    for N = n1 n2 nodes, O(N n2^2) time to build its pieces, O(N n2) per
+    solve and O(N^2 / 2) for the exact ||I + K||_1, over the blocks on and
+    below the diagonal (`reduction.BlockSystem`), it returns the condition
     estimate ||I + K||_1 est(||(I + K)^-1||_1).  Where it is not stable, the
     LU route runs: I + K is made dense, its exact condition number taken and
     the system solved by LU.  A grid over the dense limit, one whose matrices

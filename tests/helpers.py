@@ -1,7 +1,8 @@
 """Test-only helpers over the package: random manufactured solutions and
 coefficients, the forward construction of a problem from a chosen
 quadruple, a known solution's exact bundle, the linear combination of data
-elements, and an empirical stability ratio over a family of problems."""
+elements, an empirical stability ratio over a family of problems, and row
+tiles of a set size for the tests of the row-tiled passes."""
 
 from dataclasses import dataclass
 
@@ -11,7 +12,18 @@ from mangeron import (DERIVATIVES, Coefficients, ConstraintError, Field1D, Field
                       NonclassicalData, PdeProblem, SolutionBundle, SolverError,
                       apply_pde_operator, assemble_solution, sample_data, samples1d,
                       solve_problem, trace_axis)
+from mangeron import grids
 from mangeron.mms import Factor, SeparableSolution, sep_poly, sep_sin
+
+#: rows of the row tiles that `set_tile_rows` sets, a power of two
+TILE_ROWS = 32
+
+
+def set_tile_rows(monkeypatch, n2: int, rows: int = TILE_ROWS):
+    """Make the row tiles (`grids.row_tiles`) of grids of n2 nodes a line
+    `rows` rows, a power of two, so that a small grid spans several tiles."""
+    monkeypatch.setattr(grids, "TILE_NODES", rows * n2)
+    assert grids.tile_rows((rows + 1, n2)) == rows
 
 
 def sep_cos(a: float = 1.0) -> Factor:

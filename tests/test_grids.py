@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mangeron import Axis, Domain, Grid2D, GridFn2D, build_grid, fd_derivatives
+from mangeron.grids import row_tiles, tile_rows
 from quadrature_oracle import panel_tables
 
 
@@ -15,6 +16,19 @@ def panel_weights(nodes):
         w[k] += h / 2
         w[k + 1] += h / 2
     return w
+
+
+@pytest.mark.parametrize("shape, rows", [
+    ((49, 49), 49), ((65, 65), 65), ((129, 129), 64), ((257, 257), 32), ((513, 513), 32),
+    ((1025, 1025), 16), ((3, 20000), 1), ((2000, 9), 1024),
+])
+def test_row_tiles_are_sized_by_node_count(shape, rows):
+    # the most whole rows of 32 x 513 nodes, rounded down to a power of two:
+    # small grids are one tile, 513-node lines keep their 32-row tiles
+    assert tile_rows(shape) == rows
+    tiles = list(row_tiles(shape))
+    assert all(t.stop - t.start == rows for t in tiles)
+    assert [i for t in tiles for i in range(shape[0])[t]] == list(range(shape[0]))
 
 
 def test_domain_validation():

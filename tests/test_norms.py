@@ -7,8 +7,7 @@ from mangeron import (Domain, GridFn2D, NonclassicalData, NormSpec,
                       build_grid, const1d, data_norm, lp_norm, sample_data,
                       sobolev_norm)
 from mangeron.mms import bilinear_solution
-from mangeron.grids import TILE_ROWS
-from helpers import exact_bundle
+from helpers import TILE_ROWS, exact_bundle, set_tile_rows
 
 
 @pytest.fixture
@@ -139,12 +138,13 @@ def whole_grid_lp_norm(v, w, p):
 
 @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200, 1e300])
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 7.25])
-def test_tiled_lp_norm_is_the_whole_grid_sum_bit_for_bit(scale, p):
+def test_tiled_lp_norm_is_the_whole_grid_sum_bit_for_bit(scale, p, monkeypatch):
     # rows over two tiles and a partial one, breakpoints on both axes; at
     # the three large and tiny scales, every p from 2 on overflows or
     # underflows and takes the rescale path
     grid = build_grid(Domain(2.0, 0.5), 2 * TILE_ROWS + 5, 23,
                       x_breakpoints=[0.7], y_breakpoints=[0.2])
+    set_tile_rows(monkeypatch, grid.shape[1])
     assert grid.shape[0] % TILE_ROWS != 0
     w = np.outer(grid.ax.weights, grid.ay.weights)
     rng = np.random.default_rng(int(p * 4))

@@ -8,10 +8,10 @@ from mangeron import (Coefficients, CoupledSystem, Domain, Field2D, GridFn2D, No
                       build_grid, const1d, const2d, reduced_rhs, sample_data, sample_problem,
                       solve_dense, solve_problem)
 from mangeron import reduction, solver as solver_mod
-from mangeron.reduction import (CUM0, CUM1, IDENT, MOM, TILE_ROWS, DenseLimitError, Term,
-                                far_edge)
+from mangeron.reduction import CUM0, CUM1, IDENT, MOM, DenseLimitError, Term, far_edge
 from mangeron.mms import biquadratic_solution, make_mms, sep_poly, SeparableSolution
-from helpers import exact_bundle, random_coefficients, random_forward_problem
+from helpers import (TILE_ROWS, exact_bundle, random_coefficients, random_forward_problem,
+                     set_tile_rows)
 from quadrature_oracle import panel_tables, whole_grid_matvec
 
 DOM = Domain(1.0, 1.0)
@@ -350,10 +350,11 @@ TILED_GRIDS = {
 
 
 @pytest.mark.parametrize("seed, case", list(enumerate(TILED_GRIDS)), ids=list(TILED_GRIDS))
-def test_tiled_matvec_is_the_whole_grid_product_bit_for_bit(seed, case):
+def test_tiled_matvec_is_the_whole_grid_product_bit_for_bit(seed, case, monkeypatch):
     (dom, n1, n2, xb, yb), rows = TILED_GRIDS[case]
     grid = build_grid(dom, n1, n2, x_breakpoints=xb, y_breakpoints=yb)
     assert grid.shape[0] == rows
+    set_tile_rows(monkeypatch, grid.shape[1])
     rng = np.random.default_rng(300 + seed)
     prob, _ = random_forward_problem(rng, grid, random_coefficients(rng))
     op = assemble_eliminated(sample_problem(prob, grid))
@@ -369,10 +370,11 @@ def test_tiled_matvec_is_the_whole_grid_product_bit_for_bit(seed, case):
 
 
 @pytest.mark.parametrize("fill", [np.nan, np.inf, -0.0])
-def test_matvec_reads_nothing_of_out(fill):
+def test_matvec_reads_nothing_of_out(fill, monkeypatch):
     # out is the x-side scratch of the first running integral: whatever it
     # holds on entry, every call gives the whole-grid product's bits
     grid = build_grid(DOM, 2 * TILE_ROWS + 5, 19)
+    set_tile_rows(monkeypatch, grid.shape[1])
     rng = np.random.default_rng(12)
     prob, _ = random_forward_problem(rng, grid, random_coefficients(rng))
     op = assemble_eliminated(sample_problem(prob, grid))

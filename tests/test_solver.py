@@ -15,10 +15,9 @@ from mangeron import (Coefficients, ConstraintError, Domain, Field2D, GridFn2D,
 from mangeron import reduction, solver as solver_mod
 from mangeron.cli import main as cli_main
 from mangeron.mms import bilinear_solution, biquadratic_solution, make_mms, trig_solution
-from mangeron.grids import TILE_ROWS
 from mangeron.reduction import CUM0, IDENT, MOM, DiscreteOperator, Term, far_edge
-from helpers import (combine, estimate_stability_ratio, random_coefficients,
-                     random_forward_problem)
+from helpers import (TILE_ROWS, combine, estimate_stability_ratio, random_coefficients,
+                     random_forward_problem, set_tile_rows)
 from quadrature_oracle import panel_tables
 
 DOM = Domain(1.0, 1.0)
@@ -124,9 +123,10 @@ class HalvingOperator:
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_neumann_stops_at_a_non_finite_node_in_the_last_partial_tile(bad):
+def test_neumann_stops_at_a_non_finite_node_in_the_last_partial_tile(bad, monkeypatch):
     # the update norm is taken in row tiles; a NaN or inf only in the last,
     # partial tile still ends the iteration, with the last finite iterate
+    set_tile_rows(monkeypatch, 9)
     g = np.random.default_rng(6).standard_normal((2 * TILE_ROWS + 5, 9))
     g.flags.writeable = False
     core, info = solve_neumann(HalvingOperator(g, 3, bad))
@@ -469,6 +469,78 @@ def test_structured_route_agrees_with_lu(family, monkeypatch):
     assert 0.7 <= cond / lu_cond <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("tiles", ["one-tile", "4-row-tiles"])
+@pytest.mark.parametrize("family", list(STRUCTURED_FAMILIES))
+def test_block_substitutions_match_dense_triangular_solves(family, tiles, monkeypatch):
+    # T is I plus the terms whose x-side operator is not the moment average;
+    # the running sums of the substitutions solve T and T^T as dense LU does,
+    # to roundoff (measured: at most 3.1 cond(T) eps), for one right-hand
+    # side and for three; the structured core has the same bits in any tiles
+    grid, make = STRUCTURED_FAMILIES[family]
+    if tiles == "4-row-tiles":
+        set_tile_rows(monkeypatch, grid.shape[1], 4)
+    op = assemble_eliminated(sample_problem(make(np.random.default_rng(40), grid), grid))
+    system = reduction.BlockSystem(op)
+    t = op.assemble([term for term in op.terms if term.x != MOM])
+    t[np.diag_indices_from(t)] += 1.0
+    bound = 16 * np.linalg.cond(t, 1) * EPS
+    rng = np.random.default_rng(42)
+    for shape in (grid.shape, (*grid.shape, 3)):
+        r = rng.standard_normal(shape)
+        for solve, dense in ((system.solve_lower, t), (system.solve_upper, t.T)):
+            want = np.linalg.solve(dense, r.reshape(t.shape[0], -1)).reshape(shape)
+            assert np.max(np.abs(solve(r) - want)) <= bound * np.max(np.abs(want))
+    core, cond = solver_mod._solve_structured(op)
+    monkeypatch.undo()
+    whole_core, whole_cond = solver_mod._solve_structured(op)
+    assert np.array_equal(core, whole_core) and cond == whole_cond
+
+
+def unstable_problem(magnitude, seed):
+    """The operator of an all-variable problem on 15 x 30 nodes of [0,2]x[0,0.5]."""
+    grid = build_grid(Domain(2.0, 0.5), 15, 30)
+    rng = np.random.default_rng(seed)
+    prob, _ = random_forward_problem(rng, grid, random_coefficients(rng, magnitude))
+    return assemble_eliminated(sample_problem(prob, grid))
+
+
+#: (magnitude, seed) of an unstable problem for each guard of the route:
+#: cond(C) 1.2e11; cond(C) 860, yet backward error 3.6e-12
+UNSTABLE = {"condition": (20.0, 1), "backward error": (5.0, 3)}
+
+
+@pytest.mark.parametrize("case", [*STRUCTURED_FAMILIES, *UNSTABLE])
+def test_block_condition_check_is_numpys_cond_bit_for_bit(case):
+    # the check reads the inverses that the substitutions use, so the route
+    # is decided on the numbers np.linalg.cond gave
+    if case in STRUCTURED_FAMILIES:
+        grid, make = STRUCTURED_FAMILIES[case]
+        op = assemble_eliminated(sample_problem(make(np.random.default_rng(40), grid), grid))
+    else:
+        op = unstable_problem(*UNSTABLE[case])
+    system = reduction.BlockSystem(op)
+    want = np.linalg.cond(system.diag, 1)
+    assert np.all(np.isfinite(want))
+    assert np.array_equal(system.diag_cond(), want)
+
+
+@pytest.mark.parametrize("block", ["singular", "nan"])
+def test_a_singular_or_nan_block_declines_the_structured_route(block):
+    grid, make = STRUCTURED_FAMILIES["all-variable"]
+    op = assemble_eliminated(sample_problem(make(np.random.default_rng(40), grid), grid))
+    system = reduction.BlockSystem(op)
+    if block == "singular":
+        system.diag[3] = 0.0
+        assert np.linalg.cond(system.diag, 1)[3] == math.inf
+        with pytest.raises(np.linalg.LinAlgError):
+            system.diag_cond()
+    else:
+        system.diag[3, 1, 2] = math.nan
+        assert math.isnan(np.linalg.cond(system.diag, 1)[3])
+        assert math.isnan(system.diag_cond()[3])
+    assert solver_mod._structured_inverse(system) is None
+
+
 @pytest.mark.parametrize("shape", [(3, 3), (7, 7), (9, 5), (49, 49)])
 def test_structured_estimate_is_exactly_one_for_k_zero(shape):
     grid = build_grid(DOM, *shape)
@@ -479,19 +551,12 @@ def test_structured_estimate_is_exactly_one_for_k_zero(shape):
     assert np.array_equal(core, op.g)
 
 
-@pytest.mark.parametrize("magnitude, seed, guard", [
-    (20.0, 1, "condition"),     # cond(C) 1.2e11
-    (5.0, 3, "backward error"),     # cond(C) 860, yet backward error 3.6e-12
-])
+@pytest.mark.parametrize("magnitude, seed, guard", [(*UNSTABLE[g], g) for g in UNSTABLE])
 def test_unstable_structured_route_falls_back_to_the_lu_bits(magnitude, seed, guard):
     # all-variable coefficients of this size can leave the Woodbury core far
     # from LU's (2.7 relative at scale 20, seed 1; 1.3e-8 at scale 5, seed
     # 3): the structured route declines, and LU gives the bits it gave before
-    dom = Domain(2.0, 0.5)
-    grid = build_grid(dom, 15, 30)
-    rng = np.random.default_rng(seed)
-    prob, _ = random_forward_problem(rng, grid, random_coefficients(rng, magnitude))
-    op = assemble_eliminated(sample_problem(prob, grid))
+    op = unstable_problem(magnitude, seed)
     system = reduction.BlockSystem(op)
     assert (solver_mod._structured_inverse(system) is None) is (guard == "condition")
     assert solver_mod._solve_structured(op) is None
